@@ -20,7 +20,7 @@ from repro import INTEL20, hdagg, simulate
 from repro.graph import compute_wavefronts
 from repro.kernels import SpChol, SpTRSV
 from repro.kernels.sptrsv import sptrsv_levelwise, sptrsv_transpose_levelwise
-from repro.schedulers import serial_schedule
+from repro.schedulers import SCHEDULERS
 from repro.sparse import apply_ordering, fill_in, poisson2d
 
 # Row-granular complete factorisation moves whole factor rows between
@@ -67,7 +67,7 @@ def main() -> None:
     # bonus: what the machine model says about the factorisation schedule
     mem = chol.memory_model(a, g)
     cost = chol.cost(a)
-    serial = simulate(serial_schedule(g, cost), g, cost, mem, MACHINE.scaled(1))
+    serial = simulate(SCHEDULERS["serial"](g, cost), g, cost, mem, MACHINE.scaled(1))
     par = simulate(schedule, g, cost, mem, MACHINE)
     print(
         f"simulated factorisation speedup on {MACHINE.name}: "

@@ -4,8 +4,10 @@
 Two features a downstream solver actually needs, composed:
 
 * :class:`repro.core.HDaggInspector` analyses a DAG once and emits
-  schedules for any ``(cores, epsilon)`` — the expensive transitive
-  reduction and subtree grouping are cached across requests;
+  schedules for any ``(cores, epsilon)``: it hands the cached products of
+  the DAG-only pass (transitive reduction) and of the per-core-count passes
+  (aggregation, coarsening) back to the scheduler driver, which then runs
+  only LBP and expansion — the schedules are byte-identical to ``hdagg``;
 * :func:`repro.suite.choose_scheduler` picks serial / wavefront / SpMP /
   HDagg by total cost for an expected execution count (MKL's
   ``expected_calls`` knob made explicit, Section V-B economics).
@@ -18,7 +20,7 @@ import time
 from repro import INTEL20, simulate
 from repro.core import HDaggInspector, hdagg
 from repro.kernels import KERNELS
-from repro.schedulers import serial_schedule
+from repro.schedulers import SCHEDULERS
 from repro.sparse import apply_ordering, lower_triangle, poisson2d
 from repro.suite import choose_scheduler, format_table
 
@@ -50,6 +52,8 @@ def main() -> None:
         f"cached inspector {cached * 1e3:.0f} ms "
         f"({info['groupings']} groupings / {info['schedules']} schedules cached)"
     )
+    stages = inspector.schedule(*sweep[-1]).meta["stage_seconds"]
+    print("passes run for a cached request: " + ", ".join(stages))
 
     # ---- expected-calls-driven scheduler selection ----------------------
     rows = []
@@ -67,7 +71,7 @@ def main() -> None:
         )
     )
 
-    serial = simulate(serial_schedule(g, cost), g, cost, memory, INTEL20.scaled(1))
+    serial = simulate(SCHEDULERS["serial"](g, cost), g, cost, memory, INTEL20.scaled(1))
     best = choose_scheduler(g, cost, memory, INTEL20, 100_000)
     print(
         f"\nat 100k executions the {best.algorithm} schedule runs "

@@ -119,10 +119,7 @@ def analyze_grid(
             for algo in _schedulers_for(schedulers, kname):
                 t0 = time.perf_counter()
                 try:
-                    kwargs = {}
-                    if epsilon is not None and algo in ("hdagg", "lbc"):
-                        kwargs["epsilon"] = epsilon
-                    schedule = SCHEDULERS[algo](g, cost, cores, **kwargs)
+                    schedule = SCHEDULERS[algo](g, cost, cores, epsilon=epsilon)
                     dep = verify_dependences(schedule, g, max_witnesses=max_witnesses)
                     races = detect_races(schedule, fp, max_witnesses=max_witnesses)
                     row: Dict = {

@@ -51,8 +51,9 @@ __all__ = [
     "reset_fallback_warnings",
 ]
 
-#: pipeline stages, in execution order
-STAGES = ("reduce", "aggregate", "coarsen", "lbp", "binpack", "expand")
+#: pipeline stages, in execution order; each is also the name of the pass
+#: that binds it (``binpack`` runs inside the ``lbp`` pass)
+STAGES = ("transitive_reduction", "aggregation", "coarsen", "lbp", "binpack", "expand")
 
 #: implementation tiers
 TIERS = ("reference", "numpy", "compiled")
@@ -61,20 +62,12 @@ DEFAULT_TIER = "numpy"
 
 ENV_VAR = "REPRO_BACKENDS"
 
-#: accepted aliases for stage names (StageTimer / span spellings)
-_STAGE_ALIASES = {
-    "transitive_reduction": "reduce",
-    "aggregation": "aggregate",
-    "bin_pack": "binpack",
-}
-
-
 class BackendWarning(RuntimeWarning):
     """Raised (as a warning) when a requested tier falls back to numpy."""
 
 
 def _canon_stage(name: str) -> str:
-    stage = _STAGE_ALIASES.get(name.strip(), name.strip())
+    stage = name.strip()
     if stage not in STAGES:
         raise ValueError(f"unknown inspector stage {name!r}; expected one of {STAGES}")
     return stage
@@ -367,10 +360,10 @@ def _numpy_expand() -> Callable:
     return expand_lbp_to_schedule
 
 
-register_backend("reduce", "numpy", _numpy_reduce)
-register_backend("reduce", "reference", _reference_reduce)
-register_backend("aggregate", "numpy", _numpy_aggregate)
-register_backend("aggregate", "reference", _reference_aggregate)
+register_backend("transitive_reduction", "numpy", _numpy_reduce)
+register_backend("transitive_reduction", "reference", _reference_reduce)
+register_backend("aggregation", "numpy", _numpy_aggregate)
+register_backend("aggregation", "reference", _reference_aggregate)
 register_backend("coarsen", "numpy", _numpy_coarsen)
 # the coarsen/expand "reference" tier is the numpy path itself: these stages
 # never grew a separate loop oracle (their outputs are integer-exact), so

@@ -18,6 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..sparse.csr import INDEX_DTYPE
+from .schedule import WidthPartition
 
 __all__ = ["first_fit_pack", "first_fit_pack_reference", "BinPacking"]
 
@@ -51,6 +52,20 @@ class BinPacking:
         counts = np.bincount(self.assignment, minlength=p)
         ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts))).tolist()
         return [np.ascontiguousarray(order[ptr[b] : ptr[b + 1]]) for b in range(p)]
+
+    def partitions(self, components: Sequence[np.ndarray], p: int) -> List[WidthPartition]:
+        """One width-partition per used bin, pinned to that bin's core.
+
+        Item ``k`` is ``components[k]``; a bin's vertices are the union of
+        its components, smallest id first.
+        """
+        parts = []
+        for core, items in enumerate(self.items_per_bin(p)):
+            if items.size == 0:
+                continue
+            members = np.sort(np.concatenate([components[int(k)] for k in items]))
+            parts.append(WidthPartition(core=core, vertices=members))
+        return parts
 
     def pgp(self) -> float:
         """Load-balance PGP of this packing (Equation 1 over the bin loads)."""

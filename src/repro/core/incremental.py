@@ -44,10 +44,17 @@ import numpy as np
 from ..graph.coarsen import Grouping, identity_grouping
 from ..graph.dag import DAG, gather_slices
 from ..graph.wavefronts import compute_wavefronts
-from ..passes import build_hdagg_group, plan_repair
+from ..passes import (
+    PassGroup,
+    build_hdagg_group,
+    plan_repair,
+    run_group,
+    run_scheduler,
+    seed_context,
+)
 from ..sparse.csr import INDEX_DTYPE
-from .backends import BackendSpec, resolve_stage
-from .hdagg import _expand_cw, _grouping_csr, _hdagg_pipeline
+from .backends import BackendSpec
+from .hdagg import _expand_cw, _grouping_csr
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, _RangeComponents
 from .pgp import DEFAULT_EPSILON, pgp
 from .schedule import Schedule, WidthPartition
@@ -230,7 +237,10 @@ def inspect_with_artifacts(
         raise TypeError(f"unknown inspection options: {sorted(unknown)}")
     opts = dict(_DEFAULT_OPTIONS)
     opts.update(options)
-    schedule, internals = _hdagg_pipeline(g, cost, p, epsilon, backend=backend, **opts)
+    ctx = run_scheduler(
+        _group(opts), g, cost, p, epsilon, backend=backend,
+        group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
+    )
     empty_lbp = LBPResult(
         coarsened=[],
         waves=compute_wavefronts(DAG.empty(0)),
@@ -240,17 +250,28 @@ def inspect_with_artifacts(
     )
     return InspectionArtifacts(
         g=g,
-        cost=np.asarray(cost, dtype=np.float64),
+        cost=ctx["Cost"],
         p=p,
         epsilon=epsilon,
-        g_base=internals.get("g_base", g),
-        grouping=internals.get("grouping", identity_grouping(g.n)),
-        g2=internals.get("g2", DAG.empty(0)),
-        group_cost=internals.get("group_cost", np.empty(0, dtype=np.float64)),
-        lbp=internals.get("lbp", empty_lbp),
-        schedule=schedule,
-        backend=internals["backend"],
+        g_base=ctx["ReducedDAG"] if ctx.has("ReducedDAG") else g,
+        grouping=ctx["Grouping"] if ctx.has("Grouping") else identity_grouping(g.n),
+        g2=ctx["CoarseDAG"] if ctx.has("CoarseDAG") else DAG.empty(0),
+        group_cost=(
+            ctx["GroupCost"] if ctx.has("GroupCost") else np.empty(0, dtype=np.float64)
+        ),
+        lbp=ctx["CoarsenedWaves"] if ctx.has("CoarsenedWaves") else empty_lbp,
+        schedule=ctx["Schedule"],
+        backend=ctx["Backend"],
         options=opts,
+    )
+
+
+def _group(opts: dict) -> PassGroup:
+    """The hdagg pass-group variant for one set of inspection options."""
+    return build_hdagg_group(
+        aggregate=opts["aggregate"],
+        transitive_reduce=opts["transitive_reduce"],
+        bin_pack=opts["bin_pack"],
     )
 
 
@@ -355,22 +376,15 @@ def repair_schedule(
     if len(old.schedule.levels) != len(old.lbp.coarsened):
         return _full_repair(old, g_new, cost_new, "schedule/LBP shape mismatch")
 
-    t_start = time.perf_counter()
-    seconds: Dict[str, float] = {}
     opts = old.options
     p, epsilon = old.p, old.epsilon
-    spec = BackendSpec.coerce(old.backend)
 
     # ---- repair plan from the pass-group contracts --------------------
     # A pattern delta dirties the DAG and Cost inputs; the plan buckets
     # the group's passes by their declared repair policy.  This splice
     # implementation handles exactly {coarsen, lbp, expand} — anything
     # else means the group's contracts moved out from under us.
-    group = build_hdagg_group(
-        aggregate=opts["aggregate"],
-        transitive_reduce=opts["transitive_reduce"],
-        bin_pack=opts["bin_pack"],
-    )
+    group = _group(opts)
     plan = plan_repair(group, ("DAG", "Cost"))
     if plan.splice != ("coarsen", "lbp", "expand") or plan.replay:
         return _full_repair(old, g_new, cost_new, f"unsupported repair plan {plan}")
@@ -381,18 +395,16 @@ def repair_schedule(
     }
 
     # ---- exact recompute of the cheap global stages -------------------
-    t0 = time.perf_counter()
-    if opts["aggregate"]:
-        reduce_fn, _ = resolve_stage(spec, "reduce")
-        aggregate_fn, _ = resolve_stage(spec, "aggregate")
-        g_base_new = reduce_fn(g_new) if opts["transitive_reduce"] else g_new
-        cap_frac = opts["group_cost_cap_fraction"]
-        cap = cap_frac * float(cost_new.sum()) / p if cap_frac is not None else None
-        grouping_new = aggregate_fn(g_base_new, cost_new, cap)
-    else:
-        g_base_new = g_new
-        grouping_new = identity_grouping(g_new.n)
-    seconds["aggregate"] = time.perf_counter() - t0
+    # through the driver's pass runner: contracts, fault points, timing
+    ctx = seed_context(
+        group, g_new, cost_new, p, epsilon, backend=old.backend,
+        group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
+    )
+    run_group(group, ctx, plan.recompute)
+    g_base_new, grouping_new = ctx["ReducedDAG"], ctx["Grouping"]
+    backend = ctx["Backend"]
+    # per-pass seconds of the recompute passes, then the repair's own stages
+    seconds: Dict[str, float] = ctx.timer.seconds
 
     # ---- diff: dirty vertices, group matching, dirty groups -----------
     t0 = time.perf_counter()
@@ -643,7 +655,7 @@ def repair_schedule(
         "accumulated_pgp": accumulated,
         "cut_positions": lbp_new.cut_positions,
         "epsilon": epsilon,
-        "backend": spec.effective().describe(),
+        "backend": backend,
     }
     schedule = Schedule(
         n=g_new.n,
@@ -655,7 +667,6 @@ def repair_schedule(
         meta=meta,
     )
     seconds["expand"] = time.perf_counter() - t0
-    seconds["total"] = time.perf_counter() - t_start
     schedule.meta["stage_seconds"] = dict(seconds)
 
     artifacts = InspectionArtifacts(
@@ -669,7 +680,7 @@ def repair_schedule(
         group_cost=group_cost_new,
         lbp=lbp_new,
         schedule=schedule,
-        backend=spec.effective().describe(),
+        backend=backend,
         options=dict(opts),
     )
     stats = {
@@ -733,6 +744,9 @@ class IncrementalScheduleCache(ScheduleCache):
     fallback-full) artifacts replace the family entry either way, so a
     drifting pattern keeps repairing against its most recent ancestor.
     """
+
+    #: the scheduler whose inspections this cache can repair
+    algorithm = "hdagg"
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         super().__init__(max_entries)

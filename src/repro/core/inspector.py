@@ -2,40 +2,51 @@
 
 The inspector-executor pattern splits cost into analyse-once / run-many.
 Within the analysis itself there is a second split this class exploits:
-the transitive reduction and subtree grouping depend only on the DAG (and
-the cost vector via the group cap), while the LBP coarsening also depends
-on the core count and the balance threshold.  ``HDaggInspector`` caches
-the former, so sweeping ``p`` or ``epsilon`` (autotuning, the ablation
-benchmarks, a solver picking its thread count at run time) pays the
-two-hop reduction once instead of per request.
+the transitive reduction depends only on the DAG, the subtree grouping and
+the coarsened DAG also on the core count (through the group cap), and only
+the LBP coarsening and the expansion on the balance threshold.
+``HDaggInspector`` keeps the artifacts of each tier and hands them to the
+one scheduler driver as reuse, so sweeping ``p`` or ``epsilon``
+(autotuning, the ablation benchmarks, a solver picking its thread count at
+run time) pays the two-hop reduction once and the grouping once per core
+count.  Every schedule still comes out of the driver: same passes, same
+contracts, backend and ``stage_seconds`` meta as :func:`repro.core.hdagg.hdagg`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph.coarsen import Grouping, coarsen_dag
 from ..graph.dag import DAG
-from ..graph.transitive_reduction import transitive_reduction_two_hop
-from .aggregation import subtree_grouping
-from .hdagg import expand_lbp_to_schedule
-from .lbp import lbp_coarsen
+from ..passes import (
+    PassGroup,
+    build_hdagg_group,
+    plan_repair,
+    run_group,
+    run_scheduler,
+    seed_context,
+)
 from .pgp import DEFAULT_EPSILON
 from .schedule import Schedule
 
 __all__ = ["HDaggInspector"]
 
 
+def _products(group: PassGroup, passes: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Artifacts produced by the named passes of ``group``."""
+    return tuple(a for p in group.passes if p.name in passes for a in p.contract.produces)
+
+
 class HDaggInspector:
     """Analyse a DAG once; emit HDagg schedules for many ``(p, epsilon)``.
 
-    Parameters mirror :func:`repro.core.hdagg.hdagg`; the grouping cap is
-    resolved per request (it depends on ``p``), so the step-1 grouping is
-    cached per distinct cap value — for the default fractional cap that
-    means one grouping per requested core count, each computed from the
-    cached reduced DAG.
+    Parameters mirror :func:`repro.core.hdagg.hdagg`; the backend spec is
+    read once, at construction.  The passes that depend on the DAG alone
+    run at construction; the passes that depend on the core count run once
+    per distinct cap (one per requested ``p`` under the default fractional
+    cap, one in total when uncapped); the rest run per request.
     """
 
     def __init__(
@@ -47,31 +58,25 @@ class HDaggInspector:
         group_cost_cap_fraction: float | None = 0.25,
     ) -> None:
         self.g = g
-        self.cost = np.asarray(cost, dtype=np.float64)
-        if self.cost.shape[0] != g.n:
-            raise ValueError(f"cost has length {self.cost.shape[0]}, expected {g.n}")
         self.group_cost_cap_fraction = group_cost_cap_fraction
-        self._reduced: DAG = transitive_reduction_two_hop(g) if transitive_reduce else g
-        self._groupings: Dict[float | None, Tuple[Grouping, DAG, np.ndarray]] = {}
+        self._transitive_reduce = transitive_reduce
+        group = build_hdagg_group(transitive_reduce=transitive_reduce)
+        ctx = seed_context(group, g, cost, group_cost_cap_fraction=group_cost_cap_fraction)
+        self.cost = ctx["Cost"]
+        self._spec = ctx.spec
+        dag_only = plan_repair(group, ("Cost", "Cores", "Epsilon")).replay
+        run_group(group, ctx, dag_only)
+        self._dag_artifacts = {a: ctx[a] for a in _products(group, dag_only)}
+        #: artifacts of the passes independent of epsilon (given p)
+        self._per_cores = _products(group, plan_repair(group, ("Epsilon",)).replay)
+        self._groupings: Dict[Optional[int], Dict[str, Any]] = {}
         self._schedules: Dict[Tuple[int, float, bool], Schedule] = {}
 
     # ------------------------------------------------------------------
     @property
     def reduced_dag(self) -> DAG:
         """The cached two-hop-reduced DAG (step 1's input)."""
-        return self._reduced
-
-    def _grouping_for(self, p: int) -> Tuple[Grouping, DAG, np.ndarray]:
-        cap = (
-            self.group_cost_cap_fraction * float(self.cost.sum()) / p
-            if self.group_cost_cap_fraction is not None
-            else None
-        )
-        if cap not in self._groupings:
-            grouping = subtree_grouping(self._reduced, self.cost, cap)
-            g2 = coarsen_dag(self._reduced, grouping)
-            self._groupings[cap] = (grouping, g2, grouping.group_costs(self.cost))
-        return self._groupings[cap]
+        return self._dag_artifacts["ReducedDAG"]
 
     def schedule(
         self,
@@ -84,23 +89,19 @@ class HDaggInspector:
         key = (p, epsilon, bin_pack)
         if key in self._schedules:
             return self._schedules[key]
-        grouping, g2, group_cost = self._grouping_for(p)
-        lbp = lbp_coarsen(g2, group_cost, p, epsilon, allow_fine_grained=True)
-        if not bin_pack:
-            lbp.fine_grained = True
-        meta = {
-            "n_groups": grouping.n_groups,
-            "n_edges_original": self.g.n_edges,
-            "n_edges_reduced": self._reduced.n_edges,
-            "n_coarse_vertices": g2.n,
-            "n_coarse_wavefronts": len(lbp.coarsened),
-            "n_wavefronts": lbp.waves.n_levels,
-            "accumulated_pgp": lbp.accumulated_pgp,
-            "cut_positions": lbp.cut_positions,
-            "epsilon": epsilon,
-            "cached_inspector": True,
-        }
-        s = expand_lbp_to_schedule(lbp, grouping, self.g.n, p, meta=meta)
+        # the group cap depends on p only when a cap fraction is set
+        cap_key = p if self.group_cost_cap_fraction is not None else None
+        group = build_hdagg_group(transitive_reduce=self._transitive_reduce, bin_pack=bin_pack)
+        ctx = run_scheduler(
+            group, self.g, self.cost, p, epsilon,
+            backend=self._spec,
+            reuse={**self._dag_artifacts, **self._groupings.get(cap_key, {})},
+            group_cost_cap_fraction=self.group_cost_cap_fraction,
+        )
+        self._groupings.setdefault(
+            cap_key, {a: ctx[a] for a in self._per_cores if ctx.has(a)}
+        )
+        s: Schedule = ctx["Schedule"]
         self._schedules[key] = s
         return s
 
@@ -109,5 +110,5 @@ class HDaggInspector:
         return {
             "groupings": len(self._groupings),
             "schedules": len(self._schedules),
-            "reduced_edges": self._reduced.n_edges,
+            "reduced_edges": self.reduced_dag.n_edges,
         }

@@ -1,7 +1,7 @@
 """Ambient observability state: one process-global enable switch.
 
 Inspectors are invoked through the fixed registry signature
-``SCHEDULERS[name](g, cost, p, **options)`` — there is no clean place to
+``SCHEDULERS[name](g, cost, p, epsilon, **options)`` — there is no clean place to
 thread a tracer argument through, so instrumentation reads an *ambient*
 state instead, exactly like :mod:`repro.resilience.faults` arms its plan.
 

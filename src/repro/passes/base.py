@@ -21,9 +21,10 @@ Pass implementations follow two hard rules (both machine-checked):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..runtime.perf import StageTimer
 from .contracts import Contract
 
 __all__ = ["Pass", "PassGroup", "PassContext", "MissingArtifactError"]
@@ -61,12 +62,12 @@ class PassContext:
         self,
         artifacts: Optional[Mapping[str, Any]] = None,
         *,
-        timer: Any = None,
+        timer: Optional[StageTimer] = None,
         spec: Any = None,
         options: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self._artifacts: Dict[str, Any] = dict(artifacts or {})
-        self.timer = timer
+        self.timer = timer if timer is not None else StageTimer()
         self.spec = spec
         self.options: Dict[str, Any] = dict(options or {})
 
@@ -87,19 +88,24 @@ class PassContext:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._artifacts)
 
+    def impl(self, stage: str) -> Callable[..., Any]:
+        """Backend-registry implementation of ``stage`` under this context's spec."""
+        from ..core.backends import BackendSpec, resolve_stage
+
+        fn, _tier = resolve_stage(BackendSpec.coerce(self.spec), stage)
+        return fn
+
 
 @dataclass(frozen=True)
 class Pass:
-    """One inspector stage with its contract and instrumentation metadata.
+    """One inspector stage with its contract.
 
     ``run`` takes the context and returns the produced artifacts as a
-    mapping (``{"ReducedDAG": ...}``); the executor stores them.  The
-    observability / resilience metadata mirrors the idioms the inline
-    inspector used: ``timer_label`` names the :class:`StageTimer` stage,
-    ``span`` the ``inspect/<stage>`` span, ``fault_label`` the
-    ``inspector.stage`` fault-injection label.  ``stage`` binds the pass
-    to the backend registry (tier selection + the differential oracle);
-    ``tiers`` is the set of tiers the pass declares it can execute under.
+    mapping (``{"ReducedDAG": ...}``); the executor stores them.  The name
+    is the stage's only name: the driver times the pass under it, opens
+    the ``inspect/<name>`` span, labels the ``inspector.stage`` fault
+    point with it, and a pass named after a backend-registry stage binds
+    that stage (``span_attrs`` adds span attributes when tracing is on).
     ``repair`` is the incremental policy: ``recompute`` (cheap, re-run
     exactly), ``splice`` (diff-driven partial recomputation), or
     ``replay`` (reuse verbatim when inputs are clean).
@@ -108,12 +114,7 @@ class Pass:
     name: str
     contract: Contract
     run: Callable[[PassContext], Mapping[str, Any]]
-    stage: Optional[str] = None
-    tiers: Tuple[str, ...] = field(default=())
-    timer_label: Optional[str] = None
-    span: Optional[str] = None
     span_attrs: Optional[Callable[[PassContext], Dict[str, Any]]] = None
-    fault_label: Optional[str] = None
     repair: str = "recompute"
 
     def __post_init__(self) -> None:
@@ -130,8 +131,10 @@ class PassGroup:
     ``inputs`` are the artifacts the driver seeds the context with;
     ``assumes`` the invariants the driver guarantees on them (kernels
     build id-topological, acyclic DAGs); ``outputs`` what the group must
-    have produced when it finishes.  Groups are registered per scheduler
-    in :mod:`repro.passes.registry`.
+    have produced when it finishes; ``options`` the group-specific
+    keyword options it accepts, with their defaults (the driver rejects
+    any other).  Groups are registered per scheduler in
+    :mod:`repro.passes.registry`.
     """
 
     name: str
@@ -140,6 +143,7 @@ class PassGroup:
     outputs: Tuple[str, ...] = ("Schedule",)
     assumes: Tuple[str, ...] = ()
     description: str = ""
+    options: Tuple[Tuple[str, Any], ...] = ()
 
     def pass_named(self, name: str) -> Pass:
         for p in self.passes:

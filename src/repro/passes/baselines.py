@@ -4,14 +4,11 @@ The level-set family (wavefront, SpMP, MKL-style) shares one
 ``wavefronts`` pass and differs only in its emit pass — chunking policy
 and synchronisation model are *configuration*.  ``coarsenk`` adds a
 fixed-window merge pass between the two.  LBC and DAGP keep their
-monolithic algorithms as single passes with full contracts: the verifier
-still checks their dataflow, and decomposing them further is a follow-up,
-not a prerequisite.
-
-Pass bodies here are the moved bodies of the original scheduler
-functions; the functions in :mod:`repro.schedulers` now build a context
-and run their registered group, so golden-schedule snapshots prove the
-refactor changed nothing byte for byte.
+monolithic algorithms (:mod:`repro.schedulers.lbc`,
+:mod:`repro.schedulers.dagp`) as single passes with full contracts: the
+verifier still checks their dataflow, and decomposing them further is a
+follow-up, not a prerequisite.  Each group's description carries the
+paper's rationale for the baseline.
 """
 
 from __future__ import annotations
@@ -20,10 +17,13 @@ from typing import Any, List, Mapping
 
 import numpy as np
 
+from ..sparse.csr import INDEX_DTYPE
 from .base import Pass, PassContext, PassGroup
 from .contracts import Contract
 
 __all__ = [
+    "chunk_by_cost",
+    "chunk_by_count",
     "build_wavefront_group",
     "build_spmp_group",
     "build_mkl_group",
@@ -32,6 +32,55 @@ __all__ = [
     "build_lbc_group",
     "build_dagp_group",
 ]
+
+#: Default coarsenk merge window (levels per coarsened wavefront).
+DEFAULT_WINDOW = 4
+
+#: The paper's best-performing part count for DAGP.
+DEFAULT_DAGP_PARTS = 1000
+
+_BASELINE_INPUTS = ("DAG", "Cost", "Cores")
+_BASELINE_ASSUMES = ("acyclic", "topo-ordered")
+
+
+# ----------------------------------------------------------------------
+# chunking helpers of the level-set emit passes
+# ----------------------------------------------------------------------
+def chunk_by_cost(vertices: np.ndarray, cost: np.ndarray, p: int) -> List[np.ndarray]:
+    """Split ``vertices`` (kept in order) into at most ``p`` contiguous chunks
+    of approximately equal total cost.
+
+    This is the static "balanced chunks" strategy of cost-aware level-set
+    executors: chunk boundaries fall where the cost prefix crosses multiples
+    of ``total / p``.
+    """
+    if vertices.shape[0] == 0:
+        return []
+    c = cost[vertices]
+    total = float(c.sum())
+    if total <= 0.0 or p == 1:
+        return [vertices]
+    prefix = np.cumsum(c)
+    bounds = [0]
+    for k in range(1, p):
+        # greedy fill: a chunk ends with the vertex whose prefix reaches the
+        # k-th cost quantile (so a single huge vertex gets its own chunk)
+        pos = int(np.searchsorted(prefix, total * k / p, side="left")) + 1
+        if pos > bounds[-1] and pos < vertices.shape[0]:
+            bounds.append(pos)
+    bounds.append(vertices.shape[0])
+    return [vertices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def chunk_by_count(vertices: np.ndarray, p: int) -> List[np.ndarray]:
+    """Split ``vertices`` into at most ``p`` contiguous chunks of equal count
+    (cost-oblivious static scheduling, the vendor-library default)."""
+    n = vertices.shape[0]
+    if n == 0:
+        return []
+    p = min(p, n)
+    bounds = np.linspace(0, n, p + 1).astype(INDEX_DTYPE)
+    return [vertices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 # ----------------------------------------------------------------------
@@ -61,7 +110,6 @@ _WAVEFRONTS_PASS = Pass(
 # ----------------------------------------------------------------------
 def _emit_levels(ctx: PassContext, *, chunk: str, sync: str, algorithm: str) -> Mapping[str, Any]:
     from ..core.schedule import Schedule, WidthPartition
-    from ..schedulers.base import chunk_by_cost, chunk_by_count
 
     g = ctx["DAG"]
     p = ctx["Cores"]
@@ -99,7 +147,8 @@ def _run_emit_mkl(ctx: PassContext) -> Mapping[str, Any]:
     return _emit_levels(ctx, chunk="count", sync="barrier", algorithm="mkl")
 
 
-def _level_emit_pass(name: str, run: Any, requires: tuple) -> Pass:
+def _emit_pass(name: str, run: Any, requires: tuple, repair: str = "splice") -> Pass:
+    """A pass that emits the final schedule from ``requires``."""
     return Pass(
         name=name,
         contract=Contract(
@@ -109,7 +158,7 @@ def _level_emit_pass(name: str, run: Any, requires: tuple) -> Pass:
             establishes=("dependence-closed", "vertex-cover"),
         ),
         run=run,
-        repair="splice",
+        repair=repair,
     )
 
 
@@ -118,13 +167,19 @@ def build_wavefront_group() -> PassGroup:
         name="wavefront",
         passes=(
             _WAVEFRONTS_PASS,
-            _level_emit_pass(
+            _emit_pass(
                 "emit-cost-chunks", _run_emit_wavefront, ("Wavefronts", "DAG", "Cost", "Cores")
             ),
         ),
-        inputs=("DAG", "Cost", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="level sets, cost-balanced chunks, one barrier per level",
+        inputs=_BASELINE_INPUTS,
+        assumes=_BASELINE_ASSUMES,
+        description=(
+            "Wavefront parallelism [2], [3]: level sets of the DAG, each split "
+            "into at most p contiguous cost-balanced chunks, one global barrier "
+            "per level.  Its weaknesses — a barrier count that grows with the "
+            "critical path, no reuse of dependent iterations on one core — fall "
+            "out of the structure and are measured by the metrics layer"
+        ),
     )
 
 
@@ -133,13 +188,20 @@ def build_spmp_group() -> PassGroup:
         name="spmp",
         passes=(
             _WAVEFRONTS_PASS,
-            _level_emit_pass(
+            _emit_pass(
                 "emit-p2p-chunks", _run_emit_spmp, ("Wavefronts", "DAG", "Cost", "Cores")
             ),
         ),
-        inputs=("DAG", "Cost", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="level grouping with point-to-point synchronisation",
+        inputs=_BASELINE_INPUTS,
+        assumes=_BASELINE_ASSUMES,
+        description=(
+            "SpMP [4]: level grouping with point-to-point synchronisation.  Each "
+            "level splits into contiguous cost-balanced row blocks, and a core "
+            "starts its next block as soon as the blocks it depends on are done, "
+            "so imbalance within a level is absorbed by the next instead of "
+            "stalling at a barrier — the best load balance in Figures 6/7, with "
+            "locality still wavefront-ordered"
+        ),
     )
 
 
@@ -148,13 +210,17 @@ def build_mkl_group() -> PassGroup:
         name="mkl",
         passes=(
             _WAVEFRONTS_PASS,
-            _level_emit_pass(
-                "emit-count-chunks", _run_emit_mkl, ("Wavefronts", "DAG", "Cores")
-            ),
+            _emit_pass("emit-count-chunks", _run_emit_mkl, ("Wavefronts", "DAG", "Cores")),
         ),
         inputs=("DAG", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="vendor-style level sets with cost-oblivious chunking",
+        assumes=_BASELINE_ASSUMES,
+        description=(
+            "MKL-style vendor SpTRSV (a substitution: MKL is closed source): "
+            "level sets with a barrier per level and cost-oblivious equal-count "
+            "chunking, what mkl_sparse_optimize + parallel trsv publicly do.  "
+            "The cost-obliviousness makes it weaker than Wavefront on skewed "
+            "matrices, in line with the paper's larger speedup over MKL"
+        ),
     )
 
 
@@ -165,11 +231,13 @@ def _run_window_merge(ctx: PassContext) -> Mapping[str, Any]:
     from ..core.binpack import first_fit_pack
     from ..graph.connected_components import components_as_lists
 
+    k = ctx.options["k"]
+    if k < 1:
+        raise ValueError("window k must be >= 1")
     g = ctx["DAG"]
     cost = ctx["Cost"]
     p = ctx["Cores"]
     waves = ctx["Wavefronts"]
-    k = ctx.options["k"]
     windows = []
     for lo in range(0, waves.n_levels, k):
         hi = min(lo + k, waves.n_levels)
@@ -181,28 +249,21 @@ def _run_window_merge(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_emit_windows(ctx: PassContext) -> Mapping[str, Any]:
-    from ..core.schedule import Schedule, WidthPartition
+    from ..core.schedule import Schedule
 
-    g = ctx["DAG"]
     p = ctx["Cores"]
-    waves = ctx["Wavefronts"]
-    levels: List[List[WidthPartition]] = []
-    for _lo, _hi, comps, packing in ctx["LBPPartition"]:
-        parts = []
-        for core, items in enumerate(packing.items_per_bin(p)):
-            if items.size == 0:
-                continue
-            members = np.sort(np.concatenate([comps[int(t)] for t in items]))
-            parts.append(WidthPartition(core=core, vertices=members))
-        if parts:
-            levels.append(parts)
+    levels = [
+        parts
+        for _lo, _hi, comps, packing in ctx["LBPPartition"]
+        if (parts := packing.partitions(comps, p))
+    ]
     schedule = Schedule(
-        n=g.n,
+        n=ctx["DAG"].n,
         levels=levels,
         sync="barrier",
         algorithm="coarsenk",
         n_cores=p,
-        meta={"window": ctx.options["k"], "n_wavefronts": waves.n_levels},
+        meta={"window": ctx.options["k"], "n_wavefronts": ctx["Wavefronts"].n_levels},
     )
     return {"Schedule": schedule}
 
@@ -222,21 +283,21 @@ def build_coarsen_k_group() -> PassGroup:
                 run=_run_window_merge,
                 repair="splice",
             ),
-            Pass(
-                name="emit-windows",
-                contract=Contract(
-                    requires=("LBPPartition", "Wavefronts", "DAG", "Cores"),
-                    produces=("Schedule",),
-                    requires_invariants=("acyclic", "topo-ordered"),
-                    establishes=("dependence-closed", "vertex-cover"),
-                ),
-                run=_run_emit_windows,
-                repair="splice",
+            _emit_pass(
+                "emit-windows", _run_emit_windows, ("LBPPartition", "Wavefronts", "DAG", "Cores")
             ),
         ),
-        inputs=("DAG", "Cost", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="fixed-window wavefront coarsening with component packing",
+        inputs=_BASELINE_INPUTS,
+        assumes=_BASELINE_ASSUMES,
+        options=(("k", DEFAULT_WINDOW),),
+        description=(
+            "Fixed-window wavefront coarsening [5], [6], the prior art LBP "
+            "improves on: merge every k consecutive wavefronts regardless of "
+            "component structure, then pack each window's connected components "
+            "into p bins.  A window crossing a connectivity bottleneck yields one "
+            "giant component and a serialised level — what the PGP-driven cut "
+            "policy avoids (Section IV-C)"
+        ),
     )
 
 
@@ -245,7 +306,6 @@ def build_coarsen_k_group() -> PassGroup:
 # ----------------------------------------------------------------------
 def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
     from ..core.schedule import Schedule, WidthPartition
-    from ..sparse.csr import INDEX_DTYPE
 
     g = ctx["DAG"]
     part = WidthPartition(core=0, vertices=np.arange(g.n, dtype=INDEX_DTYPE))
@@ -258,22 +318,10 @@ def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
 def build_serial_group() -> PassGroup:
     return PassGroup(
         name="serial",
-        passes=(
-            Pass(
-                name="emit-serial",
-                contract=Contract(
-                    requires=("DAG",),
-                    produces=("Schedule",),
-                    requires_invariants=("acyclic", "topo-ordered"),
-                    establishes=("dependence-closed", "vertex-cover"),
-                ),
-                run=_run_serial,
-                repair="recompute",
-            ),
-        ),
-        inputs=("DAG", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="ascending-id order on one core (NRE denominator)",
+        passes=(_emit_pass("emit-serial", _run_serial, ("DAG",), "recompute"),),
+        inputs=("DAG",),
+        assumes=_BASELINE_ASSUMES,
+        description="ascending-id order on one core, no synchronisation (NRE denominator)",
     )
 
 
@@ -289,21 +337,20 @@ def build_lbc_group() -> PassGroup:
     return PassGroup(
         name="lbc",
         passes=(
-            Pass(
-                name="lbc-etree-cut",
-                contract=Contract(
-                    requires=("DAG", "Cost", "Cores", "Epsilon"),
-                    produces=("Schedule",),
-                    requires_invariants=("acyclic", "topo-ordered"),
-                    establishes=("dependence-closed", "vertex-cover"),
-                ),
-                run=_run_lbc,
-                repair="recompute",
+            _emit_pass(
+                "lbc-etree-cut", _run_lbc, ("DAG", "Cost", "Cores", "Epsilon"), "recompute"
             ),
         ),
         inputs=("DAG", "Cost", "Cores", "Epsilon"),
-        assumes=("acyclic", "topo-ordered"),
-        description="elimination-tree cut with packed subtrees (ParSy)",
+        assumes=_BASELINE_ASSUMES,
+        description=(
+            "LBC, load-balanced level coarsening (ParSy) [7]: the elimination "
+            "tree stands in for the chordalised DAG (every dependence stays "
+            "inside one subtree); the largest cut whose below-forest packs at "
+            "least p subtrees within epsilon becomes coarsened wavefront 1, the "
+            "rest wavefront 2 — the paper's two-wavefront shape with fewer than "
+            "p workloads in the second"
+        ),
     )
 
 
@@ -319,19 +366,16 @@ def build_dagp_group() -> PassGroup:
     return PassGroup(
         name="dagp",
         passes=(
-            Pass(
-                name="dagp-partition-quotient",
-                contract=Contract(
-                    requires=("DAG", "Cost", "Cores"),
-                    produces=("Schedule",),
-                    requires_invariants=("acyclic", "topo-ordered"),
-                    establishes=("dependence-closed", "vertex-cover"),
-                ),
-                run=_run_dagp,
-                repair="recompute",
-            ),
+            _emit_pass("dagp-partition-quotient", _run_dagp, _BASELINE_INPUTS, "recompute"),
         ),
-        inputs=("DAG", "Cost", "Cores"),
-        assumes=("acyclic", "topo-ordered"),
-        description="acyclic partitioning with a list-scheduled quotient DAG",
+        inputs=_BASELINE_INPUTS,
+        assumes=_BASELINE_ASSUMES,
+        options=(("k", DEFAULT_DAGP_PARTS),),
+        description=(
+            "DAGP [1]: acyclic partitioning into k parts (k = 1000, the paper's "
+            "best) with a small edge cut, parts executed atomically; the quotient "
+            "DAG's levels are list-scheduled with barriers.  Reuse inside a part "
+            "is excellent, but dependences between parts serialise execution — "
+            "the restricted average parallelism of Section I"
+        ),
     )

@@ -1,32 +1,34 @@
 """The HDagg inspector as a pass group (Algorithm 1, stage per pass).
 
 Each stage of the paper's Algorithm 1 is one :class:`~repro.passes.base.Pass`
-bound to the backend registry stage of the same name, with the contract the
-inline pipeline used implicitly:
+named after the backend registry stage it binds:
 
-========= ============================ ==============================
-pass       consumes                     produces
-========= ============================ ==============================
-reduce     DAG                          ReducedDAG
-aggregate  ReducedDAG, Cost, Cores      Grouping
-coarsen    ReducedDAG, Grouping, Cost   CoarseDAG, GroupCost
-lbp        CoarseDAG, GroupCost, ...    CoarsenedWaves
-expand     CoarsenedWaves, Grouping...  Schedule
-========= ============================ ==============================
+==================== ============================ ==============================
+pass                 consumes                     produces
+==================== ============================ ==============================
+transitive_reduction DAG                          ReducedDAG
+aggregation          ReducedDAG, Cost, Cores      Grouping
+coarsen              ReducedDAG, Grouping, Cost   CoarseDAG, GroupCost
+lbp                  CoarseDAG, GroupCost, ...    CoarsenedWaves
+expand               CoarsenedWaves, Grouping...  Schedule
+==================== ============================ ==============================
 
 :func:`build_hdagg_group` is the factory the ablation switches configure:
-``transitive_reduce=False`` swaps the reduce pass for an identity variant
-(same timer window, same fault site — only the contract loses
-``transitively-reduced``), ``aggregate=False`` replaces step 1 with an
-identity grouping, ``bin_pack=False`` swaps the LBP pass for the
-force-fine-grained variant.  This is ROADMAP item 5's point: ablations and
-successor schedulers are different pass lists, not code surgery.
+``transitive_reduce=False`` swaps the reduction for an identity variant
+(same name, so the same timer window and fault site — only the contract
+loses ``transitively-reduced``), ``aggregate=False`` replaces step 1 with
+an identity grouping, ``bin_pack=False`` swaps the LBP pass for the
+force-fine-grained variant.  Ablations and successor schedulers are
+different pass lists, not code surgery.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Mapping
 
+from ..observability.metrics import MetricsRegistry
+from ..observability.state import STATE as _OBS_STATE
 from .base import Pass, PassContext, PassGroup
 from .contracts import Contract
 
@@ -38,20 +40,15 @@ HDAGG_INPUTS = ("DAG", "Cost", "Cores", "Epsilon", "Backend")
 #: invariants the kernel DAG builders guarantee on those inputs
 HDAGG_ASSUMES = ("acyclic", "topo-ordered", "bit-identical-under-backend")
 
-
-def _resolve(ctx: PassContext, stage: str) -> Any:
-    """Backend-registry implementation for ``stage`` under the context spec."""
-    from ..core.backends import resolve_stage
-
-    fn, _tier = resolve_stage(ctx.spec, stage)
-    return fn
+#: group-specific options and their defaults (see :func:`repro.core.hdagg.hdagg`)
+HDAGG_OPTIONS = (("group_cost_cap_fraction", 0.25), ("sync", "barrier"))
 
 
 # ----------------------------------------------------------------------
 # pass bodies
 # ----------------------------------------------------------------------
 def _run_reduce(ctx: PassContext) -> Mapping[str, Any]:
-    return {"ReducedDAG": _resolve(ctx, "reduce")(ctx["DAG"])}
+    return {"ReducedDAG": ctx.impl("transitive_reduction")(ctx["DAG"])}
 
 
 def _run_reduce_identity(ctx: PassContext) -> Mapping[str, Any]:
@@ -60,14 +57,15 @@ def _run_reduce_identity(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_aggregate(ctx: PassContext) -> Mapping[str, Any]:
+    # step-1 groups stop growing at this fraction of one core's fair share
     cost = ctx["Cost"]
-    cap_fraction = ctx.options.get("group_cost_cap_fraction")
+    cap_fraction = ctx.options["group_cost_cap_fraction"]
     cap = (
         cap_fraction * float(cost.sum()) / ctx["Cores"]
         if cap_fraction is not None
         else None
     )
-    return {"Grouping": _resolve(ctx, "aggregate")(ctx["ReducedDAG"], cost, cap)}
+    return {"Grouping": ctx.impl("aggregation")(ctx["ReducedDAG"], cost, cap)}
 
 
 def _run_identity_grouping(ctx: PassContext) -> Mapping[str, Any]:
@@ -79,18 +77,15 @@ def _run_identity_grouping(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_coarsen(ctx: PassContext) -> Mapping[str, Any]:
-    g2, group_cost = _resolve(ctx, "coarsen")(
-        ctx["ReducedDAG"], ctx["Grouping"], ctx["Cost"]
-    )
+    g2, group_cost = ctx.impl("coarsen")(ctx["ReducedDAG"], ctx["Grouping"], ctx["Cost"])
     return {"CoarseDAG": g2, "GroupCost": group_cost}
 
 
 def _run_lbp(ctx: PassContext) -> Mapping[str, Any]:
-    from ..core.backends import resolve_stage
+    from ..core.backends import BackendSpec, resolve_stage
 
-    lbp_fn, _ = resolve_stage(ctx.spec, "lbp")
-    pack_fn, pack_tier = resolve_stage(ctx.spec, "binpack")
-    lbp = lbp_fn(
+    pack_fn, pack_tier = resolve_stage(BackendSpec.coerce(ctx.spec), "binpack")
+    lbp = ctx.impl("lbp")(
         ctx["CoarseDAG"],
         ctx["GroupCost"],
         ctx["Cores"],
@@ -98,11 +93,15 @@ def _run_lbp(ctx: PassContext) -> Mapping[str, Any]:
         allow_fine_grained=True,
         pack=None if pack_tier == "numpy" else pack_fn,
     )
-    if not ctx.options.get("bin_pack", True):
-        # ablation of Lines 36-38: force fine-grained regardless of the
-        # accumulated PGP.  The flag is flipped on the pass's own product
-        # before publishing — input artifacts are never touched.
-        lbp.fine_grained = True
+    return {"CoarsenedWaves": lbp}
+
+
+def _run_lbp_fine_grained(ctx: PassContext) -> Mapping[str, Any]:
+    # ablation of Lines 36-38: force fine-grained regardless of the
+    # accumulated PGP.  The flag is flipped on the pass's own product
+    # before publishing — input artifacts are never touched.
+    lbp = _run_lbp(ctx)["CoarsenedWaves"]
+    lbp.fine_grained = True
     return {"CoarsenedWaves": lbp}
 
 
@@ -122,15 +121,35 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
         "epsilon": ctx["Epsilon"],
         "backend": ctx["Backend"],
     }
-    schedule = _resolve(ctx, "expand")(
+    schedule = ctx.impl("expand")(
         lbp,
         grouping,
         g.n,
         ctx["Cores"],
-        sync=ctx.options.get("sync", "barrier"),
+        sync=ctx.options["sync"],
         meta=meta,
     )
+    if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
+        _record_metrics(_OBS_STATE.registry, ctx)
     return {"Schedule": schedule}
+
+
+def _record_metrics(reg: MetricsRegistry, ctx: PassContext) -> None:
+    """Inspector metrics, read post hoc from the LBP decision log and the
+    packing results so the inspector hot loops stay untouched."""
+    n, n_coarse, p = ctx["DAG"].n, ctx["CoarseDAG"].n, ctx["Cores"]
+    lbp = ctx["CoarsenedWaves"]
+    reg.counter("inspector.vertices").inc(n)
+    reg.counter("inspector.vertices_coarsened").inc(n - n_coarse)
+    reg.gauge("inspector.coarse_vertices").set(n_coarse)
+    reg.gauge("inspector.accumulated_pgp").set(lbp.accumulated_pgp)
+    pgp_hist = reg.histogram("inspector.pgp_at_merge")
+    for decision in lbp.decisions or []:
+        pgp_hist.observe(decision.pgp)
+    occupancy = reg.histogram("binpack.occupancy")
+    for cw in lbp.coarsened:
+        if cw.packing is not None and p > 0:
+            occupancy.observe(cw.packing.n_bins_used / p)
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +167,7 @@ def _lbp_attrs(ctx: PassContext) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # the group factory
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
 def build_hdagg_group(
     *,
     aggregate: bool = True,
@@ -158,14 +178,15 @@ def build_hdagg_group(
 
     The default arguments produce the paper's Algorithm 1 — the group
     registered as ``"hdagg"``.  Toggles swap passes for contract-weakened
-    variants instead of branching inside pass bodies.
+    variants instead of branching inside pass bodies; every variant keeps
+    the scheduler name ``"hdagg"``.
     """
     passes = []
     if aggregate:
         reduce_establishes = ("transitively-reduced",) if transitive_reduce else ()
         passes.append(
             Pass(
-                name="reduce",
+                name="transitive_reduction",
                 contract=Contract(
                     requires=("DAG",),
                     produces=("ReducedDAG",),
@@ -174,18 +195,13 @@ def build_hdagg_group(
                     preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
                 ),
                 run=_run_reduce if transitive_reduce else _run_reduce_identity,
-                stage="reduce",
-                tiers=("reference", "numpy"),
-                timer_label="transitive_reduction",
-                span="inspect/transitive_reduction",
                 span_attrs=_reduce_attrs,
-                fault_label="transitive_reduction",
                 repair="recompute",
             )
         )
         passes.append(
             Pass(
-                name="aggregate",
+                name="aggregation",
                 contract=Contract(
                     requires=("ReducedDAG", "Cost", "Cores"),
                     produces=("Grouping",),
@@ -193,11 +209,6 @@ def build_hdagg_group(
                     preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
                 ),
                 run=_run_aggregate,
-                stage="aggregate",
-                tiers=("reference", "numpy"),
-                timer_label="aggregation",
-                span="inspect/aggregation",
-                fault_label="aggregation",
                 repair="recompute",
             )
         )
@@ -225,11 +236,6 @@ def build_hdagg_group(
                 preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
             ),
             run=_run_coarsen,
-            stage="coarsen",
-            tiers=("reference", "numpy", "compiled"),
-            timer_label="coarsen",
-            span="inspect/coarsen",
-            fault_label="coarsen",
             repair="splice",
         )
     )
@@ -243,13 +249,8 @@ def build_hdagg_group(
                 establishes=("balanced-under-epsilon",) if bin_pack else (),
                 preserves=("bit-identical-under-backend",),
             ),
-            run=_run_lbp,
-            stage="lbp",
-            tiers=("reference", "numpy", "compiled"),
-            timer_label="lbp",
-            span="inspect/lbp",
+            run=_run_lbp if bin_pack else _run_lbp_fine_grained,
             span_attrs=_lbp_attrs,
-            fault_label="lbp",
             repair="splice",
         )
     )
@@ -273,27 +274,21 @@ def build_hdagg_group(
                 preserves=("bit-identical-under-backend",),
             ),
             run=_run_expand,
-            stage="expand",
-            tiers=("reference", "numpy"),
-            timer_label="expand",
-            span="inspect/expand",
-            fault_label="expand",
             repair="splice",
         )
     )
-    suffix = []
-    if not aggregate:
-        suffix.append("no-aggregate")
-    elif not transitive_reduce:
-        suffix.append("no-reduce")
-    if not bin_pack:
-        suffix.append("fine-grained")
-    name = "hdagg" if not suffix else "hdagg+" + "+".join(suffix)
     return PassGroup(
-        name=name,
+        name="hdagg",
         passes=tuple(passes),
         inputs=HDAGG_INPUTS,
         outputs=("Schedule",),
         assumes=HDAGG_ASSUMES,
-        description="HDagg Algorithm 1: reduce -> aggregate -> coarsen -> LBP -> expand",
+        options=HDAGG_OPTIONS,
+        description=(
+            "Hybrid DAG Aggregation, the paper's Algorithm 1: two-hop "
+            "transitive reduction exposes subtrees, aggregation groups densely "
+            "connected vertices, the coarsened DAG G'' is cut into coarsened "
+            "wavefronts by load-balance-preserving LBP with first-fit bin "
+            "packing, and expansion emits width-partitions smallest-id-first"
+        ),
     )

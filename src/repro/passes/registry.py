@@ -1,18 +1,21 @@
-"""Registry of scheduler pass groups, and the driver that runs one.
+"""The scheduler registry: one pass group per scheduler name.
 
-``PASS_GROUPS`` maps every scheduler name in
-:data:`repro.schedulers.SCHEDULERS` to its declarative pass group.  CI
-verifies each registered group with :func:`repro.statan.verify_pipeline`
-before any of them run, so an ill-formed recombination (a successor
-scheduler wired from existing passes, a compiled stage dropped in) is a
-structured diagnostic, not a runtime crash.
+``PASS_GROUPS`` is the only place a scheduler is defined.
+:data:`SCHEDULERS` is a read-only view of it that maps each name to a
+callable ``(g, cost, p=None, epsilon=None, *, backend=None, **options)
+-> Schedule`` running the group through the one driver,
+:func:`~repro.passes.executor.run_scheduler`.  CI verifies each
+registered group with :func:`repro.statan.verify_pipeline` before any of
+them run, so an ill-formed recombination (a successor scheduler wired
+from existing passes, a compiled stage dropped in) is a structured
+diagnostic, not a runtime crash.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional
 
-from .base import PassContext, PassGroup
+from .base import PassGroup
 from .baselines import (
     build_coarsen_k_group,
     build_dagp_group,
@@ -22,10 +25,10 @@ from .baselines import (
     build_spmp_group,
     build_wavefront_group,
 )
-from .executor import run_group
+from .executor import run_scheduler
 from .hdagg import build_hdagg_group
 
-__all__ = ["PASS_GROUPS", "register_pass_group", "get_pass_group", "run_scheduler_group"]
+__all__ = ["PASS_GROUPS", "SCHEDULERS", "register_pass_group", "get_pass_group"]
 
 #: scheduler name -> declarative pass group
 PASS_GROUPS: Dict[str, PassGroup] = {}
@@ -43,46 +46,38 @@ def get_pass_group(name: str) -> PassGroup:
         return PASS_GROUPS[name]
     except KeyError:
         raise KeyError(
-            f"unknown pass group {name!r}; registered: {sorted(PASS_GROUPS)}"
+            f"unknown pass group {name!r}; available: {sorted(PASS_GROUPS)}"
         ) from None
 
 
-def run_scheduler_group(
-    name: str,
-    g: Any,
-    cost: Any,
-    p: int,
-    *,
-    epsilon: Optional[float] = None,
-    backend: Any = None,
-    options: Optional[Mapping[str, Any]] = None,
-) -> Any:
-    """Build a context for one scheduler group and execute it.
+class _Schedulers(Mapping[str, Callable[..., Any]]):
+    """Name -> schedule builder, derived from :data:`PASS_GROUPS`."""
 
-    This is the uniform driver the baseline scheduler functions delegate
-    to.  The HDagg driver (:func:`repro.core.hdagg._hdagg_pipeline`)
-    builds a richer context (stage timer, ablation switches), but the
-    ``"hdagg"`` group runs here too: when a group declares ``Backend``
-    among its inputs the driver coerces ``backend`` (spec, grammar
-    string, or ``None`` for the ambient default) and seeds the artifact.
-    ``epsilon`` may come as the keyword or as ``options["epsilon"]``.
-    """
-    group = get_pass_group(name)
-    artifacts: Dict[str, Any] = {"DAG": g, "Cost": cost, "Cores": p}
-    opts = dict(options or {})
-    if epsilon is None and "epsilon" in opts:
-        epsilon = opts.pop("epsilon")
-    if epsilon is not None:
-        artifacts["Epsilon"] = epsilon
-    spec: Any = None
-    if "Backend" in group.inputs:
-        from ..core.backends import BackendSpec
+    def __init__(self) -> None:
+        self._builders: Dict[str, Callable[..., Any]] = {}
 
-        spec = BackendSpec.coerce(backend)
-        artifacts["Backend"] = spec.effective().describe()
-    ctx = PassContext(artifacts, spec=spec, options=opts)
-    run_group(group, ctx)
-    return ctx["Schedule"]
+    def __getitem__(self, name: str) -> Callable[..., Any]:
+        group = get_pass_group(name)
+        if name not in self._builders:
+
+            def build(g: Any, cost: Any, p: Optional[int] = None,
+                      epsilon: Optional[float] = None, **options: Any) -> Any:
+                return run_scheduler(name, g, cost, p, epsilon, **options)["Schedule"]
+
+            build.__name__ = build.__qualname__ = name
+            build.__doc__ = group.description
+            self._builders[name] = build
+        return self._builders[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(PASS_GROUPS)
+
+    def __len__(self) -> int:
+        return len(PASS_GROUPS)
+
+
+#: scheduler name -> ``builder(g, cost, p=None, epsilon=None, **options)``
+SCHEDULERS: Mapping[str, Callable[..., Any]] = _Schedulers()
 
 
 register_pass_group(build_hdagg_group())

@@ -5,10 +5,10 @@ One *cell* is (matrix, kernel, algorithm, machine); one rep of the
 cell and reports:
 
 * ``inspect`` — wall-clock seconds of the scheduler call, with the
-  inspector's own :class:`~repro.runtime.perf.StageTimer` sub-stages
-  re-exported as ``inspect/<stage>`` (HDagg: transitive_reduction,
-  aggregation, coarsen, lbp, expand — other schedulers report no
-  sub-stages and the residual ``inspect/other`` covers them);
+  driver's per-pass :class:`~repro.runtime.perf.StageTimer` sub-stages
+  re-exported as ``inspect/<pass>`` (HDagg: transitive_reduction,
+  aggregation, coarsen, lbp, expand; the baselines their own passes) —
+  the residual ``inspect/other`` is driver overhead;
 * ``execute`` — wall-clock seconds of simulating the schedule on the
   cell's machine model (a deterministic, schedule-shaped python workload:
   slower schedule expansion or a fatter schedule shows up here).
@@ -63,7 +63,8 @@ def inspector_rep(
 
     ``cell`` is a :class:`~repro.suite.harness.BenchCell`; ``backend`` (a
     :class:`~repro.core.backends.BackendSpec`, grammar string, or None)
-    selects the inspector tier for hdagg cells.
+    selects the inspector tier.  ``epsilon`` and ``backend`` reach only the
+    schedulers whose pass group declares them.
     """
     from ..runtime.simulator import simulate
     from ..schedulers import SCHEDULERS
@@ -73,15 +74,10 @@ def inspector_rep(
     g = cell.dag
     cost = np.asarray(cell.cost, dtype=np.float64)[: g.n]
     p = cell.machine.n_cores
-    kwargs = {}
-    if epsilon is not None and algorithm in ("hdagg", "lbc"):
-        kwargs["epsilon"] = epsilon
-    if backend is not None and algorithm == "hdagg":
-        kwargs["backend"] = backend
 
     def rep() -> RepResult:
         t0 = time.perf_counter()
-        schedule = SCHEDULERS[algorithm](g, cost, p, **kwargs)
+        schedule = SCHEDULERS[algorithm](g, cost, p, epsilon=epsilon, backend=backend)
         t_inspect = time.perf_counter() - t0
         stages: Dict[str, float] = {"inspect": t_inspect}
         for name, seconds in schedule.meta.get("stage_seconds", {}).items():

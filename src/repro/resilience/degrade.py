@@ -159,12 +159,8 @@ def _call_inspector(
     from ..schedulers import SCHEDULERS
 
     fault_point("inspector", label=algorithm)
-    # only the hdagg pipeline has a backend registry; fallbacks further
-    # down the chain must not receive (and would reject) the kwarg
-    extra = {"backend": backend} if backend is not None and algorithm == "hdagg" else {}
-    if epsilon is not None and algorithm in ("hdagg", "lbc"):
-        return SCHEDULERS[algorithm](g, cost, p, epsilon=epsilon, **extra)
-    return SCHEDULERS[algorithm](g, cost, p, **extra)
+    # every link takes both; its group seeds only the inputs it declares
+    return SCHEDULERS[algorithm](g, cost, p, epsilon=epsilon, backend=backend)
 
 
 def inspect_with_fallback(

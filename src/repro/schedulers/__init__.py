@@ -1,7 +1,10 @@
 """Inspector algorithms: HDagg plus the paper's baselines.
 
-``SCHEDULERS`` maps names to builders with the uniform signature
-``builder(g, cost, p, **options) -> Schedule``:
+Every scheduler is a pass group registered in
+:data:`repro.passes.PASS_GROUPS`; ``SCHEDULERS`` is the read-only view
+mapping each name to a builder with the uniform signature
+``builder(g, cost, p=None, epsilon=None, *, backend=None, **options)
+-> Schedule``:
 
 ========== ====================================================
 name        algorithm
@@ -15,47 +18,31 @@ mkl         vendor-style level sets, count chunking (SpTRSV)
 coarsenk    fixed-window wavefront coarsening [5], [6]
 serial      sequential order (NRE denominator)
 ========== ====================================================
+
+``epsilon`` and ``backend`` are accepted by every builder and seeded only
+where the group declares them; group-specific options (``k`` for
+``coarsenk`` and ``dagp``, the cap and sync model for ``hdagg``) are
+rejected by the groups that do not take them.  This package keeps the
+monolithic baseline algorithms the LBC and DAGP passes run.
 """
 
-from ..core.hdagg import hdagg
-from ..core.schedule import Schedule
-from ..graph.dag import DAG
-from .base import SCHEDULERS, chunk_by_cost, chunk_by_count, get_scheduler, register_scheduler
-from .coarsen_k import coarsen_k_schedule
-from .dagp import acyclic_partition, dagp_schedule, edge_cut
-from .lbc import elimination_tree, forest_components, lbc_schedule, tree_levels
-from .mkl_like import mkl_like_schedule
-from .serial import serial_schedule
-from .spmp import lpt_assign, spmp_schedule
-from .wavefront import wavefront_schedule
+from typing import Any, Callable
 
-import numpy as np
-
-
-@register_scheduler("hdagg")
-def hdagg_schedule(g: DAG, cost: np.ndarray, p: int, **options) -> Schedule:
-    """Registry adapter for :func:`repro.core.hdagg.hdagg`."""
-    return hdagg(g, cost, p, **options)
-
+from ..passes.registry import SCHEDULERS
+from .dagp import acyclic_partition, edge_cut
+from .lbc import elimination_tree, forest_components, tree_levels
 
 __all__ = [
     "SCHEDULERS",
     "get_scheduler",
-    "register_scheduler",
-    "chunk_by_cost",
-    "chunk_by_count",
-    "hdagg_schedule",
-    "wavefront_schedule",
-    "spmp_schedule",
-    "lbc_schedule",
-    "dagp_schedule",
-    "mkl_like_schedule",
-    "serial_schedule",
-    "coarsen_k_schedule",
     "acyclic_partition",
     "edge_cut",
     "elimination_tree",
     "forest_components",
     "tree_levels",
-    "lpt_assign",
 ]
+
+
+def get_scheduler(name: str) -> Callable[..., Any]:
+    """Look up a registered scheduler; raises ``KeyError`` with choices listed."""
+    return SCHEDULERS[name]

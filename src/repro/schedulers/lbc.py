@@ -39,15 +39,12 @@ from typing import List
 import numpy as np
 
 from ..core.binpack import first_fit_pack
-from ..core.pgp import DEFAULT_EPSILON, pgp
-from ..core.schedule import Schedule, WidthPartition
+from ..core.pgp import pgp
+from ..core.schedule import Schedule
 from ..graph.dag import DAG
-from ..passes.registry import run_scheduler_group
 from ..sparse.csr import INDEX_DTYPE
-from .base import register_scheduler
 
 __all__ = [
-    "lbc_schedule",
     "lbc_body",
     "elimination_tree",
     "tree_levels",
@@ -120,31 +117,11 @@ def forest_components(parent: np.ndarray, mask: np.ndarray) -> List[np.ndarray]:
     ]
 
 
-def _partitions_from_packing(comps, packing, p: int):
-    parts = []
-    for core, items in enumerate(packing.items_per_bin(p)):
-        if items.size == 0:
-            continue
-        verts = np.sort(np.concatenate([comps[int(k)] for k in items]))
-        parts.append(WidthPartition(core=core, vertices=verts))
-    return parts
-
-
-@register_scheduler("lbc")
-def lbc_schedule(g: DAG, cost: np.ndarray, p: int, epsilon: float = DEFAULT_EPSILON) -> Schedule:
+def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
     """Two-level LBC: packed etree subtrees below one cut, tail above it.
 
-    Runs the ``"lbc"`` pass group, whose single ``lbc-etree-cut`` pass is
-    :func:`lbc_body`.
+    The body of the ``lbc`` scheduler's single ``lbc-etree-cut`` pass.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if g.n == 0:
-        return Schedule(n=0, levels=[], sync="barrier", algorithm="lbc", n_cores=p)
-    return run_scheduler_group("lbc", g, cost, p, epsilon=epsilon)
-
-
-def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
-    """The LBC algorithm proper (the ``lbc-etree-cut`` pass implementation)."""
     parent = elimination_tree(g)
     height = tree_levels(parent)
     max_h = int(height.max())
@@ -175,7 +152,7 @@ def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
     cut, comps, packing = best
 
     levels = []
-    parts = _partitions_from_packing(comps, packing, p)
+    parts = packing.partitions(comps, p)
     if parts:
         levels.append(parts)
 
@@ -183,7 +160,7 @@ def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
     if tail_mask.any():
         tail_comps = forest_components(parent, tail_mask)
         tail_pack = first_fit_pack([float(cost[c].sum()) for c in tail_comps], p)
-        tail_parts = _partitions_from_packing(tail_comps, tail_pack, p)
+        tail_parts = tail_pack.partitions(tail_comps, p)
         if tail_parts:
             levels.append(tail_parts)
 

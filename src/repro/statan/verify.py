@@ -10,8 +10,8 @@ pipelines with structured diagnostics.  Rules:
 SP001   a pass requires an artifact nothing before it provides
 SP002   a pass requires an invariant that is not established/assumed
 SP003   a pass's product is never consumed and is not a group output
-SP004   backend binding is broken (unknown stage, unregistered tier,
-        or a registry stage missing its reference/numpy tiers)
+SP004   a pass binds a backend stage (by sharing its name) that lacks
+        its reference/numpy tiers
 SP005   two producers for one artifact (or a pass shadowing an input)
 SP006   a declared group output is never produced
 SP007   a required invariant was explicitly invalidated upstream
@@ -53,49 +53,24 @@ def _diag(
 
 
 def _check_backend_binding(group: PassGroup, p: Pass) -> List[Diagnostic]:
-    """SP004: the pass's backend-registry binding must be coherent."""
-    from ..core.backends import registered_tiers
+    """SP004: a pass named after a backend stage needs that stage's oracle tiers."""
+    from ..core.backends import STAGES, registered_tiers
 
-    out: List[Diagnostic] = []
-    if p.stage is None:
-        return out
-    try:
-        tiers = registered_tiers(p.stage)
-    except ValueError:
-        out.append(
-            _diag(
-                group,
-                p,
-                "SP004",
-                f"pass binds unknown backend stage {p.stage!r}",
-                "use a stage from repro.core.backends.STAGES or register it",
-            )
+    if p.name not in STAGES:
+        return []
+    tiers = registered_tiers(p.name)
+    return [
+        _diag(
+            group,
+            p,
+            "SP004",
+            f"backend stage {p.name!r} lacks the mandatory {required!r} tier",
+            f"every registry stage needs a {required!r} loader "
+            "(the differential oracle discipline)",
         )
-        return out
-    for tier in p.tiers:
-        if tier not in tiers:
-            out.append(
-                _diag(
-                    group,
-                    p,
-                    "SP004",
-                    f"declared tier {tier!r} has no registered loader for stage {p.stage!r}",
-                    f"register_backend({p.stage!r}, {tier!r}, loader) or drop the tier",
-                )
-            )
-    for required in ("reference", "numpy"):
-        if required not in tiers:
-            out.append(
-                _diag(
-                    group,
-                    p,
-                    "SP004",
-                    f"backend stage {p.stage!r} lacks the mandatory {required!r} tier",
-                    f"every registry stage needs a {required!r} loader "
-                    "(the differential oracle discipline)",
-                )
-            )
-    return out
+        for required in ("reference", "numpy")
+        if required not in tiers
+    ]
 
 
 def verify_pipeline(group: PassGroup) -> List[Diagnostic]:

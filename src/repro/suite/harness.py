@@ -55,6 +55,7 @@ from ..metrics.nre import inspector_cost_model, nre
 from ..metrics.parallelism import dag_shape
 from ..metrics.synchronization import equivalent_p2p_syncs
 from ..observability.state import STATE as _OBS_STATE
+from ..passes import get_pass_group
 from ..resilience.degrade import inspect_with_fallback
 from ..resilience.failures import FailureRecord
 from ..resilience.faults import fault_point
@@ -398,10 +399,13 @@ class Harness:
                         _OBS_STATE.tracer.instant(
                             f"suite/cell[{spec.name},{kname},{algo},{machine.name}]"
                         )
-                    uses_epsilon = algo in ("hdagg", "lbc")
-                    backend_desc = self.backend.describe() if algo == "hdagg" else ""
-                    incremental = algo == "hdagg" and isinstance(
-                        self.schedule_cache, IncrementalScheduleCache
+                    # key fields follow the inputs the scheduler's group declares
+                    inputs = get_pass_group(algo).inputs
+                    uses_epsilon = "Epsilon" in inputs
+                    backend_desc = self.backend.describe() if "Backend" in inputs else ""
+                    incremental = (
+                        isinstance(self.schedule_cache, IncrementalScheduleCache)
+                        and algo == self.schedule_cache.algorithm
                     )
                     key = None
                     cached = None
@@ -476,10 +480,10 @@ class Harness:
                             g,
                             cost,
                             machine.n_cores,
-                            epsilon=self.epsilon if uses_epsilon else None,
+                            epsilon=self.epsilon,
                             budget=self.inspector_budget,
                             validate=self.validate,
-                            backend=self.backend if algo == "hdagg" else None,
+                            backend=self.backend,
                         )
                         schedule = outcome.schedule
                         used_algo = outcome.algorithm
@@ -487,20 +491,9 @@ class Harness:
                         degraded_from = outcome.degraded_from
                     else:
                         fault_point("inspector", label=algo)
-                        if algo == "hdagg":
-                            schedule = SCHEDULERS[algo](
-                                g,
-                                cost,
-                                machine.n_cores,
-                                epsilon=self.epsilon,
-                                backend=self.backend,
-                            )
-                        elif uses_epsilon:
-                            schedule = SCHEDULERS[algo](
-                                g, cost, machine.n_cores, epsilon=self.epsilon
-                            )
-                        else:
-                            schedule = SCHEDULERS[algo](g, cost, machine.n_cores)
+                        schedule = SCHEDULERS[algo](
+                            g, cost, machine.n_cores, epsilon=self.epsilon, backend=self.backend
+                        )
                         if self.validate:
                             # structural check + dependence witness extraction;
                             # stamps "verify" into meta["stage_seconds"] so the

@@ -105,7 +105,7 @@ def test_mixed_specs_match_numpy(baseline_cells, matrix):
         pytest.skip("native library not built (python -m repro.core.backends.build)")
     cell, base = baseline_cells[matrix]
     for raw in ("lbp=compiled", "coarsen=compiled", "lbp=compiled,coarsen=compiled",
-                "aggregate=reference,lbp=compiled"):
+                "aggregation=reference,lbp=compiled"):
         other = _schedule_for(cell, BackendSpec.parse(raw))
         _assert_identical(base, other, f"{matrix}: {raw} vs numpy")
         assert other.meta["backend"] == BackendSpec.parse(raw).describe()

@@ -251,6 +251,34 @@ def test_acquire_full_then_repair_then_hit():
     assert cache.repairs == 0
 
 
+def test_repaired_acquire_reports_pass_times_within_its_wall_time():
+    """A repair's stage split uses the registry's pass names plus its own
+    ``diff`` stage, and never claims more than the acquire took."""
+    from repro.passes import PASS_GROUPS
+
+    pass_names = {p.name for group in PASS_GROUPS.values() for p in group.passes}
+    g = dag_from_matrix_lower(poisson2d(96, seed=1))
+    cost = np.ones(g.n)
+    cache = IncrementalScheduleCache()
+    fam = family_key(kernel="t", p=8, label="poisson96")
+    cache.acquire(_key_for(g, cost, 8), fam, g, cost, p=8)
+    rng = np.random.default_rng(0)
+    keep = np.ones(g.indices.size, dtype=bool)
+    for r in rng.choice(g.n, size=5, replace=False):
+        lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
+        if hi > lo:
+            keep[int(rng.integers(lo, hi))] = False
+    esrc, edst = g.edge_list()
+    g_new = DAG.from_edges(g.n, esrc[keep], edst[keep])
+    t0 = time.perf_counter()
+    schedule, source = cache.acquire(_key_for(g_new, cost, 8), fam, g_new, cost, p=8)
+    wall = time.perf_counter() - t0
+    assert source == "repaired"
+    stages = schedule.meta["stage_seconds"]
+    assert set(stages) <= pass_names | {"diff"}, set(stages) - pass_names
+    assert sum(stages.values()) <= wall
+
+
 def test_family_key_separates_parameters():
     base = dict(kernel="sptrsv", p=8, epsilon=0.1, backend="numpy", label="m")
     k = family_key(**base)

@@ -83,3 +83,31 @@ def test_schedules_valid(problem):
     insp = HDaggInspector(g, cost)
     for p in (1, 3, 6):
         insp.schedule(p).validate(g)
+
+
+@pytest.mark.parametrize("backend", ["", "lbp=reference,transitive_reduction=reference"])
+def test_schedules_are_digest_identical_to_hdagg(problem, backend, monkeypatch):
+    """Reuse through the driver changes nothing: same bytes, same backend
+    meta as the one-shot inspector, under the default and a non-default spec."""
+    from repro.core.backends import ENV_VAR
+    from tests.schedulers.test_golden_snapshots import schedule_digest
+
+    monkeypatch.setenv(ENV_VAR, backend)
+    g, cost = problem
+    insp = HDaggInspector(g, cost)
+    for p in (2, 4):
+        for eps in (0.1, 0.3):
+            cached = insp.schedule(p, eps)
+            direct = hdagg(g, cost, p, epsilon=eps)
+            assert schedule_digest(cached) == schedule_digest(direct)
+            assert cached.meta["backend"] == direct.meta["backend"]
+    assert insp.schedule(2, 0.1).meta["backend"] == (backend or "numpy")
+
+
+def test_reuse_runs_only_the_threshold_passes(problem):
+    g, cost = problem
+    insp = HDaggInspector(g, cost)
+    first = insp.schedule(4, 0.1)
+    again = insp.schedule(4, 0.3)
+    assert list(first.meta["stage_seconds"]) == ["aggregation", "coarsen", "lbp", "expand"]
+    assert list(again.meta["stage_seconds"]) == ["lbp", "expand"]

@@ -6,10 +6,12 @@ from repro.passes import build_hdagg_group, get_pass_group, plan_repair
 def test_pattern_delta_buckets_match_repair_implementation():
     """Dirty {DAG, Cost} reproduces the recompute/splice split repair assumes."""
     plan = plan_repair(build_hdagg_group(), ("DAG", "Cost"))
-    assert plan.recompute == ("reduce", "aggregate")
+    assert plan.recompute == ("transitive_reduction", "aggregation")
     assert plan.splice == ("coarsen", "lbp", "expand")
     assert plan.replay == ()
-    assert plan.affected == ("reduce", "aggregate", "coarsen", "lbp", "expand")
+    assert plan.affected == (
+        "transitive_reduction", "aggregation", "coarsen", "lbp", "expand"
+    )
     # dirtiness closed over every produced artifact
     assert set(plan.dirty_artifacts) >= {
         "DAG", "Cost", "ReducedDAG", "Grouping", "CoarseDAG",
@@ -19,7 +21,7 @@ def test_pattern_delta_buckets_match_repair_implementation():
 
 def test_epsilon_only_delta_replays_the_structural_prefix():
     plan = plan_repair(build_hdagg_group(), ("Epsilon",))
-    assert plan.replay == ("reduce", "aggregate", "coarsen")
+    assert plan.replay == ("transitive_reduction", "aggregation", "coarsen")
     assert plan.recompute == ()
     assert plan.splice == ("lbp", "expand")
 
@@ -27,7 +29,9 @@ def test_epsilon_only_delta_replays_the_structural_prefix():
 def test_clean_inputs_replay_everything():
     plan = plan_repair(build_hdagg_group(), ())
     assert plan.affected == ()
-    assert plan.replay == ("reduce", "aggregate", "coarsen", "lbp", "expand")
+    assert plan.replay == (
+        "transitive_reduction", "aggregation", "coarsen", "lbp", "expand"
+    )
     assert plan.dirty_artifacts == ()
 
 
@@ -60,6 +64,6 @@ def test_repair_schedule_stamps_the_plan_into_stats():
     g_new = DAG.from_edges(40, srcs + [0], dsts + [2])
     res = repair_schedule(old, g_new, cost)
     assert res.mode == "repaired"
-    assert res.stats["plan"]["recompute"] == ["reduce", "aggregate"]
+    assert res.stats["plan"]["recompute"] == ["transitive_reduction", "aggregation"]
     assert res.stats["plan"]["splice"] == ["coarsen", "lbp", "expand"]
     assert res.stats["plan"]["replay"] == []

@@ -14,7 +14,7 @@ from repro.passes import (
     PipelineExecutionError,
     get_pass_group,
     run_group,
-    run_scheduler_group,
+    run_scheduler,
 )
 from repro.schedulers import SCHEDULERS
 
@@ -107,11 +107,16 @@ def _mesh_dag_and_cost(mesh_nd):
 
 @pytest.mark.parametrize("name", ["wavefront", "spmp", "mkl", "lbc", "dagp"])
 def test_scheduler_group_matches_public_function(name, mesh_nd):
-    """Running the registered group is the scheduler function, bit for bit."""
+    """The registered group run on a hand-seeded context is the registry
+    builder, bit for bit: the driver seeds the right inputs and defaults."""
     g, cost = _mesh_dag_and_cost(mesh_nd)
-    kwargs = {"epsilon": 0.1} if name == "lbc" else {}
-    options = {"k": 1000} if name == "dagp" else None
-    via_group = run_scheduler_group(name, g, cost, 4, options=options, **kwargs)
+    group = get_pass_group(name)
+    seeds = {"DAG": g, "Cost": cost, "Cores": 4, "Epsilon": 0.1}
+    ctx = PassContext(
+        {a: v for a, v in seeds.items() if a in group.inputs},
+        options={"k": 1000} if name == "dagp" else None,
+    )
+    via_group = run_group(group, ctx)["Schedule"]
     via_function = SCHEDULERS[name](g, cost, 4)
     assert via_group.algorithm == via_function.algorithm
     assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
@@ -123,11 +128,13 @@ def test_scheduler_group_matches_public_function(name, mesh_nd):
 
 
 def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
-    """run_scheduler_group handles hdagg too: it coerces the backend spec
-    and seeds the Backend artifact (epsilon accepted via options as well)."""
+    """The driver runs hdagg by name too: it coerces the backend spec and
+    seeds the Backend artifact, exactly as the public hdagg() does."""
+    from repro.core import hdagg
+
     g, cost = _mesh_dag_and_cost(mesh_nd)
-    via_group = run_scheduler_group("hdagg", g, cost, 4, options={"epsilon": 0.5})
-    via_function = SCHEDULERS["hdagg"](g, cost, 4, epsilon=0.5)
+    via_group = run_scheduler("hdagg", g, cost, 4, 0.5)["Schedule"]
+    via_function = hdagg(g, cost, 4, epsilon=0.5)
     assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
     assert [
         [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_group.levels
@@ -154,3 +161,38 @@ def test_hdagg_group_runs_standalone():
     # intermediate artifacts stay inspectable on the context
     for artifact in ("ReducedDAG", "Grouping", "CoarseDAG", "GroupCost", "CoarsenedWaves"):
         assert ctx.has(artifact), artifact
+
+
+@pytest.mark.parametrize("name", sorted(PASS_GROUPS))
+def test_every_scheduler_reports_per_pass_stage_seconds(name, mesh_nd):
+    """The driver times every pass of every scheduler under its pass name,
+    and the split never claims more than the call took."""
+    import time
+
+    g, cost = _mesh_dag_and_cost(mesh_nd)
+    t0 = time.perf_counter()
+    schedule = SCHEDULERS[name](g, cost, 4)
+    wall = time.perf_counter() - t0
+    stages = schedule.meta["stage_seconds"]
+    assert list(stages) == [p.name for p in get_pass_group(name).passes]
+    assert all(s >= 0.0 for s in stages.values())
+    assert sum(stages.values()) <= wall
+
+
+def test_epsilon_and_backend_reach_only_the_groups_that_declare_them(mesh_nd):
+    g, cost = _mesh_dag_and_cost(mesh_nd)
+    plain = SCHEDULERS["wavefront"](g, cost, 4)
+    both = SCHEDULERS["wavefront"](g, cost, 4, 0.3, backend="lbp=reference")
+    assert both.execution_order().tolist() == plain.execution_order().tolist()
+    assert "backend" not in both.meta
+    hd = SCHEDULERS["hdagg"](g, cost, 4, 0.3, backend="lbp=reference")
+    assert hd.meta["epsilon"] == 0.3 and hd.meta["backend"] == "lbp=reference"
+
+
+def test_group_specific_options_are_rejected_elsewhere(mesh_nd):
+    g, cost = _mesh_dag_and_cost(mesh_nd)
+    assert SCHEDULERS["coarsenk"](g, cost, 4, k=2).meta["window"] == 2
+    with pytest.raises(TypeError, match="unexpected options \\['k'\\]"):
+        SCHEDULERS["wavefront"](g, cost, 4, k=2)
+    with pytest.raises(TypeError, match="requires the core count"):
+        SCHEDULERS["hdagg"](g, cost)

@@ -145,6 +145,23 @@ def test_inspector_stage_stall_is_attributed_and_bit_identical():
     ]
 
 
+def test_inspector_stage_stall_fires_on_a_baseline_pass():
+    """Baselines run through the same driver: a stall matched on their
+    ``wavefronts`` pass fires and lands in that pass's timer window."""
+    from repro.schedulers import SCHEDULERS
+
+    g = DAG.from_edges(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
+    plan = FaultPlan(
+        [FaultSpec("inspector.stage", "stall", times=-1, match="wavefronts", duration=0.05)]
+    )
+    with armed(plan):
+        stalled = SCHEDULERS["wavefront"](g, np.ones(6), 2)
+    assert [(e.site, e.action, e.label) for e in plan.fired] == [
+        ("inspector.stage", "stall", "wavefronts")
+    ]
+    assert stalled.meta["stage_seconds"]["wavefronts"] >= 0.05
+
+
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_inspector_stage_chaos_sweep_fires_only_known_labels(seed):
     """Chaos plans drawn over the per-stage site stay inside the labels the
@@ -152,9 +169,7 @@ def test_inspector_stage_chaos_sweep_fires_only_known_labels(seed):
     from repro.core.hdagg import hdagg
     from repro.passes import get_pass_group
 
-    known_labels = {
-        p.fault_label for p in get_pass_group("hdagg").passes if p.fault_label
-    }
+    known_labels = {p.name for p in get_pass_group("hdagg").passes}
     plan = FaultPlan.chaos(seed, sites=("inspector.stage",))
     g = DAG.from_edges(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
     with armed(plan):

@@ -104,13 +104,23 @@ class TestInspectWithFallback:
 
         from repro.resilience.faults import corrupt_schedule
 
+        from repro.passes import PASS_GROUPS, Contract, Pass, PassGroup
+
         g, cost = problem
         real = SCHEDULERS["wavefront"]
 
-        def bad_inspector(g_, cost_, p_, **kw):
-            return corrupt_schedule(real(g_, cost_, p_), random.Random(0))
+        def bad_inspector(ctx):
+            schedule = real(ctx["DAG"], ctx["Cost"], ctx["Cores"])
+            return {"Schedule": corrupt_schedule(schedule, random.Random(0))}
 
-        monkeypatch.setitem(SCHEDULERS, "spmp", bad_inspector)
+        inputs = ("DAG", "Cost", "Cores")
+        bad = PassGroup(
+            name="spmp",
+            passes=(Pass("corrupt", Contract(requires=inputs, produces=("Schedule",)),
+                         bad_inspector),),
+            inputs=inputs,
+        )
+        monkeypatch.setitem(PASS_GROUPS, "spmp", bad)
         outcome = inspect_with_fallback("spmp", g, cost, 4)
         assert outcome.degraded
         assert outcome.algorithm == "wavefront"

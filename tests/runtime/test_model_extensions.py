@@ -65,10 +65,10 @@ class TestBandwidthContention:
 
     def test_serial_unaffected(self, problem):
         """A one-wide schedule has no concurrent cores to contend with."""
-        from repro.schedulers import serial_schedule
+        from repro.schedulers import SCHEDULERS
 
         _, _, g, cost, mem = problem
-        s = serial_schedule(g, cost)
+        s = SCHEDULERS["serial"](g, cost)
         throttled = dataclasses.replace(
             LAPTOP4.scaled(1), bandwidth_contention=0.25
         )

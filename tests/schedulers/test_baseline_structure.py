@@ -5,15 +5,13 @@ import pytest
 
 from repro.graph import DAG, compute_wavefronts, dag_from_matrix_lower
 from repro.kernels import KERNELS
+from repro.passes.baselines import chunk_by_cost, chunk_by_count
 from repro.schedulers import (
     SCHEDULERS,
     acyclic_partition,
-    chunk_by_cost,
-    chunk_by_count,
     edge_cut,
     elimination_tree,
     forest_components,
-    lpt_assign,
     tree_levels,
 )
 
@@ -42,14 +40,6 @@ class TestChunkHelpers:
     def test_chunk_by_count_fewer_vertices(self):
         chunks = chunk_by_count(np.arange(2), 5)
         assert len(chunks) == 2
-
-    def test_lpt_balances(self):
-        costs = np.array([5.0, 4, 3, 3, 3])
-        assign = lpt_assign(costs, 2)
-        loads = np.zeros(2)
-        np.add.at(loads, assign, costs)
-        # LPT guarantee: within one item of balanced
-        assert abs(loads[0] - loads[1]) <= costs.max()
 
 
 class TestWavefrontAndMKL:

@@ -6,7 +6,9 @@ import pytest
 from repro.core import accumulated_pgp, hdagg
 from repro.graph import compute_wavefronts, dag_from_matrix_lower, verify_schedule_order
 from repro.kernels import KERNELS
-from repro.schedulers import SCHEDULERS, coarsen_k_schedule
+from repro.schedulers import SCHEDULERS
+
+coarsen_k_schedule = SCHEDULERS["coarsenk"]
 
 
 def test_valid_on_every_family(all_small_matrices):

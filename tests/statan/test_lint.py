@@ -208,10 +208,10 @@ def test_l009_undeclared_metric_names(tmp_path):
 def test_l002_fires_when_a_backend_tier_is_dropped(monkeypatch):
     from repro.core import backends
 
-    monkeypatch.delitem(backends._LOADERS, ("reduce", "numpy"))
+    monkeypatch.delitem(backends._LOADERS, ("transitive_reduction", "numpy"))
     found = [d for d in _rule("L002").check_project(REPO_ROOT)]
     assert len(found) == 1
-    assert "backend stage 'reduce' has no 'numpy' tier" in found[0].message
+    assert "backend stage 'transitive_reduction' has no 'numpy' tier" in found[0].message
     assert "register_backend" in found[0].hint
 
 

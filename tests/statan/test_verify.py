@@ -8,13 +8,11 @@ from repro.passes import Contract, PASS_GROUPS, Pass, PassGroup, build_hdagg_gro
 from repro.statan import assert_valid, verify_pipeline, verify_registered_groups
 
 
-def _pass(name, requires=(), produces=(), stage=None, tiers=(), **contract_kw):
+def _pass(name, requires=(), produces=(), **contract_kw):
     return Pass(
         name=name,
         contract=Contract(requires=requires, produces=produces, **contract_kw),
         run=lambda ctx: {},
-        stage=stage,
-        tiers=tuple(tiers),
     )
 
 
@@ -81,8 +79,8 @@ def test_sp001_reordered_passes_hint_names_the_later_producer():
     reordered = PassGroup(
         name="hdagg-lbp-before-coarsen",
         passes=(
-            group.pass_named("reduce"),
-            group.pass_named("aggregate"),
+            group.pass_named("transitive_reduction"),
+            group.pass_named("aggregation"),
             group.pass_named("lbp"),
             group.pass_named("coarsen"),
             group.pass_named("expand"),
@@ -135,28 +133,23 @@ def test_sp003_dead_artifact_is_rejected():
     assert d.pass_name == "grouper" and "'Grouping'" in d.message
 
 
-def test_sp004_unknown_stage_and_unregistered_tier_are_rejected():
-    unknown = PassGroup(
-        name="unknown-stage",
-        passes=(_pass("emit", requires=("DAG",), produces=("Schedule",),
-                      stage="quantize"),),
-        inputs=("DAG",),
-    )
-    diags = _errors(verify_pipeline(unknown))
-    assert _rules(diags) == ["SP004"]
-    assert "unknown backend stage 'quantize'" in diags[0].message
+def test_sp004_stage_pass_without_oracle_tier_is_rejected(monkeypatch):
+    """A pass binds the backend stage that shares its name; SP004 reads that
+    stage's tiers from the registry."""
+    from repro.core import backends
 
-    untiered = PassGroup(
-        name="unregistered-tier",
-        passes=(_pass("emit", requires=("DAG",), produces=("Schedule",),
-                      stage="reduce", tiers=("reference", "compiled")),),
+    group = PassGroup(
+        name="stage-bound",
+        passes=(_pass("expand", requires=("DAG",), produces=("Schedule",)),),
         inputs=("DAG",),
     )
-    diags = _errors(verify_pipeline(untiered))
+    assert _errors(verify_pipeline(group)) == []
+    monkeypatch.delitem(backends._LOADERS, ("expand", "reference"))
+    diags = _errors(verify_pipeline(group))
     assert _rules(diags) == ["SP004"]
     (d,) = diags
-    assert "declared tier 'compiled' has no registered loader" in d.message
-    assert "register_backend" in d.hint
+    assert "backend stage 'expand' lacks the mandatory 'reference' tier" in d.message
+    assert d.pass_name == "expand"
 
 
 def test_sp005_duplicate_producer_is_rejected():

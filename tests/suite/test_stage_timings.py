@@ -11,13 +11,15 @@ never executed (and sum to more than the hit's own inspector time).
 import pytest
 
 from repro.core.schedule_cache import ScheduleCache
+from repro.passes import PASS_GROUPS
 from repro.suite.harness import Harness
 from repro.suite.matrices import small_suite
 
-#: every stage an inspector may report, plus the harness's own verify step
+#: every stage an inspector may report — the registered pass names — plus
+#: the harness's own verify step
 KNOWN_STAGES = {
-    "transitive_reduction", "aggregation", "coarsen", "lbp", "expand", "verify",
-}
+    p.name for group in PASS_GROUPS.values() for p in group.passes
+} | {"verify"}
 
 #: sum(stages) <= total needs slack: the stages are timed inside the same
 #: interval as the total, but each ``perf_counter`` pair has its own jitter
