@@ -6,7 +6,6 @@ from .backends import BackendSpec, resolve_stage
 from .binpack import BinPacking, first_fit_pack
 from .hdagg import expand_lbp_to_schedule, hdagg
 from .incremental import (
-    IncrementalScheduleCache,
     InspectionArtifacts,
     PatternDelta,
     RepairResult,
@@ -14,6 +13,7 @@ from .incremental import (
     family_key,
     inspect_with_artifacts,
     repair_schedule,
+    repairable,
 )
 from .inspector import HDaggInspector
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, lbp_coarsen
@@ -62,8 +62,8 @@ __all__ = [
     "inspect_with_artifacts",
     "RepairResult",
     "repair_schedule",
+    "repairable",
     "family_key",
-    "IncrementalScheduleCache",
     "verify_schedule",
     "VerificationReport",
     "WidthPartition",

@@ -20,10 +20,12 @@ inspection instead:
    suffix verbatim — the walk's state fully resets at every cut, so clean
    cut-to-cut spans replay bit-for-bit), and re-expands only the window's
    coarsened wavefronts.
-3. :class:`IncrementalScheduleCache` wires this into the structure-keyed
-   schedule cache: an exact-key miss whose *parameter family* (kernel,
-   algorithm, ``p``, ``epsilon``, backend, options) was seen before
-   becomes a repair instead of a full inspection.
+3. :func:`repairable` decides, from a pass group's repair plan alone,
+   whether this splice applies to it; the schedule cache's reuse ladder
+   (:meth:`~repro.core.schedule_cache.ScheduleCache.acquire`) turns an
+   exact-key miss whose *parameter family* (kernel, algorithm, ``p``,
+   ``epsilon``, backend, options) was seen before into a repair instead of
+   a full inspection.
 
 The contract is strict: when ``mode == "repaired"`` the output schedule is
 **bit-identical** to a full re-inspection of the new pattern (enforced by
@@ -37,7 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -45,7 +47,9 @@ from ..graph.coarsen import Grouping, identity_grouping
 from ..graph.dag import DAG, gather_slices
 from ..graph.wavefronts import compute_wavefronts
 from ..passes import (
+    PassContext,
     PassGroup,
+    RepairPlan,
     build_hdagg_group,
     plan_repair,
     run_group,
@@ -66,13 +70,19 @@ __all__ = [
     "changed_rows",
     "InspectionArtifacts",
     "inspect_with_artifacts",
+    "artifacts_from_context",
     "RepairResult",
     "repair_schedule",
+    "repairable",
     "IncrementalScheduleCache",
     "family_key",
 ]
 
 _FAMILY_KEY_VERSION = b"repro-family-key-v1\0"
+
+#: the passes :func:`repair_schedule` splices; a pattern delta dirties these inputs
+_SPLICE = ("coarsen", "lbp", "expand")
+_DIRTY = ("DAG", "Cost")
 
 #: pipeline options a repair understands; anything else forces a full run
 _DEFAULT_OPTIONS = {
@@ -241,6 +251,13 @@ def inspect_with_artifacts(
         _group(opts), g, cost, p, epsilon, backend=backend,
         group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
     )
+    return artifacts_from_context(ctx, g, p, epsilon, opts)
+
+
+def artifacts_from_context(
+    ctx: PassContext, g: DAG, p: int, epsilon: float, options: Optional[dict] = None
+) -> InspectionArtifacts:
+    """The :class:`InspectionArtifacts` of one finished hdagg pass-group run."""
     empty_lbp = LBPResult(
         coarsened=[],
         waves=compute_wavefronts(DAG.empty(0)),
@@ -262,7 +279,7 @@ def inspect_with_artifacts(
         lbp=ctx["CoarsenedWaves"] if ctx.has("CoarsenedWaves") else empty_lbp,
         schedule=ctx["Schedule"],
         backend=ctx["Backend"],
-        options=opts,
+        options=dict(options or _DEFAULT_OPTIONS),
     )
 
 
@@ -273,6 +290,21 @@ def _group(opts: dict) -> PassGroup:
         transitive_reduce=opts["transitive_reduce"],
         bin_pack=opts["bin_pack"],
     )
+
+
+def _splices_here(plan: RepairPlan) -> bool:
+    return plan.splice == _SPLICE and not plan.replay
+
+
+def repairable(group: PassGroup) -> bool:
+    """Can :func:`repair_schedule` repair schedules of ``group``?
+
+    Decided from the group's contracts alone: its repair plan for a
+    pattern delta must splice exactly the passes this module splices.
+    Every other group (the baselines, an injected stand-in) is inspected
+    afresh on a near-miss.
+    """
+    return _splices_here(plan_repair(group, _DIRTY))
 
 
 @dataclass
@@ -385,8 +417,8 @@ def repair_schedule(
     # implementation handles exactly {coarsen, lbp, expand} — anything
     # else means the group's contracts moved out from under us.
     group = _group(opts)
-    plan = plan_repair(group, ("DAG", "Cost"))
-    if plan.splice != ("coarsen", "lbp", "expand") or plan.replay:
+    plan = plan_repair(group, _DIRTY)
+    if not _splices_here(plan):
         return _full_repair(old, g_new, cost_new, f"unsupported repair plan {plan}")
     plan_stats = {
         "recompute": list(plan.recompute),
@@ -734,73 +766,5 @@ def family_key(
     return h.hexdigest()
 
 
-class IncrementalScheduleCache(ScheduleCache):
-    """Schedule cache whose near-misses become repairs.
-
-    On top of the exact structure-keyed LRU store, each *family* (see
-    :func:`family_key`) keeps the latest :class:`InspectionArtifacts`.  An
-    exact-key miss with a family hit runs :func:`repair_schedule` against
-    the stored artifacts instead of a full inspection; the repaired (or
-    fallback-full) artifacts replace the family entry either way, so a
-    drifting pattern keeps repairing against its most recent ancestor.
-    """
-
-    #: the scheduler whose inspections this cache can repair
-    algorithm = "hdagg"
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        super().__init__(max_entries)
-        self._families: Dict[str, InspectionArtifacts] = {}
-        self.repairs = 0
-        self.repair_fulls = 0
-
-    def put_artifacts(self, family: str, artifacts: InspectionArtifacts) -> None:
-        """Seed (or refresh) a family's repair ancestor."""
-        self._families[family] = artifacts
-
-    def artifacts_for(self, family: str) -> Optional[InspectionArtifacts]:
-        return self._families.get(family)
-
-    def acquire(
-        self,
-        key: str,
-        family: str,
-        g: DAG,
-        cost: np.ndarray,
-        *,
-        p: int,
-        epsilon: float = DEFAULT_EPSILON,
-        backend: "BackendSpec | str | None" = None,
-        delta: Optional[PatternDelta] = None,
-        **options,
-    ) -> Tuple[Schedule, str]:
-        """Schedule for ``(g, cost)`` under the family's parameters.
-
-        Returns ``(schedule, source)`` with ``source`` one of ``"hit"``
-        (exact key), ``"repaired"`` (family near-miss, diff-spliced), or
-        ``"full"`` (fresh inspection — first sighting of the family, or a
-        repair guard fired).  Both stores are updated on every miss.
-        """
-        hit = self.get(key)
-        if hit is not None:
-            return hit, "hit"
-        old = self._families.get(family)
-        if old is not None:
-            result = repair_schedule(old, g, cost, delta=delta)
-            if result.mode == "repaired":
-                self.repairs += 1
-            else:
-                self.repair_fulls += 1
-            self._families[family] = result.artifacts
-            self.put(key, result.schedule)
-            return result.schedule, result.mode
-        art = inspect_with_artifacts(g, cost, p, epsilon, backend=backend, **options)
-        self._families[family] = art
-        self.put(key, art.schedule)
-        return art.schedule, "full"
-
-    def clear(self) -> None:
-        super().clear()
-        self._families.clear()
-        self.repairs = 0
-        self.repair_fulls = 0
+#: ``bench/layers.py`` imports the schedule cache under this name
+IncrementalScheduleCache = ScheduleCache

@@ -14,6 +14,11 @@ only if they are structurally identical, in which case sharing the
 schedule is precisely the point.  Entries are kept in LRU order with an
 optional capacity bound, and hit/miss counters make cache effectiveness
 observable from the harness.
+
+:meth:`ScheduleCache.acquire` is the one schedule-reuse path: memory, then
+the persistent store, then an incremental repair of the family's last
+inspection, then a fresh inspection down the degradation chain.  The
+harness, ``hdagg-bench --store`` and the end-to-end benchmark all call it.
 """
 
 from __future__ import annotations
@@ -21,14 +26,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..graph.dag import DAG
 from ..observability.state import STATE as _OBS_STATE
 from ..resilience.faults import fault_point
+from .pgp import DEFAULT_EPSILON
 from .schedule import Schedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .incremental import InspectionArtifacts
 
 __all__ = ["CacheStats", "ScheduleCache", "schedule_key"]
 
@@ -99,13 +108,20 @@ class ScheduleCache:
     a suite holds a few hundred schedules at most).  Stored schedules are
     returned as-is — they are treated as immutable by every consumer.
 
-    ``store`` optionally backs the cache with a persistent L2 — any
-    object with ``get(key) -> Schedule | None`` and ``put(key, schedule)``
-    (duck-typed so this module never imports :mod:`repro.store`; in
-    practice a :class:`repro.store.ScheduleStore`).  Misses fall through
-    to the store (promoting hits into the LRU), and :meth:`put` writes
+    ``store`` optionally backs the cache with a persistent second tier —
+    any object with ``get(key) -> Schedule | None``, ``put(key, schedule)``
+    and ``quarantine_key(key, reason)`` (duck-typed so this module never
+    imports :mod:`repro.store`; in practice a
+    :class:`repro.store.ScheduleStore`).  :meth:`get` reads memory only;
+    :meth:`acquire` falls through to the store, and :meth:`put` writes
     through best-effort — a store write failure never fails the caller,
     because the in-memory entry is already good.
+
+    Each *family* (see :func:`repro.core.incremental.family_key`) keeps the
+    :class:`~repro.core.incremental.InspectionArtifacts` of its latest
+    HDagg inspection, the ancestor :meth:`acquire` repairs a near-miss
+    against.  ``repairs`` counts repaired schedules served; ``repair_fulls``
+    counts repair attempts that ended in a full inspection instead.
     """
 
     def __init__(self, max_entries: Optional[int] = None, *, store=None) -> None:
@@ -114,42 +130,27 @@ class ScheduleCache:
         self.max_entries = max_entries
         self.store = store
         self._entries: "OrderedDict[str, Schedule]" = OrderedDict()
+        self._families: "Dict[str, InspectionArtifacts]" = {}
         self._hits = 0
         self._misses = 0
+        self.repairs = 0
+        self.repair_fulls = 0
 
     def get(self, key: str) -> Optional[Schedule]:
-        """Look up a schedule; counts a hit or a miss.
+        """Look up a schedule in memory; counts a hit or a miss.
 
         The ``schedule_cache.get`` fault site lets chaos runs hand back a
-        deterministically corrupted schedule on a hit — consumers that
-        re-validate hits (the harness) must catch it and fall back to a
-        fresh inspection.
+        deterministically corrupted schedule on a hit — :meth:`acquire`
+        with ``validate`` must catch it and fall to the next rung.
         """
         entry = self._entries.get(key)
         if entry is None:
-            if self.store is not None:
-                promoted = self.store.get(key)
-                if promoted is not None:
-                    # L2 hit: promote into the LRU (bypassing the write-
-                    # through — the store already holds it) and serve
-                    self._entries[key] = promoted
-                    self._entries.move_to_end(key)
-                    self._shrink_to_capacity()
-                    self._hits += 1
-                    if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-                        _OBS_STATE.registry.counter("schedule_cache.store_hits").inc()
-                        _OBS_STATE.registry.gauge("schedule_cache.entries").set(
-                            len(self._entries)
-                        )
-                    return promoted
             self._misses += 1
-            if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-                _OBS_STATE.registry.counter("schedule_cache.misses").inc()
+            _count("schedule_cache.misses")
             return None
         self._entries.move_to_end(key)
         self._hits += 1
-        if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-            _OBS_STATE.registry.counter("schedule_cache.hits").inc()
+        _count("schedule_cache.hits")
         injected = fault_point("schedule_cache.get", payload=entry, label=key)
         if injected is not None:
             return injected
@@ -159,14 +160,16 @@ class ScheduleCache:
         """Drop one entry (cache-corruption recovery); True when it existed."""
         return self._entries.pop(key, None) is not None
 
-    def _shrink_to_capacity(self) -> None:
-        """Evict LRU entries past ``max_entries``, counting each one."""
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-                _OBS_STATE.registry.counter("schedule_cache.evictions").inc()
+    def _insert(self, key: str, schedule: Schedule) -> None:
+        """Insert into memory, evicting LRU entries past ``max_entries``."""
+        self._entries[key] = schedule
+        self._entries.move_to_end(key)
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                _count("schedule_cache.evictions")
+        if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
+            _OBS_STATE.registry.gauge("schedule_cache.entries").set(len(self._entries))
 
     def put(self, key: str, schedule: Schedule) -> None:
         """Insert (or refresh) an entry, evicting the LRU one if over capacity.
@@ -176,39 +179,174 @@ class ScheduleCache:
         process and a persistence hiccup must not fail the inspection
         that produced the schedule.
         """
-        self._entries[key] = schedule
-        self._entries.move_to_end(key)
-        self._shrink_to_capacity()
-        if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-            _OBS_STATE.registry.gauge("schedule_cache.entries").set(len(self._entries))
+        self._insert(key, schedule)
         if self.store is not None:
             try:
                 self.store.put(key, schedule)
             except Exception:
-                if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
-                    _OBS_STATE.registry.counter("schedule_cache.store_write_errors").inc()
+                _count("schedule_cache.store_write_errors")
 
-    def get_or_build(self, key: str, builder: Callable[[], Schedule]) -> Schedule:
-        """Return the cached schedule or build-and-store it."""
-        found = self.get(key)
-        if found is not None:
-            return found
-        built = builder()
-        self.put(key, built)
-        return built
+    def artifacts_for(self, family: str) -> "Optional[InspectionArtifacts]":
+        """The family's repair ancestor, or ``None``."""
+        return self._families.get(family)
 
+    # ------------------------------------------------------------------
+    # the reuse ladder
+    # ------------------------------------------------------------------
+    def acquire(
+        self,
+        key: str,
+        family: str,
+        g: DAG,
+        cost: np.ndarray,
+        *,
+        p: int,
+        epsilon: Optional[float] = DEFAULT_EPSILON,
+        algorithm: str = "hdagg",
+        backend=None,
+        validate: bool = False,
+        budget: Optional[float] = None,
+    ) -> Tuple[Schedule, str]:
+        """Schedule ``(g, cost)`` with ``algorithm``, reusing what is safe to reuse.
+
+        Returns ``(schedule, source)``; ``source`` names the rung that
+        served it:
+
+        ``"hit"``
+            memory.  With ``validate`` the hit is dependence-checked; a
+            refuted hit is invalidated and the request falls through.
+        ``"store"``
+            the persistent store.  Its records come from outside the
+            process, so a hit is always checked with ``assert_schedule_safe``;
+            a refuted record is quarantined, never served, and a read
+            error is a miss.
+        ``"repaired"``
+            an incremental repair of the family's last inspection, for a
+            ``algorithm`` whose pass group :func:`~repro.core.incremental.repairable`
+            accepts.  A repair that fails (or, with ``validate``, is
+            refuted) falls through to inspection.
+        ``"full"``
+            a fresh inspection — either the repair's own full fallback
+            (its guards fired) or :func:`~repro.resilience.degrade.inspect_with_fallback`
+            under ``budget``.  An HDagg inspection seeds the family; a
+            degraded schedule (``schedule.algorithm != algorithm``) is
+            served but never cached or persisted.
+
+        With the defaults (no store, no ``validate``, no ``budget``) a call
+        verifies nothing and starts no budget thread.
+        """
+        hit = self.get(key)
+        if hit is not None:
+            if not validate or _dependence_safe(hit, g):
+                return hit, "hit"
+            self.invalidate(key)
+        if self.store is not None:
+            stored = self._from_store(key, g)
+            if stored is not None:
+                return stored, "store"
+
+        from ..passes import get_pass_group
+        from ..resilience.degrade import inspect_with_fallback
+        from .incremental import artifacts_from_context, repairable
+
+        can_repair = repairable(get_pass_group(algorithm))
+        old = self._families.get(family) if can_repair else None
+        if old is not None:
+            repaired = self._repair(key, family, old, g, cost, validate, budget)
+            if repaired is not None:
+                return repaired
+        outcome = inspect_with_fallback(
+            algorithm, g, cost, p,
+            epsilon=epsilon, budget=budget, validate=validate, backend=backend,
+        )
+        if not outcome.degraded:
+            if can_repair:
+                self._families[family] = artifacts_from_context(
+                    outcome.context, g, p, epsilon
+                )
+            self.put(key, outcome.schedule)
+        return outcome.schedule, "full"
+
+    def _from_store(self, key: str, g: DAG) -> Optional[Schedule]:
+        """Store rung: a verified record, promoted into memory, or ``None``."""
+        try:
+            stored = self.store.get(key)
+        except Exception:
+            _count("schedule_cache.store_read_errors")
+            return None
+        if stored is None:
+            return None
+        if not _safe(stored, g):
+            # decodes fine but unsafe for this DAG (a foreign or stale
+            # record under the key): never serve it
+            self.store.quarantine_key(key, "failed assert_schedule_safe for the requested DAG")
+            return None
+        self._insert(key, stored)  # the store already holds it
+        _count("schedule_cache.store_hits")
+        return stored
+
+    def _repair(self, key, family, old, g, cost, validate, budget):
+        """Repair rung: ``(schedule, source)``, or ``None`` to fall through."""
+        from ..resilience.degrade import run_with_budget
+        from .incremental import repair_schedule
+
+        try:
+            result = run_with_budget(
+                lambda: repair_schedule(old, g, cost), budget, algorithm="repair"
+            )
+        except Exception:
+            result = None
+        if result is None or (validate and not _safe(result.schedule, g)):
+            self._families.pop(family, None)
+            self.repair_fulls += 1
+            return None
+        if result.mode == "repaired":
+            self.repairs += 1
+        else:
+            self.repair_fulls += 1
+        self._families[family] = result.artifacts
+        self.put(key, result.schedule)
+        return result.schedule, result.mode
+
+    # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
         return CacheStats(hits=self._hits, misses=self._misses, entries=len(self._entries))
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop all entries and families and reset the counters."""
         self._entries.clear()
+        self._families.clear()
         self._hits = 0
         self._misses = 0
+        self.repairs = 0
+        self.repair_fulls = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
+
+
+def _count(name: str) -> None:
+    if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
+        _OBS_STATE.registry.counter(name).inc()
+
+
+def _dependence_safe(schedule: Schedule, g: DAG) -> bool:
+    """Cheap re-check of a memory hit: one dependence witness is enough."""
+    from ..analysis.verifier import verify_dependences
+
+    return verify_dependences(schedule, g, max_witnesses=1, stamp_meta=False).ok
+
+
+def _safe(schedule: Schedule, g: DAG) -> bool:
+    """Full structural and dependence check (stamps ``verify`` seconds)."""
+    from ..analysis.verifier import assert_schedule_safe
+
+    try:
+        assert_schedule_safe(schedule, g)
+    except Exception:
+        return False
+    return True

@@ -13,11 +13,9 @@ The subsystem behind ``hdagg-bench trace`` (see DESIGN.md §10):
 * :mod:`~repro.observability.state` — the ambient enable switch
   (disabled by default; dormant cost is one attribute read per guarded
   site, gated by ``benchmarks/smoke_observability.py``);
-* :mod:`~repro.observability.telemetry` — request-level serving
-  telemetry: request ids, the span taxonomy, the closed metric catalog,
-  request-tree validation, and JSONL metric snapshots (DESIGN.md §15);
-* :mod:`~repro.observability.dashboard` — the self-contained HTML
-  service dashboard behind ``hdagg-bench service dash``.
+* :mod:`~repro.observability.telemetry` — the closed metric catalog
+  every registered metric name must belong to (statan rule L009 checks
+  call sites; :func:`catalog_violations` checks a live registry).
 """
 
 from .export import chrome_trace, spans_to_jsonl, write_chrome_trace, write_spans_jsonl
@@ -30,7 +28,7 @@ from .reports import (
     utilization_report,
     utilization_rows,
 )
-from .spans import NULL_TRACER, ManualSpan, NullTracer, Span, SpanContext, Tracer
+from .spans import NULL_TRACER, NullTracer, Span, Tracer
 from .state import (
     STATE,
     current_registry,
@@ -40,24 +38,11 @@ from .state import (
     is_enabled,
     observed,
 )
+from .telemetry import catalog_violations, metric_catalog
 from .timeline import SEGMENT_KINDS, CoreTimeline, Segment, TimelineRecorder
-
-from .telemetry import (
-    LATENCY_BUCKETS,
-    MetricsSnapshotter,
-    RequestContext,
-    catalog_violations,
-    metric_catalog,
-    next_request_id,
-    request_trees,
-    tier_breakdown,
-    validate_request_trees,
-)
 
 __all__ = [
     "Span",
-    "SpanContext",
-    "ManualSpan",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -86,13 +71,6 @@ __all__ = [
     "observed",
     "current_tracer",
     "current_registry",
-    "RequestContext",
-    "MetricsSnapshotter",
-    "LATENCY_BUCKETS",
     "metric_catalog",
     "catalog_violations",
-    "next_request_id",
-    "request_trees",
-    "tier_breakdown",
-    "validate_request_trees",
 ]

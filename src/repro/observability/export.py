@@ -30,8 +30,6 @@ __all__ = [
     "write_spans_jsonl",
     "chrome_trace",
     "write_chrome_trace",
-    "prometheus_text",
-    "write_prometheus",
 ]
 
 #: pid used for span (flame chart) events in the trace_event output.
@@ -96,7 +94,6 @@ def chrome_trace(
                 {"ph": "M", "pid": SPAN_PID, "tid": row, "name": "thread_name",
                  "args": {"name": f"thread {tid}"}}
             )
-        by_id = {s.span_id: s for s in spans if s.span_id}
         for s in spans:
             ev = {
                 "ph": "X",
@@ -109,21 +106,6 @@ def chrome_trace(
             if s.attrs:
                 ev["args"] = dict(s.attrs)
             events.append(ev)
-            # a parent on another thread cannot be drawn by nesting — emit a
-            # flow arrow (parent start -> child start) so Perfetto shows the
-            # asyncio -> worker handoff explicitly
-            parent = by_id.get(s.parent_span_id)
-            if parent is not None and parent.tid != s.tid:
-                flow = {"cat": "handoff", "name": "handoff", "id": s.span_id,
-                        "pid": SPAN_PID}
-                events.append(
-                    {**flow, "ph": "s", "tid": tid_row[parent.tid],
-                     "ts": (parent.t0 - t_base) * scale}
-                )
-                events.append(
-                    {**flow, "ph": "f", "bp": "e", "tid": tid_row[s.tid],
-                     "ts": (s.t0 - t_base) * scale}
-                )
     if timeline is not None:
         events.append(
             {"ph": "M", "pid": TIMELINE_PID, "name": "process_name",
@@ -170,62 +152,3 @@ def write_chrome_trace(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition (format 0.0.4)
-
-def _prom_name(name: str) -> str:
-    """Dotted registry name -> Prometheus metric name."""
-    safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    if safe and safe[0].isdigit():
-        safe = "_" + safe
-    return f"repro_{safe}"
-
-
-def _prom_value(v: object) -> str:
-    if v is None:
-        return "NaN"
-    f = float(v)  # type: ignore[arg-type]
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
-def prometheus_text(metrics: dict) -> str:
-    """Render a registry document as Prometheus text exposition.
-
-    ``metrics`` is :meth:`MetricsRegistry.as_dict` output (or the
-    ``"metrics"`` object of a JSONL snapshot line) — rendering from the
-    dict form means live registries and archived snapshots export
-    identically.  Counters gain the conventional ``_total`` suffix;
-    histograms expose cumulative ``_bucket{le="..."}`` series plus
-    ``_sum``/``_count``.
-    """
-    lines: List[str] = []
-    for name in sorted(metrics):
-        blob = metrics[name]
-        kind = blob.get("type")
-        pname = _prom_name(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {pname}_total counter")
-            lines.append(f"{pname}_total {_prom_value(blob['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_prom_value(blob['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {pname} histogram")
-            cum = 0.0
-            for bound, n in zip(blob["buckets"], blob["bucket_counts"]):
-                cum += n
-                lines.append(f'{pname}_bucket{{le="{_prom_value(bound)}"}} {_prom_value(cum)}')
-            cum += blob["bucket_counts"][-1]
-            lines.append(f'{pname}_bucket{{le="+Inf"}} {_prom_value(cum)}')
-            lines.append(f"{pname}_sum {_prom_value(blob['sum'])}")
-            lines.append(f"{pname}_count {_prom_value(blob['count'])}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(path: Union[str, PathLike], metrics: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(prometheus_text(metrics))

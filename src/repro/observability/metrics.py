@@ -175,18 +175,6 @@ class Histogram:
             "bucket_counts": list(self.bucket_counts),
         }
 
-    @classmethod
-    def from_dict(cls, name: str, blob: dict) -> "Histogram":
-        """Rehydrate from :meth:`as_dict` output (snapshot/JSONL lines), so
-        archived registries answer the same quantile questions live ones do."""
-        h = cls(name, blob["buckets"])
-        h.bucket_counts = [int(n) for n in blob["bucket_counts"]]
-        h.count = int(blob["count"])
-        h.sum = float(blob["sum"])
-        h.min = None if blob.get("min") is None else float(blob["min"])
-        h.max = None if blob.get("max") is None else float(blob["max"])
-        return h
-
 
 class MetricsRegistry:
     """Name -> instrument map with create-on-first-use accessors.

@@ -17,42 +17,16 @@ The disabled path is :data:`NULL_TRACER`: ``span()`` hands back one shared
 no-op context manager, ``instant()`` returns immediately, and nothing is
 ever allocated — the zero-overhead-when-off guarantee the benchmark gate
 (``benchmarks/smoke_observability.py``) enforces.
-
-Cross-thread parenting (the serving path's asyncio → worker-thread hop)
-rides on *span ids*: every tracer-recorded span gets a process-unique
-``span_id`` and remembers its parent's id in ``parent_span_id``, which —
-unlike the per-thread ``parent`` index — survives thread boundaries.  The
-handoff protocol is ``ctx = span.context`` on the producing side and
-``with tracer.attach(ctx): ...`` on the consuming thread, which makes that
-thread's top-level spans children of ``ctx``.  Event-loop code, where
-``with``-nesting would interleave across tasks, uses the explicitly ended
-:meth:`Tracer.begin` / :meth:`ManualSpan.end` pair instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
-__all__ = [
-    "Span",
-    "SpanContext",
-    "ManualSpan",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-]
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """Portable handle to a span, for parenting across threads and tasks."""
-
-    span_id: int
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 @dataclass
@@ -64,12 +38,6 @@ class Span:
     span list* (-1 for top level), ``depth`` its nesting depth, and ``tid``
     the recording thread's ident.  ``attrs`` holds small JSON-safe
     key/values (core ids, level indices, vertex counts).
-
-    ``span_id``/``parent_span_id`` are the cross-thread identity: a
-    process-unique id the tracer assigns (0 for hand-built spans) and the
-    id of the logical parent, which may live on another thread (-1 for
-    roots).  Within one thread they agree with ``parent``; across the
-    asyncio → worker hop only the id link exists.
     """
 
     name: str
@@ -79,8 +47,6 @@ class Span:
     parent: int = -1
     depth: int = 0
     attrs: Dict[str, object] = field(default_factory=dict)
-    span_id: int = 0
-    parent_span_id: int = -1
 
     @property
     def duration(self) -> float:
@@ -96,9 +62,6 @@ class Span:
             "parent": self.parent,
             "depth": self.depth,
         }
-        if self.span_id:
-            out["span_id"] = self.span_id
-            out["parent_span_id"] = self.parent_span_id
         if self.attrs:
             out["attrs"] = dict(self.attrs)
         return out
@@ -107,7 +70,7 @@ class Span:
 class _OpenSpan:
     """Context manager for one in-flight span (reused API, per-call object)."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_t0", "_parent", "_depth", "_sid", "_psid")
+    __slots__ = ("_tracer", "_name", "_attrs", "_t0", "_parent", "_depth")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Optional[dict]) -> None:
         self._tracer = tracer
@@ -119,19 +82,11 @@ class _OpenSpan:
         stack = getattr(local, "stack", None)
         if stack is None:
             stack = local.stack = []
-        ids = getattr(local, "ids", None)
-        if ids is None:
-            ids = local.ids = []
         self._parent = stack[-1] if stack else -1
         self._depth = len(stack)
-        self._sid = next(self._tracer._ids)
-        # top-level spans on this thread parent under an attached foreign
-        # context (the cross-thread handoff); nested spans under the stack
-        self._psid = ids[-1] if ids else getattr(local, "adopted", -1)
         # reserve the slot *before* timing starts so children know their parent
         spans = self._tracer._spans_for_thread()
         stack.append(len(spans))
-        ids.append(self._sid)
         spans.append(None)  # placeholder, filled on exit
         self._t0 = self._tracer.clock()
         return self
@@ -140,7 +95,6 @@ class _OpenSpan:
         t1 = self._tracer.clock()
         local = self._tracer._local
         index = local.stack.pop()
-        local.ids.pop()
         spans = self._tracer._spans_for_thread()
         spans[index] = Span(
             name=self._name,
@@ -150,88 +104,11 @@ class _OpenSpan:
             parent=self._parent,
             depth=self._depth,
             attrs=self._attrs or {},
-            span_id=self._sid,
-            parent_span_id=self._psid,
-        )
-
-    @property
-    def context(self) -> SpanContext:
-        """Handle for parenting work on another thread (valid once entered)."""
-        return SpanContext(self._sid)
-
-    def annotate(self, **attrs) -> "_OpenSpan":
-        """Attach attributes while the span is open (e.g. the final outcome)."""
-        if self._attrs is None:
-            self._attrs = attrs
-        else:
-            self._attrs.update(attrs)
-        return self
-
-
-class ManualSpan:
-    """A span with an explicit :meth:`end`, outside the thread-local stack.
-
-    Event-loop code cannot use ``with tracer.span(...)`` around an
-    ``await`` — interleaved tasks on the loop thread would mis-nest on the
-    shared stack.  A manual span starts timing at construction, is
-    parented explicitly, never appears on any stack, and may be ended from
-    any thread (it records under the thread that *began* it).
-    """
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_t0", "_sid", "_psid", "_tid", "_done")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        parent: Optional[SpanContext],
-        attrs: Optional[dict],
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._sid = next(tracer._ids)
-        self._psid = parent.span_id if parent is not None else -1
-        self._tid = threading.get_ident()
-        self._done = False
-        self._t0 = tracer.clock()
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self._sid)
-
-    def annotate(self, **attrs) -> "ManualSpan":
-        if self._attrs is None:
-            self._attrs = attrs
-        else:
-            self._attrs.update(attrs)
-        return self
-
-    def end(self) -> None:
-        """Close the span (idempotent); records it with the tracer."""
-        if self._done:
-            return
-        self._done = True
-        t1 = self._tracer.clock()
-        self._tracer._spans_for_thread().append(
-            Span(
-                name=self._name,
-                t0=self._t0,
-                t1=t1,
-                tid=self._tid,
-                attrs=self._attrs or {},
-                span_id=self._sid,
-                parent_span_id=self._psid,
-            )
         )
 
 
 class _NullSpan:
-    """The shared do-nothing span of the disabled tracer.
-
-    One object serves every role: context manager (``span``), manual span
-    (``begin``/``end``), and attach token — all no-ops, nothing allocated.
-    """
+    """The shared do-nothing context manager of the disabled tracer."""
 
     __slots__ = ()
 
@@ -239,16 +116,6 @@ class _NullSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-    @property
-    def context(self) -> None:
-        return None
-
-    def annotate(self, **attrs) -> "_NullSpan":
-        return self
-
-    def end(self) -> None:
         return None
 
 
@@ -273,9 +140,6 @@ class Tracer:
         #: a finished thread's spans when a later thread inherits its ident
         self._lists: List[List[Optional[Span]]] = []
         self._threads_lock = threading.Lock()
-        #: process-unique span ids; ``next()`` on a count is atomic under
-        #: the GIL, so the hot path takes no lock
-        self._ids = itertools.count(1)
 
     def _spans_for_thread(self) -> List[Optional[Span]]:
         local = self._local
@@ -297,7 +161,6 @@ class Tracer:
         spans = self._spans_for_thread()
         local = self._local
         stack = getattr(local, "stack", None) or []
-        ids = getattr(local, "ids", None) or []
         spans.append(
             Span(
                 name=name,
@@ -307,68 +170,6 @@ class Tracer:
                 parent=stack[-1] if stack else -1,
                 depth=len(stack),
                 attrs=attrs,
-                span_id=next(self._ids),
-                parent_span_id=ids[-1] if ids else getattr(local, "adopted", -1),
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # cross-thread / cross-task parenting
-    def begin(self, name: str, *, parent: Optional[SpanContext] = None, **attrs) -> ManualSpan:
-        """Open an explicitly ended span (for event-loop code; see ManualSpan)."""
-        return ManualSpan(self, name, parent, attrs or None)
-
-    def current_context(self) -> Optional[SpanContext]:
-        """Context of this thread's innermost open (or attached) span."""
-        local = self._local
-        ids = getattr(local, "ids", None)
-        if ids:
-            return SpanContext(ids[-1])
-        adopted = getattr(local, "adopted", -1)
-        return SpanContext(adopted) if adopted >= 0 else None
-
-    @contextmanager
-    def attach(self, ctx: Optional[SpanContext]) -> Iterator[None]:
-        """Adopt ``ctx`` as the parent of this thread's top-level spans.
-
-        The worker-thread half of the handoff: the producing side captures
-        ``span.context``, ships it with the work item, and the consumer
-        wraps its processing in ``attach`` so its spans parent under the
-        originating request.  ``None`` detaches (spans become roots),
-        which lets call sites pass an optional context unconditionally.
-        """
-        local = self._local
-        prev = getattr(local, "adopted", -1)
-        local.adopted = ctx.span_id if ctx is not None else -1
-        try:
-            yield
-        finally:
-            local.adopted = prev
-
-    def record_span(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        *,
-        parent: Optional[SpanContext] = None,
-        **attrs,
-    ) -> None:
-        """Record an already-measured interval retrospectively.
-
-        For waits that are only known once they end on another component's
-        clock — e.g. the queue wait between front-door admission and the
-        worker picking the request up, recorded by the worker.
-        """
-        self._spans_for_thread().append(
-            Span(
-                name=name,
-                t0=t0,
-                t1=t1,
-                tid=threading.get_ident(),
-                attrs=attrs,
-                span_id=next(self._ids),
-                parent_span_id=parent.span_id if parent is not None else -1,
             )
         )
 
@@ -399,7 +200,6 @@ class NullTracer:
 
     enabled = False
     spans: List[Span] = []
-    clock = staticmethod(time.perf_counter)
 
     __slots__ = ()
 
@@ -407,26 +207,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def instant(self, name: str, **attrs) -> None:
-        return None
-
-    def begin(self, name: str, *, parent: Optional[SpanContext] = None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def current_context(self) -> None:
-        return None
-
-    def attach(self, ctx: Optional[SpanContext]) -> _NullSpan:
-        return _NULL_SPAN
-
-    def record_span(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        *,
-        parent: Optional[SpanContext] = None,
-        **attrs,
-    ) -> None:
         return None
 
     def spans_named(self, prefix: str) -> List[Span]:

@@ -1,143 +1,24 @@
-"""Request-level telemetry for the serving stack.
+"""The closed metric catalog.
 
-The serving path (``FrontDoor`` → ``ScheduleBroker`` → tiers) crosses an
-asyncio event loop, a worker thread pool, and — under single-flight
-coalescing — *other requests'* threads.  This module defines the shared
-vocabulary that keeps those pieces attributable to one request:
-
-* **Request identity** — :func:`next_request_id` mints ``req-NNNNNN`` ids;
-  :class:`RequestContext` is the envelope the front door attaches to a
-  :class:`~repro.service.broker.ServeRequest` so the broker's
-  worker-thread spans parent under the request's root span
-  (``Tracer.attach`` consumes its ``parent`` context).
-* **Span taxonomy** — the closed set of span names the serving path may
-  emit (:data:`SPAN_TAXONOMY`); anything else in a request tree is a
-  validation error, which is what keeps dashboards and tests honest.
-* **Metric catalog** — :func:`metric_catalog` enumerates every metric
-  name the repo is allowed to emit (plus a handful of documented prefix
-  families for label-derived names).  ``statan`` rule L009 checks call
-  sites statically; :func:`catalog_violations` checks a live registry for
-  drift at runtime.
-* **Tree assembly & validation** — :func:`request_trees` groups spans by
-  request and :func:`validate_request_trees` asserts each request yields
-  exactly one correctly parented, time-contained, taxonomy-clean span
-  tree whose structure matches its declared outcome.
-* **Snapshots** — :class:`MetricsSnapshotter` appends periodic JSONL
-  registry snapshots (the dashboard's longitudinal input).
-
-Everything here is read-side or dormant-by-default: nothing allocates
-unless the ambient :data:`~repro.observability.state.STATE` switch is on.
+:func:`metric_catalog` enumerates every metric name the repo is allowed to
+emit, mapped to its instrument kind (plus a handful of documented prefix
+families for label-derived names).  ``statan`` rule L009 checks
+registration call sites statically; :func:`catalog_violations` checks the
+names a live registry actually registered, which covers the call sites
+whose names L009 cannot resolve (a helper taking the name as an argument,
+an f-string family).
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import threading
-import time
-from dataclasses import dataclass, field
-from os import PathLike
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from .metrics import MetricsRegistry
-from .spans import Span, SpanContext
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
-    "REQUEST_SPAN",
-    "BROKER_SPAN",
-    "TIER_SPANS",
-    "SPAN_TAXONOMY",
-    "TIERS",
-    "OUTCOMES",
-    "LATENCY_BUCKETS",
-    "FANIN_BUCKETS",
     "FSTRING_NAME_PREFIXES",
-    "RequestContext",
-    "next_request_id",
-    "reset_request_ids",
-    "metric_catalog",
     "METRIC_NAME_PREFIXES",
+    "metric_catalog",
     "catalog_violations",
-    "RequestTree",
-    "request_trees",
-    "validate_request_trees",
-    "tier_breakdown",
-    "MetricsSnapshotter",
-    "load_snapshots",
 ]
-
-# ----------------------------------------------------------------------
-# span taxonomy
-
-#: Root span of one request, opened by the front door on the event loop.
-REQUEST_SPAN = "service.request"
-#: The broker's resolution span, on whichever worker thread ran it.
-BROKER_SPAN = "service.broker"
-#: Per-tier resolution spans under the broker (plus ``queue_wait``, a
-#: sibling of the broker span under the request root: it measures the
-#: executor queue, i.e. time *before* the broker saw the request).
-TIER_SPANS: Tuple[str, ...] = (
-    "service.queue_wait",
-    "service.coalesce_wait",
-    "service.memory",
-    "service.store.read",
-    "service.store.write",
-    "service.inspect",
-    "service.verify",
-    "service.degrade",
-)
-#: Every span name the serving path may emit.
-SPAN_TAXONOMY = frozenset((REQUEST_SPAN, BROKER_SPAN) + TIER_SPANS)
-
-#: Resolution tiers a successful request can be served from.
-TIERS: Tuple[str, ...] = ("memory", "store", "inspected", "coalesced")
-#: Root-span ``outcome`` tag values: the hit tier, or the failure mode.
-OUTCOMES: Tuple[str, ...] = TIERS + ("shed", "deadline")
-
-#: Latency histogram bounds: quarter-decade ladder from 10µs to ~178s.
-#: Fine enough that bucket-interpolated p50/p99 are meaningful for the
-#: sub-millisecond cache-hit regime *and* the seconds-scale inspect path.
-LATENCY_BUCKETS: Tuple[float, ...] = tuple(
-    round(10.0 ** (e / 4.0), 12) for e in range(-20, 10)
-)
-
-#: Single-flight fan-in histogram bounds (followers + leader per flight).
-FANIN_BUCKETS: Tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256)
-
-
-# ----------------------------------------------------------------------
-# request identity
-
-_REQUEST_IDS = itertools.count(1)
-
-
-def next_request_id() -> str:
-    """Mint a process-unique request id (``next`` on a count is atomic)."""
-    return f"req-{next(_REQUEST_IDS):06d}"
-
-
-def reset_request_ids() -> None:
-    """Restart the id sequence (tests only — ids must be unique in prod)."""
-    global _REQUEST_IDS
-    _REQUEST_IDS = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class RequestContext:
-    """The telemetry envelope the front door pins to a request.
-
-    ``parent`` is the root span's context (what the broker thread
-    attaches); ``t_admit`` the tracer-clock reading at admission, from
-    which the broker retrospectively records the ``queue_wait`` span.
-    """
-
-    request_id: str
-    parent: Optional[SpanContext] = None
-    t_admit: float = 0.0
-
-
-# ----------------------------------------------------------------------
-# the closed metric catalog
 
 #: Prefix families for genuinely open-ended, label-derived names.  Keep
 #: this list short: every entry weakens the closed-world check, so a
@@ -149,13 +30,12 @@ METRIC_NAME_PREFIXES: Tuple[str, ...] = (
 
 #: Prefixes statan's L009 accepts for *f-string* metric names.  Wider
 #: than :data:`METRIC_NAME_PREFIXES` because a call site interpolating a
-#: site/scheduler/tier label cannot be resolved statically — the runtime
+#: site or scheduler label cannot be resolved statically — the runtime
 #: drift check (:func:`catalog_violations` over a live registry, run by
-#: ``benchmarks/smoke_telemetry.py``) closes exactly that gap.
+#: ``tests/observability/test_telemetry.py``) closes exactly that gap.
 FSTRING_NAME_PREFIXES: Tuple[str, ...] = METRIC_NAME_PREFIXES + (
     "resilience.faults_fired.",
     "inspector.runs.",
-    "service.",
 )
 
 
@@ -163,10 +43,10 @@ def metric_catalog() -> Dict[str, str]:
     """Every metric name the repo may emit, mapped to its instrument kind.
 
     The catalog is *enumerated*, not pattern-matched: dynamic families
-    (per fault site, per scheduler, per tier) are expanded from the same
-    registries the emitting code reads, so adding a fault site or a
-    scheduler extends the catalog automatically while a typo'd metric
-    name stays a hard failure.
+    (per fault site, per scheduler) are expanded from the same registries
+    the emitting code reads, so adding a fault site or a scheduler extends
+    the catalog automatically while a typo'd metric name stays a hard
+    failure.
     """
     from ..resilience.faults import FAULT_SITES
 
@@ -181,16 +61,17 @@ def metric_catalog() -> Dict[str, str]:
         # model-executor simulator (trace CLI)
         "simulator.makespan_cycles": "gauge",
         "simulator.potential_gain": "gauge",
-        # in-process schedule cache (L1)
+        # in-process schedule cache and its reuse ladder
         "schedule_cache.hits": "counter",
         "schedule_cache.misses": "counter",
         "schedule_cache.store_hits": "counter",
+        "schedule_cache.store_read_errors": "counter",
         "schedule_cache.store_write_errors": "counter",
         "schedule_cache.evictions": "counter",
         "schedule_cache.entries": "gauge",
         # fault injection
         "resilience.faults_fired": "counter",
-        # persistent schedule store (L2)
+        # persistent schedule store
         "store.writes": "counter",
         "store.hits": "counter",
         "store.misses": "counter",
@@ -202,22 +83,6 @@ def metric_catalog() -> Dict[str, str]:
         "store.quarantine_count": "gauge",
         "store.shard_occupancy": "gauge",
         "store.occupancy_bytes": "gauge",
-        # broker lifetime counters (mirrors of BrokerStats)
-        "service.requests": "counter",
-        "service.memory_hits": "counter",
-        "service.store_hits": "counter",
-        "service.inspected": "counter",
-        "service.coalesced": "counter",
-        "service.rejected": "counter",
-        "service.degraded": "counter",
-        "service.retries": "counter",
-        "service.store_write_errors": "counter",
-        # request-level service telemetry
-        "service.coalesce_fanin": "histogram",
-        "service.queue_wait_seconds": "histogram",
-        "service.sheds.frontdoor": "counter",
-        "service.sheds.broker": "counter",
-        "service.deadline_misses": "counter",
     }
     for site in FAULT_SITES:
         catalog[f"resilience.faults_fired.{site}"] = "counter"
@@ -225,10 +90,6 @@ def metric_catalog() -> Dict[str, str]:
 
     for name in SCHEDULERS:
         catalog[f"inspector.runs.{name}"] = "counter"
-    for tier in TIERS:
-        catalog[f"service.latency.tier.{tier}"] = "histogram"
-    for outcome in ("ok", "degraded", "shed", "deadline"):
-        catalog[f"service.latency.outcome.{outcome}"] = "histogram"
     return catalog
 
 
@@ -243,250 +104,3 @@ def catalog_violations(names: Iterable[str]) -> List[str]:
             continue
         out.append(name)
     return sorted(out)
-
-
-# ----------------------------------------------------------------------
-# span-tree assembly and validation
-
-
-@dataclass
-class RequestTree:
-    """One request's spans, rooted and indexed for structural checks."""
-
-    request_id: str
-    root: Span
-    spans: List[Span] = field(default_factory=list)  # root + descendants
-    children: Dict[int, List[Span]] = field(default_factory=dict)
-
-    @property
-    def outcome(self) -> str:
-        return str(self.root.attrs.get("outcome", ""))
-
-    def named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def tier_seconds(self) -> Dict[str, float]:
-        """Total time per tier span name (``service.`` prefix stripped)."""
-        out: Dict[str, float] = {}
-        for s in self.spans:
-            if s.name in TIER_SPANS:
-                short = s.name[len("service."):]
-                out[short] = out.get(short, 0.0) + s.duration
-        return out
-
-
-def request_trees(spans: Iterable[Span]) -> Dict[str, RequestTree]:
-    """Group spans into per-request trees keyed by request id.
-
-    Roots are :data:`REQUEST_SPAN` spans (front-door driven) or, for
-    broker-only callers, :data:`BROKER_SPAN` spans whose parent does not
-    resolve to another recorded span.  Descendants are collected through
-    ``parent_span_id`` links, which is exactly the cross-thread identity
-    the tracer's context handoff maintains.
-    """
-    all_spans = [s for s in spans if s.span_id]
-    by_id = {s.span_id: s for s in all_spans}
-    children: Dict[int, List[Span]] = {}
-    for s in all_spans:
-        if s.parent_span_id in by_id:
-            children.setdefault(s.parent_span_id, []).append(s)
-
-    trees: Dict[str, RequestTree] = {}
-    for s in all_spans:
-        is_root = s.name == REQUEST_SPAN or (
-            s.name == BROKER_SPAN and s.parent_span_id not in by_id
-        )
-        if not is_root:
-            continue
-        rid = str(s.attrs.get("request_id", f"span-{s.span_id}"))
-        tree = RequestTree(request_id=rid, root=s)
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            tree.spans.append(cur)
-            kids = sorted(children.get(cur.span_id, []), key=lambda c: c.t0)
-            if kids:
-                tree.children[cur.span_id] = kids
-                stack.extend(kids)
-        trees[rid] = tree
-    return trees
-
-
-def validate_request_trees(
-    spans: Iterable[Span],
-    *,
-    expect: Optional[int] = None,
-    eps: float = 1e-6,
-    max_gap: Optional[float] = 0.25,
-) -> List[str]:
-    """Structural audit of request span trees; returns problem strings.
-
-    Checks, per request: exactly one root carrying a request id and a
-    taxonomy outcome tag; every span name in the taxonomy; every child
-    time-contained in its parent (cross-thread timestamps share one
-    monotonic clock, so containment is assertable to ``eps``); siblings
-    non-overlapping; the tier structure implied by the outcome actually
-    present (a ``memory`` outcome without a ``service.memory`` span means
-    the instrumentation lost a rung); and — the *gapless* requirement —
-    the broker span's direct children accounting for its duration up to
-    ``max_gap`` of untracked bookkeeping.
-    """
-    span_list = [s for s in spans if s.name in SPAN_TAXONOMY or s.span_id]
-    problems: List[str] = []
-    for s in span_list:
-        if s.name.startswith("service.") and s.name not in SPAN_TAXONOMY:
-            problems.append(f"span name {s.name!r} not in the service taxonomy")
-    trees = request_trees(span_list)
-    if expect is not None and len(trees) != expect:
-        problems.append(f"expected {expect} request trees, found {len(trees)}")
-
-    #: outcome -> tier span that must appear somewhere in the tree
-    required = {
-        "memory": "service.memory",
-        "store": "service.store.read",
-        "inspected": "service.inspect",
-        "coalesced": "service.coalesce_wait",
-    }
-    reachable = {s.span_id for t in trees.values() for s in t.spans}
-    for s in span_list:
-        if s.span_id and s.span_id not in reachable and s.name in SPAN_TAXONOMY:
-            if s.name not in (REQUEST_SPAN, BROKER_SPAN):
-                problems.append(f"orphan {s.name!r} span (id {s.span_id}) in no request tree")
-
-    for rid, tree in sorted(trees.items()):
-        outcome = tree.outcome
-        if outcome not in OUTCOMES:
-            problems.append(f"{rid}: root outcome {outcome!r} not in {OUTCOMES}")
-        # containment + sibling ordering
-        for pid, kids in tree.children.items():
-            parent = next(s for s in tree.spans if s.span_id == pid)
-            prev_end = None
-            for kid in kids:
-                if kid.t0 < parent.t0 - eps or kid.t1 > parent.t1 + eps:
-                    problems.append(
-                        f"{rid}: {kid.name} [{kid.t0:.6f},{kid.t1:.6f}] escapes "
-                        f"parent {parent.name} [{parent.t0:.6f},{parent.t1:.6f}]"
-                    )
-                if prev_end is not None and kid.t0 < prev_end - eps:
-                    problems.append(f"{rid}: {kid.name} overlaps its preceding sibling")
-                prev_end = kid.t1
-        need = required.get(outcome)
-        if need and not tree.named(need):
-            problems.append(f"{rid}: outcome {outcome!r} but no {need} span")
-        if outcome in ("shed", "deadline") and tree.named("service.inspect"):
-            # a request that was shed before inspection must not also have
-            # inspected; deadline misses may have partially inspected only
-            # when the deadline fired inside the chain — flag pure sheds
-            if outcome == "shed":
-                problems.append(f"{rid}: shed request carries an inspect span")
-        # gaplessness of the broker span
-        if max_gap is not None:
-            for broker in tree.named(BROKER_SPAN):
-                kids = tree.children.get(broker.span_id, [])
-                covered = sum(k.duration for k in kids)
-                if broker.duration - covered > max_gap:
-                    problems.append(
-                        f"{rid}: broker span has {broker.duration - covered:.3f}s "
-                        f"untracked (> {max_gap}s gap budget)"
-                    )
-    return problems
-
-
-def tier_breakdown(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
-    """Aggregate tier time across all request trees.
-
-    Returns ``{tier: {"count": n, "seconds": total}}`` with tier names as
-    in :meth:`RequestTree.tier_seconds` — the dashboard's and the replay
-    harness's shared attribution shape.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for tree in request_trees(spans).values():
-        for tier, secs in tree.tier_seconds().items():
-            slot = out.setdefault(tier, {"count": 0.0, "seconds": 0.0})
-            slot["count"] += 1.0
-            slot["seconds"] += secs
-    return out
-
-
-# ----------------------------------------------------------------------
-# periodic JSONL snapshots
-
-
-class MetricsSnapshotter:
-    """Append registry snapshots to a JSONL file, manually or on a timer.
-
-    Each line is ``{"seq": n, "elapsed_s": t, "metrics": {...}}`` with
-    ``metrics`` in :meth:`MetricsRegistry.as_dict` form — the same shape
-    the Prometheus exporter and the dashboard consume, so one artifact
-    feeds every read path.  ``start()`` runs a daemon thread snapshotting
-    every ``interval`` seconds; ``stop()`` writes one final snapshot.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        path: Union[str, PathLike],
-        *,
-        interval: float = 1.0,
-        clock=time.monotonic,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.registry = registry
-        self.path = str(path)
-        self.interval = interval
-        self._clock = clock
-        self._t0 = clock()
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def snapshot(self) -> dict:
-        """Write one snapshot line; returns the document written."""
-        with self._lock:
-            doc = {
-                "seq": self._seq,
-                "elapsed_s": self._clock() - self._t0,
-                "metrics": self.registry.as_dict(),
-            }
-            self._seq += 1
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        return doc
-
-    def start(self) -> "MetricsSnapshotter":
-        if self._thread is not None:
-            raise RuntimeError("snapshotter already started")
-
-        def run() -> None:
-            while not self._stop.wait(self.interval):
-                self.snapshot()
-
-        self._thread = threading.Thread(target=run, daemon=True, name="metrics-snapshot")
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.snapshot()  # final state always lands
-
-    def __enter__(self) -> "MetricsSnapshotter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-def load_snapshots(path: Union[str, PathLike]) -> List[dict]:
-    """Read a snapshot JSONL file back (skips blank lines)."""
-    out: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -133,9 +133,8 @@ svg.spark { vertical-align: middle; }
 def sparkline(values: Sequence[float], *, width: int = 140, height: int = 28) -> str:
     """Inline SVG polyline of a value trajectory (last point emphasised).
 
-    Public because the service dashboard
-    (:mod:`repro.observability.dashboard`) draws its metric time-series
-    with the same self-contained SVG — one renderer, two reports.
+    Public so any other HTML report draws its series with the same
+    self-contained SVG — one renderer for every report.
     """
     pts = [v for v in values if v is not None]
     if len(pts) < 2:

@@ -2,7 +2,7 @@
 
 Böhnlein et al. (PAPERS.md) show scheduler cost and quality vary wildly
 across adversarial DAG shapes; an inspector that is excellent on meshes
-can stall or misbehave on a pathological input.  In a serving setting the
+can stall or misbehave on a pathological input.  In a solver pipeline the
 right response is not a crash but a *declared downgrade*: run the
 requested inspector under a wall-clock budget, and on timeout, exception,
 or a schedule that fails :func:`~repro.analysis.verifier.assert_schedule_safe`,
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -107,6 +107,8 @@ class InspectionOutcome:
     ``degraded_from`` is the comma-joined list of algorithms that failed
     before it (empty when the requested inspector succeeded — the dormant
     case, in which the outcome is indistinguishable from a direct call).
+    ``context`` is the producing link's pass context: its intermediate
+    artifacts seed incremental repair.
     """
 
     schedule: Schedule
@@ -115,9 +117,10 @@ class InspectionOutcome:
     degraded: bool = False
     degraded_from: str = ""
     failures: List[AttemptFailure] = field(default_factory=list)
+    context: Any = None
 
 
-def run_with_budget(fn: Callable[[], Schedule], budget: Optional[float], *, algorithm: str = "") -> Schedule:
+def run_with_budget(fn: Callable[[], Any], budget: Optional[float], *, algorithm: str = "") -> Any:
     """Run ``fn`` under a wall-clock budget.
 
     With ``budget=None`` this is a direct call (zero overhead — the
@@ -155,12 +158,13 @@ def _call_inspector(
     *,
     epsilon: Optional[float],
     backend=None,
-) -> Schedule:
-    from ..schedulers import SCHEDULERS
+):
+    """Run one link of the chain; returns its pass context."""
+    from ..passes import run_scheduler
 
     fault_point("inspector", label=algorithm)
     # every link takes both; its group seeds only the inputs it declares
-    return SCHEDULERS[algorithm](g, cost, p, epsilon=epsilon, backend=backend)
+    return run_scheduler(algorithm, g, cost, p, epsilon, backend=backend)
 
 
 def inspect_with_fallback(
@@ -188,13 +192,14 @@ def inspect_with_fallback(
     failures: List[AttemptFailure] = []
     for algo in fallback_chain(algorithm):
         try:
-            schedule = run_with_budget(
+            context = run_with_budget(
                 lambda a=algo: _call_inspector(
                     a, g, cost, p, epsilon=epsilon, backend=backend
                 ),
                 budget,
                 algorithm=algo,
             )
+            schedule = context["Schedule"]
             if validate:
                 assert_schedule_safe(schedule, g)
         except Exception as exc:
@@ -208,5 +213,6 @@ def inspect_with_fallback(
             degraded=degraded,
             degraded_from=",".join(f.algorithm for f in failures) if degraded else "",
             failures=failures,
+            context=context,
         )
     raise DegradationError(algorithm, failures)

@@ -92,8 +92,6 @@ FAULT_SITES: Dict[str, Tuple[str, ...]] = {
     # persistent schedule store: kill between the record rename and the
     # manifest update (the record exists on disk, the index missed it)
     "store.stale_manifest": ("raise",),
-    # serving front door: inspection worker death mid-request
-    "service.worker_crash": ("raise",),
 }
 
 #: Malformed-CSR classes :func:`corrupt_csr_arrays` can produce.

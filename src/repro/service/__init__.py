@@ -1,44 +1,10 @@
-"""Fault-tolerant serving front door for schedules (scheduling-as-a-service).
+"""The schedule-request traffic model (Zipf popularity over patterns).
 
-The serving stack, bottom-up:
-
-* :class:`~repro.service.broker.ScheduleBroker` — synchronous core:
-  L1 cache → persistent store → fresh inspection, with single-flight
-  coalescing of concurrent requests for one key, per-request deadlines
-  wired into the ``hdagg→wavefront→serial`` degradation chain, retry
-  with backoff on transient store/worker failures, and bounded-queue
-  admission control that sheds load with structured rejections;
-* :class:`~repro.service.frontdoor.FrontDoor` — asyncio gateway
-  dispatching onto a bounded thread pool, shedding before queueing;
-* :mod:`repro.service.replay` — Zipf/Poisson traffic replay reporting
-  p50/p99 latency and hit rate into the perf-lab trajectory.
-
-``hdagg-bench service replay|audit`` drives both from the CLI.
+Schedule reuse itself lives in
+:meth:`repro.core.schedule_cache.ScheduleCache.acquire`; this package keeps
+only the traffic model the end-to-end benchmark draws pattern repeats from.
 """
 
-from .broker import (
-    AdmissionRejected,
-    BrokerStats,
-    DeadlineExceeded,
-    ScheduleBroker,
-    ServeRequest,
-    ServeResult,
-    ServiceRejected,
-)
-from .frontdoor import FrontDoor
-from .replay import ReplayConfig, ReplayReport, record_replay, run_replay
+from .replay import ReplayConfig, zipf_weights
 
-__all__ = [
-    "AdmissionRejected",
-    "BrokerStats",
-    "DeadlineExceeded",
-    "ScheduleBroker",
-    "ServeRequest",
-    "ServeResult",
-    "ServiceRejected",
-    "FrontDoor",
-    "ReplayConfig",
-    "ReplayReport",
-    "record_replay",
-    "run_replay",
-]
+__all__ = ["ReplayConfig", "zipf_weights"]

@@ -1,496 +1,31 @@
-"""Zipf/Poisson traffic replay: the serving layer's load benchmark.
+"""Zipf traffic model for schedule requests.
 
-Production schedule traffic is skewed — a handful of factorisation
-patterns (the head of a Zipf distribution) dominate requests, with a long
-tail of novel structures forcing fresh inspections.  The replay models
-exactly that: ``n_requests`` arrivals over a catalog of ``n_structures``
-seeded matrices, structure popularity ``∝ 1/rank^s``, inter-arrival gaps
-drawn from an exponential distribution (a Poisson process) and enforced
-with ``asyncio.sleep``, all driven through the real
-:class:`~repro.service.frontdoor.FrontDoor` → broker → store stack.
-
-The report carries the serving-quality numbers the roadmap names as
-first-class series: **p50/p99 latency** over successful requests and the
-**cache hit rate** (requests served without a fresh inspection).
-:func:`record_replay` turns a report into a perf-lab
-:class:`~repro.perflab.protocol.Observation` (benchmark
-``service_replay``; p50/p99/hit-rate — plus per-tier p50/p99/share
-channels — ride in the stage channel so the trajectory's
-``stage_medians`` surfaces them) and merges it into the repo's
-``BENCH_trajectory.json`` without disturbing the inspector series.
-
-Latency aggregation is *streaming*: per-request latencies land in shared
-:class:`~repro.observability.metrics.Histogram` instances (overall and
-per resolution tier) plus a fixed-size seeded reservoir sample for the
-perf-lab's bootstrap stats — memory stays bounded no matter how many
-requests replay, which is what the roadmap's millions-of-requests regime
-needs (``benchmarks/smoke_telemetry.py`` gates it at 10⁶ synthetic
-requests).
-
-Everything is seeded — two replays with the same config produce the same
-request sequence, which is what lets the CI smoke gate on it.
+Schedule traffic is skewed: a handful of factorisation patterns (the head
+of a Zipf distribution) dominate requests, with a long tail of novel
+structures forcing fresh inspections.  :func:`zipf_weights` is that
+popularity law and :class:`ReplayConfig` fixes its parameters; the
+end-to-end benchmark's ``pattern-stream`` workload draws its repeats from
+them.
 """
 
 from __future__ import annotations
 
-import asyncio
-import os
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.dag import DAG
-from ..kernels import KERNELS
-from ..observability.metrics import Histogram, MetricsRegistry
-from ..observability.spans import Tracer
-from ..observability.state import observed
-from ..observability.telemetry import (
-    LATENCY_BUCKETS,
-    MetricsSnapshotter,
-    validate_request_trees,
-)
-from ..perflab.fingerprint import collect_fingerprint
-from ..perflab.history import HistoryStore, load_trajectory, write_trajectory
-from ..perflab.protocol import Observation, ObservationKey
-from ..sparse import banded_spd, lower_triangle, poisson2d, power_law_spd, random_spd
-from ..store.store import ScheduleStore
-from .broker import ScheduleBroker, ServeRequest, ServiceRejected
-from .frontdoor import FrontDoor
-
-__all__ = [
-    "LatencyReservoir",
-    "ReplayConfig",
-    "ReplayReport",
-    "build_catalog",
-    "zipf_weights",
-    "run_replay",
-    "run_replay_with_telemetry",
-    "replay_observation",
-    "record_replay",
-]
+__all__ = ["ReplayConfig", "zipf_weights"]
 
 
-class LatencyReservoir:
-    """Seeded fixed-size uniform sample over an unbounded stream.
-
-    Vitter's algorithm R: the first ``cap`` values are kept, after which
-    each new value replaces a random slot with probability ``cap/seen``.
-    The result is a uniform sample of everything observed, in O(cap)
-    memory — what lets :func:`replay_observation` keep feeding real
-    latency samples to the perf-lab bootstrap after the per-request list
-    was removed.  Seeded, so a replay's sample is reproducible.
-    """
-
-    __slots__ = ("cap", "seen", "values", "_rng")
-
-    def __init__(self, cap: int = 4096, seed: int = 0) -> None:
-        if cap < 1:
-            raise ValueError("reservoir cap must be >= 1")
-        self.cap = cap
-        self.seen = 0
-        self.values: List[float] = []
-        self._rng = np.random.default_rng(seed)
-
-    def add(self, value: float) -> None:
-        self.seen += 1
-        if len(self.values) < self.cap:
-            self.values.append(float(value))
-            return
-        j = int(self._rng.integers(0, self.seen))
-        if j < self.cap:
-            self.values[j] = float(value)
-
-    def add_many(self, values: Union[np.ndarray, List[float]]) -> None:
-        vals = np.asarray(values, dtype=float)
-        n = int(vals.size)
-        if n == 0:
-            return
-        head = max(0, min(self.cap - len(self.values), n))
-        if head:
-            self.values.extend(float(v) for v in vals[:head])
-            self.seen += head
-        if head == n:
-            return
-        # vectorised replacement draws: slot j ~ U[0, seen) per value
-        tail = vals[head:]
-        seen = self.seen + np.arange(1, tail.size + 1)
-        slots = (self._rng.random(tail.size) * seen).astype(np.int64)
-        self.seen += int(tail.size)
-        hits = np.nonzero(slots < self.cap)[0]
-        for i in hits:
-            self.values[int(slots[i])] = float(tail[int(i)])
-
-
-@dataclass
+@dataclass(frozen=True)
 class ReplayConfig:
-    """One replay experiment, fully seeded."""
+    """Parameters of the traffic model: pattern popularity falls off as
+    ``1/rank^zipf_s``."""
 
-    n_requests: int = 300
-    n_structures: int = 4
     zipf_s: float = 1.2
-    seed: int = 0
-    kernel: str = "sptrsv"
-    algorithm: str = "hdagg"
-    p: int = 8
-    concurrency: int = 8
-    max_pending: int = 64
-    max_inflight: int = 8
-    deadline: Optional[float] = None
-    #: mean arrival rate in requests/second for the Poisson process;
-    #: 0 disables pacing (a closed-loop stampede — useful for shed tests)
-    arrival_rate: float = 0.0
-    #: directory for the persistent store; ``None`` serves from L1 only
-    store_root: Optional[str] = None
-
-    def label(self) -> str:
-        return f"zipf{self.n_structures}_s{self.zipf_s:g}"
-
-
-@dataclass
-class ReplayReport:
-    """What one replay run measured (streaming — O(1) per request).
-
-    Latencies are aggregated into the shared
-    :class:`~repro.observability.metrics.Histogram` (overall plus one per
-    resolution tier) and a seeded :class:`LatencyReservoir`; quantiles
-    are bucket-interpolated, so ``p50``/``p99`` no longer require a
-    retained per-request list.
-    """
-
-    config: ReplayConfig
-    latency: Histogram = field(
-        default_factory=lambda: Histogram("replay.latency", LATENCY_BUCKETS)
-    )
-    tier_latency: Dict[str, Histogram] = field(default_factory=dict)
-    sample: Optional[LatencyReservoir] = None
-    n_ok: int = 0
-    sources: Dict[str, int] = field(default_factory=dict)
-    n_rejected: int = 0
-    n_degraded: int = 0
-    hit_rate: float = 0.0
-    wall_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sample is None:
-            self.sample = LatencyReservoir(seed=self.config.seed)
-
-    def observe(self, source: str, seconds: float) -> None:
-        """Record one successful request served from ``source``."""
-        self.n_ok += 1
-        self.latency.observe(seconds)
-        hist = self.tier_latency.get(source)
-        if hist is None:
-            hist = self.tier_latency[source] = Histogram(
-                f"replay.latency.{source}", LATENCY_BUCKETS
-            )
-        hist.observe(seconds)
-        assert self.sample is not None
-        self.sample.add(seconds)
-        self.sources[source] = self.sources.get(source, 0) + 1
-
-    def observe_many(self, source: str, seconds: Union[np.ndarray, List[float]]) -> None:
-        """Bulk-record latencies (the memory-bounded smoke's entry point)."""
-        vals = np.asarray(seconds, dtype=float)
-        if vals.size == 0:
-            return
-        self.n_ok += int(vals.size)
-        self.latency.observe_many(vals)
-        hist = self.tier_latency.get(source)
-        if hist is None:
-            hist = self.tier_latency[source] = Histogram(
-                f"replay.latency.{source}", LATENCY_BUCKETS
-            )
-        hist.observe_many(vals)
-        assert self.sample is not None
-        self.sample.add_many(vals)
-        self.sources[source] = self.sources.get(source, 0) + int(vals.size)
-
-    def quantile(self, q: float) -> float:
-        """Latency quantile over successful requests (0 when none)."""
-        v = self.latency.quantile(q)
-        return float(v) if v is not None else 0.0
-
-    def tier_quantile(self, source: str, q: float) -> float:
-        hist = self.tier_latency.get(source)
-        if hist is None:
-            return 0.0
-        v = hist.quantile(q)
-        return float(v) if v is not None else 0.0
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_requests": self.config.n_requests,
-            "n_structures": self.config.n_structures,
-            "zipf_s": self.config.zipf_s,
-            "seed": self.config.seed,
-            "kernel": self.config.kernel,
-            "algorithm": self.config.algorithm,
-            "n_ok": self.n_ok,
-            "n_rejected": self.n_rejected,
-            "n_degraded": self.n_degraded,
-            "sources": dict(self.sources),
-            "hit_rate": self.hit_rate,
-            "p50_seconds": self.p50,
-            "p99_seconds": self.p99,
-            "wall_seconds": self.wall_seconds,
-            "tiers": {
-                src: {
-                    "count": self.sources.get(src, 0),
-                    "p50_seconds": self.tier_quantile(src, 0.50),
-                    "p99_seconds": self.tier_quantile(src, 0.99),
-                }
-                for src in sorted(self.tier_latency)
-            },
-        }
-
-
-#: seeded structure builders, cycled (with shifted seeds) past four
-_BUILDERS = (
-    lambda s: poisson2d(12 + 2 * (s % 3), seed=s),
-    lambda s: banded_spd(160, 6, seed=3 + s),
-    lambda s: random_spd(150, 4.0, seed=7 + s),
-    lambda s: power_law_spd(150, 5.0, seed=11 + s),
-)
-
-
-def build_catalog(
-    n_structures: int, kernel: str, *, seed: int = 0
-) -> List[Tuple[str, DAG, np.ndarray]]:
-    """``n_structures`` named (DAG, cost) inspection problems for ``kernel``."""
-    if n_structures < 1:
-        raise ValueError("n_structures must be >= 1")
-    k = KERNELS[kernel]
-    catalog: List[Tuple[str, DAG, np.ndarray]] = []
-    for i in range(n_structures):
-        builder = _BUILDERS[i % len(_BUILDERS)]
-        a = builder(seed + i // len(_BUILDERS))
-        operand = lower_triangle(a) if kernel == "sptrsv" else a
-        catalog.append((f"struct{i:02d}", k.dag(operand), k.cost(operand)))
-    return catalog
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
     """Normalised Zipf popularity: weight of rank ``k`` ∝ ``1/(k+1)^s``."""
     w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
     return w / w.sum()
-
-
-async def _drive(
-    door: FrontDoor,
-    requests: List[ServeRequest],
-    gaps: np.ndarray,
-    report: ReplayReport,
-) -> None:
-    arrivals = np.cumsum(gaps)
-
-    async def one(i: int, req: ServeRequest) -> None:
-        if arrivals[i] > 0:
-            await asyncio.sleep(float(arrivals[i]))
-        t0 = time.perf_counter()
-        try:
-            result = await door.submit(req)
-        except ServiceRejected:
-            report.n_rejected += 1
-            return
-        report.observe(result.source, time.perf_counter() - t0)
-        if result.degraded:
-            report.n_degraded += 1
-
-    await asyncio.gather(*(one(i, r) for i, r in enumerate(requests)))
-
-
-def run_replay(config: ReplayConfig) -> ReplayReport:
-    """Execute one replay through a fresh front door / broker / store."""
-    rng = np.random.default_rng(config.seed)
-    catalog = build_catalog(config.n_structures, config.kernel, seed=config.seed)
-    weights = zipf_weights(config.n_structures, config.zipf_s)
-    picks = rng.choice(config.n_structures, size=config.n_requests, p=weights)
-    if config.arrival_rate > 0:
-        gaps = rng.exponential(1.0 / config.arrival_rate, size=config.n_requests)
-    else:
-        gaps = np.zeros(config.n_requests)
-
-    store = (
-        ScheduleStore(config.store_root) if config.store_root is not None else None
-    )
-    broker = ScheduleBroker(store, max_inflight=config.max_inflight)
-    requests = [
-        ServeRequest(
-            g=catalog[i][1],
-            cost=catalog[i][2],
-            kernel=config.kernel,
-            algorithm=config.algorithm,
-            p=config.p,
-            deadline=config.deadline,
-        )
-        for i in picks
-    ]
-    report = ReplayReport(config=config)
-    t0 = time.perf_counter()
-    with FrontDoor(
-        broker, max_workers=config.concurrency, max_pending=config.max_pending
-    ) as door:
-        asyncio.run(_drive(door, requests, gaps, report))
-    report.wall_seconds = time.perf_counter() - t0
-    report.hit_rate = broker.stats.hit_rate
-    return report
-
-
-def run_replay_with_telemetry(
-    config: ReplayConfig,
-    out_dir: str,
-    *,
-    snapshot_interval: float = 0.5,
-) -> Tuple[ReplayReport, Tracer, MetricsRegistry]:
-    """Replay with the ambient observability switch on, archiving artifacts.
-
-    Writes into ``out_dir``: ``spans.jsonl`` (raw span log),
-    ``trace.json`` (Chrome/Perfetto ``trace_event`` with cross-thread
-    handoff arrows), ``metrics.jsonl`` (periodic registry snapshots),
-    ``metrics.prom`` (Prometheus text exposition), and ``replay.json``
-    (the report plus the span-tree validation verdict) — everything
-    ``hdagg-bench service stats|dash`` consumes.
-    """
-    import json as _json
-
-    from ..observability.export import (
-        write_chrome_trace,
-        write_prometheus,
-        write_spans_jsonl,
-    )
-
-    os.makedirs(out_dir, exist_ok=True)
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    snap = MetricsSnapshotter(
-        registry, os.path.join(out_dir, "metrics.jsonl"), interval=snapshot_interval
-    )
-    with observed(tracer, registry):
-        snap.start()
-        try:
-            report = run_replay(config)
-        finally:
-            snap.stop()
-    spans = tracer.spans
-    write_spans_jsonl(spans, os.path.join(out_dir, "spans.jsonl"))
-    write_chrome_trace(os.path.join(out_dir, "trace.json"), spans, label="service replay")
-    write_prometheus(os.path.join(out_dir, "metrics.prom"), registry.as_dict())
-    problems = validate_request_trees(spans)
-    doc = {"report": report.as_dict(), "span_problems": problems}
-    with open(os.path.join(out_dir, "replay.json"), "w", encoding="utf-8") as fh:
-        _json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return report, tracer, registry
-
-
-def replay_observation(report: ReplayReport, *, note: str = "") -> Observation:
-    """Lift a replay report into a perf-lab observation.
-
-    ``timings`` are the reservoir's latency sample (the protocol's
-    bootstrap stats then describe the latency distribution); p50/p99/
-    hit-rate ride in the stage channel — joined by per-tier
-    ``tier/<source>/p50|p99|share`` channels so a ``service_replay``
-    regression names the tier that moved — where the trajectory snapshot
-    surfaces them as ``stage_medians``.
-    """
-    cfg = report.config
-    key = ObservationKey(
-        benchmark="service_replay",
-        matrix=cfg.label(),
-        kernel=cfg.kernel,
-        algorithm=cfg.algorithm,
-    )
-    stages: Dict[str, List[float]] = {
-        "p50": [report.p50],
-        "p99": [report.p99],
-        "hit_rate": [report.hit_rate],
-    }
-    for src in sorted(report.tier_latency):
-        stages[f"tier/{src}/p50"] = [report.tier_quantile(src, 0.50)]
-        stages[f"tier/{src}/p99"] = [report.tier_quantile(src, 0.99)]
-        share = report.sources.get(src, 0) / report.n_ok if report.n_ok else 0.0
-        stages[f"tier/{src}/share"] = [share]
-    assert report.sample is not None
-    return Observation(
-        key=key,
-        timings=list(report.sample.values),
-        stages=stages,
-        fingerprint=collect_fingerprint(benchmark="service_replay"),
-        warmup=0,
-        target_rel_ci=0.0,
-        confidence=0.95,
-        seed=cfg.seed,
-        converged=True,
-        note=note
-        or (
-            f"n={cfg.n_requests} structures={cfg.n_structures} s={cfg.zipf_s:g} "
-            f"hit_rate={report.hit_rate:.3f} rejected={report.n_rejected}"
-        ),
-    )
-
-
-def _merge_trajectory(store: HistoryStore, path: str) -> dict:
-    """Rewrite ``path`` with this history's series merged over the existing.
-
-    ``write_trajectory`` regenerates a snapshot wholesale from one store;
-    the replay history is a *different* store from the inspector history,
-    so a plain rewrite would erase the inspector series.  Merge instead:
-    series and fingerprints already in the snapshot are kept unless this
-    store has a fresher version of the same (key, fingerprint) series.
-    """
-    tmp = f"{path}.replay-tmp"
-    try:
-        doc_new = write_trajectory(store, tmp, generated_by="repro.service.replay")
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    if not os.path.exists(path):
-        doc = doc_new
-    else:
-        doc = load_trajectory(path)
-        merged = {
-            (json_key(s["key"]), s["fingerprint_digest"]): s for s in doc["series"]
-        }
-        for s in doc_new["series"]:
-            merged[(json_key(s["key"]), s["fingerprint_digest"])] = s
-        doc["series"] = [merged[k] for k in sorted(merged)]
-        doc["fingerprints"] = {**doc["fingerprints"], **doc_new["fingerprints"]}
-    import json as _json
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        _json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return doc
-
-
-def json_key(key_dict: dict) -> str:
-    """Stable string identity for an observation-key dict."""
-    import json as _json
-
-    return _json.dumps(key_dict, sort_keys=True)
-
-
-def record_replay(
-    report: ReplayReport,
-    history_path: str,
-    trajectory_path: Optional[str] = None,
-) -> Observation:
-    """Append the report to a perf-lab history and update the trajectory."""
-    obs = replay_observation(report)
-    store = HistoryStore(history_path)
-    store.append(obs)
-    if trajectory_path:
-        _merge_trajectory(store, trajectory_path)
-    return obs

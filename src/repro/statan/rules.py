@@ -436,15 +436,15 @@ class MetricNameInCatalog(AstRule):
     """L009: registry metric names come from the closed telemetry catalog.
 
     ``<registry>.counter/gauge/histogram(name, ...)`` call sites are the
-    write side of the metric contract DESIGN.md §15 pins: every name a
-    dashboard, exporter, or alert might read is declared in
+    write side of the metric contract DESIGN.md §10 pins: every name an
+    exporter, report, or test might read is declared in
     :func:`repro.observability.telemetry.metric_catalog`.  String
     literals are checked exactly; f-strings must open with a literal
     prefix from one of the registered open families
     (``FSTRING_NAME_PREFIXES`` / ``METRIC_NAME_PREFIXES``); fully
     dynamic names are left to the runtime drift check
-    (:func:`~repro.observability.telemetry.catalog_violations`), which
-    the telemetry smoke runs over every registry it touches.
+    (:func:`~repro.observability.telemetry.catalog_violations`), which a
+    tier-1 test runs over the registry of an observed, store-backed run.
     """
 
     id = "L009"

@@ -1,4 +1,4 @@
-"""Persistent schedule storage: the durable half of scheduling-as-a-service.
+"""Persistent schedule storage: the durable tier of schedule reuse.
 
 Inspection is expensive and amortised across executions (the paper's NRE
 analysis); this package makes the amortisation survive process death.  It
@@ -12,10 +12,12 @@ has two layers:
   writes, per-shard manifests for O(1) open, and quarantine-not-crash
   corruption handling.
 
-The serving layer (:mod:`repro.service`) composes this store with the
-in-process :class:`~repro.core.schedule_cache.ScheduleCache` as L2 behind
-L1; the store is also usable standalone (e.g. to pre-warm a schedule
-library for a fixed factorisation pattern).
+:class:`~repro.core.schedule_cache.ScheduleCache` takes a store as the
+second rung of its reuse ladder — every record it reads is verified
+against the requested DAG, and a refuted one is quarantined — so repeated
+``hdagg-bench --store DIR`` runs reuse schedules across processes.  The
+store is also usable standalone (e.g. to pre-warm a schedule library for
+a fixed factorisation pattern).
 """
 
 from .codec import CODEC_VERSION, CodecError, decode_schedule, encode_schedule

@@ -176,7 +176,7 @@ class ScheduleStore:
         evicted — fewest hits first, then least recently served — the
         same per-key disaggregation of the ``store.hits``/``store.misses``
         counters the :class:`~repro.observability.metrics.MetricsRegistry`
-        exports, so the policy and the dashboard read one signal.
+        exports, so the policy and the metrics read one signal.
         Evictions are clean deletes (record + manifest entry), counted in
         :attr:`stats` and every :meth:`audit` report, never quarantines.
     """
@@ -547,7 +547,7 @@ class ScheduleStore:
         Bad records are quarantined; records the manifests missed are
         validated and re-indexed.  The sweep is the offline complement of
         the lazy per-read checks — run it after a crash or before
-        blessing a store for serving.
+        sharing a store between runs.
         """
         report = AuditReport()
         with self._lock:

@@ -5,6 +5,7 @@ Examples::
     hdagg-bench --experiment table1 --machines intel20 amd64
     hdagg-bench --experiment fig5 --quick
     hdagg-bench --experiment all --kernels sptrsv --json results.json
+    hdagg-bench --experiment table1 --quick --store /tmp/schedules
     hdagg-bench --list
 
 ``--quick`` restricts the dataset to one small matrix per family, which is
@@ -51,6 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="resume from an existing --journal file (replays finished "
                         "matrices verbatim, runs only the rest)")
+    p.add_argument("--store", default=None, metavar="DIR",
+                   help="persistent schedule store: schedules inspected by an "
+                        "earlier run are verified and reused (serial runs only)")
     p.add_argument("--faults", type=int, default=None, metavar="SEED",
                    help="arm a deterministic chaos FaultPlan with this seed "
                         "(failures are isolated into structured rows)")
@@ -131,10 +135,6 @@ def main(argv=None) -> int:
         from ..statan.cli import lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "service":
-        from ..service.cli import service_main
-
-        return service_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list:
         for s in SUITE:
@@ -170,6 +170,10 @@ def main(argv=None) -> int:
     if args.resume and not args.journal:
         print("# --resume requires --journal", file=sys.stderr)
         return 2
+    if args.store and args.jobs > 1:
+        # fork workers re-inspect without the parent's cache
+        print("# --store requires --jobs 1", file=sys.stderr)
+        return 2
     if args.load_records:
         from .storage import load_records
 
@@ -179,6 +183,11 @@ def main(argv=None) -> int:
         kwargs = {}
         if args.epsilon is not None:
             kwargs["epsilon"] = args.epsilon
+        if args.store:
+            from ..core.schedule_cache import ScheduleCache
+            from ..store import ScheduleStore
+
+            kwargs["schedule_cache"] = ScheduleCache(store=ScheduleStore(args.store))
         harness = Harness(machines=args.machines, kernels=args.kernels,
                           ordering=args.ordering, **kwargs)
         journal = None

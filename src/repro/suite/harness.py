@@ -44,9 +44,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..analysis.verifier import assert_schedule_safe, verify_dependences
 from ..core.backends import BackendSpec
-from ..core.incremental import IncrementalScheduleCache, family_key
+from ..core.incremental import family_key
 from ..core.pgp import DEFAULT_EPSILON, accumulated_pgp
 from ..core.schedule_cache import ScheduleCache, schedule_key
 from ..kernels import KERNELS
@@ -56,7 +55,7 @@ from ..metrics.parallelism import dag_shape
 from ..metrics.synchronization import equivalent_p2p_syncs
 from ..observability.state import STATE as _OBS_STATE
 from ..passes import get_pass_group
-from ..resilience.degrade import inspect_with_fallback
+from ..resilience.degrade import fallback_chain, inspect_with_fallback
 from ..resilience.failures import FailureRecord
 from ..resilience.faults import fault_point
 from ..resilience.journal import RunJournal
@@ -126,6 +125,7 @@ class RunRecord:
     #: per-stage inspector seconds (HDagg populates this; empty otherwise)
     stage_seconds: dict = field(default_factory=dict)
     #: True when the schedule came from the harness's structure-keyed cache
+    #: (its memory or its backing store)
     schedule_cached: bool = False
     #: True when the requested inspector failed and a fallback produced the
     #: schedule; ``algorithm`` then names the fallback that succeeded
@@ -138,8 +138,8 @@ class RunRecord:
     #: that have no backend registry
     backend: str = ""
     #: True when the schedule came from an incremental pattern repair
-    #: (:class:`~repro.core.incremental.IncrementalScheduleCache`) rather
-    #: than a full inspection or an exact cache hit
+    #: (the cache's repair rung) rather than a full inspection or an
+    #: exact cache hit
     schedule_repaired: bool = False
 
 
@@ -235,15 +235,17 @@ class Harness:
         HDagg/LBC load-balance threshold.
     schedule_cache:
         Optional :class:`~repro.core.schedule_cache.ScheduleCache`.  When
-        set, every inspection is keyed by the DAG structure and parameters;
-        repeated structures (re-runs, parameter sweeps sharing a matrix)
-        reuse the cached schedule instead of re-inspecting.  Cached hits
-        are flagged in ``RunRecord.schedule_cached`` and re-verified (a
-        corrupted entry is dropped and re-inspected).
-    fallback:
-        Degrade failed inspections down the declared fallback chain
-        (stamping ``RunRecord.degraded``) instead of raising.  On the
-        success path this is byte-identical to a direct inspector call.
+        set, every cell's schedule comes from its reuse ladder
+        (:meth:`~repro.core.schedule_cache.ScheduleCache.acquire`):
+        repeated structures (re-runs, parameter sweeps sharing a matrix, a
+        backing store filled by an earlier process) reuse the schedule,
+        and a drifted pattern under a known matrix name is repaired
+        incrementally.  Hits are flagged in ``RunRecord.schedule_cached``
+        and re-verified (a corrupted entry is dropped and re-inspected);
+        repairs in ``RunRecord.schedule_repaired``.  Failed inspections
+        degrade down the declared fallback chain either way (stamping
+        ``RunRecord.degraded``); on the success path this is
+        byte-identical to a direct inspector call.
     inspector_budget:
         Optional wall-clock seconds each inspector may spend before it is
         abandoned (``None`` — the default — imposes no budget and no
@@ -272,7 +274,6 @@ class Harness:
         epsilon: float = DEFAULT_EPSILON,
         validate: bool = True,
         schedule_cache: Optional[ScheduleCache] = None,
-        fallback: bool = True,
         inspector_budget: Optional[float] = None,
         sanitize: bool = True,
         backend: Union[str, BackendSpec, None] = None,
@@ -292,7 +293,6 @@ class Harness:
         self.epsilon = epsilon
         self.validate = validate
         self.schedule_cache = schedule_cache
-        self.fallback = fallback
         if inspector_budget is not None and inspector_budget <= 0:
             raise ValueError("inspector_budget must be positive or None")
         self.inspector_budget = inspector_budget
@@ -399,112 +399,36 @@ class Harness:
                         _OBS_STATE.tracer.instant(
                             f"suite/cell[{spec.name},{kname},{algo},{machine.name}]"
                         )
-                    # key fields follow the inputs the scheduler's group declares
-                    inputs = get_pass_group(algo).inputs
-                    uses_epsilon = "Epsilon" in inputs
-                    backend_desc = self.backend.describe() if "Backend" in inputs else ""
-                    incremental = (
-                        isinstance(self.schedule_cache, IncrementalScheduleCache)
-                        and algo == self.schedule_cache.algorithm
+                    keys = (
+                        None if self.schedule_cache is None
+                        else self._cache_keys(spec.name, kname, algo, machine.n_cores, g)
                     )
-                    key = None
-                    cached = None
-                    if self.schedule_cache is not None:
-                        key = schedule_key(
-                            g,
-                            kernel=kname,
-                            algorithm=algo,
-                            p=machine.n_cores,
-                            epsilon=self.epsilon if uses_epsilon else None,
-                            backend=backend_desc,
-                        )
-                        if not incremental:
-                            # the incremental path looks the key up itself
-                            # inside acquire(); probing here too would
-                            # double-count hits and misses
-                            cached = self.schedule_cache.get(key)
                     t0 = time.perf_counter()
-                    if cached is not None and self.validate:
-                        # hits are re-verified without touching their meta:
-                        # a corrupted entry is dropped and re-inspected
-                        report = verify_dependences(
-                            cached, g, max_witnesses=1, stamp_meta=False
-                        )
-                        if not report.ok:
-                            self.schedule_cache.invalidate(key)
-                            cached = None
-                    used_algo = algo
-                    degraded = False
-                    degraded_from = ""
-                    repaired = False
-                    acquired = False
-                    if cached is not None:
-                        schedule = cached
-                    elif incremental:
-                        family = family_key(
-                            kernel=kname,
-                            algorithm=algo,
-                            p=machine.n_cores,
-                            epsilon=self.epsilon,
-                            backend=backend_desc,
-                            label=spec.name,
-                        )
-                        for _ in range(2):
-                            schedule, source = self.schedule_cache.acquire(
-                                key,
-                                family,
-                                g,
-                                cost,
-                                p=machine.n_cores,
-                                epsilon=self.epsilon,
-                                backend=self.backend,
-                            )
-                            if source == "hit" and self.validate:
-                                report = verify_dependences(
-                                    schedule, g, max_witnesses=1, stamp_meta=False
-                                )
-                                if not report.ok:
-                                    # corrupted hit: drop it and re-acquire —
-                                    # the retry repairs or re-inspects
-                                    self.schedule_cache.invalidate(key)
-                                    continue
-                            break
-                        if source != "hit" and self.validate:
-                            assert_schedule_safe(schedule, g)
-                        cached = schedule if source == "hit" else None
-                        repaired = source == "repaired"
-                        acquired = True
-                    elif self.fallback:
-                        outcome = inspect_with_fallback(
-                            algo,
-                            g,
-                            cost,
-                            machine.n_cores,
-                            epsilon=self.epsilon,
-                            budget=self.inspector_budget,
-                            validate=self.validate,
-                            backend=self.backend,
-                        )
-                        schedule = outcome.schedule
-                        used_algo = outcome.algorithm
-                        degraded = outcome.degraded
-                        degraded_from = outcome.degraded_from
+                    if keys is None:
+                        # no cache: the reuse ladder's last rung
+                        schedule = inspect_with_fallback(
+                            algo, g, cost, machine.n_cores,
+                            epsilon=self.epsilon, budget=self.inspector_budget,
+                            validate=self.validate, backend=self.backend,
+                        ).schedule
+                        source = "full"
                     else:
-                        fault_point("inspector", label=algo)
-                        schedule = SCHEDULERS[algo](
-                            g, cost, machine.n_cores, epsilon=self.epsilon, backend=self.backend
+                        schedule, source = self.schedule_cache.acquire(
+                            *keys, g, cost,
+                            p=machine.n_cores, epsilon=self.epsilon, algorithm=algo,
+                            backend=self.backend, validate=self.validate,
+                            budget=self.inspector_budget,
                         )
-                        if self.validate:
-                            # structural check + dependence witness extraction;
-                            # stamps "verify" into meta["stage_seconds"] so the
-                            # verifier cost lands in RunRecord.stage_seconds
-                            assert_schedule_safe(schedule, g)
                     inspector_seconds = time.perf_counter() - t0
-                    if key is not None and cached is None and not degraded and not acquired:
-                        # a degraded schedule must not poison the cache entry
-                        # of the algorithm that failed to produce it; the
-                        # incremental path already stored via acquire()
-                        self.schedule_cache.put(key, schedule)
+                    cached = source in ("hit", "store")
+                    # every scheduler stamps its registry name, so a served
+                    # schedule from another algorithm is a fallback's
+                    used_algo = schedule.algorithm
+                    degraded = used_algo != algo
+                    chain = fallback_chain(algo)
+                    degraded_from = (
+                        ",".join(chain[: chain.index(used_algo)]) if degraded else ""
+                    )
                     sim = simulate(schedule, g, cost, memory, machine)
                     serial = serial_results[machine.name]
                     insp_cycles = inspector_cost_model(used_algo, g, schedule)
@@ -556,17 +480,36 @@ class Harness:
                             # only the re-verification it actually paid for
                             stage_seconds=(
                                 {"verify": inspector_seconds}
-                                if cached is not None
+                                if cached
                                 else dict(schedule.meta.get("stage_seconds", {}))
                             ),
-                            schedule_cached=cached is not None,
+                            schedule_cached=cached,
                             degraded=degraded,
                             degraded_from=degraded_from,
                             backend=str(schedule.meta.get("backend", "")),
-                            schedule_repaired=repaired,
+                            schedule_repaired=source == "repaired",
                         )
                     )
         return records
+
+    def _cache_keys(self, name: str, kname: str, algo: str, p: int, g) -> tuple:
+        """``(schedule_key, family_key)`` of one cell; the key's fields follow
+        the inputs the scheduler's group declares."""
+        inputs = get_pass_group(algo).inputs
+        backend_desc = self.backend.describe() if "Backend" in inputs else ""
+        key = schedule_key(
+            g,
+            kernel=kname,
+            algorithm=algo,
+            p=p,
+            epsilon=self.epsilon if "Epsilon" in inputs else None,
+            backend=backend_desc,
+        )
+        family = family_key(
+            kernel=kname, algorithm=algo, p=p, epsilon=self.epsilon,
+            backend=backend_desc, label=name,
+        )
+        return key, family
 
     # ------------------------------------------------------------------
     def run_suite(

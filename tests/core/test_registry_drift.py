@@ -22,9 +22,9 @@ from repro.schedulers import SCHEDULERS
 
 TESTS_ROOT = Path(__file__).resolve().parents[1]
 #: suites that may discharge the "every fault site is exercised" duty —
-#: resilience owns the generic chaos machinery; the store/service suites
-#: own the four serving-stack sites (store.*, service.*)
-FAULT_SUITES = ("resilience", "store", "service")
+#: resilience owns the generic chaos machinery; the store suite owns the
+#: three persistent-store sites (store.*)
+FAULT_SUITES = ("resilience", "store")
 
 
 # ----------------------------------------------------------------------
@@ -77,18 +77,17 @@ def test_every_fault_site_is_exercised_by_a_fault_suite(site):
 
 
 def test_serving_stack_sites_are_registered():
-    """The four serving-stack sites of the crash-consistency suite must
-    stay registered: an unregistered literal at a ``fault_point`` call is
+    """The three store sites of the crash-consistency suite must stay
+    registered: an unregistered literal at a ``fault_point`` call is
     exactly what lint rule L001 rejects, and an unregistered site in a
     ``FaultSpec`` would silently never fire."""
     expected = {
         "store.torn_write": {"raise", "corrupt"},
         "store.bit_flip": {"corrupt"},
         "store.stale_manifest": {"raise"},
-        "service.worker_crash": {"raise"},
     }
     for site, actions in expected.items():
-        assert site in FAULT_SITES, f"serving-stack fault site {site!r} unregistered"
+        assert site in FAULT_SITES, f"store fault site {site!r} unregistered"
         assert set(FAULT_SITES[site]) == actions, (site, FAULT_SITES[site])
 
 

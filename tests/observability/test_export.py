@@ -115,83 +115,3 @@ def test_write_chrome_trace_is_loadable_json(tmp_path):
     assert "traceEvents" in doc
     assert doc["displayTimeUnit"] == "ms"
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
-
-
-# ----------------------------------------------------------------------
-# cross-thread flow events
-# ----------------------------------------------------------------------
-def test_chrome_trace_draws_handoff_arrows_across_threads():
-    spans = [
-        Span(name="service.request", t0=0.0, t1=1.0, tid=1,
-             span_id=1, parent_span_id=-1),
-        Span(name="service.broker", t0=0.1, t1=0.9, tid=2,
-             span_id=2, parent_span_id=1),
-        Span(name="service.memory", t0=0.2, t1=0.8, tid=2,
-             span_id=3, parent_span_id=2),
-    ]
-    events = chrome_trace(spans)["traceEvents"]
-    flows = [e for e in events if e.get("cat") == "handoff"]
-    # one s/f pair for the single cross-tid parent link (1 -> 2);
-    # the same-thread 2 -> 3 link draws no arrow
-    assert [e["ph"] for e in flows] == ["s", "f"]
-    assert {e["id"] for e in flows} == {2}
-    start, finish = flows
-    assert start["ts"] <= finish["ts"]
-    assert start["tid"] != finish["tid"]
-
-
-def test_chrome_trace_without_ids_draws_no_flows():
-    events = chrome_trace(_spans())["traceEvents"]
-    assert [e for e in events if e.get("cat") == "handoff"] == []
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def test_prometheus_text_renders_each_instrument_kind():
-    from repro.observability.export import prometheus_text
-
-    metrics = {
-        "service.requests": {"type": "counter", "value": 5.0},
-        "store.quarantine_count": {"type": "gauge", "value": 2.0,
-                                   "min": 0.0, "max": 2.0},
-        "service.queue_wait_seconds": {
-            "type": "histogram", "count": 3, "sum": 0.6,
-            "min": 0.1, "max": 0.3, "mean": 0.2,
-            "buckets": [0.15, 0.25], "bucket_counts": [1, 1, 1],
-        },
-    }
-    text = prometheus_text(metrics)
-    assert "# TYPE repro_service_requests_total counter" in text
-    assert "repro_service_requests_total 5" in text
-    assert "repro_store_quarantine_count 2" in text
-    assert 'repro_service_queue_wait_seconds_bucket{le="0.15"} 1' in text
-    assert 'repro_service_queue_wait_seconds_bucket{le="0.25"} 2' in text
-    assert 'repro_service_queue_wait_seconds_bucket{le="+Inf"} 3' in text
-    assert "repro_service_queue_wait_seconds_sum 0.6" in text
-    assert "repro_service_queue_wait_seconds_count 3" in text
-
-
-def test_prometheus_text_sanitizes_names_and_unset_gauges():
-    from repro.observability.export import prometheus_text
-
-    text = prometheus_text({
-        "service.latency.tier.memory": {"type": "counter", "value": 1},
-        "empty.gauge": {"type": "gauge", "value": None, "min": None, "max": None},
-    })
-    assert "repro_service_latency_tier_memory_total 1" in text
-    assert "repro_empty_gauge NaN" in text
-
-
-def test_write_prometheus_is_parseable_text(tmp_path):
-    from repro.observability.export import write_prometheus
-
-    path = tmp_path / "metrics.prom"
-    write_prometheus(path, {"a.b": {"type": "counter", "value": 0}})
-    assert path.read_text() == "# TYPE repro_a_b_total counter\nrepro_a_b_total 0\n"
-
-
-def test_prometheus_text_of_empty_registry_is_empty():
-    from repro.observability.export import prometheus_text
-
-    assert prometheus_text({}) == ""

@@ -161,74 +161,3 @@ def test_null_tracer_is_inert_and_shared():
     assert NULL_TRACER.spans_named("any") == []
     assert len(NULL_TRACER) == 0
     NULL_TRACER.clear()  # no-op, must not raise
-
-
-# ----------------------------------------------------------------------
-# cross-thread context propagation
-# ----------------------------------------------------------------------
-def test_span_ids_are_process_unique_and_parented():
-    tracer = Tracer(clock=FakeClock())
-    with tracer.span("outer"):
-        with tracer.span("inner"):
-            pass
-    outer, inner = sorted(tracer.spans, key=lambda s: s.span_id)
-    assert outer.span_id > 0
-    assert inner.parent_span_id == outer.span_id
-    assert outer.parent_span_id == -1
-
-
-def test_attach_adopts_a_foreign_context_on_another_thread():
-    tracer = Tracer()
-    with tracer.span("root") as root:
-        ctx = root.context
-
-        def worker():
-            with tracer.attach(ctx):
-                with tracer.span("child"):
-                    pass
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-    child = tracer.spans_named("child")[0]
-    root_span = tracer.spans_named("root")[0]
-    assert child.parent_span_id == root_span.span_id
-    assert child.tid != root_span.tid
-    # adoption is scoped: after attach() exits the thread is clean
-    assert tracer.current_context() is None
-
-
-def test_manual_span_begin_end_for_event_loop_code():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    span = tracer.begin("service.request", request_id="r-1")
-    ctx = span.context
-    assert ctx is not None and ctx.span_id == span.context.span_id
-    span.annotate(outcome="memory")
-    span.end()
-    span.end()  # idempotent
-    (recorded,) = tracer.spans
-    assert recorded.name == "service.request"
-    assert recorded.attrs == {"request_id": "r-1", "outcome": "memory"}
-    assert recorded.t1 > recorded.t0
-    assert len(tracer.spans) == 1
-
-
-def test_record_span_writes_a_retrospective_interval():
-    tracer = Tracer()
-    root = tracer.begin("root")
-    tracer.record_span("queue_wait", 10.0, 11.5, parent=root.context, k="v")
-    root.end()
-    wait = tracer.spans_named("queue_wait")[0]
-    assert (wait.t0, wait.t1) == (10.0, 11.5)
-    assert wait.parent_span_id == root.context.span_id
-    assert wait.attrs == {"k": "v"}
-
-
-def test_null_tracer_context_surface_is_inert():
-    assert NULL_TRACER.begin("x").context is None
-    assert NULL_TRACER.current_context() is None
-    with NULL_TRACER.attach(None):
-        pass
-    NULL_TRACER.record_span("x", 0.0, 1.0)
-    assert NULL_TRACER.clock() >= 0.0

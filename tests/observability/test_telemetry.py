@@ -1,210 +1,51 @@
-"""Telemetry primitives: catalog closure, request trees, snapshotting.
+"""The closed metric catalog: its static shape and the runtime drift check."""
 
-Synthetic-span tests pin the validator's failure modes one by one — the
-serving-stack integration suite (``tests/service/test_telemetry.py``)
-then only has to assert "no problems", knowing each problem class is
-detectable.
-"""
-
-import json
-import threading
-
-import pytest
-
-from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.observability.spans import Span
-from repro.observability.telemetry import (
-    LATENCY_BUCKETS,
-    OUTCOMES,
-    SPAN_TAXONOMY,
-    TIER_SPANS,
-    MetricsSnapshotter,
-    catalog_violations,
-    load_snapshots,
-    metric_catalog,
-    next_request_id,
-    request_trees,
-    reset_request_ids,
-    tier_breakdown,
-    validate_request_trees,
-)
+from repro.core import ScheduleCache
+from repro.observability import observed
+from repro.observability.telemetry import catalog_violations, metric_catalog
+from repro.store import ScheduleStore
+from repro.suite import Harness
+from repro.suite.matrices import SUITE
 
 
-# ----------------------------------------------------------------------
-# the metric catalog
-# ----------------------------------------------------------------------
 class TestCatalog:
     def test_catalog_is_closed_and_typed(self):
         catalog = metric_catalog()
-        assert len(catalog) > 50
+        assert len(catalog) > 30
         assert set(catalog.values()) <= {"counter", "gauge", "histogram"}
         # spot-check one name per subsystem
         for name in (
-            "service.requests",
-            "service.latency.tier.memory",
-            "service.queue_wait_seconds",
             "store.evictions",
             "store.quarantine_count",
             "schedule_cache.evictions",
+            "schedule_cache.store_hits",
             "inspector.runs.hdagg",
             "resilience.faults_fired.store.bit_flip",
         ):
             assert name in catalog, name
+        assert not any(name.startswith("service.") for name in catalog)
 
     def test_violations_flag_undeclared_names_only(self):
-        names = ["service.requests", "store.hits", "perflab.adhoc.median_seconds"]
+        names = ["schedule_cache.hits", "store.hits", "perflab.adhoc.median_seconds"]
         assert catalog_violations(names) == []
         assert catalog_violations(["made.up.metric"]) == ["made.up.metric"]
 
-    def test_all_taxonomy_tiers_have_latency_histograms(self):
-        catalog = metric_catalog()
-        for outcome in OUTCOMES:
-            if outcome in ("shed", "deadline"):
-                continue
-            assert f"service.latency.tier.{outcome}" in catalog
-
-
-# ----------------------------------------------------------------------
-# request ids
-# ----------------------------------------------------------------------
-class TestRequestIds:
-    def test_ids_are_unique_across_threads(self):
-        reset_request_ids()
-        out = []
-        lock = threading.Lock()
-
-        def mint():
-            for _ in range(200):
-                rid = next_request_id()
-                with lock:
-                    out.append(rid)
-
-        threads = [threading.Thread(target=mint) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(out)) == 800
-
-
-# ----------------------------------------------------------------------
-# request-tree validation on synthetic spans
-# ----------------------------------------------------------------------
-def _span(name, t0, t1, *, sid, psid=-1, tid=1, **attrs):
-    return Span(
-        name=name, t0=t0, t1=t1, tid=tid,
-        attrs=attrs, span_id=sid, parent_span_id=psid,
-    )
-
-
-def _good_tree(rid="r-1"):
-    return [
-        _span("service.request", 0.0, 1.0, sid=1, request_id=rid, outcome="memory"),
-        _span("service.queue_wait", 0.0, 0.1, sid=2, psid=1, tid=2, request_id=rid),
-        _span("service.broker", 0.1, 0.9, sid=3, psid=1, tid=2, request_id=rid),
-        _span("service.memory", 0.2, 0.8, sid=4, psid=3, tid=2),
-    ]
-
-
-class TestValidator:
-    def test_well_formed_tree_passes(self):
-        assert validate_request_trees(_good_tree(), expect=1) == []
-
-    def test_missing_tier_span_is_flagged(self):
-        spans = [s for s in _good_tree() if s.name != "service.memory"]
-        problems = validate_request_trees(spans, expect=1)
-        assert any("no service.memory span" in p for p in problems)
-
-    def test_child_escaping_parent_is_flagged(self):
-        spans = _good_tree()
-        spans[3] = _span("service.memory", 0.2, 1.5, sid=4, psid=3, tid=2)
-        problems = validate_request_trees(spans)
-        assert any("escapes parent" in p for p in problems)
-
-    def test_overlapping_siblings_are_flagged(self):
-        spans = _good_tree()
-        # queue_wait runs [0, 0.5] while the broker starts at 0.1
-        spans[1] = _span("service.queue_wait", 0.0, 0.5, sid=2, psid=1, tid=2)
-        problems = validate_request_trees(spans)
-        assert any("overlaps its preceding sibling" in p for p in problems)
-
-    def test_unknown_service_span_name_is_flagged(self):
-        spans = _good_tree() + [_span("service.bogus", 0.3, 0.4, sid=9, psid=3)]
-        problems = validate_request_trees(spans)
-        assert any("not in the service taxonomy" in p for p in problems)
-
-    def test_orphan_span_is_flagged(self):
-        spans = _good_tree() + [_span("service.verify", 0.3, 0.4, sid=9, psid=999)]
-        problems = validate_request_trees(spans)
-        assert any("orphan" in p for p in problems)
-
-    def test_wrong_tree_count_is_flagged(self):
-        problems = validate_request_trees(_good_tree(), expect=3)
-        assert any("expected 3 request trees" in p for p in problems)
-
-    def test_taxonomy_covers_the_tier_spans(self):
-        assert set(TIER_SPANS) <= set(SPAN_TAXONOMY)
-
-
-class TestBreakdown:
-    def test_tier_breakdown_aggregates_across_trees(self):
-        spans = _good_tree() + [
-            _span("service.request", 2.0, 3.0, sid=11, request_id="r-2", outcome="inspected"),
-            _span("service.broker", 2.1, 2.9, sid=12, psid=11, tid=3, request_id="r-2"),
-            _span("service.inspect", 2.2, 2.8, sid=13, psid=12, tid=3),
-        ]
-        breakdown = tier_breakdown(spans)
-        assert breakdown["memory"] == {"count": 1.0, "seconds": pytest.approx(0.6)}
-        assert breakdown["inspect"] == {"count": 1.0, "seconds": pytest.approx(0.6)}
-
-    def test_request_trees_index_children_in_time_order(self):
-        trees = request_trees(_good_tree())
-        tree = trees["r-1"]
-        kids = tree.children[1]
-        assert [k.name for k in kids] == ["service.queue_wait", "service.broker"]
-        assert tree.tier_seconds()["memory"] == pytest.approx(0.6)
-
-
-# ----------------------------------------------------------------------
-# snapshotting
-# ----------------------------------------------------------------------
-class TestSnapshotter:
-    def test_manual_snapshots_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        path = tmp_path / "metrics.jsonl"
-        snap = MetricsSnapshotter(registry, path, interval=60.0)
-        registry.counter("service.requests").inc(3)
-        snap.snapshot()
-        registry.counter("service.requests").inc(2)
-        registry.histogram("service.queue_wait_seconds", LATENCY_BUCKETS).observe(0.01)
-        snap.snapshot()
-        docs = load_snapshots(path)
-        assert [d["seq"] for d in docs] == [0, 1]
-        assert docs[0]["metrics"]["service.requests"]["value"] == 3
-        assert docs[1]["metrics"]["service.requests"]["value"] == 5
-        blob = docs[1]["metrics"]["service.queue_wait_seconds"]
-        rehydrated = Histogram.from_dict("service.queue_wait_seconds", blob)
-        assert rehydrated.count == 1
-        assert rehydrated.quantile(0.5) == pytest.approx(0.01, rel=1.0)
-
-    def test_timer_thread_snapshots_and_final_flush(self, tmp_path):
-        registry = MetricsRegistry()
-        path = tmp_path / "metrics.jsonl"
-        registry.counter("service.requests").inc()
-        with MetricsSnapshotter(registry, path, interval=0.02).start():
-            threading.Event().wait(0.08)
-        docs = load_snapshots(path)
-        assert len(docs) >= 2  # at least one timer tick plus the final flush
-        assert docs[-1]["metrics"]["service.requests"]["value"] == 1
-        assert docs[-1]["elapsed_s"] >= docs[0]["elapsed_s"]
-
-    def test_snapshot_lines_are_json(self, tmp_path):
-        registry = MetricsRegistry()
-        path = tmp_path / "metrics.jsonl"
-        MetricsSnapshotter(registry, path).snapshot()
-        for line in path.read_text().splitlines():
-            json.loads(line)
-
-    def test_bad_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            MetricsSnapshotter(MetricsRegistry(), tmp_path / "m.jsonl", interval=0.0)
+    def test_registered_names_stay_in_the_catalog(self, tmp_path):
+        """The runtime half of L009: every name an observed run registers,
+        including the ones passed through helpers, is declared."""
+        harness = Harness(machines=["laptop4"], kernels=["sptrsv"],
+                          algorithms=["hdagg", "wavefront"])
+        spec = SUITE[0]
+        with observed() as (_, registry):
+            for _ in range(2):
+                # a fresh cache on the same store: the second run hits the store
+                harness.schedule_cache = ScheduleCache(
+                    store=ScheduleStore(tmp_path / "store", durable=False)
+                )
+                records = harness.run_suite([spec])
+        assert all(r.schedule_cached for r in records)
+        names = registry.names()
+        assert catalog_violations(names) == []
+        assert any(n.startswith("schedule_cache.") for n in names)
+        assert "schedule_cache.store_hits" in names
+        assert any(n.startswith("store.") for n in names)

@@ -1,29 +1,9 @@
-"""Traffic replay: determinism, report shape, perf-lab recording, CLI."""
-
-import asyncio
-import json
+"""The traffic model the end-to-end benchmark draws pattern repeats from."""
 
 import numpy as np
 import pytest
 
-from repro.perflab.fingerprint import collect_fingerprint
-from repro.perflab.history import HistoryStore, load_trajectory, write_trajectory
-from repro.perflab.protocol import Observation, ObservationKey
-from repro.service.cli import service_main
-from repro.service.replay import (
-    ReplayConfig,
-    build_catalog,
-    record_replay,
-    run_replay,
-    zipf_weights,
-)
-
-SMALL = dict(n_requests=40, n_structures=3, seed=0, p=4, concurrency=4)
-
-
-@pytest.fixture(scope="module")
-def report():
-    return run_replay(ReplayConfig(**SMALL))
+from repro.service.replay import ReplayConfig, zipf_weights
 
 
 class TestTrafficModel:
@@ -34,307 +14,6 @@ class TestTrafficModel:
         flat = zipf_weights(6, 0.0)
         np.testing.assert_allclose(flat, np.full(6, 1 / 6))
 
-    def test_catalog_is_seeded_and_distinct(self):
-        a = build_catalog(4, "sptrsv", seed=0)
-        b = build_catalog(4, "sptrsv", seed=0)
-        assert [n for n, _, _ in a] == [n for n, _, _ in b]
-        for (_, ga, _), (_, gb, _) in zip(a, b):
-            np.testing.assert_array_equal(ga.indptr, gb.indptr)
-        digests = {(g.n, g.n_edges, g.indices.tobytes()) for _, g, _ in a}
-        assert len(digests) == 4, "structures must be distinct"
-
-    def test_catalog_rejects_empty(self):
-        with pytest.raises(ValueError):
-            build_catalog(0, "sptrsv")
-
-
-class TestReplay:
-    def test_report_accounts_for_every_request(self, report):
-        assert report.n_ok + report.n_rejected == SMALL["n_requests"]
-        assert sum(report.sources.values()) == report.n_ok
-        assert report.wall_seconds > 0
-
-    def test_zipf_head_yields_hits(self, report):
-        """With 40 requests over 3 structures, at most 3 fresh inspections
-        happen; everything else must come from cache/coalescing."""
-        assert report.sources.get("inspected", 0) <= SMALL["n_structures"]
-        assert report.hit_rate > 0.5
-        assert 0 < report.p50 <= report.p99
-
-    def test_replay_traffic_is_deterministic(self, report):
-        again = run_replay(ReplayConfig(**SMALL))
-        # wall-clock numbers differ run to run; the traffic must not
-        assert again.n_ok == report.n_ok
-        assert again.sources.get("inspected", 0) == report.sources.get("inspected", 0)
-        assert again.n_degraded == report.n_degraded
-
-    def test_replay_with_store_and_pacing(self, tmp_path):
-        cfg = ReplayConfig(
-            n_requests=20, n_structures=2, seed=1, p=4,
-            store_root=str(tmp_path / "store"), arrival_rate=2000.0,
-        )
-        first = run_replay(cfg)
-        assert first.n_ok == 20
-        # a second replay against the same store serves the catalog from
-        # disk: zero fresh inspections
-        second = run_replay(cfg)
-        assert second.sources.get("inspected", 0) == 0
-        assert second.hit_rate == 1.0
-
-    def test_as_dict_is_json_clean(self, report):
-        blob = json.dumps(report.as_dict())
-        assert "p50_seconds" in blob and "hit_rate" in blob
-
-
-class TestRecording:
-    def test_observation_carries_the_roadmap_series(self, report):
-        from repro.service.replay import replay_observation
-
-        obs = replay_observation(report)
-        assert obs.key.benchmark == "service_replay"
-        assert len(obs.timings) == report.n_ok
-        assert obs.stages["p50"] == [report.p50]
-        assert obs.stages["p99"] == [report.p99]
-        assert obs.stages["hit_rate"] == [report.hit_rate]
-
-    def test_record_replay_appends_history_and_writes_trajectory(self, tmp_path, report):
-        history = tmp_path / "svc.jsonl"
-        trajectory = tmp_path / "traj.json"
-        record_replay(report, str(history), str(trajectory))
-        assert len(HistoryStore(str(history))) == 1
-        doc = load_trajectory(str(trajectory))
-        (series,) = doc["series"]
-        assert series["key"]["benchmark"] == "service_replay"
-        medians = series["latest"]["stage_medians"]
-        for channel in ("p50", "p99", "hit_rate"):
-            assert channel in medians
-        assert medians["hit_rate"] == pytest.approx(report.hit_rate)
-
-    def test_merge_preserves_foreign_series(self, tmp_path, report):
-        """The replay must never clobber the inspector series already in
-        BENCH_trajectory.json — merge, not rewrite."""
-        trajectory = tmp_path / "traj.json"
-        other = HistoryStore(str(tmp_path / "inspector.jsonl"))
-        other.append(
-            Observation(
-                key=ObservationKey("inspector", "poisson2d", "sptrsv", "hdagg"),
-                timings=[0.1, 0.11, 0.09],
-                stages={},
-                fingerprint=collect_fingerprint(benchmark="inspector"),
-                warmup=1,
-                target_rel_ci=0.05,
-                confidence=0.95,
-                seed=0,
-                converged=True,
-            )
-        )
-        write_trajectory(other, str(trajectory))
-        record_replay(report, str(tmp_path / "svc.jsonl"), str(trajectory))
-        doc = load_trajectory(str(trajectory))
-        benchmarks = sorted(s["key"]["benchmark"] for s in doc["series"])
-        assert benchmarks == ["inspector", "service_replay"]
-
-
-class TestCli:
-    def test_replay_command_reports_the_numbers(self, tmp_path, capsys):
-        rc = service_main(
-            [
-                "replay", "--requests", "30", "--structures", "2", "--p", "4",
-                "--history", str(tmp_path / "svc.jsonl"),
-                "--trajectory", str(tmp_path / "traj.json"),
-                "--json", str(tmp_path / "report.json"),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "p50_ms" in out and "p99_ms" in out and "hit_rate" in out
-        assert (tmp_path / "traj.json").exists()
-        blob = json.loads((tmp_path / "report.json").read_text())
-        assert blob["n_ok"] + blob["n_rejected"] == 30
-
-    def test_audit_command(self, tmp_path, capsys, request_a):
-        from repro.service import ScheduleBroker
-        from repro.store import ScheduleStore
-
-        root = tmp_path / "store"
-        ScheduleBroker(ScheduleStore(root)).request(request_a)
-        assert service_main(["audit", str(root), "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "scanned" in out and "quarantined 0" in out
-
-    def test_audit_strict_flags_quarantines(self, tmp_path, capsys, request_a):
-        from repro.service import ScheduleBroker
-        from repro.store import ScheduleStore
-
-        root = tmp_path / "store"
-        broker = ScheduleBroker(ScheduleStore(root))
-        broker.request(request_a)
-        record = next((root / "shards").rglob("*.sched"))
-        record.write_bytes(record.read_bytes()[:-2])
-        assert service_main(["audit", str(root), "--strict"]) == 1
-
-    def test_suite_cli_dispatches_service(self, capsys):
-        from repro.suite.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["service"])  # argparse: missing subcommand
-
-
-def test_frontdoor_loop_isolation(report):
-    """run_replay owns its event loop; calling it from sync code with no
-    running loop (the CLI path) must leave asyncio clean."""
-    with pytest.raises(RuntimeError):
-        asyncio.get_running_loop()
-
-
-# ----------------------------------------------------------------------
-# streaming latency aggregation
-# ----------------------------------------------------------------------
-class TestStreamingLatency:
-    def test_reservoir_keeps_everything_under_cap(self):
-        from repro.service.replay import LatencyReservoir
-
-        r = LatencyReservoir(cap=16, seed=0)
-        for v in range(10):
-            r.add(float(v))
-        assert sorted(r.values) == [float(v) for v in range(10)]
-        assert r.seen == 10
-
-    def test_reservoir_stays_bounded_and_samples_the_stream(self):
-        from repro.service.replay import LatencyReservoir
-
-        r = LatencyReservoir(cap=64, seed=1)
-        r.add_many(np.arange(10_000, dtype=float))
-        assert len(r.values) == 64
-        assert r.seen == 10_000
-        # a uniform sample's mean lands near the stream mean
-        assert abs(np.mean(r.values) - 4999.5) < 1500
-
-    def test_reservoir_add_many_matches_scalar_counting(self):
-        from repro.service.replay import LatencyReservoir
-
-        bulk, scalar = LatencyReservoir(cap=8, seed=2), LatencyReservoir(cap=8, seed=2)
-        values = np.linspace(0.0, 1.0, 100)
-        bulk.add_many(values)
-        for v in values:
-            scalar.add(float(v))
-        assert bulk.seen == scalar.seen == 100
-        assert len(bulk.values) == len(scalar.values) == 8
-
-    def test_report_quantiles_come_from_the_histogram(self, report):
-        assert report.latency.count == report.n_ok
-        assert report.p50 > 0.0
-        assert report.p99 >= report.p50
-        assert set(report.tier_latency) == set(report.sources)
-        for src, hist in report.tier_latency.items():
-            assert hist.count == report.sources[src]
-
-    def test_memory_bounded_million_request_ingest(self):
-        """The roadmap's millions-of-requests regime: O(1) per request."""
-        import tracemalloc
-
-        from repro.service.replay import ReplayReport
-
-        rng = np.random.default_rng(0)
-        report = ReplayReport(config=ReplayConfig(**SMALL))
-        tracemalloc.start()
-        for _ in range(10):
-            report.observe_many("memory", rng.exponential(0.002, size=100_000))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert report.n_ok == 1_000_000
-        assert report.latency.count == 1_000_000
-        assert len(report.sample.values) == report.sample.cap
-        assert report.p99 > report.p50 > 0.0
-        # the whole ingest fits in a few MB: histograms + the reservoir,
-        # never a per-request list
-        assert peak < 32 * 1024 * 1024
-
-    def test_observe_many_matches_scalar_observe(self):
-        from repro.service.replay import ReplayReport
-
-        cfg = ReplayConfig(**SMALL)
-        bulk, scalar = ReplayReport(config=cfg), ReplayReport(config=cfg)
-        values = np.linspace(1e-4, 1e-2, 500)
-        bulk.observe_many("memory", values)
-        for v in values:
-            scalar.observe("memory", float(v))
-        assert bulk.n_ok == scalar.n_ok
-        assert bulk.latency.bucket_counts == scalar.latency.bucket_counts
-        assert bulk.sources == scalar.sources
-
-
-# ----------------------------------------------------------------------
-# telemetry replay artifacts
-# ----------------------------------------------------------------------
-class TestTelemetryReplay:
-    @pytest.fixture(scope="class")
-    def telemetry(self, tmp_path_factory):
-        from repro.service.replay import run_replay_with_telemetry
-
-        out = tmp_path_factory.mktemp("telemetry")
-        report, tracer, registry = run_replay_with_telemetry(
-            ReplayConfig(**SMALL), str(out)
-        )
-        return out, report, tracer, registry
-
-    def test_all_artifacts_written(self, telemetry):
-        out, *_ = telemetry
-        for name in (
-            "spans.jsonl", "trace.json", "metrics.jsonl", "metrics.prom",
-            "replay.json",
-        ):
-            assert (out / name).exists(), name
-
-    def test_spans_validate_and_match_the_report(self, telemetry):
-        from repro.observability.telemetry import validate_request_trees
-
-        out, report, tracer, _ = telemetry
-        doc = json.loads((out / "replay.json").read_text())
-        assert doc["span_problems"] == []
-        assert validate_request_trees(tracer.spans) == []
-        trees = doc["report"]
-        assert trees["n_ok"] == report.n_ok
-        assert set(trees["tiers"]) == set(report.sources)
-
-    def test_chrome_trace_has_handoff_arrows(self, telemetry):
-        out, *_ = telemetry
-        events = json.loads((out / "trace.json").read_text())["traceEvents"]
-        flows = [e for e in events if e.get("cat") == "handoff"]
-        assert flows, "no cross-thread flow events in the trace"
-        assert {e["ph"] for e in flows} == {"s", "f"}
-
-    def test_prometheus_export_covers_the_tier_histograms(self, telemetry):
-        out, *_ = telemetry
-        text = (out / "metrics.prom").read_text()
-        assert "repro_service_requests_total" in text
-        assert "repro_service_latency_tier_memory_bucket" in text
-
-    def test_metric_names_stay_in_the_catalog(self, telemetry):
-        from repro.observability.telemetry import catalog_violations
-
-        *_, registry = telemetry
-        assert catalog_violations(registry.names()) == []
-
-    def test_observation_carries_tier_breakdown_stages(self, telemetry):
-        from repro.service.replay import replay_observation
-
-        _, report, *_ = telemetry
-        obs = replay_observation(report)
-        for src in report.sources:
-            for channel in ("p50", "p99", "share"):
-                assert f"tier/{src}/{channel}" in obs.stages
-        shares = [obs.stages[f"tier/{s}/share"][0] for s in report.sources]
-        assert sum(shares) == pytest.approx(1.0)
-        assert len(obs.timings) == min(report.n_ok, report.sample.cap)
-
-    def test_stats_and_dash_cli_render_the_artifacts(self, telemetry, capsys, tmp_path):
-        out, *_ = telemetry
-        assert service_main(["stats", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "service counters" in text
-        assert "latency by tier" in text
-        assert service_main(["dash", str(out), "-o", str(tmp_path / "d.html")]) == 0
-        html = (tmp_path / "d.html").read_text()
-        assert "Latency by tier" in html
-        assert "request trees valid" in html
+    def test_default_exponent_is_the_benchmarked_one(self):
+        # bench/layers.py reads ReplayConfig.zipf_s as the pattern-stream exponent
+        assert ReplayConfig.zipf_s == 1.2

@@ -190,7 +190,7 @@ def test_l009_undeclared_metric_names(tmp_path):
             if STATE.enabled and STATE.registry is not None:
                 STATE.registry.counter("totally.undeclared").inc()
             reg.gauge(f"{label}.depth").set(1)
-            reg.histogram(f"service.latency.tier.{label}").observe(0.5)
+            reg.counter(f"inspector.runs.{label}").inc()
             reg.counter("store.hits").inc()
             reg.counter("perflab.adhoc.seconds").inc()
             reg.counter(label).inc()

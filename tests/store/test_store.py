@@ -8,6 +8,7 @@ independently of the fault machinery.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.schedule_cache import ScheduleCache, schedule_key
@@ -194,19 +195,22 @@ class TestRecovery:
 
 
 class TestCacheIntegration:
-    """The write-through / fall-through contract of ScheduleCache(store=...)."""
+    """The write-through / read-through contract of ScheduleCache(store=...)."""
 
     def test_put_writes_through_and_miss_promotes(self, tmp_path, corpus):
         schedule, g = corpus[("hdagg", "random")]
         key = schedule_key(g, kernel="sptrsv", algorithm="hdagg", p=4)
         root = tmp_path / "store"
         ScheduleCache(store=ScheduleStore(root, durable=False)).put(key, schedule)
-        # a different process (fresh cache, fresh store handle) sees it
+        # a different process (fresh cache, fresh store handle) sees it:
+        # get() reads memory only, acquire() falls through to the store
         cache = ScheduleCache(max_entries=4, store=ScheduleStore(root))
-        got = cache.get(key)
-        assert got is not None
+        assert cache.get(key) is None
+        got, source = cache.acquire(key, "family", g, np.ones(g.n), p=4)
+        assert source == "store"
         assert encode_schedule(got) == encode_schedule(schedule)
-        assert cache.stats.hits == 1 and len(cache) == 1  # promoted into L1
+        assert len(cache) == 1  # promoted into memory
+        assert cache.acquire(key, "family", g, np.ones(g.n), p=4) == (got, "hit")
 
     def test_store_write_failure_never_fails_put(self, corpus):
         schedule, g = corpus[("hdagg", "random")]

@@ -80,3 +80,9 @@ def test_machines_registry():
     assert {"intel20", "amd64", "laptop4"} <= set(repro.MACHINES)
     assert repro.INTEL20.n_cores == 20
     assert repro.AMD64.n_cores == 64
+
+
+def test_service_exports_only_the_traffic_model():
+    import repro.service
+
+    assert sorted(repro.service.__all__) == ["ReplayConfig", "zipf_weights"]
