@@ -12,8 +12,9 @@ A :class:`SparseKernel` bundles exactly those pieces for one computation:
 * :meth:`~SparseKernel.dag` — the loop-carried dependence DAG,
 * :meth:`~SparseKernel.cost` — per-iteration cost (non-zeros touched),
 * :meth:`~SparseKernel.reference` — the sequential executor (oracle),
-* :meth:`~SparseKernel.execute` — the schedule-driven executor, which also
-  *verifies* that the schedule respects every dependence,
+* :meth:`~SparseKernel.execute_in_order` — the schedule-driven executor,
+  which first checks that the order respects every dependence
+  (:func:`check_order`) and then runs it,
 * :meth:`~SparseKernel.memory_trace` — per-iteration touched cache lines,
   feeding the locality model of :mod:`repro.runtime.cache`.
 """
@@ -26,13 +27,50 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.dag import DAG
-from ..sparse.csr import CSRMatrix, INDEX_DTYPE
+from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 
-__all__ = ["SparseKernel", "KernelError", "lines_of_rows"]
+__all__ = ["SparseKernel", "KernelError", "check_order", "check_rhs", "lines_of_rows"]
 
 
 class KernelError(RuntimeError):
     """Raised when a kernel cannot run (structural defect, zero pivot, ...)."""
+
+
+def check_order(pattern: CSRMatrix, order, name: str, violation: str) -> np.ndarray:
+    """Check, in one vectorized pass, that ``order`` can run the kernel.
+
+    ``order`` must be a permutation of ``range(n)``, and iteration ``i``
+    depends on every column ``j < i`` stored in row ``i`` of ``pattern``:
+    with ``pos[order] = arange(n)``, each such entry needs
+    ``pos[j] < pos[i]``.  On a violation the :class:`KernelError` names the
+    earliest violating iteration in ``order`` and its first five unmet
+    dependences in stored column order: the message is
+    ``f"{name}: " + violation.format(i=..., missing=[...])``.
+
+    Returns ``order`` as an index array.
+    """
+    n = pattern.n_rows
+    order = np.asarray(order, dtype=INDEX_DTYPE)
+    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
+        raise KernelError(f"{name}: order must be a permutation of range(n)")
+    pos = np.empty(n, dtype=INDEX_DTYPE)
+    pos[order] = np.arange(n, dtype=INDEX_DTYPE)
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), pattern.row_nnz())
+    cols = pattern.indices
+    late = (cols < rows) & (pos[cols] > pos[rows])
+    if late.any():
+        i = int(order[pos[rows[late]].min()])
+        missing = cols[late & (rows == i)][:5].tolist()
+        raise KernelError(f"{name}: " + violation.format(i=i, missing=missing))
+    return order
+
+
+def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
+    """``b`` as a float vector of exactly ``n`` entries, else ``ValueError``."""
+    b = np.asarray(b, dtype=VALUE_DTYPE)
+    if b.shape != (n,):
+        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    return b
 
 
 def lines_of_rows(a: CSRMatrix, *, line_elems: int = 8) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,8 +132,9 @@ class SparseKernel(ABC):
         """Run the kernel with iterations executed in ``order``.
 
         ``order`` must be a permutation of ``range(n)`` that respects the
-        DAG; the executor asserts this per-iteration (dependence-checking
-        execution) and raises :class:`KernelError` on a violation.
+        DAG.  The executor checks the whole order once, before any
+        arithmetic (:func:`check_order`), and raises :class:`KernelError`
+        on a violation; then it runs the iterations in ``order``.
         """
 
     @abstractmethod

@@ -24,11 +24,11 @@ import numpy as np
 
 from ..graph.build import dag_from_lower_triangular
 from ..graph.dag import DAG
-from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from ..sparse.csr import CSRMatrix, VALUE_DTYPE
 from ..sparse.symbolic import symbolic_cholesky
 from ..sparse.triangular import lower_triangle
 from ._trace import trace_self_plus_lower_neighbors
-from .base import KernelError, SparseKernel
+from .base import KernelError, SparseKernel, check_order
 from .memory import MemoryModel, factor_memory_model
 from .spic0 import _factor_row
 
@@ -66,22 +66,12 @@ def cholesky_reference(a: CSRMatrix) -> CSRMatrix:
 
 
 def cholesky_in_order(a: CSRMatrix, order: np.ndarray) -> CSRMatrix:
-    """Complete Cholesky with rows factored in ``order``; asserts dependences."""
+    """Complete Cholesky with rows factored in ``order``, checked once beforehand."""
     emb = embed_in_fill_pattern(a)
-    n = emb.n_rows
-    order = np.asarray(order, dtype=INDEX_DTYPE)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise KernelError("cholesky: order must be a permutation of range(n)")
-    done = np.zeros(n, dtype=bool)
+    order = check_order(emb, order, "cholesky", "row {i} factored before rows {missing}")
     l_data = np.zeros(emb.nnz, dtype=VALUE_DTYPE)
-    for i in order:
-        lo, hi = emb.indptr[i], emb.indptr[i + 1]
-        deps = emb.indices[lo : hi - 1]
-        if not np.all(done[deps]):
-            missing = deps[~done[deps]][:5].tolist()
-            raise KernelError(f"cholesky: row {int(i)} factored before rows {missing}")
-        _factor_row(int(i), emb.indptr, emb.indices, emb.data, l_data)
-        done[i] = True
+    for i in order.tolist():
+        _factor_row(i, emb.indptr, emb.indices, emb.data, l_data)
     return emb.with_data(l_data)
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from ..graph.build import dag_from_matrix_lower
 from ..graph.dag import DAG
-from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from .base import KernelError, SparseKernel
+from ..sparse.csr import CSRMatrix, VALUE_DTYPE
+from .base import KernelError, SparseKernel, check_order, check_rhs
 from .memory import MemoryModel
 
 __all__ = ["GaussSeidel", "gauss_seidel_sweep", "gauss_seidel_in_order"]
@@ -53,9 +53,7 @@ def gauss_seidel_sweep(
     """One sequential forward sweep; returns the new iterate."""
     _check_diagonal(a)
     n = a.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    b = check_rhs(b, n)
     x_old = np.zeros(n, dtype=VALUE_DTYPE) if x_old is None else np.asarray(x_old, dtype=VALUE_DTYPE)
     x_new = np.empty(n, dtype=VALUE_DTYPE)
     indptr, indices, data = a.indptr, a.indices, a.data
@@ -74,31 +72,23 @@ def gauss_seidel_sweep(
 def gauss_seidel_in_order(
     a: CSRMatrix, order: np.ndarray, b: np.ndarray, x_old: np.ndarray | None = None
 ) -> np.ndarray:
-    """One forward sweep with rows relaxed in ``order``; asserts dependences."""
+    """One forward sweep with rows relaxed in ``order``, checked once beforehand."""
     _check_diagonal(a)
     n = a.n_rows
-    order = np.asarray(order, dtype=INDEX_DTYPE)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise KernelError("gauss-seidel: order must be a permutation of range(n)")
-    b = np.asarray(b, dtype=VALUE_DTYPE)
+    b = check_rhs(b, n)
+    order = check_order(a, order, "gauss-seidel", "row {i} relaxed before rows {missing}")
     x_old = np.zeros(n, dtype=VALUE_DTYPE) if x_old is None else np.asarray(x_old, dtype=VALUE_DTYPE)
     x_new = np.empty(n, dtype=VALUE_DTYPE)
-    done = np.zeros(n, dtype=bool)
     indptr, indices, data = a.indptr, a.indices, a.data
     for i in order:
         lo, hi = indptr[i], indptr[i + 1]
         cols = indices[lo:hi]
         vals = data[lo:hi]
         below = cols < i
-        deps = cols[below]
-        if not np.all(done[deps]):
-            missing = deps[~done[deps]][:5].tolist()
-            raise KernelError(f"gauss-seidel: row {int(i)} relaxed before rows {missing}")
         above = cols > i
         k = int(np.searchsorted(cols, i))
-        s = b[i] - vals[below] @ x_new[deps] - vals[above] @ x_old[cols[above]]
+        s = b[i] - vals[below] @ x_new[cols[below]] - vals[above] @ x_old[cols[above]]
         x_new[i] = s / vals[k]
-        done[i] = True
     return x_new
 
 

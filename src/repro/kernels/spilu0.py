@@ -26,8 +26,9 @@ from ..graph.build import dag_from_matrix_lower
 from ..graph.dag import DAG
 from ..sparse.csr import CSRMatrix, INDEX_DTYPE
 from ._trace import trace_self_plus_lower_neighbors
-from .base import KernelError, SparseKernel
+from .base import KernelError, SparseKernel, check_order
 from .cost import spilu0_cost
+from .spic0 import _pattern_defect
 
 __all__ = ["SpILU0", "spilu0_reference", "spilu0_in_order", "ilu0_defect", "split_lu"]
 
@@ -89,23 +90,12 @@ def spilu0_reference(a: CSRMatrix) -> CSRMatrix:
 
 
 def spilu0_in_order(a: CSRMatrix, order: np.ndarray) -> CSRMatrix:
-    """ILU(0) with rows processed in ``order``; asserts every dependence."""
-    n = a.n_rows
-    order = np.asarray(order, dtype=INDEX_DTYPE)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise KernelError("spilu0: order must be a permutation of range(n)")
+    """ILU(0) with rows processed in ``order``, checked once against every dependence."""
+    order = check_order(a, order, "spilu0", "row {i} eliminated before rows {missing}")
     diag_pos = _diag_positions(a)
     data = a.data.copy()
-    done = np.zeros(n, dtype=bool)
-    for i in order:
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        cols = a.indices[lo:hi]
-        deps = cols[cols < i]
-        if not np.all(done[deps]):
-            missing = deps[~done[deps]][:5].tolist()
-            raise KernelError(f"spilu0: row {int(i)} eliminated before rows {missing}")
-        _eliminate_row(int(i), a.indptr, a.indices, data, diag_pos)
-        done[i] = True
+    for i in order.tolist():
+        _eliminate_row(i, a.indptr, a.indices, data, diag_pos)
     return a.with_data(data)
 
 
@@ -117,43 +107,26 @@ def split_lu(factor: CSRMatrix) -> tuple:
     import scipy.sparse as sp
 
     n = factor.n_rows
-    rows_l, cols_l, vals_l = [], [], []
-    rows_u, cols_u, vals_u = [], [], []
-    for i, cols, vals in factor.iter_rows():
-        lower = cols < i
-        rows_l.extend([i] * int(lower.sum()))
-        cols_l.extend(cols[lower].tolist())
-        vals_l.extend(vals[lower].tolist())
-        upper = cols >= i
-        rows_u.extend([i] * int(upper.sum()))
-        cols_u.extend(cols[upper].tolist())
-        vals_u.extend(vals[upper].tolist())
-    rows_l.extend(range(n))
-    cols_l.extend(range(n))
-    vals_l.extend([1.0] * n)
-    l = sp.csr_matrix((vals_l, (rows_l, cols_l)), shape=(n, n))
-    u = sp.csr_matrix((vals_u, (rows_u, cols_u)), shape=(n, n))
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), factor.row_nnz())
+    cols, vals = factor.indices, factor.data
+    lower = cols < rows
+    upper = ~lower
+    eye = np.arange(n, dtype=INDEX_DTYPE)
+    l = sp.csr_matrix(
+        (
+            np.concatenate([vals[lower], np.ones(n)]),
+            (np.concatenate([rows[lower], eye]), np.concatenate([cols[lower], eye])),
+        ),
+        shape=(n, n),
+    )
+    u = sp.csr_matrix((vals[upper], (rows[upper], cols[upper])), shape=(n, n))
     return l, u
 
 
 def ilu0_defect(a: CSRMatrix, factor: CSRMatrix) -> float:
     """Max relative defect ``|(L U - A)[i, j]|`` over the stored pattern of ``a``."""
     l, u = split_lu(factor)
-    prod = (l @ u).tocsr()
-    prod.sort_indices()
-    worst = 0.0
-    scale = float(np.abs(a.data).max()) or 1.0
-    for i in range(a.n_rows):
-        cols, vals = a.row(i)
-        s, e = prod.indptr[i], prod.indptr[i + 1]
-        prow, pval = prod.indices[s:e], prod.data[s:e]
-        if prow.shape[0] == 0:
-            got = np.zeros_like(vals)
-        else:
-            pos = np.clip(np.searchsorted(prow, cols), 0, prow.shape[0] - 1)
-            got = np.where(prow[pos] == cols, pval[pos], 0.0)
-        worst = max(worst, float(np.abs(got - vals).max(initial=0.0)))
-    return worst / scale
+    return _pattern_defect(a, (l @ u).tocsr())
 
 
 class SpILU0(SparseKernel):

@@ -17,9 +17,9 @@ Three executors are provided:
 * :func:`sptrsv_reference` — the literal sequential loop (oracle);
 * :func:`sptrsv_levelwise` — vectorized level-synchronous solve used by the
   fast paths of the harness (one segmented mat-vec per wavefront);
-* :meth:`SpTRSV.execute_in_order` — dependence-checking executor that runs
-  iterations in an arbitrary (schedule-derived) order and raises on any
-  violated dependence.
+* :meth:`SpTRSV.execute_in_order` — the schedule executor: it checks the
+  whole (schedule-derived) order against the dependences once, raising on
+  any violation, then runs the iterations in that order on Python scalars.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..graph.build import dag_from_lower_triangular
 from ..graph.dag import DAG
 from ..graph.wavefronts import Wavefronts, compute_wavefronts
 from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
-from .base import KernelError, SparseKernel, lines_of_rows
+from .base import KernelError, SparseKernel, check_order, check_rhs, lines_of_rows
 from .cost import sptrsv_cost
 
 __all__ = [
@@ -64,9 +64,7 @@ def sptrsv_reference(low: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """Sequential forward substitution (the paper's Listing 1)."""
     check_solvable(low)
     n = low.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    b = check_rhs(b, n)
     x = np.empty(n, dtype=VALUE_DTYPE)
     indptr, indices, data = low.indptr, low.indices, low.data
     for i in range(n):
@@ -87,7 +85,7 @@ def sptrsv_levelwise(low: CSRMatrix, b: np.ndarray, waves: Wavefronts | None = N
     if waves is None:
         waves = compute_wavefronts(dag_from_lower_triangular(low))
     n = low.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
+    b = check_rhs(b, n)
     x = np.empty(n, dtype=VALUE_DTYPE)
     indptr, indices, data = low.indptr, low.indices, low.data
     for k in range(waves.n_levels):
@@ -160,9 +158,7 @@ def sptrsv_transpose_reference(low: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """
     check_solvable(low)
     n = low.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    b = check_rhs(b, n)
     x = b.copy()
     indptr, indices, data = low.indptr, low.indices, low.data
     for i in range(n - 1, -1, -1):
@@ -186,8 +182,7 @@ def sptrsv_transpose_levelwise(
     check_solvable(low)
     if waves is None:
         waves = compute_wavefronts(dag_from_lower_triangular(low))
-    n = low.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
+    b = check_rhs(b, low.n_rows)
     x = b.copy()
     indptr, indices, data = low.indptr, low.indices, low.data
     for k in range(waves.n_levels - 1, -1, -1):
@@ -262,29 +257,28 @@ class SpTRSV(SparseKernel):
     def execute_in_order(
         self, a: CSRMatrix, order: np.ndarray, b: np.ndarray | None = None
     ) -> np.ndarray:
-        """Forward substitution following ``order``, asserting dependences."""
+        """Forward substitution running the iterations in ``order``.
+
+        The whole order is checked against the dependences first; then each
+        row computes ``x[i] = (b[i] - sum_j L[i, j] x[j]) / L[i, i]`` on
+        plain Python floats, the sum taken left to right in stored order.
+        """
         check_solvable(a)
         n = a.n_rows
-        if b is None:
-            b = np.ones(n, dtype=VALUE_DTYPE)
-        b = np.asarray(b, dtype=VALUE_DTYPE)
-        order = np.asarray(order, dtype=INDEX_DTYPE)
-        if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-            raise KernelError("sptrsv: order must be a permutation of range(n)")
-        done = np.zeros(n, dtype=bool)
-        x = np.empty(n, dtype=VALUE_DTYPE)
-        indptr, indices, data = a.indptr, a.indices, a.data
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo : hi - 1]
-            if not np.all(done[cols]):
-                missing = cols[~done[cols]][:5].tolist()
-                raise KernelError(
-                    f"sptrsv: iteration {int(i)} scheduled before its dependences {missing}"
-                )
-            x[i] = (b[i] - data[lo : hi - 1] @ x[cols]) / data[hi - 1]
-            done[i] = True
-        return x
+        b = check_rhs(np.ones(n) if b is None else b, n)
+        order = check_order(
+            a, order, "sptrsv", "iteration {i} scheduled before its dependences {missing}"
+        )
+        indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+        rhs = b.tolist()
+        x = [0.0] * n
+        for i in order.tolist():
+            lo, diag = indptr[i], indptr[i + 1] - 1
+            s = 0.0
+            for k in range(lo, diag):
+                s += data[k] * x[indices[k]]
+            x[i] = (rhs[i] - s) / data[diag]
+        return np.array(x, dtype=VALUE_DTYPE)
 
     def verify(self, a: CSRMatrix, result, b: np.ndarray | None = None) -> float:
         """Relative residual ``||Lx - b|| / ||b||``."""

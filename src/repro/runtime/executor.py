@@ -11,9 +11,10 @@ interleavings are provided:
 * :func:`interleaved_order` — a seeded pseudo-random round-robin across the
   partitions of each level, emulating an adversarial concurrent timing.
 
-Both go through the kernels' dependence-checking ``execute_in_order``, which
-raises on any violated dependence, so a schedule bug cannot silently produce
-a correct-looking number.
+Both go through the kernels' ``execute_in_order``, which checks the whole
+order against every dependence once, raising on any violation, and then runs
+it in that order, so a schedule bug cannot silently produce a
+correct-looking number.
 """
 
 from __future__ import annotations

@@ -1,0 +1,301 @@
+"""The executor contract: the whole order is checked once, then run in order.
+
+Every kernel's ``execute_in_order`` checks its order with one vectorized
+pass (:func:`repro.kernels.base.check_order`) before any arithmetic.  These
+tests pin that contract against test-local copies of the per-row loops the
+executors used to run, which checked each iteration's dependences just
+before computing it:
+
+* on valid orders (random topological orders and the interleavings of real
+  schedules) SpTRSV matches the sequential oracle and the four other kernels
+  give bit-identical results to the per-row loops;
+* on invalid orders every kernel raises exactly the message the per-row
+  loop raised;
+* on deep chains the SpTRSV executor is not slower than the per-row loop.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernels import KERNELS, KernelError, sptrsv_reference
+from repro.kernels.cholesky import embed_in_fill_pattern
+from repro.kernels.gauss_seidel import _check_diagonal
+from repro.kernels.spic0 import _factor_row
+from repro.kernels.spilu0 import _diag_positions, _eliminate_row
+from repro.kernels.sptrsv import check_solvable
+from repro.runtime.executor import interleaved_order
+from repro.schedulers import SCHEDULERS
+from repro.sparse import kite_chain_spd, lower_triangle, spd_from_pattern, tridiagonal_spd
+from repro.sparse.csr import INDEX_DTYPE, VALUE_DTYPE
+
+
+# ----------------------------------------------------------------------
+# the per-row loops, checking each iteration just before running it
+# ----------------------------------------------------------------------
+def _permutation(name, order, n):
+    order = np.asarray(order, dtype=INDEX_DTYPE)
+    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
+        raise KernelError(f"{name}: order must be a permutation of range(n)")
+    return order
+
+
+def per_row_sptrsv(a, order, b):
+    check_solvable(a)
+    n = a.n_rows
+    b = np.asarray(b, dtype=VALUE_DTYPE)
+    order = _permutation("sptrsv", order, n)
+    done = np.zeros(n, dtype=bool)
+    x = np.empty(n, dtype=VALUE_DTYPE)
+    indptr, indices, data = a.indptr, a.indices, a.data
+    for i in order:
+        lo, hi = indptr[i], indptr[i + 1]
+        cols = indices[lo : hi - 1]
+        if not np.all(done[cols]):
+            missing = cols[~done[cols]][:5].tolist()
+            raise KernelError(
+                f"sptrsv: iteration {int(i)} scheduled before its dependences {missing}"
+            )
+        x[i] = (b[i] - data[lo : hi - 1] @ x[cols]) / data[hi - 1]
+        done[i] = True
+    return x
+
+
+def _per_row_factor(name, low, order):
+    order = _permutation(name, order, low.n_rows)
+    done = np.zeros(low.n_rows, dtype=bool)
+    l_data = np.zeros(low.nnz, dtype=VALUE_DTYPE)
+    for i in order:
+        lo, hi = low.indptr[i], low.indptr[i + 1]
+        deps = low.indices[lo : hi - 1]
+        if not np.all(done[deps]):
+            missing = deps[~done[deps]][:5].tolist()
+            raise KernelError(f"{name}: row {int(i)} factored before rows {missing}")
+        _factor_row(int(i), low.indptr, low.indices, low.data, l_data)
+        done[i] = True
+    return low.with_data(l_data)
+
+
+def per_row_spic0(a, order, b=None):
+    low = lower_triangle(a)
+    if not low.has_full_diagonal():
+        raise KernelError("spic0: matrix must have a full diagonal")
+    return _per_row_factor("spic0", low, order)
+
+
+def per_row_cholesky(a, order, b=None):
+    return _per_row_factor("cholesky", embed_in_fill_pattern(a), order)
+
+
+def per_row_spilu0(a, order, b=None):
+    order = _permutation("spilu0", order, a.n_rows)
+    diag_pos = _diag_positions(a)
+    data = a.data.copy()
+    done = np.zeros(a.n_rows, dtype=bool)
+    for i in order:
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        cols = a.indices[lo:hi]
+        deps = cols[cols < i]
+        if not np.all(done[deps]):
+            missing = deps[~done[deps]][:5].tolist()
+            raise KernelError(f"spilu0: row {int(i)} eliminated before rows {missing}")
+        _eliminate_row(int(i), a.indptr, a.indices, data, diag_pos)
+        done[i] = True
+    return a.with_data(data)
+
+
+def per_row_gauss_seidel(a, order, b):
+    _check_diagonal(a)
+    n = a.n_rows
+    order = _permutation("gauss-seidel", order, n)
+    b = np.asarray(b, dtype=VALUE_DTYPE)
+    x_old = np.zeros(n, dtype=VALUE_DTYPE)
+    x_new = np.empty(n, dtype=VALUE_DTYPE)
+    done = np.zeros(n, dtype=bool)
+    indptr, indices, data = a.indptr, a.indices, a.data
+    for i in order:
+        lo, hi = indptr[i], indptr[i + 1]
+        cols = indices[lo:hi]
+        vals = data[lo:hi]
+        below = cols < i
+        deps = cols[below]
+        if not np.all(done[deps]):
+            missing = deps[~done[deps]][:5].tolist()
+            raise KernelError(f"gauss-seidel: row {int(i)} relaxed before rows {missing}")
+        above = cols > i
+        k = int(np.searchsorted(cols, i))
+        s = b[i] - vals[below] @ x_new[deps] - vals[above] @ x_old[cols[above]]
+        x_new[i] = s / vals[k]
+        done[i] = True
+    return x_new
+
+
+#: kernel name -> (per-row loop, operand of the kernel given the SPD matrix)
+PER_ROW = {
+    "sptrsv": (per_row_sptrsv, lower_triangle),
+    "spic0": (per_row_spic0, lambda a: a),
+    "spilu0": (per_row_spilu0, lambda a: a),
+    "gauss_seidel": (per_row_gauss_seidel, lambda a: a),
+    "spchol": (per_row_cholesky, lambda a: a),
+}
+FACTOR_KERNELS = ("spic0", "spilu0", "spchol")
+
+
+# ----------------------------------------------------------------------
+# inputs
+# ----------------------------------------------------------------------
+@st.composite
+def lower_patterns(draw, max_n=30):
+    """A random SPD matrix grown from a random strictly-lower pattern."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, 4 * max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        return spd_from_pattern(1, np.empty(0, np.int64), np.empty(0, np.int64), seed=seed)
+    rows = rng.integers(1, n, size=m)
+    cols = (rng.random(m) * rows).astype(np.int64)
+    pair = np.unique(np.stack([rows, cols], axis=1), axis=0).reshape(-1, 2)
+    return spd_from_pattern(n, pair[:, 0], pair[:, 1], seed=seed)
+
+
+def random_topological_order(g, rng):
+    """A topological order of ``g`` that breaks every tie at random."""
+    indeg = g.in_degree().copy()
+    ready = [int(v) for v in np.flatnonzero(indeg == 0)]
+    out = []
+    while ready:
+        v = ready.pop(int(rng.integers(len(ready))))
+        out.append(v)
+        for w in g.children(v).tolist():
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(int(w))
+    assert len(out) == g.n
+    return np.array(out, dtype=INDEX_DTYPE)
+
+
+def valid_orders(kernel, m, seed):
+    """Random topological orders plus interleavings of three schedules."""
+    rng = np.random.default_rng(seed)
+    g = kernel.dag(m)
+    cost = np.asarray(kernel.cost(m), dtype=float)[: g.n]
+    orders = [np.arange(m.n_rows, dtype=INDEX_DTYPE)]
+    orders += [random_topological_order(g, rng) for _ in range(2)]
+    for algo in ("hdagg", "spmp", "wavefront"):
+        schedule = SCHEDULERS[algo](g, cost, 3)
+        orders.append(interleaved_order(schedule, seed=seed))
+    return orders
+
+
+def invalid_orders(kernel, m, seed):
+    """Random permutations, near-valid orders and non-permutations."""
+    rng = np.random.default_rng(seed)
+    n = m.n_rows
+    orders = [rng.permutation(n) for _ in range(3)]
+    orders.append(np.arange(n)[::-1].copy())
+    topo = random_topological_order(kernel.dag(m), rng)
+    for _ in range(2):
+        swapped = topo.copy()
+        i, j = rng.integers(n, size=2)
+        swapped[[i, j]] = swapped[[j, i]]
+        orders.append(swapped)
+    orders.append(np.zeros(n, dtype=INDEX_DTYPE))  # repeats a row
+    orders.append(np.arange(n + 1))  # one row too many
+    return orders
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except KernelError as exc:
+        return "raised", str(exc)
+
+
+# ----------------------------------------------------------------------
+# tests
+# ----------------------------------------------------------------------
+@given(lower_patterns(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_sptrsv_matches_the_oracle_on_valid_orders(a, seed):
+    kernel = KERNELS["sptrsv"]
+    low = lower_triangle(a)
+    b = np.random.default_rng(seed).standard_normal(low.n_rows)
+    ref = sptrsv_reference(low, b)
+    orders = valid_orders(kernel, low, seed)
+    np.testing.assert_allclose(kernel.execute_in_order(low, orders[0], b), ref, rtol=1e-12)
+    for order in orders[1:]:
+        np.testing.assert_allclose(kernel.execute_in_order(low, order, b), ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["spic0", "spilu0", "gauss_seidel", "spchol"])
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_results_bit_identical_to_the_per_row_loop(name, a, seed):
+    kernel = KERNELS[name]
+    per_row, operand = PER_ROW[name]
+    m = operand(a)
+    b = np.random.default_rng(seed).standard_normal(m.n_rows)
+    for order in valid_orders(kernel, m, seed):
+        got = kernel.execute_in_order(m, order, b)
+        want = per_row(m, order, b)
+        if name in FACTOR_KERNELS:
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            got, want = got.data, want.data
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(PER_ROW))
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_invalid_orders_raise_the_per_row_message(name, a, seed):
+    kernel = KERNELS[name]
+    per_row, operand = PER_ROW[name]
+    m = operand(a)
+    b = np.random.default_rng(seed).standard_normal(m.n_rows)
+    for order in invalid_orders(kernel, m, seed):
+        status, got = _outcome(kernel.execute_in_order, m, order, b)
+        want_status, want = _outcome(per_row, m, order, b)
+        assert status == want_status, (order, got, want)
+        if status == "raised":
+            assert got == want
+
+
+def test_violation_names_earliest_iteration_and_first_five_dependences():
+    a = tridiagonal_spd(12, seed=0)
+    low = lower_triangle(a)
+    # rows 5 and 9 both run before row 4; row 5 comes first in the order
+    order = [0, 1, 2, 3, 5, 9, 4, 6, 7, 8, 10, 11]
+    with pytest.raises(KernelError) as exc:
+        KERNELS["sptrsv"].execute_in_order(low, order)
+    assert str(exc.value) == "sptrsv: iteration 5 scheduled before its dependences [4]"
+
+
+def _best_of(fn, rounds=5):
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: kite_chain_spd(60, 9, seed=3), lambda: tridiagonal_spd(2000, seed=3)],
+    ids=["kite_chain_spd", "chain-2000"],
+)
+def test_deep_chain_not_slower_than_the_per_row_loop(make):
+    low = lower_triangle(make())
+    order = np.arange(low.n_rows, dtype=INDEX_DTYPE)
+    b = np.random.default_rng(0).standard_normal(low.n_rows)
+    kernel = KERNELS["sptrsv"]
+    np.testing.assert_allclose(
+        kernel.execute_in_order(low, order, b), per_row_sptrsv(low, order, b), rtol=1e-12
+    )
+    new = _best_of(lambda: kernel.execute_in_order(low, order, b))
+    old = _best_of(lambda: per_row_sptrsv(low, order, b))
+    assert new <= old, f"checked-once executor {new * 1e3:.2f} ms vs per-row {old * 1e3:.2f} ms"

@@ -1,9 +1,19 @@
 """Tests for the SpTRSV kernel."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.kernels import KernelError, SpTRSV, check_solvable, sptrsv_levelwise, sptrsv_reference
+from repro.kernels import (
+    KernelError,
+    SpTRSV,
+    check_solvable,
+    gauss_seidel_in_order,
+    sptrsv_levelwise,
+    sptrsv_reference,
+    sptrsv_transpose_levelwise,
+)
 from repro.sparse import csr_from_dense, dense_lower_solve, lower_triangle
 
 
@@ -136,3 +146,32 @@ class TestInspectorInterface:
         m.validate(g)
         assert np.all(m.edge_lines == 1.0)  # one x-line per dependence
         assert np.all(m.stream_lines >= 2.0)  # own row + x write
+
+
+class TestRightHandSideShape:
+    """Every solve rejects a ``b`` that is not a vector of exactly ``n`` entries."""
+
+    @pytest.fixture
+    def low(self):
+        from repro.sparse import poisson2d
+
+        return lower_triangle(poisson2d(5))
+
+    @pytest.mark.parametrize("shape", ["long", "short", "column"])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda low, b: SpTRSV().execute_in_order(low, np.arange(low.n_rows), b),
+            sptrsv_levelwise,
+            sptrsv_transpose_levelwise,
+            sptrsv_reference,
+            lambda low, b: gauss_seidel_in_order(low, np.arange(low.n_rows), b),
+        ],
+        ids=["execute_in_order", "levelwise", "transpose_levelwise", "reference", "gauss_seidel"],
+    )
+    def test_wrong_shape_rejected(self, low, solve, shape):
+        n = low.n_rows
+        b = {"long": np.ones(n + 1), "short": np.ones(n - 1), "column": np.ones((n, 1))}[shape]
+        message = f"b has shape {b.shape}, expected ({n},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(low, b)
