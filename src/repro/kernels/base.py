@@ -27,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.dag import DAG
-from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from ..sparse.csr import CSRMatrix, INDEX_DTYPE, check_rhs
 
 __all__ = ["SparseKernel", "KernelError", "check_order", "check_rhs", "lines_of_rows"]
 
@@ -63,14 +63,6 @@ def check_order(pattern: CSRMatrix, order, name: str, violation: str) -> np.ndar
         missing = cols[late & (rows == i)][:5].tolist()
         raise KernelError(f"{name}: " + violation.format(i=i, missing=missing))
     return order
-
-
-def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
-    """``b`` as a float vector of exactly ``n`` entries, else ``ValueError``."""
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-    return b
 
 
 def lines_of_rows(a: CSRMatrix, *, line_elems: int = 8) -> Tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, check_rhs
 
 __all__ = ["CSCMatrix", "csc_from_csr", "csr_from_csc", "sptrsv_csc_reference", "sptrsv_csc_in_order"]
 
@@ -138,10 +138,7 @@ def sptrsv_csc_reference(low: CSCMatrix, b: np.ndarray) -> np.ndarray:
     if not low.is_square:
         raise ValueError("sptrsv: matrix must be square")
     n = low.n_cols
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-    x = b.copy()
+    x = check_rhs(b, n).copy()
     indptr, indices, data = low.indptr, low.indices, low.data
     for j in range(n):
         lo, hi = indptr[j], indptr[j + 1]
@@ -166,8 +163,7 @@ def sptrsv_csc_in_order(low: CSCMatrix, order: np.ndarray, b: np.ndarray) -> np.
     order = np.asarray(order, dtype=INDEX_DTYPE)
     if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
         raise ValueError("sptrsv: order must be a permutation of range(n)")
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    x = b.copy()
+    x = check_rhs(b, n).copy()
     done = np.zeros(n, dtype=bool)
     indptr, indices, data = low.indptr, low.indices, low.data
     # dependence check needs the row view: column j of L holds the

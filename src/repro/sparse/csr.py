@@ -54,6 +54,14 @@ def _as_value_array(a, name: str) -> np.ndarray:
     return arr
 
 
+def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
+    """``b`` as a float vector of exactly ``n`` entries, else ``ValueError``."""
+    b = np.asarray(b, dtype=VALUE_DTYPE)
+    if b.shape != (n,):
+        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    return b
+
+
 class CSRMatrix:
     """An ``n_rows x n_cols`` sparse matrix in CSR format.
 
@@ -273,20 +281,16 @@ class CSRMatrix:
         inv = np.empty(n, dtype=INDEX_DTYPE)
         inv[perm] = np.arange(n, dtype=INDEX_DTYPE)
 
-        row_counts = np.diff(self.indptr)[perm]
+        row_counts = np.diff(self.indptr)
         indptr_p = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(row_counts, out=indptr_p[1:])
-        nnz = self.nnz
-        indices_p = np.empty(nnz, dtype=INDEX_DTYPE)
-        data_p = np.empty(nnz, dtype=VALUE_DTYPE)
-        for new_i in range(n):
-            old_i = perm[new_i]
-            lo, hi = self.indptr[old_i], self.indptr[old_i + 1]
-            cols = inv[self.indices[lo:hi]]
-            order = np.argsort(cols, kind="stable")
-            dst = slice(indptr_p[new_i], indptr_p[new_i + 1])
-            indices_p[dst] = cols[order]
-            data_p[dst] = self.data[lo:hi][order]
+        np.cumsum(row_counts[perm], out=indptr_p[1:])
+        # One stable sort on the key (new row, new column): entries sharing
+        # both (duplicates) keep their stored order, as a per-row stable sort
+        # would.
+        new_cols = inv[self.indices]
+        order = np.argsort(np.repeat(inv * n, row_counts) + new_cols, kind="stable")
+        indices_p = new_cols[order]
+        data_p = self.data[order]
         return CSRMatrix(n, n, indptr_p, indices_p, data_p, check=False)
 
     # ------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 The paper reorders every input with METIS before handing it to any of the
 schedulers (Section V).  METIS itself is a native library; this module
-provides pure-Python equivalents that play the same role in the pipeline:
+provides stand-ins that play the same role in the pipeline:
 
 * :func:`rcm` — reverse Cuthill-McKee bandwidth reduction;
 * :func:`nested_dissection` — recursive BFS-bisection ND, the same family of
   ordering METIS_NodeND computes;
 * :func:`natural` / :func:`random_permutation` — controls for ablations.
+
+The symmetrised adjacency is built with NumPy; the breadth-first sweeps then
+run over plain Python lists (one ``tolist()`` per call), because a BFS is
+one vertex at a time by nature and per-vertex NumPy indexing costs more than
+the work it does.
 
 All functions return a permutation ``perm`` with the convention used by
 :meth:`repro.sparse.csr.CSRMatrix.permute_symmetric`: new index ``k``
@@ -16,8 +21,6 @@ corresponds to old index ``perm[k]``.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .csr import CSRMatrix, INDEX_DTYPE
@@ -25,47 +28,56 @@ from .csr import CSRMatrix, INDEX_DTYPE
 __all__ = ["rcm", "nested_dissection", "natural", "random_permutation", "apply_ordering"]
 
 
-def _adjacency(a: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised adjacency (indptr, indices) without self-loops."""
-    at = a.transpose()
+def _neighbours(a: CSRMatrix) -> list[list[int]]:
+    """Neighbour lists (ids increasing) of the symmetrised pattern, no self-loops.
+
+    The union of the patterns of A and A^T is one unique over the 1-D keys
+    ``row * n + col``: sorted, they run row by row, columns increasing.
+    """
     n = a.n_rows
-    # Union of patterns of A and A^T, dropping the diagonal.
-    rows = np.concatenate(
-        [
-            np.repeat(np.arange(n, dtype=INDEX_DTYPE), a.row_nnz()),
-            np.repeat(np.arange(n, dtype=INDEX_DTYPE), at.row_nnz()),
-        ]
-    )
-    cols = np.concatenate([a.indices, at.indices])
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    pair = np.unique(np.stack([rows, cols], axis=1), axis=0)
-    indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(pair[:, 0], minlength=n), out=indptr[1:])
-    return indptr, np.ascontiguousarray(pair[:, 1])
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), a.row_nnz())
+    keep = rows != a.indices
+    rows, cols = rows[keep], a.indices[keep]
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    ptr = np.searchsorted(keys, np.arange(n + 1, dtype=INDEX_DTYPE) * n).tolist()
+    idx = (keys % n).tolist()
+    return [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
 
 
-def _pseudo_peripheral(indptr: np.ndarray, indices: np.ndarray, start: int) -> int:
-    """Find a pseudo-peripheral vertex by repeated BFS (George-Liu)."""
-    n = indptr.shape[0] - 1
-    u = start
-    last_ecc = -1
-    for _ in range(n):
-        dist = np.full(n, -1, dtype=INDEX_DTYPE)
-        dist[u] = 0
-        q = deque([u])
-        far = u
-        while q:
-            v = q.popleft()
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    far = int(w)
-                    q.append(int(w))
-        ecc = int(dist[far])
-        if ecc <= last_ecc:
+def _bfs(nbrs: list, tag: list, dist: list, root: int, inside: int, mark: int) -> list[int]:
+    """BFS from ``root`` over the vertices tagged ``inside``, retagging them ``mark``.
+
+    Returns the FIFO visit order (neighbours by increasing id) and leaves
+    each visited vertex's distance from ``root`` in ``dist``; distances are
+    non-decreasing along the order.
+    """
+    tag[root] = mark
+    dist[root] = 0
+    order = [root]
+    append = order.append
+    for v in order:  # the loop also visits what it appends: a FIFO queue
+        d = dist[v] + 1
+        for w in nbrs[v]:
+            if tag[w] == inside:
+                tag[w] = mark
+                dist[w] = d
+                append(w)
+    return order
+
+
+def _pseudo_peripheral(nbrs: list, tag: list, dist: list, start: int) -> int:
+    """Find a pseudo-peripheral vertex by repeated BFS (George-Liu).
+
+    ``start``'s component must be tagged ``0``; the sweeps leave it tagged
+    ``0`` or ``1``.
+    """
+    u, last_ecc, inside = start, -1, 0
+    for _ in range(len(nbrs)):
+        far = _bfs(nbrs, tag, dist, u, inside, 1 - inside)[-1]
+        inside = 1 - inside
+        if dist[far] <= last_ecc:
             return u
-        last_ecc = ecc
+        last_ecc = dist[far]
         u = far
     return u
 
@@ -78,118 +90,93 @@ def rcm(a: CSRMatrix) -> np.ndarray:
     Deterministic: ties break on vertex id.
     """
     n = a.n_rows
-    indptr, indices = _adjacency(a)
-    degree = np.diff(indptr)
-    visited = np.zeros(n, dtype=bool)
+    nbrs = _neighbours(a)
+    degree = [len(ws) for ws in nbrs]
+    # 0: unvisited, 1: visited by a peripheral sweep only, 2: ordered
+    tag = [0] * n
+    dist = [0] * n
     order: list[int] = []
     for seed in range(n):
-        if visited[seed]:
+        if tag[seed]:
             continue
-        root = _pseudo_peripheral(indptr, indices, seed)
-        if visited[root]:  # component already swept via another seed
-            root = seed
-        visited[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            nbrs = nbrs[~visited[nbrs]]
-            # sort by (degree, id) for determinism
-            nbrs = nbrs[np.lexsort((nbrs, degree[nbrs]))]
-            visited[nbrs] = True
-            q.extend(int(x) for x in nbrs)
-    perm = np.array(order[::-1], dtype=INDEX_DTYPE)
-    return perm
-
-
-def _bfs_bisect(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``nodes`` into (left, right, separator) via BFS level halving.
-
-    BFS from a pseudo-peripheral vertex of the subgraph; the level that first
-    covers half the vertices becomes the separator.
-    """
-    sub = set(nodes.tolist())
-    start = int(nodes[0])
-    # local BFS to find levels within the subgraph
-    dist = {start: 0}
-    q = deque([start])
-    order = [start]
-    while q:
-        v = q.popleft()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            w = int(w)
-            if w in sub and w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
-                order.append(w)
-    # restart from the farthest vertex for a better (deeper) level structure
-    far = order[-1]
-    dist = {far: 0}
-    q = deque([far])
-    order = [far]
-    while q:
-        v = q.popleft()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            w = int(w)
-            if w in sub and w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
-                order.append(w)
-    unreached = [v for v in nodes.tolist() if v not in dist]
-    half = (len(dist) + 1) // 2
-    # choose separator level: first level where cumulative count >= half
-    max_level = max(dist.values())
-    counts = np.zeros(max_level + 1, dtype=np.int64)
-    for v, d in dist.items():
-        counts[d] += 1
-    cum = np.cumsum(counts)
-    sep_level = int(np.searchsorted(cum, half))
-    sep_level = min(sep_level, max_level)
-    left = [v for v, d in dist.items() if d < sep_level]
-    sep = [v for v, d in dist.items() if d == sep_level]
-    right = [v for v, d in dist.items() if d > sep_level] + unreached
-    return (
-        np.array(sorted(left), dtype=INDEX_DTYPE),
-        np.array(sorted(right), dtype=INDEX_DTYPE),
-        np.array(sorted(sep), dtype=INDEX_DTYPE),
-    )
+        root = _pseudo_peripheral(nbrs, tag, dist, seed)
+        tag[root] = 2
+        queue = [root]
+        for v in queue:  # the loop also visits what it appends: a FIFO
+            ws = [w for w in nbrs[v] if tag[w] != 2]
+            # stable sort of an id-sorted list: (degree, id) order
+            ws.sort(key=degree.__getitem__)
+            for w in ws:
+                tag[w] = 2
+            queue.extend(ws)
+        order.extend(queue)
+    return np.array(order[::-1], dtype=INDEX_DTYPE)
 
 
 def nested_dissection(a: CSRMatrix, *, leaf_size: int = 64) -> np.ndarray:
     """Recursive BFS-bisection nested dissection ordering.
 
-    Partitions the graph recursively; separators are numbered last within
+    Each subproblem is split by BFS level halving: a BFS from its smallest
+    vertex finds the farthest vertex, a second BFS from there gives the
+    level structure, and the level that first covers half of the reached
+    vertices becomes the separator.  Vertices the sweeps do not reach (other
+    components) join the far side.  Separators are numbered last within
     their subproblem (the defining property of ND, which keeps factorisation
-    DAGs shallow and bushy).  Subproblems of at most ``leaf_size`` vertices
-    are ordered by RCM restricted to the subgraph (approximated here by
-    sorted ids, which for small leaves is adequate).
+    DAGs shallow and bushy).  Subproblems of at most ``leaf_size`` vertices,
+    and subproblems whose split leaves one side empty, are emitted in
+    sorted-id order.
     """
     n = a.n_rows
-    indptr, indices = _adjacency(a)
+    nbrs = _neighbours(a)
     out: list[int] = []
 
+    # A subproblem is ``(ids, lo, t, size)``: its vertices are those tagged
+    # ``t`` in the sorted list ``ids[lo:]``.  A split retags only the reached
+    # near side and the separator; the far side keeps the parent's tag, list
+    # and size bookkeeping, so peeling one small component off a graph with
+    # thousands of them costs the component, not the rest.
+    tag = [0] * n
+    dist = [0] * n
+    fresh = 1
     # Explicit work stack (left, right, then separator emitted last within
     # each subproblem).  Lopsided splits — one tiny side plus a huge rest —
     # would drive plain recursion O(n) deep on chain- and hub-like graphs.
-    stack: list[tuple[str, object]] = [("split", np.arange(n, dtype=INDEX_DTYPE))]
+    stack: list = [(list(range(n)), 0, 0, n)]
     while stack:
-        tag, payload = stack.pop()
-        if tag == "emit":
-            out.extend(payload)  # type: ignore[arg-type]
+        item = stack.pop()
+        if isinstance(item, list):
+            out.extend(item)
             continue
-        nodes = payload  # type: ignore[assignment]
-        if nodes.shape[0] <= leaf_size:
-            out.extend(nodes.tolist())
+        ids, lo, t, size = item
+        while lo < len(ids) and tag[ids[lo]] != t:
+            lo += 1
+        if size <= leaf_size:
+            out.extend(v for v in ids[lo:] if tag[v] == t)
             continue
-        left, right, sep = _bfs_bisect(indptr, indices, nodes)
-        if left.shape[0] == 0 or right.shape[0] == 0:
+        far = _bfs(nbrs, tag, dist, ids[lo], t, fresh)[-1]
+        order = _bfs(nbrs, tag, dist, far, fresh, t)
+        # The separator is the BFS level holding the order's middle vertex
+        # (the first level that covers half of the reached vertices).
+        mid = (len(order) - 1) // 2
+        level = dist[order[mid]]
+        s0, s1 = mid, mid + 1
+        while s0 and dist[order[s0 - 1]] == level:
+            s0 -= 1
+        while s1 < len(order) and dist[order[s1]] == level:
+            s1 += 1
+        if s0 == 0 or s1 == size:
             # Degenerate split (e.g. complete graph): stop recursing.
-            out.extend(nodes.tolist())
+            out.extend(v for v in ids[lo:] if tag[v] == t)
             continue
-        stack.append(("emit", sep.tolist()))
-        stack.append(("split", right))
-        stack.append(("split", left))
+        left, sep = sorted(order[:s0]), sorted(order[s0:s1])
+        for v in left:
+            tag[v] = fresh
+        for v in sep:
+            tag[v] = -1
+        stack.append(sep)
+        stack.append((ids, lo, t, size - s1))
+        stack.append((left, 0, fresh, s0))
+        fresh += 1
     perm = np.array(out, dtype=INDEX_DTYPE)
     if perm.shape[0] != n or np.any(np.sort(perm) != np.arange(n)):
         raise AssertionError("nested dissection produced an invalid permutation")
@@ -222,5 +209,7 @@ def apply_ordering(a: CSRMatrix, method: str = "nd", **kwargs) -> tuple[CSRMatri
     }
     if method not in methods:
         raise ValueError(f"unknown ordering {method!r}; expected one of {sorted(methods)}")
+    if not a.is_square:
+        raise ValueError("symmetric permutation requires a square matrix")
     perm = methods[method](a, **kwargs)
     return a.permute_symmetric(perm), perm

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse import csr_from_dense, lower_triangle
+from repro.sparse import csr_from_dense, lower_triangle, tridiagonal_spd
 from repro.sparse.csc import (
     CSCMatrix,
     csc_from_csr,
@@ -123,3 +123,12 @@ class TestCscSolve:
         worse = CSCMatrix(2, 2, [0, 1, 3], [0, 0, 1], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             sptrsv_csc_reference(worse, np.ones(2))
+
+    @pytest.mark.parametrize("extra", [2, -1])
+    def test_in_order_rejects_wrong_length_rhs(self, extra):
+        low = csc_from_csr(lower_triangle(tridiagonal_spd(9, seed=0)))
+        b = np.ones(9 + extra)
+        with pytest.raises(ValueError, match=r"b has shape \(\d+,\), expected \(9,\)"):
+            sptrsv_csc_in_order(low, np.arange(9), b)
+        with pytest.raises(ValueError, match=r"b has shape \(\d+,\), expected \(9,\)"):
+            sptrsv_csc_reference(low, b)
