@@ -6,9 +6,16 @@ warm time measured on a developer laptop, so it only trips on genuine
 regressions (an accidentally reintroduced quadratic loop), never on CI
 jitter.
 
+Then times ``verify_dependences`` (median of 5) on the HDagg schedule of
+the natural-ordered poisson2d(96) for p = 20 (190 coarsened wavefronts,
+3,432 width-partitions) and fails over the verify budget.  The verifier
+reads the schedule's flat arrays; a per-partition Python walk costs tens
+of times more on this schedule, so a small budget catches one creeping
+back.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/smoke_inspector.py [budget_ms]
+    PYTHONPATH=src python benchmarks/smoke_inspector.py [budget_ms [verify_budget_ms]]
 """
 
 from __future__ import annotations
@@ -18,16 +25,37 @@ import time
 
 import numpy as np
 
+from repro.analysis import verify_dependences
 from repro.core import hdagg
 from repro.graph import dag_from_matrix_lower
 from repro.kernels import KERNELS
-from repro.sparse import apply_ordering, poisson2d
+from repro.sparse import apply_ordering, lower_triangle, poisson2d
 
 DEFAULT_BUDGET_MS = 250.0
+DEFAULT_VERIFY_BUDGET_MS = 5.0
 ROUNDS = 3
+VERIFY_ROUNDS = 5
 
 
-def main(budget_ms: float = DEFAULT_BUDGET_MS) -> int:
+def verify_median_ms() -> float:
+    """Median ``verify_dependences`` time on the poisson2d(96) HDagg schedule."""
+    low = lower_triangle(poisson2d(96))
+    kernel = KERNELS["sptrsv"]
+    g = kernel.dag(low)
+    schedule = hdagg(g, kernel.cost(low), 20)
+    times = []
+    for _ in range(VERIFY_ROUNDS):
+        t0 = time.perf_counter()
+        report = verify_dependences(schedule, g, max_witnesses=1, stamp_meta=False)
+        times.append(time.perf_counter() - t0)
+        if not report.ok:
+            raise SystemExit(f"FAIL: HDagg schedule refuted: {report.describe()}")
+    return float(np.median(times)) * 1e3
+
+
+def main(
+    budget_ms: float = DEFAULT_BUDGET_MS, verify_budget_ms: float = DEFAULT_VERIFY_BUDGET_MS
+) -> int:
     a, _ = apply_ordering(poisson2d(64, seed=1), "nd")
     g = dag_from_matrix_lower(a)
     cost = np.asarray(KERNELS["sptrsv"].cost(a), dtype=float)[: g.n]
@@ -46,17 +74,23 @@ def main(budget_ms: float = DEFAULT_BUDGET_MS) -> int:
         print(f"FAIL: exceeds budget of {budget_ms:.0f} ms", file=sys.stderr)
         return 1
     print(f"OK: within budget of {budget_ms:.0f} ms")
+    verify_ms = verify_median_ms()
+    print(f"poisson2d(96) verify_dependences: median of {VERIFY_ROUNDS} = {verify_ms:.2f} ms")
+    if verify_ms > verify_budget_ms:
+        print(f"FAIL: verify exceeds budget of {verify_budget_ms:.1f} ms", file=sys.stderr)
+        return 1
+    print(f"OK: verify within budget of {verify_budget_ms:.1f} ms")
     return 0
 
 
 if __name__ == "__main__":
     try:
-        budget = float(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_BUDGET_MS
+        budgets = [float(arg) for arg in sys.argv[1:3]]
     except ValueError:
         print(
-            f"usage: {sys.argv[0]} [budget_ms]  (budget_ms must be a number, "
-            f"got {sys.argv[1]!r})",
+            f"usage: {sys.argv[0]} [budget_ms [verify_budget_ms]]  (budgets must be "
+            f"numbers, got {sys.argv[1:3]!r})",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    raise SystemExit(main(budget))
+    raise SystemExit(main(*budgets))

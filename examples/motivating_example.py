@@ -33,9 +33,13 @@ def build_example_dag() -> DAG:
 
 def show_schedule(name: str, schedule) -> None:
     print(f"\n--- {name}: {schedule.n_levels} level(s), sync={schedule.sync} ---")
-    for k, level in enumerate(schedule.levels):
+    # coarsened wavefront k is partitions level_ptr[k]:level_ptr[k+1];
+    # partition j is order[part_ptr[j]:part_ptr[j+1]] on core part_core[j]
+    lp, pp = schedule.level_ptr, schedule.part_ptr
+    for k in range(schedule.n_levels):
         parts = ", ".join(
-            f"core{part.core}: {part.vertices.tolist()}" for part in level
+            f"core{schedule.part_core[j]}: {schedule.order[pp[j]:pp[j + 1]].tolist()}"
+            for j in range(lp[k], lp[k + 1])
         )
         print(f"  CW{k}: {parts}")
 

@@ -41,7 +41,6 @@ from .core import (
     DependenceWitness,
     Schedule,
     ScheduleError,
-    WidthPartition,
     accumulated_pgp,
     hdagg,
     pgp,
@@ -69,7 +68,6 @@ __all__ = [
     "accumulated_pgp",
     "DEFAULT_EPSILON",
     "Schedule",
-    "WidthPartition",
     "ScheduleError",
     "DependenceWitness",
     "verify_dependences",

@@ -33,12 +33,12 @@ dependence analyses at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule, WidthPartition
+from ..core.schedule import Schedule
 from ..graph.dag import DAG
 from .footprint import Footprint
 from .races import detect_races
@@ -48,16 +48,20 @@ __all__ = ["MutationResult", "MUTATIONS", "apply_mutation", "run_mutation_suite"
 
 
 def _clone_levels(schedule: Schedule) -> List[List[Tuple[int, np.ndarray]]]:
+    """The schedule as editable levels of ``(core, vertices)`` pairs."""
+    order = schedule.order.copy()
+    ptr, cores, lp = schedule.part_ptr, schedule.part_core.tolist(), schedule.level_ptr
     return [
-        [(part.core, part.vertices.copy()) for part in level] for level in schedule.levels
+        [(cores[j], order[ptr[j] : ptr[j + 1]]) for j in range(lp[k], lp[k + 1])]
+        for k in range(schedule.n_levels)
     ]
 
 
 def _rebuild(schedule: Schedule, levels: List[List[Tuple[int, np.ndarray]]], tag: str) -> Schedule:
-    return Schedule(
-        n=schedule.n,
-        levels=[
-            [WidthPartition(core=c, vertices=v) for c, v in level if v.shape[0]]
+    return Schedule.from_partitions(
+        schedule.n,
+        [
+            [(c, v) for c, v in level if v.shape[0]]
             for level in levels
             if any(v.shape[0] for _, v in level)
         ],
@@ -69,8 +73,19 @@ def _rebuild(schedule: Schedule, levels: List[List[Tuple[int, np.ndarray]]], tag
     )
 
 
-def _coordinates(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return schedule.level_of(), schedule.partition_of(), schedule.position_of()
+def _mutant(schedule: Schedule, tag: str, **arrays: np.ndarray) -> Schedule:
+    """``schedule`` with some of its arrays replaced, tagged as a mutant."""
+    return replace(
+        schedule, **arrays, algorithm=f"{schedule.algorithm}+{tag}", meta={"mutation": tag}
+    )
+
+
+def _swapped(schedule: Schedule, u: int, v: int, tag: str) -> Schedule:
+    """``schedule`` with vertices ``u`` and ``v`` exchanging slots."""
+    order = schedule.order.copy()
+    at_u, at_v = np.flatnonzero(order == u)[0], np.flatnonzero(order == v)[0]
+    order[at_u], order[at_v] = v, u
+    return _mutant(schedule, tag, order=order)
 
 
 def _cross_partition_edges(schedule: Schedule, g: DAG) -> Tuple[np.ndarray, np.ndarray]:
@@ -89,24 +104,14 @@ def swap_across_dependence(
     if src.shape[0] == 0:
         return None
     e = int(rng.integers(src.shape[0]))
-    u, v = int(src[e]), int(dst[e])
-    levels = _clone_levels(schedule)
-    for level in levels:
-        for _, verts in level:
-            u_at = np.nonzero(verts == u)[0]
-            v_at = np.nonzero(verts == v)[0]
-            if u_at.shape[0]:
-                verts[u_at[0]] = v
-            if v_at.shape[0]:
-                verts[v_at[0]] = u
-    return _rebuild(schedule, levels, "swap_across_dependence")
+    return _swapped(schedule, int(src[e]), int(dst[e]), "swap_across_dependence")
 
 
 def _levels_with_cross_edge(schedule: Schedule, g: DAG, *, same_core: bool) -> List[int]:
     """Level indices ``k`` with an edge into level ``k+1`` that lands on a
     different partition (and, for ``same_core=False``, a different core)."""
     src, dst = g.edge_list()
-    level, pid, _ = _coordinates(schedule)
+    level, pid, _ = schedule.coordinates()
     core = schedule.core_assignment()
     adjacent = level[dst] == level[src] + 1
     cross = pid[src] != pid[dst]
@@ -122,13 +127,12 @@ def drop_barrier(schedule: Schedule, g: DAG, rng: np.random.Generator) -> Option
     if not candidates:
         return None
     k = int(candidates[int(rng.integers(len(candidates)))])
-    levels = _clone_levels(schedule)
-    merged = levels[k] + levels[k + 1]
+    lp = schedule.level_ptr
     # renumber cores: duplicate core ids within a level are a *structural*
     # defect, which would let the shape check mask the dependence bug
-    merged = [(i, verts) for i, (_, verts) in enumerate(merged)]
-    levels[k : k + 2] = [merged]
-    return _rebuild(schedule, levels, "drop_barrier")
+    part_core = schedule.part_core.copy()
+    part_core[lp[k] : lp[k + 2]] = np.arange(lp[k + 2] - lp[k])
+    return _mutant(schedule, "drop_barrier", part_core=part_core, level_ptr=np.delete(lp, k + 1))
 
 
 def reorder_within_partition(
@@ -136,24 +140,13 @@ def reorder_within_partition(
 ) -> Optional[Schedule]:
     """Swap a dependent pair inside one width-partition."""
     src, dst = g.edge_list()
-    _, pid, pos = _coordinates(schedule)
+    pid = schedule.partition_of()
     intra = pid[src] == pid[dst]
     if not np.any(intra):
         return None
     picks = np.nonzero(intra)[0]
     e = int(picks[int(rng.integers(picks.shape[0]))])
-    u, v = int(src[e]), int(dst[e])
-    levels = _clone_levels(schedule)
-    for level in levels:
-        for _, verts in level:
-            u_at = np.nonzero(verts == u)[0]
-            if u_at.shape[0]:
-                v_at = np.nonzero(verts == v)[0]
-                if v_at.shape[0] == 0:
-                    continue
-                verts[u_at[0]], verts[v_at[0]] = v, u
-                return _rebuild(schedule, levels, "reorder_within_partition")
-    return None
+    return _swapped(schedule, int(src[e]), int(dst[e]), "reorder_within_partition")
 
 
 def merge_adjacent_wavefronts(

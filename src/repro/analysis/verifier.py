@@ -10,22 +10,24 @@ A schedule is *certified* when every edge ``u -> v`` satisfies
 * ``partition[u] == partition[v]`` and ``position[u] < position[v]``
   (ordered by the sequential sweep of one width-partition).
 
-This is the safety invariant both sync models rely on (paper Section IV-A);
-the predicate itself lives in :func:`repro.core.schedule.dependence_witnesses`
-so :meth:`Schedule.validate` and this verifier cannot drift apart.  On
-refutation the verifier extracts minimal counterexample witnesses — the
-mis-ordered edges with full level/partition/position context, earliest
-execution point first.
+This is the safety invariant both sync models rely on (paper Section IV-A).
+:meth:`Schedule.validate` and this verifier share both halves of the check,
+so they cannot drift apart: the one structural check
+(:meth:`Schedule.check_structure` — an exact cover of the vertices and
+unique cores per level) and the one edge predicate
+(:func:`repro.core.schedule.dependence_witnesses`), evaluated once per call
+for both the violation count and the witnesses.  On refutation the
+verifier extracts minimal counterexample witnesses — the mis-ordered edges
+with full level/partition/position context, earliest execution point first.
 
-Complexity: O(V + E) plus a sort over only the violating edges.
+Complexity: O(V + E) array passes over the schedule's flat arrays, plus a
+sort over only the violating edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ..core.schedule import DependenceWitness, Schedule, ScheduleError, dependence_witnesses
 from ..graph.dag import DAG
@@ -83,28 +85,17 @@ def find_dependence_witnesses(
     schedule: Schedule, g: DAG, *, max_witnesses: int = 16
 ) -> List[DependenceWitness]:
     """All (up to ``max_witnesses``) mis-ordered edges, minimal first."""
+    return _violations(schedule, g, max_witnesses)[1]
+
+
+def _violations(
+    schedule: Schedule, g: DAG, max_witnesses: int
+) -> Tuple[int, List[DependenceWitness]]:
     if g.n_edges == 0:
-        return []
-    src, dst = g.edge_list()
+        return 0, []
     return dependence_witnesses(
-        schedule.level_of(),
-        schedule.partition_of(),
-        schedule.position_of(),
-        src,
-        dst,
-        max_witnesses=max_witnesses,
+        *schedule.coordinates(), *g.edge_list(), max_witnesses=max_witnesses
     )
-
-
-def _count_violations(schedule: Schedule, g: DAG) -> int:
-    if g.n_edges == 0:
-        return 0
-    level = schedule.level_of()
-    pid = schedule.partition_of()
-    pos = schedule.position_of()
-    src, dst = g.edge_list()
-    ok = (level[src] < level[dst]) | ((pid[src] == pid[dst]) & (pos[src] < pos[dst]))
-    return int(np.count_nonzero(~ok))
 
 
 def verify_dependences(
@@ -131,18 +122,16 @@ def verify_dependences(
     with timer.stage(VERIFY_STAGE):
         if structural:
             try:
-                schedule.validate(g, check_dependences=False)
+                schedule.check_structure(g.n)
             except ScheduleError as exc:
                 structural_error = str(exc)
         if structural_error is None:
-            witnesses = find_dependence_witnesses(schedule, g, max_witnesses=max_witnesses)
-            if witnesses:
-                n_violations = _count_violations(schedule, g)
+            n_violations, witnesses = _violations(schedule, g, max_witnesses)
     if stamp_meta:
         stages = schedule.meta.setdefault("stage_seconds", {})
         stages[VERIFY_STAGE] = stages.get(VERIFY_STAGE, 0.0) + timer.total
     return DependenceReport(
-        ok=structural_error is None and not witnesses,
+        ok=structural_error is None and n_violations == 0,
         n_edges=g.n_edges,
         n_violations=n_violations,
         witnesses=witnesses,

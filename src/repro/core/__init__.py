@@ -22,7 +22,6 @@ from .schedule import (
     DependenceWitness,
     Schedule,
     ScheduleError,
-    WidthPartition,
     dependence_witnesses,
 )
 from .schedule_cache import CacheStats, ScheduleCache, schedule_key
@@ -66,5 +65,4 @@ __all__ = [
     "family_key",
     "verify_schedule",
     "VerificationReport",
-    "WidthPartition",
 ]

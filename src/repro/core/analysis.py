@@ -23,13 +23,13 @@ def level_table(schedule: Schedule, cost: np.ndarray) -> List[dict]:
     """Per-level statistics: width, vertex count, load spread, PGP."""
     cost = np.asarray(cost, dtype=np.float64)
     rows = []
-    for k, (level, loads) in enumerate(zip(schedule.levels, schedule.level_loads(cost))):
-        sizes = [part.size for part in level]
+    lp, pp = schedule.level_ptr, schedule.part_ptr
+    for k, loads in enumerate(schedule.level_loads(cost)):
         rows.append(
             {
                 "level": k,
-                "width": len(level),
-                "vertices": int(sum(sizes)),
+                "width": int(lp[k + 1] - lp[k]),
+                "vertices": int(pp[lp[k + 1]] - pp[lp[k]]),
                 "max_load": float(loads.max()),
                 "mean_load": float(loads.mean()),
                 "pgp": pgp(loads),

@@ -13,12 +13,12 @@ currently least-loaded bin.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..sparse.csr import INDEX_DTYPE
-from .schedule import WidthPartition
+from .schedule import bucket_level
 
 __all__ = ["first_fit_pack", "first_fit_pack_reference", "BinPacking"]
 
@@ -53,19 +53,20 @@ class BinPacking:
         ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts))).tolist()
         return [np.ascontiguousarray(order[ptr[b] : ptr[b + 1]]) for b in range(p)]
 
-    def partitions(self, components: Sequence[np.ndarray], p: int) -> List[WidthPartition]:
+    def partitions(
+        self, components: Sequence[np.ndarray], p: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One width-partition per used bin, pinned to that bin's core.
 
         Item ``k`` is ``components[k]``; a bin's vertices are the union of
-        its components, smallest id first.
+        its components, smallest id first.  Returns the ``(vertices, sizes,
+        cores)`` level block of :func:`~repro.core.schedule.stack_levels`.
         """
-        parts = []
-        for core, items in enumerate(self.items_per_bin(p)):
-            if items.size == 0:
-                continue
-            members = np.sort(np.concatenate([components[int(k)] for k in items]))
-            parts.append(WidthPartition(core=core, vertices=members))
-        return parts
+        comps = [np.asarray(c, dtype=INDEX_DTYPE) for c in components]
+        sizes = np.asarray([c.shape[0] for c in comps], dtype=INDEX_DTYPE)
+        verts = np.concatenate(comps) if comps else np.empty(0, dtype=INDEX_DTYPE)
+        bucket = np.repeat(self.assignment, sizes)
+        return bucket_level(verts, bucket, np.arange(p, dtype=INDEX_DTYPE))
 
     def pgp(self) -> float:
         """Load-balance PGP of this packing (Equation 1 over the bin loads)."""

@@ -28,7 +28,7 @@ paper's algorithm.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..sparse.csr import INDEX_DTYPE
 from .backends import BackendSpec
 from .lbp import LBPResult
 from .pgp import DEFAULT_EPSILON
-from .schedule import Schedule, WidthPartition
+from .schedule import Schedule, bucket_level, stack_levels
 
 __all__ = ["hdagg", "expand_lbp_to_schedule"]
 
@@ -57,41 +57,28 @@ def _grouping_csr(grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
 def _expand_cw(
     cw, fine_grained: bool, gptr: np.ndarray, gflat: np.ndarray,
     gsize: np.ndarray, p: int,
-) -> List[WidthPartition]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand one coarsened wavefront into its width-partitions.
 
     Expands the whole coarsened wavefront at once: gather every member
     vertex, tag it with its target bucket (bin, or component in
-    fine-grained mode), and one lexsort by (bucket, id) yields each
-    partition's smallest-id-first vertex list as a slice.  Shared by the
-    full expansion and the incremental repair path, which re-expands only
-    the coarsened wavefronts inside the dirty window.
+    fine-grained mode), and :func:`bucket_level` sorts by (bucket, id)
+    into each partition's smallest-id-first vertex run.  Returns the
+    ``(vertices, sizes, cores)`` block of :func:`stack_levels`.  Shared by
+    the full expansion and the incremental repair path, which re-expands
+    only the coarsened wavefronts inside the dirty window.
     """
     sizes = np.asarray([c.shape[0] for c in cw.components], dtype=INDEX_DTYPE)
     coarse_all = np.concatenate(cw.components)
     comp_of_coarse = np.repeat(np.arange(sizes.shape[0], dtype=INDEX_DTYPE), sizes)
     if fine_grained:
         bucket_of_coarse = comp_of_coarse
-        n_buckets = sizes.shape[0]
-        cores = np.full(n_buckets, -1, dtype=INDEX_DTYPE)
+        cores = np.full(sizes.shape[0], -1, dtype=INDEX_DTYPE)
     else:
         bucket_of_coarse = cw.packing.assignment[comp_of_coarse]
-        n_buckets = p
         cores = np.arange(p, dtype=INDEX_DTYPE)
     verts = gather_slices(gptr, gflat, coarse_all)
-    bucket = np.repeat(bucket_of_coarse, gsize[coarse_all])
-    order = np.lexsort((verts, bucket))
-    sv = verts[order]
-    ptr = np.zeros(n_buckets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(bucket, minlength=n_buckets), out=ptr[1:])
-    ptr_list = ptr.tolist()
-    parts: List[WidthPartition] = []
-    for b, core in enumerate(cores.tolist()):
-        lo, hi = ptr_list[b], ptr_list[b + 1]
-        if lo == hi:
-            continue
-        parts.append(WidthPartition(core=core, vertices=np.ascontiguousarray(sv[lo:hi])))
-    return parts
+    return bucket_level(verts, np.repeat(bucket_of_coarse, gsize[coarse_all]), cores)
 
 
 def expand_lbp_to_schedule(
@@ -114,16 +101,14 @@ def expand_lbp_to_schedule(
     gptr, gflat = _grouping_csr(grouping)
     gsize = np.diff(gptr)
 
-    levels: List[List[WidthPartition]] = []
-    for cw in lbp.coarsened:
-        if not cw.components:
-            continue
-        parts = _expand_cw(cw, lbp.fine_grained, gptr, gflat, gsize, p)
-        if parts:
-            levels.append(parts)
+    blocks = [
+        _expand_cw(cw, lbp.fine_grained, gptr, gflat, gsize, p)
+        for cw in lbp.coarsened
+        if cw.components
+    ]
     return Schedule(
         n=n,
-        levels=levels,
+        **stack_levels(b for b in blocks if b[1].shape[0]),
         sync=sync,
         algorithm=algorithm,
         n_cores=p,

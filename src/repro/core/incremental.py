@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .backends import BackendSpec
 from .hdagg import _expand_cw, _grouping_csr
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, _RangeComponents
 from .pgp import DEFAULT_EPSILON, pgp
-from .schedule import Schedule, WidthPartition
+from .schedule import Schedule, stack_levels
 from .schedule_cache import ScheduleCache
 
 __all__ = [
@@ -351,15 +351,14 @@ def _map_cw(cw: CoarsenedWavefront, pi_old2new: np.ndarray, identity: bool) -> C
 
 
 def _map_level(
-    level: List[WidthPartition], row_map: np.ndarray, identity: bool
-) -> List[WidthPartition]:
-    """Old schedule level under the vertex renumbering (order-preserving)."""
-    if identity:
-        return level
-    return [
-        WidthPartition(core=part.core, vertices=row_map[part.vertices])
-        for part in level
-    ]
+    schedule: Schedule, k: int, row_map: np.ndarray, identity: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level ``k`` of the old schedule as a :func:`stack_levels` block,
+    under the vertex renumbering (order-preserving)."""
+    lo, hi = int(schedule.level_ptr[k]), int(schedule.level_ptr[k + 1])
+    ptr = schedule.part_ptr[lo : hi + 1]
+    verts = schedule.order[ptr[0] : ptr[-1]]
+    return (verts if identity else row_map[verts]), np.diff(ptr), schedule.part_core[lo:hi]
 
 
 def repair_schedule(
@@ -405,7 +404,7 @@ def repair_schedule(
         return _full_repair(old, g_new, cost_new, "empty pattern")
     if old.schedule.fine_grained:
         return _full_repair(old, g_new, cost_new, "fine-grained schedule")
-    if len(old.schedule.levels) != len(old.lbp.coarsened):
+    if old.schedule.n_levels != len(old.lbp.coarsened):
         return _full_repair(old, g_new, cost_new, "schedule/LBP shape mismatch")
 
     opts = old.options
@@ -659,24 +658,15 @@ def repair_schedule(
     t0 = time.perf_counter()
     gsize = np.diff(gptr)
     identity_rows = delta.is_identity
-    levels: List[List[WidthPartition]] = []
-    if fine != old.schedule.fine_grained:
-        # the packing flag flipped: bucket shapes changed everywhere
-        for cw in coarsened_new:
-            if cw.components:
-                parts = _expand_cw(cw, fine, gptr, gflat, gsize, p)
-                if parts:
-                    levels.append(parts)
-    else:
-        for cw, org in zip(coarsened_new, origin):
-            if org >= 0:
-                levels.append(
-                    _map_level(old.schedule.levels[org], delta.row_map, identity_rows)
-                )
-            elif cw.components:
-                parts = _expand_cw(cw, fine, gptr, gflat, gsize, p)
-                if parts:
-                    levels.append(parts)
+    # a flipped packing flag changes bucket shapes everywhere: replay nothing
+    replay = origin if fine == old.schedule.fine_grained else [-1] * len(origin)
+    levels = [
+        _map_level(old.schedule, org, delta.row_map, identity_rows)
+        if org >= 0
+        else _expand_cw(cw, fine, gptr, gflat, gsize, p)
+        for cw, org in zip(coarsened_new, replay)
+        if org >= 0 or cw.components
+    ]
     meta = {
         "n_groups": n_groups_new,
         "n_edges_original": g_new.n_edges,
@@ -691,7 +681,7 @@ def repair_schedule(
     }
     schedule = Schedule(
         n=g_new.n,
-        levels=levels,
+        **stack_levels(level for level in levels if level[1].shape[0]),
         sync=opts["sync"],
         algorithm="hdagg",
         n_cores=p,

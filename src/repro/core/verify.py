@@ -3,9 +3,11 @@
 ``verify_schedule`` bundles every check the framework can make against a
 schedule into a single call with a structured verdict:
 
-1. **structural** — partition cover, core uniqueness, size consistency
-   (:meth:`Schedule.validate` with dependences off);
-2. **dependences** — every DAG edge ordered correctly;
+1. **structural** — partition cover and core uniqueness
+   (:meth:`Schedule.check_structure`);
+2. **dependences** — every DAG edge ordered correctly.  Both come from one
+   :func:`~repro.analysis.verifier.verify_dependences` call, which runs the
+   structural check once and the edge predicate once;
 3. **numerics** — the kernel executed through the schedule (canonical order
    plus adversarial interleavings) matches the sequential reference.
 
@@ -64,20 +66,15 @@ def verify_schedule(
         g = kernel.dag(operand)
     errors: List[str] = []
 
-    structural_ok = True
-    try:
-        schedule.validate(g, check_dependences=False)
-    except ScheduleError as exc:
-        structural_ok = False
-        errors.append(f"structural: {exc}")
+    from ..analysis.verifier import verify_dependences
 
-    dependences_ok = structural_ok
-    if structural_ok:
-        try:
-            schedule.validate(g, check_dependences=True)
-        except ScheduleError as exc:
-            dependences_ok = False
-            errors.append(f"dependences: {exc}")
+    report = verify_dependences(schedule, g, max_witnesses=1, stamp_meta=False)
+    structural_ok = report.structural_error is None
+    dependences_ok = report.ok
+    if not structural_ok:
+        errors.append(f"structural: {report.structural_error}")
+    elif not dependences_ok:
+        errors.append(f"dependences: {report.witnesses[0].describe()}")
 
     numerics_ok = False
     checked = 0

@@ -60,7 +60,9 @@ def verify_schedule_order(g: DAG, execution_order: np.ndarray) -> bool:
 
     ``execution_order`` lists vertex ids in the order they (notionally)
     complete; an edge ``u -> v`` is satisfied when ``u`` appears before ``v``.
-    Used by the dependence-checking executor and the schedule validators.
+    A standalone order check for tests; the executors check orders with
+    :func:`repro.kernels.base.check_order` and schedules are verified by
+    :mod:`repro.analysis.verifier`.
     """
     execution_order = np.asarray(execution_order, dtype=INDEX_DTYPE)
     if execution_order.shape[0] != g.n or np.any(

@@ -30,7 +30,7 @@ def measured_pg(result: SimulationResult) -> float:
 
 def level_widths(schedule: Schedule) -> np.ndarray:
     """Number of independent workloads (width-partitions) per level."""
-    return np.array([len(level) for level in schedule.levels], dtype=np.int64)
+    return np.diff(schedule.level_ptr).astype(np.int64, copy=False)
 
 
 def imbalance_ratio(schedule: Schedule, p: int | None = None) -> float:

@@ -87,8 +87,7 @@ def reuse_profile(
         np.add.at(acc, dst, memory.edge_lines)
     position = np.zeros(g.n, dtype=np.float64)
     for c in np.unique(core):
-        chunks = [part.vertices for _, part in schedule.iter_partitions() if part.core % p == c]
-        verts = np.concatenate(chunks)
+        verts = schedule.order[core[schedule.order] == c]
         position[verts] = np.cumsum(acc[verts])
 
     hist = {_bucket_label(k): 0.0 for k in range(len(_BUCKETS) + 1)}

@@ -109,24 +109,23 @@ _WAVEFRONTS_PASS = Pass(
 # wavefront / spmp / mkl emit passes
 # ----------------------------------------------------------------------
 def _emit_levels(ctx: PassContext, *, chunk: str, sync: str, algorithm: str) -> Mapping[str, Any]:
-    from ..core.schedule import Schedule, WidthPartition
+    from ..core.schedule import Schedule, stack_levels
 
     g = ctx["DAG"]
     p = ctx["Cores"]
     waves = ctx["Wavefronts"]
-    levels: List[List[WidthPartition]] = []
+    levels = []
     for k in range(waves.n_levels):
         verts = waves.wavefront(k)
         if chunk == "cost":
             chunks = chunk_by_cost(verts, ctx["Cost"], p)
         else:
             chunks = chunk_by_count(verts, p)
-        levels.append(
-            [WidthPartition(core=i, vertices=ch) for i, ch in enumerate(chunks)]
-        )
+        # the chunks split ``verts`` contiguously, in order
+        levels.append((verts, [len(ch) for ch in chunks], range(len(chunks))))
     schedule = Schedule(
         n=g.n,
-        levels=levels,
+        **stack_levels(levels),
         sync=sync,
         algorithm=algorithm,
         n_cores=p,
@@ -249,17 +248,13 @@ def _run_window_merge(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_emit_windows(ctx: PassContext) -> Mapping[str, Any]:
-    from ..core.schedule import Schedule
+    from ..core.schedule import Schedule, stack_levels
 
     p = ctx["Cores"]
-    levels = [
-        parts
-        for _lo, _hi, comps, packing in ctx["LBPPartition"]
-        if (parts := packing.partitions(comps, p))
-    ]
+    levels = [packing.partitions(comps, p) for _lo, _hi, comps, packing in ctx["LBPPartition"]]
     schedule = Schedule(
         n=ctx["DAG"].n,
-        levels=levels,
+        **stack_levels(level for level in levels if level[1].shape[0]),
         sync="barrier",
         algorithm="coarsenk",
         n_cores=p,
@@ -305,12 +300,18 @@ def build_coarsen_k_group() -> PassGroup:
 # serial / lbc / dagp: single-pass groups
 # ----------------------------------------------------------------------
 def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
-    from ..core.schedule import Schedule, WidthPartition
+    from ..core.schedule import Schedule
 
     g = ctx["DAG"]
-    part = WidthPartition(core=0, vertices=np.arange(g.n, dtype=INDEX_DTYPE))
     schedule = Schedule(
-        n=g.n, levels=[[part]], sync="barrier", algorithm="serial", n_cores=1
+        n=g.n,
+        order=np.arange(g.n, dtype=INDEX_DTYPE),
+        part_ptr=[0, g.n],
+        part_core=[0],
+        level_ptr=[0, 1],
+        sync="barrier",
+        algorithm="serial",
+        n_cores=1,
     )
     return {"Schedule": schedule}
 

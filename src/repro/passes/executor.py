@@ -200,13 +200,15 @@ def run_scheduler(
             n_cores = p if p is not None and "Cores" in group.inputs else 1
             ctx.put(
                 "Schedule",
-                Schedule(n=0, levels=[], sync="barrier", algorithm=group.name, n_cores=n_cores),
+                Schedule.from_partitions(
+                    0, [], sync="barrier", algorithm=group.name, n_cores=n_cores
+                ),
             )
         else:
             run_group(group, ctx)
     if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
         _OBS_STATE.registry.counter(f"inspector.runs.{group.name}").inc()
-    # to_dict() drops non-JSON meta values, so timings never leak into
-    # serialized schedules
+    # the schedule codec drops non-JSON meta values, so timings never leak
+    # into stored schedules
     ctx["Schedule"].meta["stage_seconds"] = ctx.timer.as_dict()
     return ctx

@@ -364,9 +364,17 @@ def corrupt_schedule(schedule, rng: random.Random):
     """
     from dataclasses import replace
 
-    if not schedule.levels:
+    if not schedule.n_levels:
         return schedule
-    return replace(schedule, levels=list(schedule.levels[:-1]), meta=dict(schedule.meta))
+    parts = int(schedule.level_ptr[-2])
+    return replace(
+        schedule,
+        order=schedule.order[: schedule.part_ptr[parts]],
+        part_ptr=schedule.part_ptr[: parts + 1],
+        part_core=schedule.part_core[:parts],
+        level_ptr=schedule.level_ptr[:-1],
+        meta=dict(schedule.meta),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -76,12 +76,14 @@ def simulate_cache_exact(
     # via ownership — simplest faithful version: a line fetched by core c is
     # removed from every other cache (exclusive ownership on touch).
     owner: Dict[int, int] = {}
-    for _, part in schedule.iter_partitions():
-        c = part.core % p
+    ptr = schedule.part_ptr.tolist()
+    order = schedule.order.tolist()
+    for j, core in enumerate(schedule.part_core.tolist()):
+        c = core % p
         cache = caches.setdefault(c, LRUCache(machine.cache_lines_per_core))
         per_hits.setdefault(c, 0)
         per_miss.setdefault(c, 0)
-        for v in part.vertices.tolist():
+        for v in order[ptr[j] : ptr[j + 1]]:
             for line in trace_lines[trace_ptr[v] : trace_ptr[v + 1]].tolist():
                 prev = owner.get(line)
                 if prev is not None and prev != c:

@@ -38,26 +38,22 @@ def interleaved_order(schedule: Schedule, *, seed: int = 0) -> np.ndarray:
     overlap), which is the safe direction for a correctness check.
     """
     rng = np.random.default_rng(seed)
-    chunks = []
-    for level in schedule.levels:
-        cursors = [0] * len(level)
-        remaining = [part.size for part in level]
-        total = sum(remaining)
-        out = np.empty(total, dtype=INDEX_DTYPE)
-        filled = 0
-        active = [k for k, r in enumerate(remaining) if r]
+    order = schedule.order.tolist()
+    ptr = schedule.part_ptr.tolist()
+    out = np.empty(len(order), dtype=INDEX_DTYPE)
+    filled = 0
+    lp = schedule.level_ptr.tolist()
+    for lo, hi in zip(lp[:-1], lp[1:]):
+        cursors = ptr[lo:hi]  # next slot of each partition in the level
+        active = list(range(hi - lo))
         while active:
             k = active[int(rng.integers(len(active)))]
-            part = level[k]
-            out[filled] = part.vertices[cursors[k]]
+            out[filled] = order[cursors[k]]
             filled += 1
             cursors[k] += 1
-            if cursors[k] == part.size:
+            if cursors[k] == ptr[lo + k + 1]:
                 active.remove(k)
-        chunks.append(out)
-    if not chunks:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    return np.concatenate(chunks)
+    return out
 
 
 def execute_schedule(

@@ -49,13 +49,13 @@ what a work-stealing OpenMP runtime achieves — then simulated as usual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
-from ..core.schedule import Schedule, WidthPartition
-from ..graph.dag import DAG
+from ..core.schedule import Schedule, ptr_from_counts
+from ..graph.dag import DAG, gather_slices
 from ..kernels.memory import MemoryModel
 from ..observability.timeline import CoreTimeline, TimelineRecorder
 from ..sparse.csr import INDEX_DTYPE
@@ -122,76 +122,46 @@ def bind_dynamic_partitions(schedule: Schedule, cost: np.ndarray) -> Schedule:
     fine-grained tasks: tasks are claimed roughly in submission order
     (smallest-id first — the inspector's spatial-locality order), so each
     core ends up with a *contiguous* cost-balanced run of tasks.  Static
-    partitions keep their cores; dynamic ones fill the remaining capacity.
-    Returns a new schedule (or the original when nothing is dynamic).
+    partitions keep their cores and lead their level; dynamic ones follow
+    in submission order and fill the remaining capacity.  Returns a new
+    schedule (or the original when nothing is dynamic).
     """
-    if all(part.core >= 0 for _, part in schedule.iter_partitions()):
+    if np.all(schedule.part_core >= 0):
         return schedule
     cost = np.asarray(cost, dtype=np.float64)
     p = schedule.n_cores
-    new_levels: List[List[WidthPartition]] = []
-    for level in schedule.levels:
+    costs = schedule.partition_costs(cost)
+    first = schedule.order[schedule.part_ptr[:-1]]
+    lp = schedule.level_ptr.tolist()
+    perm: List[int] = []
+    new_core = schedule.part_core.copy()
+    for k in range(schedule.n_levels):
+        here = np.arange(lp[k], lp[k + 1])
+        static = here[schedule.part_core[here] >= 0].tolist()
+        # submission order: smallest member id first
+        dynamic = here[schedule.part_core[here] < 0]
+        dynamic = dynamic[np.argsort(first[dynamic], kind="stable")].tolist()
         loads = np.zeros(p, dtype=np.float64)
-        static = [part for part in level if part.core >= 0]
-        dynamic = [part for part in level if part.core < 0]
-        for part in static:
-            loads[part.core % p] += part.cost(cost)
-        bound = list(static)
+        for j in static:
+            loads[schedule.part_core[j] % p] += costs[j]
         if dynamic:
-            # submission order: smallest member id first
-            dynamic.sort(key=lambda part: int(part.vertices[0]))
-            costs = np.array([part.cost(cost) for part in dynamic])
-            total = float(costs.sum()) + float(loads.sum())
-            target = total / p
+            w = np.array([costs[j] for j in dynamic])
+            target = (float(w.sum()) + float(loads.sum())) / p
             core = 0
-            for part, w in zip(dynamic, costs):
+            for j, wj in zip(dynamic, w):
                 # advance to the next core once this one is full
                 while core < p - 1 and loads[core] >= target:
                     core += 1
-                loads[core] += w
-                bound.append(WidthPartition(core=core, vertices=part.vertices))
-        new_levels.append(bound)
-    return Schedule(
-        n=schedule.n,
-        levels=new_levels,
-        sync=schedule.sync,
-        algorithm=schedule.algorithm,
-        n_cores=p,
-        fine_grained=schedule.fine_grained,
+                loads[core] += wj
+                new_core[j] = core
+        perm.extend(static + dynamic)
+    parts = np.asarray(perm, dtype=INDEX_DTYPE)
+    return replace(
+        schedule,
+        order=gather_slices(schedule.part_ptr, schedule.order, parts),
+        part_ptr=ptr_from_counts(np.diff(schedule.part_ptr)[parts]),
+        part_core=new_core[parts],
         meta=dict(schedule.meta, bound_dynamic=True),
-    )
-
-
-def _flatten_partitions(
-    schedule: Schedule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a schedule's partitions into parallel arrays (one pass).
-
-    Returns ``(verts, ptr, part_core, part_level)``: partition ``k`` (in
-    schedule iteration order) owns ``verts[ptr[k]:ptr[k+1]]`` and runs on
-    ``part_core[k]`` at level ``part_level[k]``.  Every downstream batch
-    pass works off these arrays instead of re-walking the partition lists.
-    """
-    chunks: List[np.ndarray] = []
-    cores: List[int] = []
-    lvls: List[int] = []
-    for lvl, part in schedule.iter_partitions():
-        chunks.append(part.vertices)
-        cores.append(part.core)
-        lvls.append(lvl)
-    n_parts = len(chunks)
-    ptr = np.zeros(n_parts + 1, dtype=INDEX_DTYPE)
-    if n_parts:
-        sizes = np.fromiter((c.shape[0] for c in chunks), dtype=INDEX_DTYPE, count=n_parts)
-        np.cumsum(sizes, out=ptr[1:])
-        verts = np.concatenate(chunks).astype(INDEX_DTYPE, copy=False)
-    else:
-        verts = np.empty(0, dtype=INDEX_DTYPE)
-    return (
-        verts,
-        ptr,
-        np.asarray(cores, dtype=INDEX_DTYPE),
-        np.asarray(lvls, dtype=INDEX_DTYPE),
     )
 
 
@@ -200,7 +170,6 @@ def _memory_cycles(
     g: DAG,
     memory: MemoryModel,
     machine: MachineConfig,
-    flat: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, int, int, float]:
     """Per-vertex memory cycles under the coherence-aware model.
 
@@ -209,8 +178,8 @@ def _memory_cycles(
     """
     n = schedule.n
     p = machine.n_cores
-    verts_all, part_ptr, part_core, _ = flat
-    vert_core = np.repeat(part_core % p, np.diff(part_ptr))
+    verts_all, part_ptr = schedule.order, schedule.part_ptr
+    vert_core = np.repeat(schedule.part_core % p, np.diff(part_ptr))
     core = np.zeros(n, dtype=INDEX_DTYPE)
     core[verts_all] = vert_core
     # optional bandwidth model: misses slow down with concurrently active
@@ -218,8 +187,9 @@ def _memory_cycles(
     # mean level width
     miss_cycles = machine.miss_cycles
     if machine.bandwidth_contention > 0.0 and schedule.n_levels:
-        widths = [len(level) for level in schedule.levels if level]
-        active = float(np.mean(widths)) if widths else 1.0
+        widths = np.diff(schedule.level_ptr)
+        widths = widths[widths > 0]
+        active = float(np.mean(widths)) if widths.size else 1.0
         miss_cycles = machine.miss_cycles * (
             1.0 + machine.bandwidth_contention * max(0.0, active - 1.0)
         )
@@ -319,26 +289,18 @@ def simulate(
     schedule = bind_dynamic_partitions(schedule, cost)
     p = machine.n_cores
 
-    flat = _flatten_partitions(schedule)
-    verts_all, part_ptr, part_core, part_level = flat
+    verts_all, part_ptr, part_core = schedule.order, schedule.part_ptr, schedule.part_core
+    part_level = schedule.partition_level()
     n_parts = part_core.shape[0]
 
-    mem_cycles, hits, misses, effective_miss = _memory_cycles(
-        schedule, g, memory, machine, flat
-    )
+    mem_cycles, hits, misses, effective_miss = _memory_cycles(schedule, g, memory, machine)
     exec_cycles = cost * machine.cycles_per_cost_unit + mem_cycles
 
     # Per-partition execution cycles in one pass (prefix sums over the
     # flattened vertex array) — both sync modes consume these.
-    if n_parts:
-        ecs = np.concatenate(
-            (np.zeros(1, dtype=np.float64), np.cumsum(exec_cycles[verts_all]))
-        )
-        w_part = ecs[part_ptr[1:]] - ecs[part_ptr[:-1]]
-        part_core_mod = (part_core % p).astype(INDEX_DTYPE)
-    else:
-        w_part = np.zeros(0, dtype=np.float64)
-        part_core_mod = np.zeros(0, dtype=INDEX_DTYPE)
+    ecs = np.concatenate((np.zeros(1, dtype=np.float64), np.cumsum(exec_cycles[verts_all])))
+    w_part = ecs[part_ptr[1:]] - ecs[part_ptr[:-1]]
+    part_core_mod = part_core % p
 
     busy = np.zeros(p, dtype=np.float64)
     n_p2p = 0
@@ -352,7 +314,7 @@ def simulate(
     if schedule.sync == "barrier":
         # Batched per-level accounting: scatter partition cycles into a
         # (level, core) grid, then reduce — no per-partition Python work.
-        n_levels = len(schedule.levels)
+        n_levels = schedule.n_levels
         if n_parts:
             loads2d = np.bincount(
                 part_level * p + part_core_mod,
@@ -446,16 +408,13 @@ def simulate(
                 if start > core_clock[c]:  # stalled on the blocking dependence
                     recorder.record(
                         c, "p2p_wait", float(core_clock[c]), start,
-                        vertex=int(verts_all[part_ptr[k]])
-                        if part_ptr[k + 1] > part_ptr[k] else -1,
+                        vertex=int(verts_all[part_ptr[k]]),
                         dependence=int(verts_all[part_ptr[blocking]])
                         if blocking >= 0 else -1,
                     )
                 if w > 0.0:
                     recorder.record(
-                        c, "busy", start, start + w,
-                        vertex=int(verts_all[part_ptr[k]])
-                        if part_ptr[k + 1] > part_ptr[k] else -1,
+                        c, "busy", start, start + w, vertex=int(verts_all[part_ptr[k]])
                     )
             finish[k] = start + w
             core_clock[c] = finish[k]

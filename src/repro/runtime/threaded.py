@@ -115,8 +115,7 @@ def run_threaded(
     if cost is None:
         cost = np.ones(schedule.n, dtype=np.float64)
     schedule = bind_dynamic_partitions(schedule, cost)
-    p = max((part.core for _, part in schedule.iter_partitions()), default=0) + 1
-    p = max(p, 1)
+    p = int(schedule.part_core.max(initial=0)) + 1
 
     done = np.zeros(schedule.n, dtype=bool)
     #: (core, vertex, exception) triples collected from failed workers
@@ -128,11 +127,12 @@ def run_threaded(
 
     # per-core, per-level partition lists
     plan: List[List[List[np.ndarray]]] = [
-        [[] for _ in range(p)] for _ in schedule.levels
+        [[] for _ in range(p)] for _ in range(schedule.n_levels)
     ]
-    for k, level in enumerate(schedule.levels):
-        for part in level:
-            plan[k][part.core % p].append(part.vertices)
+    ptr = schedule.part_ptr
+    for j, (k, core) in enumerate(zip(schedule.partition_level().tolist(),
+                                      schedule.part_core.tolist())):
+        plan[k][core % p].append(schedule.order[ptr[j] : ptr[j + 1]])
 
     def wait_for(v: int, core: int) -> None:
         deps = in_idx[in_ptr[v] : in_ptr[v + 1]]

@@ -30,9 +30,9 @@ from typing import List
 
 import numpy as np
 
-from ..core.schedule import Schedule, WidthPartition
+from ..core.schedule import Schedule, bucket_level, ptr_from_counts, stack_levels
 from ..graph.connected_components import components_as_lists
-from ..graph.dag import DAG
+from ..graph.dag import DAG, gather_slices
 from ..graph.wavefronts import level_of_vertices
 from ..sparse.csr import INDEX_DTYPE
 
@@ -129,9 +129,9 @@ def dagp_body(g: DAG, cost: np.ndarray, p: int, k: int) -> Schedule:
 
     part_cost = np.zeros(n_parts, dtype=np.float64)
     np.add.at(part_cost, labels, cost)
-    members: List[List[int]] = [[] for _ in range(n_parts)]
-    for v in range(g.n):
-        members[int(labels[v])].append(v)
+    # members of part i: mflat[mptr[i]:mptr[i + 1]]
+    mflat = np.argsort(labels, kind="stable").astype(INDEX_DTYPE, copy=False)
+    mptr = ptr_from_counts(np.bincount(labels, minlength=n_parts))
 
     # Core assignment follows Figure 1(d): a part with dependences executes
     # on the core of its (heaviest-cut) predecessor — partitions connected
@@ -154,26 +154,23 @@ def dagp_body(g: DAG, cost: np.ndarray, p: int, k: int) -> Schedule:
                 pred_of[d_part] = s_part
 
     levels = []
+    cores = np.arange(p, dtype=INDEX_DTYPE)
     for lev in range(int(qlevel.max()) + 1 if n_parts else 0):
         parts_here = np.nonzero(qlevel == lev)[0]
         # heavier parts claim their preferred core first
         order = parts_here[np.argsort(-part_cost[parts_here], kind="stable")]
-        by_core: dict[int, List[int]] = {}
         for part_id in order:
             pred = pred_of[part_id]
             core = int(part_core[pred]) if pred >= 0 else int(np.argmin(core_loads))
             part_core[part_id] = core
             core_loads[core] += part_cost[part_id]
-            by_core.setdefault(core, []).extend(members[int(part_id)])
-        parts = [
-            WidthPartition(core=core, vertices=np.sort(np.array(vs, dtype=INDEX_DTYPE)))
-            for core, vs in sorted(by_core.items())
-        ]
-        levels.append(parts)
+        # one width-partition per used core: its parts' vertices, ascending
+        verts = gather_slices(mptr, mflat, parts_here)
+        levels.append(bucket_level(verts, part_core[labels[verts]], cores))
 
     return Schedule(
         n=g.n,
-        levels=levels,
+        **stack_levels(levels),
         sync="barrier",
         algorithm="dagp",
         n_cores=p,

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.binpack import first_fit_pack
 from ..core.pgp import pgp
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, stack_levels
 from ..graph.dag import DAG
 from ..sparse.csr import INDEX_DTYPE
 
@@ -151,22 +151,16 @@ def lbc_body(g: DAG, cost: np.ndarray, p: int, epsilon: float) -> Schedule:
             best = (cut, comps, packing)
     cut, comps, packing = best
 
-    levels = []
-    parts = packing.partitions(comps, p)
-    if parts:
-        levels.append(parts)
-
+    levels = [packing.partitions(comps, p)]
     tail_mask = height >= cut
     if tail_mask.any():
         tail_comps = forest_components(parent, tail_mask)
         tail_pack = first_fit_pack([float(cost[c].sum()) for c in tail_comps], p)
-        tail_parts = tail_pack.partitions(tail_comps, p)
-        if tail_parts:
-            levels.append(tail_parts)
+        levels.append(tail_pack.partitions(tail_comps, p))
 
     return Schedule(
         n=g.n,
-        levels=levels,
+        **stack_levels(level for level in levels if level[1].shape[0]),
         sync="barrier",
         algorithm="lbc",
         n_cores=p,

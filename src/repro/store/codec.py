@@ -31,9 +31,8 @@ structure bit-identically (vertex arrays compare equal as ``INDEX_DTYPE``),
 or truncation of a blob raises :class:`CodecError` (CRC32 detects all
 single-byte and all burst-under-32-bit errors).
 
-Like :meth:`Schedule.to_dict`, only plainly JSON-serialisable ``meta``
-entries survive the round trip — inspector diagnostics holding arrays are
-dropped, never mangled.
+Only plainly JSON-serialisable ``meta`` entries survive the round trip —
+inspector diagnostics holding arrays are dropped, never mangled.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.schedule import Schedule, ScheduleError, WidthPartition, _json_safe
+from ..core.schedule import Schedule, ScheduleError, ptr_from_counts
 from ..sparse.csr import INDEX_DTYPE
 
 __all__ = ["CODEC_VERSION", "MAGIC", "CodecError", "encode_schedule", "decode_schedule"]
@@ -65,6 +64,15 @@ _FLAG_P2P = 1 << 1
 
 class CodecError(ValueError):
     """The blob is not a valid schedule record (corrupt, torn, or foreign)."""
+
+
+def _json_safe(v) -> bool:
+    """Keep only plainly serialisable meta entries when encoding."""
+    if isinstance(v, (bool, int, float, str)) or v is None:
+        return True
+    if isinstance(v, (list, tuple)):
+        return all(_json_safe(x) for x in v)
+    return False
 
 
 def encode_schedule(schedule: Schedule) -> bytes:
@@ -89,14 +97,17 @@ def encode_schedule(schedule: Schedule) -> bytes:
         algo,
         _META_LEN.pack(len(meta_bytes)),
         meta_bytes,
-        _U32.pack(len(schedule.levels)),
+        _U32.pack(schedule.n_levels),
     ]
-    for level in schedule.levels:
-        parts.append(_U32.pack(len(level)))
-        for part in level:
-            v = part.vertices
-            parts.append(_PART_HDR.pack(int(part.core), v.shape[0]))
-            parts.append(np.ascontiguousarray(v, dtype=vdtype).tobytes())
+    verts = np.ascontiguousarray(schedule.order, dtype=vdtype)
+    ptr = schedule.part_ptr.tolist()
+    cores = schedule.part_core.tolist()
+    lp = schedule.level_ptr.tolist()
+    for k in range(schedule.n_levels):
+        parts.append(_U32.pack(lp[k + 1] - lp[k]))
+        for j in range(lp[k], lp[k + 1]):
+            parts.append(_PART_HDR.pack(cores[j], ptr[j + 1] - ptr[j]))
+            parts.append(verts[ptr[j] : ptr[j + 1]].tobytes())
     body = b"".join(parts)
     return body + _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
@@ -161,26 +172,32 @@ def decode_schedule(blob: bytes) -> Schedule:
     if not isinstance(meta, dict):
         raise CodecError("meta block is not a JSON object")
     (n_levels,) = cur.unpack(_U32)
-    levels: List[List[WidthPartition]] = []
+    widths: List[int] = []
+    sizes: List[int] = []
+    cores: List[int] = []
+    chunks: List[bytes] = []
     for _ in range(n_levels):
         (n_parts,) = cur.unpack(_U32)
-        level: List[WidthPartition] = []
+        widths.append(n_parts)
         for _ in range(n_parts):
             core, size = cur.unpack(_PART_HDR)
             if size == 0:
                 raise CodecError("empty width-partition in record")
-            raw = cur.take(size * vwidth)
-            vertices = np.frombuffer(raw, dtype=vdtype).astype(INDEX_DTYPE)
-            if vertices.size and (int(vertices.max()) >= n):
-                raise CodecError("vertex id out of range in record")
-            level.append(WidthPartition(core=core, vertices=vertices))
-        levels.append(level)
+            chunks.append(cur.take(size * vwidth))
+            sizes.append(size)
+            cores.append(core)
     if cur.pos != len(body):
         raise CodecError(f"{len(body) - cur.pos} trailing bytes after the last partition")
+    order = np.frombuffer(b"".join(chunks), dtype=vdtype).astype(INDEX_DTYPE)
+    if order.size and int(order.max()) >= n:
+        raise CodecError("vertex id out of range in record")
     try:
         return Schedule(
             n=int(n),
-            levels=levels,
+            order=order,
+            part_ptr=ptr_from_counts(sizes),
+            part_core=np.asarray(cores, dtype=INDEX_DTYPE),
+            level_ptr=ptr_from_counts(widths),
             sync="p2p" if flags & _FLAG_P2P else "barrier",
             algorithm=algorithm,
             n_cores=int(n_cores),

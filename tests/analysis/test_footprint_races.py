@@ -11,7 +11,7 @@ from repro.analysis import (
     spilu0_footprint,
     sptrsv_footprint,
 )
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.kernels import KERNELS
 from repro.schedulers import SCHEDULERS
 from repro.sparse import csr_from_dense, lower_triangle
@@ -24,9 +24,9 @@ def tiny_chain():
 
 
 def _sched(levels, n, sync="barrier"):
-    return Schedule(
+    return Schedule.from_partitions(
         n=n,
-        levels=[[WidthPartition(c, np.asarray(v, dtype=np.int64)) for c, v in lev] for lev in levels],
+        levels=[[(c, np.asarray(v, dtype=np.int64)) for c, v in lev] for lev in levels],
         sync=sync,
         algorithm="manual",
         n_cores=max(len(lev) for lev in levels),

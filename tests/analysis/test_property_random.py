@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import detect_races, kernel_footprint, run_mutation_suite, verify_dependences
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import dag_from_matrix_lower
 from repro.kernels import KERNELS
 from repro.schedulers import SCHEDULERS
@@ -41,8 +41,8 @@ def _random_schedule(g, seed):
         if chunk.size == 0:
             continue
         parts = [p for p in np.array_split(chunk, n_parts) if p.size]
-        levels.append([WidthPartition(c, p.astype(np.int64)) for c, p in enumerate(parts)])
-    return Schedule(
+        levels.append([(c, p.astype(np.int64)) for c, p in enumerate(parts)])
+    return Schedule.from_partitions(
         n=g.n,
         levels=levels,
         sync="barrier",

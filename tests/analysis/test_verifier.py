@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import assert_schedule_safe, find_dependence_witnesses, verify_dependences
-from repro.core.schedule import Schedule, ScheduleError, WidthPartition
+from repro.core.schedule import Schedule, ScheduleError
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.schedulers import SCHEDULERS
 
 
 def _serial(order, n, *, algorithm="manual"):
-    return Schedule(
+    return Schedule.from_partitions(
         n=n,
-        levels=[[WidthPartition(0, np.asarray(order, dtype=np.int64))]],
+        levels=[[(0, np.asarray(order, dtype=np.int64))]],
         sync="barrier",
         algorithm=algorithm,
         n_cores=1,
@@ -48,9 +48,9 @@ def test_witnesses_minimal_first():
     # violation bites earliest (smallest dst level, then src) comes first
     g = DAG.from_edges(4, [0, 1, 2], [1, 2, 3])
     levels = [
-        [WidthPartition(0, np.array([v]))] for v in (3, 2, 1, 0)
+        [(0, np.array([v]))] for v in (3, 2, 1, 0)
     ]
-    s = Schedule(n=4, levels=levels, sync="barrier", algorithm="manual", n_cores=1)
+    s = Schedule.from_partitions(n=4, levels=levels, sync="barrier", algorithm="manual", n_cores=1)
     ws = find_dependence_witnesses(s, g, max_witnesses=3)
     assert [(w.src, w.dst) for w in ws] == [(2, 3), (1, 2), (0, 1)]
     assert ws[0].dst_level < ws[1].dst_level < ws[2].dst_level
@@ -64,6 +64,38 @@ def test_structural_error_reported(diamond_dag):
     assert report.structural_error is not None
     assert not report.witnesses
     assert "structural" in report.describe()
+
+
+def _corrupted_hdagg(g):
+    import random
+
+    from repro.resilience import corrupt_schedule
+
+    return corrupt_schedule(SCHEDULERS["hdagg"](g, np.ones(g.n), 2), random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda g: _serial([0, 1, 2, 2], g.n), "vertex 2 scheduled twice"),
+        (lambda g: _serial([0, 1, 2], g.n), "vertex slots"),
+        (
+            lambda g: Schedule.from_partitions(
+                g.n, [[(0, [0, 1, 3]), (0, [2])]], sync="barrier", algorithm="m", n_cores=2
+            ),
+            "core 0 used by two width-partitions in level 0",
+        ),
+        (_corrupted_hdagg, "vertex slots"),
+    ],
+    ids=["duplicate", "missing", "core-clash", "corrupt-schedule-fault"],
+)
+def test_structural_defects_reported(build, match, diamond_dag):
+    s = build(diamond_dag)
+    report = verify_dependences(s, diamond_dag, stamp_meta=False)
+    assert not report.ok and not report.witnesses
+    assert match in report.structural_error
+    with pytest.raises(ScheduleError, match=match):
+        s.validate(diamond_dag)
 
 
 def test_skip_structural_check(diamond_dag):

@@ -141,3 +141,24 @@ def assert_valid_schedule(schedule, g, kernel=None, operand=None, b=None):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
         else:
             np.testing.assert_allclose(got.data, ref.data, rtol=1e-10, atol=1e-12)
+
+
+def partition_lists(schedule):
+    """The schedule as levels of ``(core, vertices)`` pairs.
+
+    The per-partition view tests read and edit; feed an edited copy back
+    through ``Schedule.from_partitions``.
+    """
+    ptr, cores, lp = schedule.part_ptr, schedule.part_core.tolist(), schedule.level_ptr
+    return [
+        [(cores[j], schedule.order[ptr[j] : ptr[j + 1]].copy()) for j in range(lp[k], lp[k + 1])]
+        for k in range(schedule.n_levels)
+    ]
+
+
+def assert_same_arrays(a, b):
+    """Two schedules hold identical partition structure (values and dtypes)."""
+    for name in ("order", "part_ptr", "part_core", "level_ptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)

@@ -9,10 +9,11 @@ silently accepted.
 import numpy as np
 import pytest
 
-from repro.core import Schedule, ScheduleError, WidthPartition, hdagg
-from repro.graph import dag_from_matrix_lower
+from repro.core import Schedule, ScheduleError, hdagg
 from repro.kernels import KERNELS, KernelError
 from repro.sparse import lower_triangle
+
+from ..conftest import partition_lists
 
 
 @pytest.fixture
@@ -24,82 +25,84 @@ def setup(mesh_nd):
     return kernel, low, g, s
 
 
-def clone(s: Schedule) -> Schedule:
-    return Schedule.from_dict(s.to_dict())
+def rebuild(s: Schedule, levels) -> Schedule:
+    return Schedule.from_partitions(
+        s.n, levels, sync=s.sync, algorithm=s.algorithm, n_cores=s.n_cores,
+        fine_grained=s.fine_grained,
+    )
 
 
-def find_multi_vertex_partition(s):
-    for k, level in enumerate(s.levels):
-        for j, part in enumerate(level):
-            if part.size >= 2:
+def find_multi_vertex_partition(levels):
+    for k, level in enumerate(levels):
+        for j, (_, vertices) in enumerate(level):
+            if vertices.size >= 2:
                 return k, j
     pytest.skip("no multi-vertex partition in this schedule")
 
 
 def test_dropped_vertex_detected(setup):
     kernel, low, g, s = setup
-    m = clone(s)
-    k, j = find_multi_vertex_partition(m)
-    part = m.levels[k][j]
-    m.levels[k][j] = WidthPartition(part.core, part.vertices[1:])
+    levels = partition_lists(s)
+    k, j = find_multi_vertex_partition(levels)
+    core, vertices = levels[k][j]
+    levels[k][j] = (core, vertices[1:])
     with pytest.raises(ScheduleError, match="never scheduled|missing"):
-        m.validate(g)
+        rebuild(s, levels).validate(g)
 
 
 def test_duplicated_vertex_detected(setup):
     kernel, low, g, s = setup
-    m = clone(s)
-    k, j = find_multi_vertex_partition(m)
-    part = m.levels[k][j]
-    dup = np.concatenate([part.vertices, part.vertices[:1]])
-    m.levels[k][j] = WidthPartition(part.core, dup)
+    levels = partition_lists(s)
+    k, j = find_multi_vertex_partition(levels)
+    core, vertices = levels[k][j]
+    levels[k][j] = (core, np.concatenate([vertices, vertices[:1]]))
     with pytest.raises(ScheduleError, match="twice|duplicate"):
-        m.validate(g)
+        rebuild(s, levels).validate(g)
 
 
 def test_swapped_levels_detected(setup):
     kernel, low, g, s = setup
     if s.n_levels < 2:
         pytest.skip("single-level schedule")
-    m = clone(s)
-    m.levels[0], m.levels[-1] = m.levels[-1], m.levels[0]
+    levels = partition_lists(s)
+    levels[0], levels[-1] = levels[-1], levels[0]
     with pytest.raises(ScheduleError, match="dependence violated"):
-        m.validate(g)
+        rebuild(s, levels).validate(g)
 
 
 def test_reversed_partition_detected_somewhere(setup):
     """Reversing a partition's internal order breaks intra-partition deps
     (whenever the partition actually carries one)."""
     kernel, low, g, s = setup
-    m = clone(s)
+    levels = partition_lists(s)
     tripped = False
-    for k, level in enumerate(m.levels):
-        for j, part in enumerate(level):
-            if part.size < 2:
+    for k, level in enumerate(levels):
+        for j, (core, vertices) in enumerate(level):
+            if vertices.size < 2:
                 continue
-            m.levels[k][j] = WidthPartition(part.core, part.vertices[::-1].copy())
+            level[j] = (core, vertices[::-1])
             try:
-                m.validate(g)
+                rebuild(s, levels).validate(g)
             except ScheduleError:
                 tripped = True
-            m.levels[k][j] = part
+            level[j] = (core, vertices)
     assert tripped
 
 
 def test_core_collision_detected(setup):
     kernel, low, g, s = setup
-    m = clone(s)
+    levels = partition_lists(s)
     target = None
-    for k, level in enumerate(m.levels):
-        if len(level) >= 2 and all(part.core >= 0 for part in level):
+    for k, level in enumerate(levels):
+        if len(level) >= 2 and all(core >= 0 for core, _ in level):
             target = k
             break
     if target is None:
         pytest.skip("no multi-partition static level")
-    level = m.levels[target]
-    m.levels[target][1] = WidthPartition(level[0].core, level[1].vertices)
+    level = levels[target]
+    level[1] = (level[0][0], level[1][1])
     with pytest.raises(ScheduleError, match="core"):
-        m.validate(g)
+        rebuild(s, levels).validate(g)
 
 
 def test_executor_is_second_line_of_defence(setup):
@@ -112,14 +115,14 @@ def test_executor_is_second_line_of_defence(setup):
 
 def test_foreign_vertex_detected(setup):
     kernel, low, g, s = setup
-    m = clone(s)
-    k, j = find_multi_vertex_partition(m)
-    part = m.levels[k][j]
-    bad = part.vertices.copy()
+    levels = partition_lists(s)
+    k, j = find_multi_vertex_partition(levels)
+    core, vertices = levels[k][j]
+    bad = vertices.copy()
     bad[0] = g.n - 1  # duplicate of some other partition's vertex
-    m.levels[k][j] = WidthPartition(part.core, bad)
+    levels[k][j] = (core, bad)
     with pytest.raises(ScheduleError):
-        m.validate(g)
+        rebuild(s, levels).validate(g)
 
 
 def test_wrong_graph_detected(setup):

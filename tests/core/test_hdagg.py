@@ -35,14 +35,14 @@ def test_width_bounded_by_p_when_packed(mesh_nd):
     g = dag_from_matrix_lower(mesh_nd)
     s = hdagg(g, np.ones(g.n), 3, epsilon=0.5)
     if not s.fine_grained:
-        assert all(len(level) <= 3 for level in s.levels)
+        assert np.all(np.diff(s.level_ptr) <= 3)
 
 
 def test_bins_sorted_smallest_id_first(mesh_nd):
     g = dag_from_matrix_lower(mesh_nd)
     s = hdagg(g, np.ones(g.n), 4)
-    for _, part in s.iter_partitions():
-        assert np.all(np.diff(part.vertices) > 0)
+    for lo, hi in zip(s.part_ptr[:-1], s.part_ptr[1:]):
+        assert np.all(np.diff(s.order[lo:hi]) > 0)
 
 
 def test_meta_diagnostics(mesh_nd):

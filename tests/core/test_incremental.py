@@ -29,6 +29,8 @@ from repro.core.schedule_cache import schedule_key
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.sparse import poisson2d
 
+from ..conftest import assert_same_arrays
+
 #: schedule meta keys that must agree exactly between repair and full
 #: (stage_seconds is wall-clock and legitimately differs)
 _META_KEYS = (
@@ -49,12 +51,7 @@ def assert_same_schedule(a, b):
     assert a.fine_grained == b.fine_grained
     assert a.sync == b.sync
     assert a.n_cores == b.n_cores
-    assert len(a.levels) == len(b.levels)
-    for la, lb in zip(a.levels, b.levels):
-        assert len(la) == len(lb)
-        for pa, pb in zip(la, lb):
-            assert pa.core == pb.core
-            assert np.array_equal(pa.vertices, pb.vertices)
+    assert_same_arrays(a, b)
     for key in _META_KEYS:
         assert a.meta.get(key) == b.meta.get(key), key
     assert list(a.meta["cut_positions"]) == list(b.meta["cut_positions"])

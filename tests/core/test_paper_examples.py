@@ -75,7 +75,7 @@ def test_lbp_merge_then_cut(paper_like_dag):
 def test_schedule_structure_matches_figure2d_style(paper_like_dag):
     """Coarsened wavefronts hold width-partitions that run one per core."""
     s = hdagg(paper_like_dag, np.ones(13), 2, epsilon=0.6)
-    for level in s.levels:
-        cores = [part.core for part in level if part.core >= 0]
+    for lo, hi in zip(s.level_ptr[:-1], s.level_ptr[1:]):
+        cores = [c for c in s.part_core[lo:hi].tolist() if c >= 0]
         assert len(cores) == len(set(cores))
-        assert len(level) <= 2 or s.fine_grained
+        assert hi - lo <= 2 or s.fine_grained

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import accumulated_pgp, pgp, pgp_worst_case
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 
 
 def test_balanced_is_zero():
@@ -49,8 +49,8 @@ def test_scale_invariant(loads, scale):
 
 
 def _schedule(levels, p):
-    return Schedule(
-        n=sum(part.size for lev in levels for part in lev),
+    return Schedule.from_partitions(
+        n=sum(len(v) for lev in levels for _, v in lev),
         levels=levels,
         sync="barrier",
         algorithm="test",
@@ -61,8 +61,8 @@ def _schedule(levels, p):
 def test_accumulated_pgp_balanced():
     cost = np.ones(4)
     levels = [
-        [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))],
-        [WidthPartition(0, np.array([2])), WidthPartition(1, np.array([3]))],
+        [(0, np.array([0])), (1, np.array([1]))],
+        [(0, np.array([2])), (1, np.array([3]))],
     ]
     assert accumulated_pgp(_schedule(levels, 2), cost) == 0.0
 
@@ -70,8 +70,8 @@ def test_accumulated_pgp_balanced():
 def test_accumulated_pgp_one_sided():
     cost = np.ones(4)
     levels = [
-        [WidthPartition(0, np.array([0, 1]))],
-        [WidthPartition(0, np.array([2, 3]))],
+        [(0, np.array([0, 1]))],
+        [(0, np.array([2, 3]))],
     ]
     assert accumulated_pgp(_schedule(levels, 2), cost) == pytest.approx(0.5)
 
@@ -79,8 +79,8 @@ def test_accumulated_pgp_one_sided():
 def test_accumulated_pgp_mixed_levels():
     cost = np.array([1.0, 1.0, 2.0])
     levels = [
-        [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))],
-        [WidthPartition(0, np.array([2]))],
+        [(0, np.array([0])), (1, np.array([1]))],
+        [(0, np.array([2]))],
     ]
     # level 1: mean 1, max 1; level 2: mean 1, max 2 -> 1 - 2/3
     assert accumulated_pgp(_schedule(levels, 2), cost) == pytest.approx(1 - 2 / 3)
@@ -88,6 +88,6 @@ def test_accumulated_pgp_mixed_levels():
 
 def test_accumulated_pgp_dynamic_partitions_balance():
     cost = np.ones(4)
-    levels = [[WidthPartition(-1, np.array([i])) for i in range(4)]]
-    s = Schedule(n=4, levels=levels, sync="barrier", algorithm="t", n_cores=2)
+    levels = [[(-1, np.array([i])) for i in range(4)]]
+    s = Schedule.from_partitions(n=4, levels=levels, sync="barrier", algorithm="t", n_cores=2)
     assert accumulated_pgp(s, cost) == 0.0  # greedy binding balances 4 units on 2 cores

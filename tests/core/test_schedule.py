@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Schedule, ScheduleError, WidthPartition
+from repro.core import Schedule, ScheduleError
 from repro.graph import DAG
 
 
@@ -14,15 +14,15 @@ def g():
 
 
 def make(levels, *, sync="barrier", p=2, n=4):
-    return Schedule(n=n, levels=levels, sync=sync, algorithm="test", n_cores=p)
+    return Schedule.from_partitions(n=n, levels=levels, sync=sync, algorithm="test", n_cores=p)
 
 
 def test_basic_shape(g):
     s = make(
         [
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(0, np.array([1])), WidthPartition(1, np.array([2]))],
-            [WidthPartition(0, np.array([3]))],
+            [(0, np.array([0]))],
+            [(0, np.array([1])), (1, np.array([2]))],
+            [(0, np.array([3]))],
         ]
     )
     s.validate(g)
@@ -35,8 +35,8 @@ def test_basic_shape(g):
 def test_per_vertex_maps(g):
     s = make(
         [
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(0, np.array([1, 3])), WidthPartition(1, np.array([2]))],
+            [(0, np.array([0]))],
+            [(0, np.array([1, 3])), (1, np.array([2]))],
         ]
     )
     # structurally fine; edge 2 -> 3 crosses partitions within the level, so
@@ -51,9 +51,9 @@ def test_per_vertex_maps(g):
 def test_p2p_has_no_barriers(g):
     s = make(
         [
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(0, np.array([1])), WidthPartition(1, np.array([2]))],
-            [WidthPartition(0, np.array([3]))],
+            [(0, np.array([0]))],
+            [(0, np.array([1])), (1, np.array([2]))],
+            [(0, np.array([3]))],
         ],
         sync="p2p",
     )
@@ -71,12 +71,38 @@ def test_bad_cores_rejected():
 
 
 def test_empty_partition_rejected():
-    with pytest.raises(ScheduleError):
-        WidthPartition(0, np.array([], dtype=np.int64))
+    with pytest.raises(ScheduleError, match="empty"):
+        make([[(0, np.array([0, 1, 2, 3])), (1, np.array([], dtype=np.int64))]])
+
+
+#: a well-formed two-level schedule of range(4), one partition per level
+_ARRAYS = dict(order=[0, 1, 2, 3], part_ptr=[0, 2, 4], part_core=[0, 1], level_ptr=[0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "override, match",
+    [
+        ({"part_ptr": [0, 0, 2, 4], "part_core": [0, 1, 0], "level_ptr": [0, 2, 3]}, "empty"),
+        ({"part_ptr": [1, 2, 4]}, "part_ptr must start at 0"),
+        ({"part_ptr": [0, 2, 3]}, "part_ptr ends at 3"),
+        ({"part_ptr": [0, 3, 2, 4], "part_core": [0, 1, 0], "level_ptr": [0, 1, 3]}, "decreases"),
+        ({"level_ptr": [0, 2, 1, 2]}, "level_ptr decreases"),
+        ({"level_ptr": [1, 2]}, "level_ptr must start at 0"),
+        ({"level_ptr": [0, 1]}, "level_ptr ends at 1"),
+        ({"part_core": [0]}, "part_core has 1 entries"),
+        ({"order": [[0, 1], [2, 3]]}, "1-D"),
+    ],
+)
+def test_malformed_arrays_rejected(override, match):
+    Schedule(n=4, **_ARRAYS, sync="barrier", algorithm="test", n_cores=2)  # the base is fine
+    with pytest.raises(ScheduleError, match=match):
+        Schedule(
+            n=4, **dict(_ARRAYS, **override), sync="barrier", algorithm="test", n_cores=2
+        )
 
 
 def test_validate_detects_missing_vertex(g):
-    s = make([[WidthPartition(0, np.array([0, 1, 2]))]])
+    s = make([[(0, np.array([0, 1, 2]))]])
     with pytest.raises(ScheduleError, match="never scheduled|missing"):
         s.validate(g)
 
@@ -84,8 +110,8 @@ def test_validate_detects_missing_vertex(g):
 def test_validate_detects_duplicate_vertex(g):
     s = make(
         [
-            [WidthPartition(0, np.array([0, 1, 2, 3]))],
-            [WidthPartition(0, np.array([3]))],
+            [(0, np.array([0, 1, 2, 3]))],
+            [(0, np.array([3]))],
         ]
     )
     with pytest.raises(ScheduleError, match="twice|duplicate"):
@@ -94,7 +120,7 @@ def test_validate_detects_duplicate_vertex(g):
 
 def test_validate_detects_core_clash(g):
     s = make(
-        [[WidthPartition(0, np.array([0, 1, 3])), WidthPartition(0, np.array([2]))]]
+        [[(0, np.array([0, 1, 3])), (0, np.array([2]))]]
     )
     with pytest.raises(ScheduleError, match="core 0"):
         s.validate(g)
@@ -102,25 +128,25 @@ def test_validate_detects_core_clash(g):
 
 def test_validate_detects_same_level_dependence(g):
     s = make(
-        [[WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1, 2, 3]))]]
+        [[(0, np.array([0])), (1, np.array([1, 2, 3]))]]
     )
     with pytest.raises(ScheduleError, match="dependence violated"):
         s.validate(g)
 
 
 def test_validate_detects_wrong_order_within_partition(g):
-    s = make([[WidthPartition(0, np.array([3, 2, 1, 0]))]])
+    s = make([[(0, np.array([3, 2, 1, 0]))]])
     with pytest.raises(ScheduleError, match="dependence violated"):
         s.validate(g)
 
 
 def test_validate_accepts_in_partition_order(g):
-    s = make([[WidthPartition(0, np.array([0, 1, 2, 3]))]])
+    s = make([[(0, np.array([0, 1, 2, 3]))]])
     s.validate(g)
 
 
 def test_validate_size_mismatch(g):
-    s = make([[WidthPartition(0, np.array([0, 1, 2]))]], n=3)
+    s = make([[(0, np.array([0, 1, 2]))]], n=3)
     with pytest.raises(ScheduleError, match="covers"):
         s.validate(g)
 
@@ -129,8 +155,8 @@ def test_level_loads_and_dynamic(g):
     cost = np.array([1.0, 2.0, 3.0, 4.0])
     s = make(
         [
-            [WidthPartition(-1, np.array([0])), WidthPartition(-1, np.array([1]))],
-            [WidthPartition(0, np.array([2, 3]))],
+            [(-1, np.array([0])), (-1, np.array([1]))],
+            [(0, np.array([2, 3]))],
         ]
     )
     loads = s.level_loads(cost)
@@ -139,7 +165,7 @@ def test_level_loads_and_dynamic(g):
 
 
 def test_summary(g):
-    s = make([[WidthPartition(0, np.array([0, 1, 2, 3]))]])
+    s = make([[(0, np.array([0, 1, 2, 3]))]])
     info = s.summary(np.ones(4))
     assert info["n_levels"] == 1
     assert info["n_partitions"] == 1

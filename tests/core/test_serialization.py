@@ -1,14 +1,20 @@
-"""Tests for schedule serialization (to_dict / from_dict)."""
+"""Schedule persistence through the HDSC codec, the one serialization.
+
+The inspector is the expensive half of the framework, so persisting its
+output and reusing it across processes is part of the library contract;
+``repro.store.codec`` is that format (its meta block is canonical JSON).
+"""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import Schedule, hdagg
+from repro.core import hdagg
 from repro.graph import dag_from_matrix_lower
 from repro.kernels import KERNELS
 from repro.schedulers import SCHEDULERS
+from repro.store import decode_schedule, encode_schedule
 
 
 @pytest.mark.parametrize("algo", ["hdagg", "wavefront", "spmp", "lbc", "dagp"])
@@ -16,8 +22,7 @@ def test_roundtrip_through_json(algo, mesh_nd):
     g = dag_from_matrix_lower(mesh_nd)
     cost = KERNELS["spilu0"].cost(mesh_nd)
     s = SCHEDULERS[algo](g, cost, 4)
-    blob = json.loads(json.dumps(s.to_dict()))
-    s2 = Schedule.from_dict(blob)
+    s2 = decode_schedule(encode_schedule(s))
     s2.validate(g)
     assert s2.algorithm == s.algorithm
     assert s2.sync == s.sync
@@ -31,24 +36,10 @@ def test_meta_filtered_to_json_safe(mesh_nd):
     g = dag_from_matrix_lower(mesh_nd)
     s = hdagg(g, np.ones(g.n), 4)
     s.meta["array"] = np.arange(3)  # not JSON-safe: must be dropped
-    blob = s.to_dict()
-    assert "array" not in blob["meta"]
-    assert "epsilon" in blob["meta"]
-    json.dumps(blob)  # must not raise
-
-
-def test_from_dict_defaults():
-    blob = {
-        "n": 2,
-        "sync": "barrier",
-        "algorithm": "x",
-        "n_cores": 1,
-        "levels": [[{"core": 0, "vertices": [0, 1]}]],
-    }
-    s = Schedule.from_dict(blob)
-    assert not s.fine_grained
-    assert s.meta == {}
-    assert s.n_partitions == 1
+    meta = decode_schedule(encode_schedule(s)).meta
+    assert "array" not in meta
+    assert "epsilon" in meta
+    json.dumps(meta)  # must not raise
 
 
 def test_executor_accepts_deserialized(mesh_nd, rng):
@@ -57,7 +48,7 @@ def test_executor_accepts_deserialized(mesh_nd, rng):
 
     low = lower_triangle(mesh_nd)
     g = kernel.dag(low)
-    s = Schedule.from_dict(hdagg(g, kernel.cost(low), 4).to_dict())
+    s = decode_schedule(encode_schedule(hdagg(g, kernel.cost(low), 4)))
     b = rng.normal(size=mesh_nd.n_rows)
     got = kernel.execute_in_order(low, s.execution_order(), b)
     np.testing.assert_allclose(got, kernel.reference(low, b), rtol=1e-10)

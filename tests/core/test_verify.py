@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Schedule, ScheduleError, WidthPartition, hdagg
+from repro.core import Schedule, ScheduleError, hdagg
 from repro.core.verify import verify_schedule
 from repro.kernels import KERNELS
 from repro.schedulers import SCHEDULERS
@@ -37,9 +37,9 @@ def test_all_baselines_pass(setup, algo):
 
 def test_structural_failure_reported(setup):
     kernel, low, g = setup
-    bad = Schedule(
+    bad = Schedule.from_partitions(
         n=g.n,
-        levels=[[WidthPartition(0, np.arange(g.n - 1))]],  # drops a vertex
+        levels=[[(0, np.arange(g.n - 1))]],  # drops a vertex
         sync="barrier", algorithm="bad", n_cores=1,
     )
     report = verify_schedule(kernel, low, bad, g)
@@ -52,9 +52,9 @@ def test_structural_failure_reported(setup):
 
 def test_dependence_failure_reported(setup):
     kernel, low, g = setup
-    bad = Schedule(
+    bad = Schedule.from_partitions(
         n=g.n,
-        levels=[[WidthPartition(0, np.arange(g.n)[::-1].copy())]],
+        levels=[[(0, np.arange(g.n)[::-1].copy())]],
         sync="barrier", algorithm="bad", n_cores=1,
     )
     report = verify_schedule(kernel, low, bad, g)

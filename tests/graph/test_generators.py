@@ -106,4 +106,4 @@ def test_hdagg_chain_is_sequential_without_cap_effects():
     s = hdagg(g, np.ones(16), 2)
     s.validate(g)
     # a pure chain has no parallelism for anyone
-    assert all(len(level) == 1 for level in s.levels)
+    assert np.all(np.diff(s.level_ptr) == 1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.metrics import (
     avg_nnz_per_wavefront,
@@ -44,11 +44,11 @@ class TestLoadBalance:
         assert measured_pg(r) == pytest.approx(0.5)
 
     def test_level_widths(self):
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=3,
             levels=[
-                [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))],
-                [WidthPartition(0, np.array([2]))],
+                [(0, np.array([0])), (1, np.array([1]))],
+                [(0, np.array([2]))],
             ],
             sync="barrier", algorithm="t", n_cores=2,
         )
@@ -57,7 +57,7 @@ class TestLoadBalance:
         assert imbalance_ratio(s, p=1) == 0.0
 
     def test_imbalance_ratio_empty(self):
-        s = Schedule(n=0, levels=[], sync="barrier", algorithm="t", n_cores=2)
+        s = Schedule.from_partitions(n=0, levels=[], sync="barrier", algorithm="t", n_cores=2)
         assert imbalance_ratio(s) == 0.0
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.kernels import KERNELS, MemoryModel
 from repro.metrics import ReuseProfile, reuse_profile
@@ -17,8 +17,8 @@ def tiny_machine(p=2, cap=64):
 
 def test_same_core_chain_counts_short_distance():
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
-        n=2, levels=[[WidthPartition(0, np.array([0]))], [WidthPartition(0, np.array([1]))]],
+    s = Schedule.from_partitions(
+        n=2, levels=[[(0, np.array([0]))], [(0, np.array([1]))]],
         sync="barrier", algorithm="t", n_cores=2,
     )
     mem = MemoryModel(np.ones(2), np.ones(1))
@@ -30,8 +30,8 @@ def test_same_core_chain_counts_short_distance():
 
 def test_cross_core_counts_as_coherence():
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
-        n=2, levels=[[WidthPartition(0, np.array([0]))], [WidthPartition(1, np.array([1]))]],
+    s = Schedule.from_partitions(
+        n=2, levels=[[(0, np.array([0]))], [(1, np.array([1]))]],
         sync="barrier", algorithm="t", n_cores=2,
     )
     mem = MemoryModel(np.ones(2), np.ones(1))
@@ -41,11 +41,11 @@ def test_cross_core_counts_as_coherence():
 
 def test_second_consumer_chains():
     g = DAG.from_edges(3, [0, 0], [1, 2])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=3,
         levels=[
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(1, np.array([1, 2]))],
+            [(0, np.array([0]))],
+            [(1, np.array([1, 2]))],
         ],
         sync="barrier", algorithm="t", n_cores=2,
     )

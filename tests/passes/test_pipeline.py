@@ -18,6 +18,8 @@ from repro.passes import (
 )
 from repro.schedulers import SCHEDULERS
 
+from ..conftest import assert_same_arrays
+
 
 def _pass(name, requires=(), produces=(), run=None, **kw):
     return Pass(
@@ -120,11 +122,7 @@ def test_scheduler_group_matches_public_function(name, mesh_nd):
     via_function = SCHEDULERS[name](g, cost, 4)
     assert via_group.algorithm == via_function.algorithm
     assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
-    assert [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_group.levels
-    ] == [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_function.levels
-    ]
+    assert_same_arrays(via_group, via_function)
 
 
 def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
@@ -136,11 +134,7 @@ def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
     via_group = run_scheduler("hdagg", g, cost, 4, 0.5)["Schedule"]
     via_function = hdagg(g, cost, 4, epsilon=0.5)
     assert via_group.execution_order().tolist() == via_function.execution_order().tolist()
-    assert [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_group.levels
-    ] == [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in via_function.levels
-    ]
+    assert_same_arrays(via_group, via_function)
 
 
 def test_hdagg_group_runs_standalone():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ScheduleCache
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG
 from repro.resilience import FailureRecord
 from repro.resilience.faults import FaultPlan, FaultSpec, armed
@@ -21,6 +21,8 @@ from repro.runtime.threaded import ThreadedExecutionError, run_threaded
 from repro.suite import Harness
 from repro.suite.harness import RunRecord
 from repro.suite.matrices import SUITE
+
+from ..conftest import assert_same_arrays
 
 CHAOS_SEEDS = (0, 1, 2)
 
@@ -138,11 +140,7 @@ def test_inspector_stage_stall_is_attributed_and_bit_identical():
     assert stalled.meta["stage_seconds"]["lbp"] >= 0.05
     # timing noise never reaches the schedule itself
     assert stalled.execution_order().tolist() == clean.execution_order().tolist()
-    assert [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in stalled.levels
-    ] == [
-        [(wp.core, wp.vertices.tolist()) for wp in level] for level in clean.levels
-    ]
+    assert_same_arrays(stalled, clean)
 
 
 def test_inspector_stage_stall_fires_on_a_baseline_pass():
@@ -185,11 +183,11 @@ def test_inspector_stage_chaos_sweep_fires_only_known_labels(seed):
 def test_executor_stall_trips_deadlock_detector():
     """An injected core stall must surface as the detector's stuck triple."""
     g = DAG.from_edges(2, [0], [1])
-    schedule = Schedule(
+    schedule = Schedule.from_partitions(
         n=2,
         levels=[
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(1, np.array([1]))],
+            [(0, np.array([0]))],
+            [(1, np.array([1]))],
         ],
         sync="p2p",
         algorithm="test",
@@ -210,10 +208,10 @@ def test_executor_stall_trips_deadlock_detector():
 
 def test_executor_worker_crash_names_core_and_vertex():
     g = DAG.from_edges(2, [], [])
-    schedule = Schedule(
+    schedule = Schedule.from_partitions(
         n=2,
         levels=[
-            [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))]
+            [(0, np.array([0])), (1, np.array([1]))]
         ],
         sync="barrier",
         algorithm="test",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import dag_from_matrix_lower, verify_schedule_order
 from repro.kernels import KERNELS, KernelError
 from repro.runtime import execute_schedule, interleaved_order
@@ -28,9 +28,9 @@ def test_interleavings_differ_by_seed(mesh_nd):
 
 
 def test_interleaved_preserves_partition_order():
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=4,
-        levels=[[WidthPartition(0, np.array([0, 2])), WidthPartition(1, np.array([1, 3]))]],
+        levels=[[(0, np.array([0, 2])), (1, np.array([1, 3]))]],
         sync="barrier", algorithm="t", n_cores=2,
     )
     order = interleaved_order(s, seed=0)
@@ -62,9 +62,9 @@ def test_bad_schedule_raises_through_executor(mesh_nd):
     low = lower_triangle(mesh_nd)
     g = kernel.dag(low)
     n = g.n
-    bad = Schedule(
+    bad = Schedule.from_partitions(
         n=n,
-        levels=[[WidthPartition(0, np.arange(n)[::-1].copy())]],
+        levels=[[(0, np.arange(n)[::-1].copy())]],
         sync="barrier", algorithm="bad", n_cores=1,
     )
     with pytest.raises(KernelError):
@@ -72,5 +72,5 @@ def test_bad_schedule_raises_through_executor(mesh_nd):
 
 
 def test_empty_schedule():
-    s = Schedule(n=0, levels=[], sync="barrier", algorithm="t", n_cores=1)
+    s = Schedule.from_partitions(n=0, levels=[], sync="barrier", algorithm="t", n_cores=1)
     assert interleaved_order(s).size == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.kernels import KERNELS, MemoryModel
 from repro.runtime import LAPTOP4, MachineConfig, bind_dynamic_partitions, simulate
@@ -29,9 +29,9 @@ def make_memory(g, stream=1.0, edge=1.0):
 class TestBarrierTiming:
     def test_two_independent_vertices(self):
         g = DAG.empty(2)
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=2,
-            levels=[[WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))]],
+            levels=[[(0, np.array([0])), (1, np.array([1]))]],
             sync="barrier", algorithm="t", n_cores=2,
         )
         m = tiny_machine()
@@ -43,9 +43,9 @@ class TestBarrierTiming:
 
     def test_barrier_added_between_levels(self):
         g = DAG.from_edges(2, [0], [1])
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=2,
-            levels=[[WidthPartition(0, np.array([0]))], [WidthPartition(0, np.array([1]))]],
+            levels=[[(0, np.array([0]))], [(0, np.array([1]))]],
             sync="barrier", algorithm="t", n_cores=2,
         )
         m = tiny_machine()
@@ -57,9 +57,9 @@ class TestBarrierTiming:
 
     def test_cross_core_dependence_misses(self):
         g = DAG.from_edges(2, [0], [1])
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=2,
-            levels=[[WidthPartition(0, np.array([0]))], [WidthPartition(1, np.array([1]))]],
+            levels=[[(0, np.array([0]))], [(1, np.array([1]))]],
             sync="barrier", algorithm="t", n_cores=2,
         )
         r = simulate(s, g, np.ones(2), make_memory(g), tiny_machine())
@@ -69,8 +69,8 @@ class TestBarrierTiming:
     def test_window_eviction(self):
         # 0 -> 2 with a fat vertex 1 in between on the same core
         g = DAG.from_edges(3, [0], [2])
-        s = Schedule(
-            n=3, levels=[[WidthPartition(0, np.array([0, 1, 2]))]],
+        s = Schedule.from_partitions(
+            n=3, levels=[[(0, np.array([0, 1, 2]))]],
             sync="barrier", algorithm="t", n_cores=1,
         )
         mem = MemoryModel(
@@ -86,11 +86,11 @@ class TestConsumerReuse:
     def test_second_consumer_hits_even_cross_core_producer(self):
         # u=0 on core 0; consumers 1, 2 both on core 1
         g = DAG.from_edges(3, [0, 0], [1, 2])
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=3,
             levels=[
-                [WidthPartition(0, np.array([0]))],
-                [WidthPartition(1, np.array([1, 2]))],
+                [(0, np.array([0]))],
+                [(1, np.array([1, 2]))],
             ],
             sync="barrier", algorithm="t", n_cores=2,
         )
@@ -104,11 +104,11 @@ class TestP2PTiming:
     def test_pipeline_overlaps(self):
         # two independent chains on two cores: no sync at all
         g = DAG.from_edges(4, [0, 1], [2, 3])
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=4,
             levels=[
-                [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))],
-                [WidthPartition(0, np.array([2])), WidthPartition(1, np.array([3]))],
+                [(0, np.array([0])), (1, np.array([1]))],
+                [(0, np.array([2])), (1, np.array([3]))],
             ],
             sync="p2p", algorithm="t", n_cores=2,
         )
@@ -119,11 +119,11 @@ class TestP2PTiming:
     def test_cross_partition_wait(self):
         # 0 (core 0, heavy) -> 1 (core 1): core 1 waits + sync cost
         g = DAG.from_edges(2, [0], [1])
-        s = Schedule(
+        s = Schedule.from_partitions(
             n=2,
             levels=[
-                [WidthPartition(0, np.array([0]))],
-                [WidthPartition(1, np.array([1]))],
+                [(0, np.array([0]))],
+                [(1, np.array([1]))],
             ],
             sync="p2p", algorithm="t", n_cores=2,
         )
@@ -148,22 +148,22 @@ class TestBindDynamic:
         assert bind_dynamic_partitions(s, np.ones(g.n)) is s
 
     def test_dynamic_partitions_bound(self):
-        parts = [WidthPartition(-1, np.array([i])) for i in range(4)]
-        s = Schedule(n=4, levels=[parts], sync="barrier", algorithm="t", n_cores=2)
+        parts = [(-1, np.array([i])) for i in range(4)]
+        s = Schedule.from_partitions(n=4, levels=[parts], sync="barrier", algorithm="t", n_cores=2)
         bound = bind_dynamic_partitions(s, np.ones(4))
-        cores = sorted(p.core for p in bound.levels[0])
+        cores = sorted(bound.part_core.tolist())
         assert all(c >= 0 for c in cores)
         assert set(cores) == {0, 1}
         assert bound.meta.get("bound_dynamic")
 
     def test_binding_balances_cost(self):
-        parts = [WidthPartition(-1, np.array([i])) for i in range(4)]
-        s = Schedule(n=4, levels=[parts], sync="barrier", algorithm="t", n_cores=2)
+        parts = [(-1, np.array([i])) for i in range(4)]
+        s = Schedule.from_partitions(n=4, levels=[parts], sync="barrier", algorithm="t", n_cores=2)
         cost = np.array([4.0, 4.0, 4.0, 4.0])
         bound = bind_dynamic_partitions(s, cost)
         loads = np.zeros(2)
-        for p in bound.levels[0]:
-            loads[p.core] += p.cost(cost)
+        for core, c in zip(bound.part_core, bound.partition_costs(cost)):
+            loads[core] += c
         assert loads.tolist() == [8.0, 8.0]
 
 

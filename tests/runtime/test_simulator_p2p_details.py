@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG
 from repro.kernels import MemoryModel
 from repro.runtime import MachineConfig, simulate
@@ -23,9 +23,9 @@ def mem_for(g):
 
 def test_same_core_dependence_needs_no_sync():
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=2,
-        levels=[[WidthPartition(0, np.array([0]))], [WidthPartition(0, np.array([1]))]],
+        levels=[[(0, np.array([0]))], [(0, np.array([1]))]],
         sync="p2p", algorithm="t", n_cores=2,
     )
     r = simulate(s, g, np.ones(2), mem_for(g), machine())
@@ -36,11 +36,11 @@ def test_same_core_dependence_needs_no_sync():
 def test_sync_charged_once_per_partition_pair():
     # two edges between the same pair of partitions: one sync
     g = DAG.from_edges(4, [0, 1], [2, 3])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=4,
         levels=[
-            [WidthPartition(0, np.array([0, 1]))],
-            [WidthPartition(1, np.array([2, 3]))],
+            [(0, np.array([0, 1]))],
+            [(1, np.array([2, 3]))],
         ],
         sync="p2p", algorithm="t", n_cores=2,
     )
@@ -51,11 +51,11 @@ def test_sync_charged_once_per_partition_pair():
 def test_waiting_core_idles_not_busy():
     """Busy cycles exclude p2p wait time (PG measures work, not stalls)."""
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=2,
         levels=[
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(1, np.array([1]))],
+            [(0, np.array([0]))],
+            [(1, np.array([1]))],
         ],
         sync="p2p", algorithm="t", n_cores=2,
     )
@@ -69,11 +69,11 @@ def test_waiting_core_idles_not_busy():
 def test_independent_chains_fully_overlap():
     g = DAG.from_edges(6, [0, 1, 2, 3], [2, 3, 4, 5])
     levels = [
-        [WidthPartition(0, np.array([0])), WidthPartition(1, np.array([1]))],
-        [WidthPartition(0, np.array([2])), WidthPartition(1, np.array([3]))],
-        [WidthPartition(0, np.array([4])), WidthPartition(1, np.array([5]))],
+        [(0, np.array([0])), (1, np.array([1]))],
+        [(0, np.array([2])), (1, np.array([3]))],
+        [(0, np.array([4])), (1, np.array([5]))],
     ]
-    s = Schedule(n=6, levels=levels, sync="p2p", algorithm="t", n_cores=2)
+    s = Schedule.from_partitions(n=6, levels=levels, sync="p2p", algorithm="t", n_cores=2)
     r = simulate(s, g, np.ones(6), mem_for(g), machine())
     # no cross-core deps at all: makespan == per-core chain length
     assert r.n_p2p_syncs == 0
@@ -83,12 +83,12 @@ def test_independent_chains_fully_overlap():
 def test_p2p_dependency_chain_orders_finishes():
     """A zig-zag across cores serialises through sync costs."""
     g = DAG.from_edges(3, [0, 1], [1, 2])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=3,
         levels=[
-            [WidthPartition(0, np.array([0]))],
-            [WidthPartition(1, np.array([1]))],
-            [WidthPartition(0, np.array([2]))],
+            [(0, np.array([0]))],
+            [(1, np.array([1]))],
+            [(0, np.array([2]))],
         ],
         sync="p2p", algorithm="t", n_cores=2,
     )
@@ -110,14 +110,16 @@ def test_barrier_makespan_invariant_to_partition_listing(request):
     from repro.schedulers import SCHEDULERS
     from repro.core.schedule import Schedule
 
+    from ..conftest import partition_lists
+
     kernel = KERNELS["spilu0"]
     g = dag_from_matrix_lower(mesh_nd)
     cost = kernel.cost(mesh_nd)
     memm = kernel.memory_model(mesh_nd, g)
     s = SCHEDULERS["hdagg"](g, cost, 4)
-    shuffled = Schedule(
+    shuffled = Schedule.from_partitions(
         n=s.n,
-        levels=[list(reversed(level)) for level in s.levels],
+        levels=[list(reversed(level)) for level in partition_lists(s)],
         sync=s.sync, algorithm=s.algorithm, n_cores=s.n_cores,
         fine_grained=s.fine_grained, meta=dict(s.meta),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.graph import DAG, dag_from_matrix_lower
 from repro.kernels import KERNELS
 from repro.runtime import ThreadedExecutionError, run_threaded
@@ -51,9 +51,9 @@ def test_counts_every_vertex_once(mesh_nd):
 def test_invalid_barrier_schedule_detected():
     # edge 0 -> 1 placed in the same level on different cores
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=2,
-        levels=[[WidthPartition(0, np.array([1])), WidthPartition(1, np.array([0]))]],
+        levels=[[(0, np.array([1])), (1, np.array([0]))]],
         sync="barrier",
         algorithm="bad",
         n_cores=2,
@@ -96,9 +96,9 @@ def test_p2p_spin_path(mesh_nd, rng):
 
 def test_barrier_violation_carries_context():
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=2,
-        levels=[[WidthPartition(0, np.array([1])), WidthPartition(1, np.array([0]))]],
+        levels=[[(0, np.array([1])), (1, np.array([0]))]],
         sync="barrier",
         algorithm="bad",
         n_cores=2,
@@ -113,9 +113,9 @@ def test_p2p_deadlock_detected_with_context():
     # vertex 1 spins on dependence 0, which is never scheduled: without
     # deadlock detection this would hang forever
     g = DAG.from_edges(2, [0], [1])
-    s = Schedule(
+    s = Schedule.from_partitions(
         n=2,
-        levels=[[WidthPartition(0, np.array([1]))]],
+        levels=[[(0, np.array([1]))]],
         sync="p2p",
         algorithm="bad",
         n_cores=1,

@@ -68,8 +68,10 @@ def test_p_equals_one_collapses(name, mesh):
     g = dag_from_matrix_lower(mesh)
     s = build(name, g, np.ones(g.n), 1)
     s.validate(g)
-    for level in s.levels:
-        assert len(level) == 1 or all(part.core in (0, -1) for part in level)
+    widths = np.diff(s.level_ptr)
+    for k, width in enumerate(widths.tolist()):
+        cores = s.part_core[s.level_ptr[k] : s.level_ptr[k + 1]]
+        assert width == 1 or np.all((cores == 0) | (cores == -1))
 
 
 @pytest.mark.parametrize("name", [a for a in ALGOS if a != "serial"])

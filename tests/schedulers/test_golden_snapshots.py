@@ -57,11 +57,14 @@ def schedule_digest(schedule) -> str:
     h = hashlib.sha256()
     h.update(f"sync={schedule.sync};fine={schedule.fine_grained};"
              f"n={schedule.n};levels={schedule.n_levels};".encode())
-    for k, level in enumerate(schedule.levels):
-        for part in level:
-            h.update(f"L{k}c{int(part.core)}:".encode())
-            h.update(np.ascontiguousarray(part.vertices, dtype=np.int64).tobytes())
-            h.update(b";")
+    order = np.ascontiguousarray(schedule.order, dtype=np.int64)
+    ptr = schedule.part_ptr.tolist()
+    for j, (k, core) in enumerate(
+        zip(schedule.partition_level().tolist(), schedule.part_core.tolist())
+    ):
+        h.update(f"L{k}c{core}:".encode())
+        h.update(order[ptr[j] : ptr[j + 1]].tobytes())
+        h.update(b";")
     return h.hexdigest()
 
 

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.schedule import Schedule, WidthPartition
+from repro.core.schedule import Schedule
 from repro.store import CODEC_VERSION, CodecError, decode_schedule, encode_schedule
 
+from ..conftest import assert_same_arrays
 from .conftest import MATRICES
 
 
@@ -30,13 +31,7 @@ def assert_same_schedule(a: Schedule, b: Schedule) -> None:
     assert a.algorithm == b.algorithm
     assert a.n_cores == b.n_cores
     assert a.fine_grained == b.fine_grained
-    assert len(a.levels) == len(b.levels)
-    for la, lb in zip(a.levels, b.levels):
-        assert len(la) == len(lb)
-        for pa, pb in zip(la, lb):
-            assert pa.core == pb.core
-            assert pa.vertices.dtype == pb.vertices.dtype
-            np.testing.assert_array_equal(pa.vertices, pb.vertices)
+    assert_same_arrays(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +74,7 @@ def synthetic_schedules(draw):
             vertices = draw(
                 st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
             )
-            parts.append(WidthPartition(core=draw(st.integers(0, 7)), vertices=np.asarray(vertices)))
+            parts.append((draw(st.integers(0, 7)), np.asarray(vertices)))
         levels.append(parts)
     meta = draw(
         st.dictionaries(
@@ -88,7 +83,7 @@ def synthetic_schedules(draw):
             max_size=4,
         )
     )
-    return Schedule(
+    return Schedule.from_partitions(
         n=n,
         levels=levels,
         sync=sync,
@@ -156,6 +151,17 @@ class TestCorruption:
         with pytest.raises(CodecError):
             decode_schedule(fixed)
         assert schedule.n > 1  # the mutation above was meaningful
+
+    def test_crc_fixup_cannot_smuggle_empty_partition(self):
+        """A CRC-correct record holding a zero-size partition is refused."""
+        one = Schedule.from_partitions(1, [[(0, [0])]], sync="barrier", algorithm="t", n_cores=1)
+        body = encode_schedule(one)[:-4]
+        # the body ends with the lone partition: core i32, size u32, vertex u32;
+        # keep the core, set the size to 0 and drop the vertex
+        body = body[:-8] + (0).to_bytes(4, "little")
+        fixed = body + zlib.crc32(body).to_bytes(4, "little")
+        with pytest.raises(CodecError, match="empty"):
+            decode_schedule(fixed)
 
     def test_wrong_magic_rejected(self, blob):
         with pytest.raises(CodecError):

@@ -74,15 +74,13 @@ def test_pipeline_deterministic_end_to_end(matrix, kernel_name):
 def test_serialized_schedule_survives_pipeline(matrix):
     """Inspector output persisted, reloaded, and re-used for execution +
     simulation — the cross-process inspector-executor flow."""
-    import json
-
-    from repro.core import Schedule
+    from repro.store import decode_schedule, encode_schedule
 
     kernel = KERNELS["spilu0"]
     g = kernel.dag(matrix)
     cost = kernel.cost(matrix)
     original = SCHEDULERS["hdagg"](g, cost, 4)
-    restored = Schedule.from_dict(json.loads(json.dumps(original.to_dict())))
+    restored = decode_schedule(encode_schedule(original))
 
     r1 = simulate(original, g, cost, kernel.memory_model(matrix, g), LAPTOP4)
     r2 = simulate(restored, g, cost, kernel.memory_model(matrix, g), LAPTOP4)
