@@ -63,9 +63,9 @@ def write_json_payload(output_dir: Path, name: str, payload: dict,
     """Persist a machine-readable artifact, stamped with the perf schema
     version and the environment fingerprint (digest + full description).
 
-    The stamp lives at the top level next to the payload keys, so readers
-    like :func:`repro.perflab.history.migrate_bench_inspector` can route
-    on ``schema`` and recover the provenance without any side files.
+    The stamp lives at the top level next to the payload keys, so a reader
+    can route on ``schema`` and recover the provenance without any side
+    files.
     ``backend`` (canonical ``BackendSpec.describe()`` form) enters the
     fingerprint's environment key when non-empty, so compiled-tier and
     numpy-tier artifacts never share a digest.

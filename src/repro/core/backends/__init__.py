@@ -20,7 +20,7 @@ packing, schedule expansion) is a named, swappable implementation.  A
 All three tiers are **bit-identical** by contract: the same DAG and
 parameters produce the same schedule down to every float in the packing
 loads (enforced by the differential test suite).  The spec therefore
-changes only *speed*; it still participates in cache keys and perf-lab
+changes only *speed*; it still participates in cache keys and environment
 fingerprints so measurements from different tiers are never mixed.
 
 Selection sources, in precedence order: explicit ``backend=`` argument

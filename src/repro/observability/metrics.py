@@ -142,7 +142,7 @@ class Histogram:
 
         Accuracy is bounded by the bucket ladder — good enough for the
         decade-scale questions the registry answers ("where does the p95
-        land"), not a substitute for the perf-lab's full sample sets.
+        land"), not a substitute for the benchmark's full sample sets.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")

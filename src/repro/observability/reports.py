@@ -38,8 +38,6 @@ __all__ = [
     "sync_report",
     "imbalance_comparison",
     "imbalance_report",
-    "stage_share_rows",
-    "stage_share_report",
 ]
 
 
@@ -126,35 +124,6 @@ def sync_report(timeline: CoreTimeline, *, unit: str = "s") -> str:
                 f"  vertex {d['vertex']}: {d['waited']:.6g} {unit} over {d['n_waits']} waits"
             )
     return "\n".join(lines)
-
-
-def stage_share_rows(stage_seconds: Dict[str, float]) -> List[list]:
-    """Per-stage rows: stage, seconds, share of the summed leaf stages.
-
-    Input is any ``{stage: seconds}`` mapping (a StageTimer dump, or the
-    perf-lab's per-observation stage medians).  Aggregate entries whose
-    children are also present (``inspect`` next to ``inspect/lbp``) are
-    excluded from the share denominator so percentages add up to 100.
-    """
-    leaves = {
-        name: float(s)
-        for name, s in stage_seconds.items()
-        if not any(other != name and other.startswith(f"{name}/")
-                   for other in stage_seconds)
-    }
-    total = sum(leaves.values())
-    return [
-        [name, seconds, 100.0 * seconds / total if total > 0 else 0.0]
-        for name, seconds in sorted(leaves.items(), key=lambda kv: -kv[1])
-    ]
-
-
-def stage_share_report(stage_seconds: Dict[str, float], *, unit: str = "s") -> str:
-    from ..suite.reporting import format_table
-
-    rows = stage_share_rows(stage_seconds)
-    return format_table(["stage", unit, "share %"], rows,
-                        title="Stage breakdown", digits=4)
 
 
 def imbalance_comparison(

@@ -23,10 +23,7 @@ __all__ = [
 #: Prefix families for genuinely open-ended, label-derived names.  Keep
 #: this list short: every entry weakens the closed-world check, so a
 #: family belongs here only when its label set is unbounded by design.
-METRIC_NAME_PREFIXES: Tuple[str, ...] = (
-    # perf-lab per-cell series: benchmark/matrix/kernel/algorithm labels
-    "perflab.",
-)
+METRIC_NAME_PREFIXES: Tuple[str, ...] = ()
 
 #: Prefixes statan's L009 accepts for *f-string* metric names.  Wider
 #: than :data:`METRIC_NAME_PREFIXES` because a call site interpolating a

@@ -56,8 +56,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
                    choices=["nd", "rcm", "natural", "random"])
     p.add_argument("--out-dir", "--out", dest="out", default="trace-out",
                    help="output directory (created if missing); --out is an "
-                        "accepted alias so perf-lab and trace artifacts can "
-                        "share one run directory")
+                        "accepted alias, as in bench/run.py")
     p.add_argument("--no-threaded", action="store_true",
                    help="skip the threaded execution (model timeline only)")
     return p

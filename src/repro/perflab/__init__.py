@@ -1,27 +1,17 @@
-"""Perf-lab: longitudinal benchmark telemetry with statistical gating.
-
-Every benchmark run becomes a durable, comparable observation:
+"""Perf-lab: provenance stamps for the benchmark and the verdict on its results.
 
 * :mod:`repro.perflab.fingerprint` — environment identity (CPU model,
-  governor, BLAS, python/numpy/scipy versions) hashed into a series
-  digest, with git SHA / observability / fault switches stamped as
-  provenance;
-* :mod:`repro.perflab.protocol` — warmup + adaptive repetition until the
-  BCa bootstrap interval of the median is tight enough, with per-stage
-  (``inspect/<sub>``, ``execute``) breakdown per rep;
-* :mod:`repro.perflab.stats` — BCa bootstrap intervals, bootstrap shift
-  verdicts, rank-CUSUM change-point detection;
-* :mod:`repro.perflab.history` — append-only JSONL store + the atomic
-  ``BENCH_trajectory.json`` snapshot, plus schema-1 migration;
-* :mod:`repro.perflab.compare` — regression verdicts with per-stage
-  attribution ("the inspector got slower because lbp did");
-* :mod:`repro.perflab.bench` — the measured cells (``perf run`` smoke
-  subset);
-* :mod:`repro.perflab.report` / :mod:`repro.perflab.cli` — markdown +
-  self-contained HTML reports and the ``hdagg-bench perf`` driver.
+  governor, BLAS, python/numpy/scipy versions) hashed into a digest, with
+  the git SHA, observability and fault switches stamped as provenance.
+  ``bench/run.py`` stamps every run with it.
+* :mod:`repro.perflab.compare` / :mod:`repro.perflab.cli` — ``hdagg-bench
+  perf compare PARENT_DIR CHANGE_DIR``: pairs repeated ``bench/run.py``
+  results of two commits and judges them by the one rule of
+  ``bench/README.md`` ("Comparing two commits").
 
-Everything re-exported here resolves lazily so that arming perf-lab — or
-merely having it importable — costs the rest of the system nothing.
+Everything re-exported here resolves lazily, so that importing
+:mod:`repro.perflab.fingerprint` (done by the benchmark inside its timed
+set-up) pulls in nothing else.
 """
 
 from __future__ import annotations
@@ -30,31 +20,7 @@ __all__ = [
     "PERF_SCHEMA_VERSION",
     "EnvironmentFingerprint",
     "collect_fingerprint",
-    "BootstrapCI",
-    "bootstrap_ci",
-    "ShiftVerdict",
-    "shift_verdict",
-    "ChangePoint",
-    "detect_change_point",
-    "ObservationKey",
-    "Observation",
-    "MeasurementProtocol",
-    "HistoryStore",
-    "LEGACY_DIGEST",
-    "write_trajectory",
-    "load_trajectory",
-    "migrate_bench_inspector",
-    "StageShift",
-    "ObservationComparison",
-    "compare_observations",
-    "compare_series",
-    "classify_point_ratio",
-    "stage_series",
-    "PERF_SMOKE",
-    "run_inspector_benchmarks",
-    "markdown_report",
-    "html_report",
-    "sparkline",
+    "perf_compare",
     "perf_main",
 ]
 
@@ -62,31 +28,7 @@ _HOMES = {
     "PERF_SCHEMA_VERSION": "fingerprint",
     "EnvironmentFingerprint": "fingerprint",
     "collect_fingerprint": "fingerprint",
-    "BootstrapCI": "stats",
-    "bootstrap_ci": "stats",
-    "ShiftVerdict": "stats",
-    "shift_verdict": "stats",
-    "ChangePoint": "stats",
-    "detect_change_point": "stats",
-    "ObservationKey": "protocol",
-    "Observation": "protocol",
-    "MeasurementProtocol": "protocol",
-    "HistoryStore": "history",
-    "LEGACY_DIGEST": "history",
-    "write_trajectory": "history",
-    "load_trajectory": "history",
-    "migrate_bench_inspector": "history",
-    "StageShift": "compare",
-    "ObservationComparison": "compare",
-    "compare_observations": "compare",
-    "compare_series": "compare",
-    "classify_point_ratio": "compare",
-    "stage_series": "compare",
-    "PERF_SMOKE": "bench",
-    "run_inspector_benchmarks": "bench",
-    "markdown_report": "report",
-    "html_report": "report",
-    "sparkline": "report",
+    "perf_compare": "compare",
     "perf_main": "cli",
 }
 

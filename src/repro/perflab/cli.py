@@ -1,363 +1,46 @@
-"""``hdagg-bench perf``: the longitudinal benchmark lab.
+"""``hdagg-bench perf``: judge two commits' ``bench/run.py`` results.
 
-Subcommands::
+One subcommand::
 
-    perf run      measure the smoke cells under the adaptive protocol,
-                  append to the JSONL history, rewrite the trajectory
-                  snapshot (and optionally migrate a legacy
-                  BENCH_inspector.json into the history first)
-    perf compare  full statistical comparison of each series' latest
-                  observation against its predecessor or a blessed
-                  baseline history, with stage attribution tables
-    perf report   render the history (+ comparison verdicts) as markdown
-                  and a self-contained HTML file
-    perf gate     one verdict line per series; exit 1 on any *confirmed*
-                  regression (``--warn-only`` downgrades to exit 0)
+    perf compare PARENT_DIR CHANGE_DIR
 
-Baseline blessing is just file plumbing: ``perf run --history new.jsonl``
-on a known-good tree, then commit that file (CI keeps one at
-``benchmarks/perf_baseline.jsonl``) and point ``perf gate --baseline`` at
-it.  ``--stall-stage lbp:0.005`` arms the ``inspector.stage`` fault site
-so a deterministic stall lands inside one named inspector stage — the
-end-to-end check that a regression is not only detected but attributed.
+Each directory holds repeated ``bench/run.py`` results (one
+``results.json`` per run, at any depth), one directory per commit.  See
+:mod:`repro.perflab.compare` for the pairing, the verdict rule and the
+exit codes.
 
-Examples::
+Example (one pair; a gain needs at least ten)::
 
-    hdagg-bench perf run --history perf-history.jsonl --note "pre-change"
-    hdagg-bench perf run --history perf-history.jsonl --stall-stage lbp:0.005
-    hdagg-bench perf gate --history perf-history.jsonl
-    hdagg-bench perf report --history perf-history.jsonl --out-dir perf-out
+    python3 bench/run.py --workload cold-solve --seed 0 --out perf-out/parent/0
+    python3 bench/run.py --workload cold-solve --seed 0 --out perf-out/change/0
+    hdagg-bench perf compare perf-out/parent perf-out/change
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-import statistics
-
-from .bench import (
-    PERF_SMOKE,
-    REPAIR_SMOKE_MATRIX,
-    run_inspector_benchmarks,
-    run_repair_benchmark,
-)
-from .compare import ObservationComparison, compare_observations, compare_series
-from .history import HistoryStore, write_trajectory, migrate_bench_inspector
-from .protocol import MeasurementProtocol, Observation
-from .report import html_report, markdown_report
+from .compare import perf_compare
 
 __all__ = ["perf_main", "build_perf_parser"]
 
 
-def _add_history_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--history", default="perf-history.jsonl",
-                   help="append-only JSONL history store (default: %(default)s)")
-
-
-def _add_compare_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--baseline", default=None,
-                   help="blessed baseline history (JSONL); compare each "
-                        "series' latest observation against the baseline's "
-                        "instead of its own predecessor")
-    p.add_argument("--min-effect", type=float, default=0.05,
-                   help="noise floor: relative shifts whose interval does not "
-                        "clear this are never confirmed (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="bootstrap seed (verdicts are deterministic under it)")
-
-
 def build_perf_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hdagg-bench perf", description=__doc__)
+    p = argparse.ArgumentParser(
+        prog="hdagg-bench perf", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = p.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="measure and append to the history")
-    _add_history_arg(run)
-    run.add_argument("--matrices", nargs="+", default=list(PERF_SMOKE))
-    run.add_argument("--kernel", default="sptrsv",
-                     choices=["sptrsv", "spic0", "spilu0"])
-    run.add_argument("--algorithm", default="hdagg")
-    run.add_argument("--machine", default="intel20")
-    run.add_argument("--cores", type=int, default=None)
-    run.add_argument("--ordering", default="nd",
-                     choices=["nd", "rcm", "natural", "random"])
-    run.add_argument("--epsilon", type=float, default=None)
-    run.add_argument("--backend", default=None, metavar="SPEC",
-                     help="inspector backend spec for hdagg cells, e.g. "
-                          "'lbp=compiled,coarsen=compiled' or 'compiled' "
-                          "(default: follow REPRO_BACKENDS; stamped into "
-                          "the fingerprint so tiers never share a series)")
-    run.add_argument("--no-repair-cell", action="store_true",
-                     help="skip the repair-vs-full smoke cell appended "
-                          "after the inspector cells (warn-only either way)")
-    run.add_argument("--warmup", type=int, default=2)
-    run.add_argument("--min-reps", type=int, default=5)
-    run.add_argument("--max-reps", type=int, default=30)
-    run.add_argument("--target-ci", type=float, default=0.05,
-                     help="adaptive-stop relative CI halfwidth (default: %(default)s)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--note", default="", help="free-text provenance stamped "
-                     "into each observation")
-    run.add_argument("--trajectory", default="BENCH_trajectory.json",
-                     help="trajectory snapshot rewritten after the run "
-                          "('' disables; default: %(default)s)")
-    run.add_argument("--migrate", default=None, metavar="BENCH_JSON",
-                     help="first lift a legacy BENCH_inspector.json into the "
-                          "history (skipped if already migrated)")
-    run.add_argument("--stall-stage", default=None, metavar="STAGE:SECONDS",
-                     help="arm a deterministic stall inside one inspector "
-                          "stage (e.g. lbp:0.005) — for exercising the gate")
-
-    cmp_ = sub.add_parser("compare", help="statistical comparison per series")
-    _add_history_arg(cmp_)
-    _add_compare_args(cmp_)
-
-    rep = sub.add_parser("report", help="render markdown + HTML report")
-    _add_history_arg(rep)
-    _add_compare_args(rep)
-    rep.add_argument("--out-dir", default=None,
-                     help="also write perf_report.md / perf_report.html here")
-    rep.add_argument("--title", default="Perf-lab report")
-
-    gate = sub.add_parser("gate", help="exit 1 on confirmed regressions")
-    _add_history_arg(gate)
-    _add_compare_args(gate)
-    gate.add_argument("--warn-only", action="store_true",
-                      help="report regressions but exit 0 (CI soft-launch)")
+    cmp_ = sub.add_parser("compare", help="judge a change's bench results against its parent's")
+    cmp_.add_argument("parent_dir", help="results of the parent commit")
+    cmp_.add_argument("change_dir", help="results of the change")
     return p
-
-
-#: documented incremental-repair budget: repair of a small pattern delta
-#: should cost at most this fraction of a full re-inspection
-_REPAIR_BUDGET = 0.25
-
-
-def _warn_repair_ratio(obs: Observation) -> None:
-    """Advisory check of the repair smoke cell — never fails the run."""
-    repairs = [t for t in obs.stages.get("repair", []) if t > 0]
-    fulls = [t for t in obs.stages.get("full", []) if t > 0]
-    if not repairs or not fulls:
-        return
-    ratio = statistics.median(repairs) / statistics.median(fulls)
-    verdict = "within" if ratio <= _REPAIR_BUDGET else "OVER"
-    line = (f"# repair smoke cell: median repair {ratio:.2f}x of a full "
-            f"inspection — {verdict} the {_REPAIR_BUDGET:.0%} budget")
-    if ratio > _REPAIR_BUDGET:
-        line += " (warn-only; not gating)"
-    print(line, file=sys.stderr)
-
-
-def _parse_stall(spec: str) -> Tuple[str, float]:
-    try:
-        stage, seconds = spec.rsplit(":", 1)
-        return stage, float(seconds)
-    except ValueError:
-        raise SystemExit(f"--stall-stage expects STAGE:SECONDS, got {spec!r}")
-
-
-def _comparisons(
-    store: HistoryStore,
-    *,
-    baseline_path: Optional[str],
-    min_effect: float,
-    seed: int,
-) -> List[ObservationComparison]:
-    """One comparison per series that has something to compare against.
-
-    With a baseline store, a series matches first on (key, digest); a
-    baseline observation of the same key under a *different* digest is
-    still used (the environment changed under the series) but the verdict
-    carries the fingerprint-mismatch warning.
-    """
-    baseline = HistoryStore(baseline_path) if baseline_path else None
-    out: List[ObservationComparison] = []
-    for key, digest in store.series_keys():
-        series = store.series(key, digest)
-        if baseline is not None:
-            old = baseline.latest(key, digest)
-            if old is None:
-                for bkey, bdigest in baseline.series_keys():
-                    if bkey == key:
-                        old = baseline.latest(bkey, bdigest)
-                        break
-            if old is None:
-                continue
-            c = compare_observations(
-                old, series[-1],
-                min_effect=min_effect, seed=seed, history=series,
-            )
-        else:
-            c = compare_series(series, min_effect=min_effect, seed=seed)
-        if c is not None:
-            out.append(c)
-    return out
-
-
-# ----------------------------------------------------------------------
-def _cmd_run(args) -> int:
-    store = HistoryStore(args.history)
-    if args.migrate:
-        already = any(
-            fp.extra.get("migrated_from") == args.migrate
-            for fp in store.fingerprints().values()
-        )
-        if already:
-            print(f"# {args.migrate} already migrated into {args.history}; skipping",
-                  file=sys.stderr)
-        else:
-            migrated = migrate_bench_inspector(args.migrate)
-            store.extend(migrated)
-            print(f"# migrated {len(migrated)} legacy observations from "
-                  f"{args.migrate}", file=sys.stderr)
-    protocol = MeasurementProtocol(
-        warmup=args.warmup,
-        min_reps=args.min_reps,
-        max_reps=args.max_reps,
-        target_rel_ci=args.target_ci,
-        seed=args.seed,
-    )
-
-    def progress(obs: Observation) -> None:
-        st = obs.stats
-        mark = "" if obs.converged else " (CI target not reached)"
-        print(f"# {obs.key.label()}: median {st.statistic * 1e3:.3f} ms "
-              f"[{st.lo * 1e3:.3f}, {st.hi * 1e3:.3f}] over {obs.reps} reps "
-              f"in {obs.protocol_seconds:.2f}s{mark}", file=sys.stderr)
-
-    def measure() -> List[Observation]:
-        observations = run_inspector_benchmarks(
-            args.matrices,
-            kernel=args.kernel,
-            algorithm=args.algorithm,
-            machine=args.machine,
-            cores=args.cores,
-            ordering=args.ordering,
-            epsilon=args.epsilon,
-            backend=args.backend,
-            protocol=protocol,
-            note=args.note,
-            progress=progress,
-        )
-        if args.algorithm == "hdagg" and not args.no_repair_cell:
-            # the repair cell keeps its own matrix/cores/ordering defaults:
-            # they pin the documented repair-budget configuration rather
-            # than following the inspector cells' grid
-            obs = run_repair_benchmark(
-                REPAIR_SMOKE_MATRIX,
-                kernel=args.kernel,
-                epsilon=args.epsilon,
-                backend=args.backend,
-                protocol=protocol,
-                note=args.note,
-                progress=progress,
-            )
-            observations.append(obs)
-            _warn_repair_ratio(obs)
-        return observations
-
-    if args.stall_stage:
-        from ..resilience.faults import FaultPlan, FaultSpec, armed
-
-        stage, seconds = _parse_stall(args.stall_stage)
-        plan = FaultPlan([
-            FaultSpec("inspector.stage", "stall", at=0, times=-1,
-                      match=stage, duration=seconds),
-        ])
-        print(f"# stalling inspector stage {stage!r} by {seconds * 1e3:.1f} ms "
-              f"per occurrence", file=sys.stderr)
-        with armed(plan):
-            observations = measure()
-    else:
-        observations = measure()
-    store.extend(observations)
-    print(f"# {len(observations)} observations appended to {args.history} "
-          f"({len(store)} total)", file=sys.stderr)
-    if args.trajectory:
-        write_trajectory(store, args.trajectory)
-        print(f"# trajectory snapshot: {args.trajectory}", file=sys.stderr)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    store = HistoryStore(args.history)
-    comparisons = _comparisons(
-        store, baseline_path=args.baseline, min_effect=args.min_effect,
-        seed=args.seed,
-    )
-    if not comparisons:
-        print("# nothing to compare (need >= 2 observations per series, "
-              "or a --baseline)", file=sys.stderr)
-        return 0
-    print(markdown_report(store, comparisons, title="Perf-lab comparison"))
-    from ..observability.reports import stage_share_report
-
-    for key, digest in store.series_keys():
-        latest = store.latest(key, digest)
-        medians = {
-            name: statistics.median(vals)
-            for name, vals in latest.stages.items() if vals
-        }
-        if medians:
-            print(f"\n{key.label()} (latest observation)")
-            print(stage_share_report(medians))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    store = HistoryStore(args.history)
-    comparisons = _comparisons(
-        store, baseline_path=args.baseline, min_effect=args.min_effect,
-        seed=args.seed,
-    )
-    md = markdown_report(store, comparisons, title=args.title)
-    print(md)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        md_path = os.path.join(args.out_dir, "perf_report.md")
-        html_path = os.path.join(args.out_dir, "perf_report.html")
-        with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write(md)
-        with open(html_path, "w", encoding="utf-8") as fh:
-            fh.write(html_report(store, comparisons, title=args.title))
-        print(f"# wrote {md_path} and {html_path}", file=sys.stderr)
-    return 0
-
-
-def _cmd_gate(args) -> int:
-    store = HistoryStore(args.history)
-    comparisons = _comparisons(
-        store, baseline_path=args.baseline, min_effect=args.min_effect,
-        seed=args.seed,
-    )
-    if not comparisons:
-        print("# gate: nothing to compare (need >= 2 observations per "
-              "series, or a --baseline) — passing", file=sys.stderr)
-        return 0
-    for c in comparisons:
-        print(c.describe())
-    regressed = [c for c in comparisons if c.regressed]
-    if regressed:
-        print(f"# gate: {len(regressed)} confirmed regression(s) out of "
-              f"{len(comparisons)} series", file=sys.stderr)
-        if args.warn_only:
-            print("# gate: --warn-only set; exiting 0", file=sys.stderr)
-            return 0
-        return 1
-    print(f"# gate: no confirmed regressions across {len(comparisons)} series",
-          file=sys.stderr)
-    return 0
 
 
 def perf_main(argv: Optional[List[str]] = None) -> int:
     args = build_perf_parser().parse_args(argv)
-    return {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "report": _cmd_report,
-        "gate": _cmd_gate,
-    }[args.command](args)
+    return perf_compare(args.parent_dir, args.change_dir)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,18 +1,18 @@
 """Environment fingerprinting: *what machine produced this number?*
 
-Every perf-lab observation is stamped with an
-:class:`EnvironmentFingerprint` so longitudinal comparisons never silently
-mix machines.  The fingerprint splits into two parts:
+Every ``bench/run.py`` result is stamped with an
+:class:`EnvironmentFingerprint` so comparisons never silently mix
+machines.  The fingerprint splits into two parts:
 
 * the **environment key** — hardware and library identity (CPU model,
   core count, frequency governor, python/numpy/scipy/BLAS, OS) — hashed
-  into ``digest``, which keys the history store.  Two observations are
-  longitudinally comparable iff their digests match;
-* **provenance** — per-observation facts that legitimately change between
-  runs of the same environment (git SHA, armed fault plans, the ambient
+  into ``digest``.  Two results are comparable iff their digests match;
+  ``hdagg-bench perf compare`` refuses runs whose digests differ;
+* **provenance** — per-run facts that legitimately change between runs of
+  the same environment (git SHA, armed fault plans, the ambient
   observability switch).  These are stamped alongside but excluded from
-  the digest, because a timing shift they cause is exactly what the
-  regression gate exists to detect and explain, not to key away.
+  the digest, because a timing shift they cause is exactly what a
+  comparison exists to detect, not to key away.
 
 Collection never raises: every probe degrades to ``""`` on platforms
 without the corresponding source (no ``/proc/cpuinfo``, no git checkout,
@@ -39,10 +39,9 @@ __all__ = [
     "git_sha",
 ]
 
-#: Schema version stamped into every perf-lab artifact (history lines,
-#: BENCH_trajectory.json, benchmarks/output JSON payloads).  Version 1 is
-#: the pre-perf-lab ``BENCH_inspector.json`` layout (no fingerprint, no
-#: per-rep samples); bump this when the observation layout changes.
+#: Schema version stamped into the ``benchmarks/output`` JSON payloads and
+#: their text footers.  Version 1 was the ``BENCH_inspector.json`` layout
+#: without a fingerprint; bump this when the stamped layout changes.
 PERF_SCHEMA_VERSION = 2
 
 

@@ -67,8 +67,7 @@ FAULT_SITES: Dict[str, Tuple[str, ...]] = {
     # harness inspection of one (algorithm, machine) cell
     "inspector": ("raise", "stall"),
     # inside one named HDagg inspector stage (label: the stage name); the
-    # stall lands within that stage's StageTimer window, which is what the
-    # perf-lab uses to exercise end-to-end regression *attribution*
+    # stall lands within that stage's StageTimer window
     "inspector.stage": ("stall",),
     # threaded executor: worker body before processing a vertex
     "executor.worker": ("raise",),

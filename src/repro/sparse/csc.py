@@ -157,33 +157,20 @@ def sptrsv_csc_in_order(low: CSCMatrix, order: np.ndarray, b: np.ndarray) -> np.
 
     Correctness needs the *scatter* of column ``j`` to land before any
     dependent ``x[i]`` is finalised — the same DAG constraint as the row
-    kernel, checked here explicitly.
+    kernel, so the whole order is checked once, by the kernels' own
+    :func:`~repro.kernels.base.check_order`, before any arithmetic.
     """
+    from ..kernels.base import check_order
+
     n = low.n_cols
-    order = np.asarray(order, dtype=INDEX_DTYPE)
-    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
-        raise ValueError("sptrsv: order must be a permutation of range(n)")
+    order = check_order(csr_from_csc(low), order, "sptrsv", "column {i} finalised before {missing}")
     x = check_rhs(b, n).copy()
-    done = np.zeros(n, dtype=bool)
     indptr, indices, data = low.indptr, low.indices, low.data
-    # dependence check needs the row view: column j of L holds the
-    # *consumers* of x[j]; producers of x[j] are the columns k < j with
-    # L[j, k] != 0, i.e. the rows seen while scanning columns.  Build the
-    # per-row producer counts once.
-    produced_by = [[] for _ in range(n)]
-    for j in range(n):
-        for r in indices[indptr[j] + 1 : indptr[j + 1]].tolist():
-            produced_by[r].append(j)
     for j in order:
-        deps = produced_by[int(j)]
-        missing = [k for k in deps if not done[k]]
-        if missing:
-            raise ValueError(f"sptrsv: column {int(j)} finalised before {missing[:5]}")
         lo, hi = indptr[j], indptr[j + 1]
         if hi == lo or indices[lo] != j:
             raise ValueError(f"sptrsv: column {int(j)} is missing its diagonal entry")
         x[j] /= data[lo]
         rows = indices[lo + 1 : hi]
         x[rows] -= data[lo + 1 : hi] * x[j]
-        done[j] = True
     return x

@@ -159,8 +159,8 @@ class BenchCell:
     """Everything needed to run one (matrix, kernel, machine) cell.
 
     The single-cell counterpart of :class:`MatrixContext`: the trace CLI
-    and the perf-lab benchmarks both need exactly one cell's operand, DAG,
-    cost vector, and memory model without paying for the full grid.
+    and the backend differential tests need exactly one cell's operand,
+    DAG, cost vector, and memory model without paying for the full grid.
     """
 
     matrix: str

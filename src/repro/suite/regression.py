@@ -6,27 +6,45 @@ a change with :mod:`repro.suite.storage`) and reports per-algorithm speedup
 movement, flagged regressions, and the headline Table-I ratios side by
 side.
 
-Verdicts delegate to :func:`repro.perflab.compare.classify_point_ratio`:
-a cell whose baseline speedup is non-positive or non-finite is
-``indeterminate`` (``ratio`` is ``nan``), not an infinite "improvement" —
-those cells are counted and listed separately so a broken baseline can
-never wave a regression through.  For distribution-level verdicts with
-confidence intervals and stage attribution, use the perf-lab
-(``hdagg-bench perf``); this module remains the cheap single-point diff.
+Verdicts come from :func:`classify_point_ratio`: a cell whose baseline
+speedup is non-positive or non-finite is ``indeterminate`` (``ratio`` is
+``nan``), not an infinite "improvement" — those cells are counted and
+listed separately so a broken baseline can never wave a regression
+through.  This is the cheap single-point diff of modelled speedups; for a
+verdict on measured time, run ``bench/run.py`` repeatedly on both commits
+and judge the results with ``hdagg-bench perf compare``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..perflab.compare import classify_point_ratio
 from .harness import RunRecord
 from .tables import index_records
 
-__all__ = ["RecordDelta", "diff_records", "regression_report"]
+__all__ = ["RecordDelta", "classify_point_ratio", "diff_records", "regression_report"]
+
+
+def classify_point_ratio(
+    old: float,
+    new: float,
+    *,
+    threshold: float = 0.95,
+) -> str:
+    """Single-point verdict for record diffs without samples.
+
+    ``old``/``new`` are *higher-is-better* values (speedups).  Returns
+    ``"regressed"``, ``"ok"``, or ``"indeterminate"`` — the latter for
+    non-finite or non-positive baselines, which a bare ratio would turn
+    into ``inf`` and silently wave through.
+    """
+    if not (math.isfinite(old) and math.isfinite(new)) or old <= 0 or new < 0:
+        return "indeterminate"
+    return "regressed" if (new / old) < threshold else "ok"
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,7 @@ _DORMANT_DEFAULTS = {
 
 
 def encode_float(value):
-    """Non-finite floats as portable strings (strict JSON has no NaN/Inf).
-
-    Shared with the perf-lab's trajectory snapshot so every JSON artifact
-    in the repo encodes non-finite values the same way.
-    """
+    """Non-finite floats as portable strings (strict JSON has no NaN/Inf)."""
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

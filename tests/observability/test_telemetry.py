@@ -26,9 +26,13 @@ class TestCatalog:
         assert not any(name.startswith("service.") for name in catalog)
 
     def test_violations_flag_undeclared_names_only(self):
-        names = ["schedule_cache.hits", "store.hits", "perflab.adhoc.median_seconds"]
+        names = ["schedule_cache.hits", "store.hits", "inspector.runs.hdagg"]
         assert catalog_violations(names) == []
         assert catalog_violations(["made.up.metric"]) == ["made.up.metric"]
+        # perflab.* is not a declared family
+        assert catalog_violations(["perflab.adhoc.median_seconds"]) == [
+            "perflab.adhoc.median_seconds"
+        ]
 
     def test_registered_names_stay_in_the_catalog(self, tmp_path):
         """The runtime half of L009: every name an observed run registers,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels import KernelError
 from repro.sparse import csr_from_dense, lower_triangle, tridiagonal_spd
 from repro.sparse.csc import (
     CSCMatrix,
@@ -109,8 +110,11 @@ class TestCscSolve:
         low = lower_triangle(mesh)
         csc = csc_from_csr(low)
         order = np.arange(mesh.n_rows)[::-1].copy()
-        with pytest.raises(ValueError, match="finalised before"):
+        with pytest.raises(KernelError, match="finalised before"):
             sptrsv_csc_in_order(csc, order, rng.normal(size=mesh.n_rows))
+        repeated = np.zeros(mesh.n_rows, dtype=np.int64)
+        with pytest.raises(KernelError, match="permutation"):
+            sptrsv_csc_in_order(csc, repeated, rng.normal(size=mesh.n_rows))
 
     def test_missing_diagonal(self):
         bad = CSCMatrix(2, 2, [0, 1, 2], [1, 1], [1.0, 1.0])

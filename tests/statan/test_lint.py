@@ -192,7 +192,7 @@ def test_l009_undeclared_metric_names(tmp_path):
             reg.gauge(f"{label}.depth").set(1)
             reg.counter(f"inspector.runs.{label}").inc()
             reg.counter("store.hits").inc()
-            reg.counter("perflab.adhoc.seconds").inc()
+            reg.counter("schedule_cache.hits").inc()
             reg.counter(label).inc()
     """)
     found = _findings(tmp_path, rel, "L009")

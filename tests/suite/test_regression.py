@@ -7,7 +7,12 @@ import pytest
 
 from repro.runtime import LAPTOP4
 from repro.suite import Harness, suite_by_name
-from repro.suite.regression import RecordDelta, diff_records, regression_report
+from repro.suite.regression import (
+    RecordDelta,
+    classify_point_ratio,
+    diff_records,
+    regression_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +81,13 @@ def test_report_surfaces_indeterminate_cells(records):
     assert "indeterminate" in report
     n_bad = sum(1 for r in records if r.algorithm == "hdagg")
     assert f"{n_bad} cell(s) indeterminate" in report
+
+
+def test_classify_point_ratio():
+    assert classify_point_ratio(2.0, 1.0) == "regressed"
+    assert classify_point_ratio(2.0, 2.0) == "ok"
+    assert classify_point_ratio(2.0, 1.95) == "ok"  # above 0.95 threshold
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        assert classify_point_ratio(bad, 1.0) == "indeterminate"
+    assert classify_point_ratio(1.0, float("nan")) == "indeterminate"
+    assert classify_point_ratio(1.0, -0.5) == "indeterminate"
