@@ -58,19 +58,15 @@ def write_report(output_dir: Path, name: str, text: str) -> None:
     )
 
 
-def write_json_payload(output_dir: Path, name: str, payload: dict,
-                       backend: str = "") -> Path:
+def write_json_payload(output_dir: Path, name: str, payload: dict) -> Path:
     """Persist a machine-readable artifact, stamped with the perf schema
     version and the environment fingerprint (digest + full description).
 
     The stamp lives at the top level next to the payload keys, so a reader
     can route on ``schema`` and recover the provenance without any side
     files.
-    ``backend`` (canonical ``BackendSpec.describe()`` form) enters the
-    fingerprint's environment key when non-empty, so compiled-tier and
-    numpy-tier artifacts never share a digest.
     """
-    fp = collect_fingerprint(backend=backend)
+    fp = collect_fingerprint()
     doc = {
         "schema": PERF_SCHEMA_VERSION,
         "fingerprint": fp.as_dict(),

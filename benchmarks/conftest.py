@@ -23,32 +23,6 @@ from _common import OUTPUT_DIR, bench_specs
 from repro.suite import Harness
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        metavar="SPEC",
-        help="inspector backend spec for hdagg benchmarks, e.g. "
-        "'compiled', 'numpy', or 'lbp=compiled,coarsen=numpy' "
-        "(default: REPRO_BACKENDS env, else numpy)",
-    )
-
-
-@pytest.fixture(scope="session")
-def backend_spec(request):
-    """Resolved :class:`BackendSpec` from ``--backend`` / ``REPRO_BACKENDS``,
-    or ``None`` on the dormant path (no option, no env var)."""
-    import os
-
-    from repro.core.backends import ENV_VAR, BackendSpec
-
-    raw = request.config.getoption("--backend")
-    if raw is None and not os.environ.get(ENV_VAR):
-        return None
-    return BackendSpec.coerce(raw)
-
-
 @pytest.fixture(scope="session")
 def output_dir() -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)

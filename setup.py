@@ -7,8 +7,9 @@ class build_native(Command):
     """Build the optional compiled inspector backend (plain C via ctypes).
 
     `python setup.py build_native` == `python -m repro.core.backends.build`.
-    The library is optional: nothing at import or run time requires it, and
-    the backend registry falls back to the numpy tier when it is absent.
+    The library is optional: nothing at import or run time requires it.
+    When it is built the inspector's coarsen and lbp stages run it; when it
+    is absent they run numpy.
     """
 
     description = "build the optional native inspector library"

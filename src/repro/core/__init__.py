@@ -2,7 +2,7 @@
 
 from .aggregation import aggregate_densely_connected, subtree_grouping
 from .analysis import level_table, schedule_report, utilization_chart
-from .backends import BackendSpec, resolve_stage
+from .backends import active_tier
 from .binpack import BinPacking, first_fit_pack
 from .hdagg import expand_lbp_to_schedule, hdagg
 from .incremental import (
@@ -53,8 +53,7 @@ __all__ = [
     "ScheduleCache",
     "CacheStats",
     "schedule_key",
-    "BackendSpec",
-    "resolve_stage",
+    "active_tier",
     "PatternDelta",
     "diff_dag",
     "InspectionArtifacts",

@@ -8,8 +8,9 @@ Run::
 
 or ``python setup.py build_native`` (same entry point).  The library
 lands next to its source (``_native/libhdagg_native.so``), where
-:mod:`repro.core.backends.native` looks for it; delete the file to
-return to the pure-numpy tier.
+:mod:`repro.core.backends.native` looks for it, and from then on the
+inspector's compiled stages run; delete the file to return to the numpy
+tier.
 
 Flag notes: ``-ffp-contract=off`` forbids FMA contraction and fast-math
 stays off, because the compiled tier's bit-identity contract with the
@@ -50,7 +51,7 @@ def build(force: bool = False, verbose: bool = True) -> Path:
     Skips the compile when the library is already newer than its source
     (unless ``force``).  Raises :class:`BuildError` when no compiler is
     on PATH or the compile fails — callers that want the soft-fallback
-    behaviour catch it (the registry never calls this implicitly).
+    behaviour catch it (nothing calls this implicitly).
     """
     if not SOURCE.exists():  # pragma: no cover - packaging error
         raise BuildError(f"native source missing: {SOURCE}")
@@ -72,13 +73,10 @@ def build(force: bool = False, verbose: bool = True) -> Path:
         )
     if verbose:
         print(f"[backends.build] built {LIBRARY}")
-    # a fresh build invalidates any loaded handle and the registry's
-    # resolved-callable cache in this process
-    from . import _RESOLVED
+    # a fresh build invalidates any loaded handle in this process
     from .native import reset as _reset_native
 
     _reset_native()
-    _RESOLVED.clear()
     return LIBRARY
 
 

@@ -2,19 +2,20 @@
 
 Each wrapper matches its numpy counterpart's signature and produces
 bit-identical results (enforced by tests/core/test_backend_differential).
-On any native error (cycle, allocation failure) the wrapper silently
-delegates to the numpy implementation so error behaviour — including the
-exception type raised for cyclic graphs — comes from the canonical path.
+When the library is not built, and on any native error (cycle,
+allocation failure), the wrapper runs the numpy implementation, so error
+behaviour — including the exception type raised for cyclic graphs —
+comes from the canonical path.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ...graph.coarsen import Grouping
+from ...graph.coarsen import Grouping, coarsen_dag
 from ...graph.dag import DAG
 from ...graph.wavefronts import Wavefronts, compute_wavefronts
 from ...sparse.csr import INDEX_DTYPE
@@ -23,7 +24,31 @@ from ..lbp import CoarsenedWavefront, LBPDecision, LBPResult, lbp_coarsen
 from ..pgp import DEFAULT_EPSILON
 from .native import load
 
-__all__ = ["lbp_coarsen_compiled", "coarsen_compiled"]
+__all__ = [
+    "wavefronts_compiled", "lbp_coarsen_compiled", "coarsen_compiled", "coarsen_numpy",
+]
+
+
+def wavefronts_compiled(g: DAG) -> Wavefronts:
+    """Compiled level sets; drop-in for
+    :func:`repro.graph.wavefronts.compute_wavefronts`."""
+    lib = load()
+    if lib is None or g.n == 0:
+        return compute_wavefronts(g)
+    n = g.n
+    level = np.empty(n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    n_levels = ctypes.c_int64(0)
+    rc = lib.hd_wavefronts(
+        n, np.ascontiguousarray(g.indptr, dtype=np.int64),
+        np.ascontiguousarray(g.indices, dtype=np.int64),
+        level, order, ptr, ctypes.byref(n_levels),
+    )
+    if rc != 0:  # cycle or OOM: canonical path raises the canonical error
+        return compute_wavefronts(g)
+    ptr = np.ascontiguousarray(ptr[: n_levels.value + 1])
+    return Wavefronts(level=level, order=order, ptr=ptr)
 
 
 def lbp_coarsen_compiled(
@@ -33,20 +58,12 @@ def lbp_coarsen_compiled(
     epsilon: float = DEFAULT_EPSILON,
     *,
     allow_fine_grained: bool = True,
-    pack: Optional[Callable] = None,
 ) -> LBPResult:
-    """Compiled LBP walk; drop-in for :func:`repro.core.lbp.lbp_coarsen`.
-
-    The native walk embeds first-fit packing, so a non-default ``pack``
-    (the binpack backend hook) routes the whole call through the numpy
-    path — the combination "compiled lbp + reference binpack" is still
-    honoured, just not accelerated.
-    """
+    """Compiled LBP walk (first-fit packing included); drop-in for
+    :func:`repro.core.lbp.lbp_coarsen`."""
     lib = load()
-    if lib is None or pack is not None:
-        return lbp_coarsen(
-            g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained, pack=pack
-        )
+    if lib is None:
+        return lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained)
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     if cost.shape[0] != g2.n:
         raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
@@ -57,18 +74,10 @@ def lbp_coarsen_compiled(
             accumulated_pgp=0.0, decisions=[],
         )
 
+    waves = wavefronts_compiled(g2)
+    l = waves.n_levels
     indptr = np.ascontiguousarray(g2.indptr, dtype=np.int64)
     indices = np.ascontiguousarray(g2.indices, dtype=np.int64)
-    level = np.empty(n, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    wptr_full = np.zeros(n + 1, dtype=np.int64)
-    n_levels = ctypes.c_int64(0)
-    rc = lib.hd_wavefronts(n, indptr, indices, level, order, wptr_full,
-                           ctypes.byref(n_levels))
-    if rc != 0:  # cycle or OOM: canonical path raises the canonical error
-        return lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained)
-    l = int(n_levels.value)
-    wptr = np.ascontiguousarray(wptr_full[: l + 1])
 
     cw_lo = np.empty(l, dtype=np.int64)
     cw_hi = np.empty(l, dtype=np.int64)
@@ -87,7 +96,7 @@ def lbp_coarsen_compiled(
     rc = lib.hd_lbp(
         n, indptr, indices, cost, p, float(epsilon),
         1 if allow_fine_grained else 0,
-        level, order, wptr, l,
+        waves.level, waves.order, waves.ptr, l,
         cw_lo, cw_hi, cw_vptr, cw_verts,
         cw_cptr, cw_sizes, cw_assign, cw_loads,
         dec_pgp, dec_merged,
@@ -96,7 +105,6 @@ def lbp_coarsen_compiled(
     if rc != 0:  # pragma: no cover - allocation failure
         return lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained)
 
-    waves = Wavefronts(level=level, order=order, ptr=wptr)
     coarsened: List[CoarsenedWavefront] = []
     for i in range(int(n_cw.value)):
         sv = cw_verts[cw_vptr[i] : cw_vptr[i + 1]]
@@ -131,16 +139,21 @@ def lbp_coarsen_compiled(
     )
 
 
+def coarsen_numpy(
+    g_base: DAG, grouping: Grouping, cost: np.ndarray
+) -> Tuple[DAG, np.ndarray]:
+    """The numpy coarsen stage: ``G''`` and its per-group costs."""
+    return coarsen_dag(g_base, grouping), grouping.group_costs(cost)
+
+
 def coarsen_compiled(
     g_base: DAG, grouping: Grouping, cost: np.ndarray
 ) -> Tuple[DAG, np.ndarray]:
-    """Compiled ``G''`` construction + group costs; drop-in for the numpy
-    coarsen stage ``(coarsen_dag(g, grouping), grouping.group_costs(cost))``."""
+    """Compiled ``G''`` construction + group costs; drop-in for
+    :func:`coarsen_numpy`."""
     lib = load()
     if lib is None:
-        from ...graph.coarsen import coarsen_dag
-
-        return coarsen_dag(g_base, grouping), grouping.group_costs(cost)
+        return coarsen_numpy(g_base, grouping, cost)
     n = g_base.n
     n_groups = grouping.n_groups
     labels = np.ascontiguousarray(grouping.labels, dtype=np.int64)
@@ -156,9 +169,7 @@ def coarsen_compiled(
         out_indptr, out_indices, ctypes.byref(n_edges), group_cost,
     )
     if rc != 0:  # pragma: no cover - allocation failure
-        from ...graph.coarsen import coarsen_dag
-
-        return coarsen_dag(g_base, grouping), grouping.group_costs(cost)
+        return coarsen_numpy(g_base, grouping, cost)
     g2 = DAG(
         n_groups,
         out_indptr,

@@ -1,7 +1,7 @@
 """ctypes loader for the compiled backend library.
 
 The shared object is optional: :func:`available` probes for it without
-raising, and the registry falls back to numpy when it is absent.  The
+raising, and the compiled stage wrappers run numpy when it is absent.  The
 search order is the ``REPRO_NATIVE_LIB`` environment variable (explicit
 path, for packaged installs) then the in-tree build location
 (``_native/libhdagg_native.so``, produced by
@@ -69,7 +69,7 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 def available() -> bool:
-    """True when the compiled tier can actually serve calls."""
+    """True when the compiled stages can actually serve calls."""
     return load() is not None
 
 

@@ -19,11 +19,10 @@ Pipeline:
 The stages live in :mod:`repro.passes.hdagg` as a declarative pass group
 with per-stage contracts, run by the one scheduler driver
 (:func:`repro.passes.run_scheduler`); this module keeps the public entry
-point and the expansion stage implementation (it is also a
-backend-registry stage).  The keyword switches (``aggregate``,
-``transitive_reduce``, ``bin_pack``) exist for the ablation studies and
-select contract-weakened pass-group variants; the defaults are the
-paper's algorithm.
+point and the expansion stage implementation.  The keyword switches
+(``aggregate``, ``transitive_reduce``, ``bin_pack``) exist for the
+ablation studies and select contract-weakened pass-group variants; the
+defaults are the paper's algorithm.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from ..graph.coarsen import Grouping
 from ..graph.dag import DAG, gather_slices
 from ..passes import build_hdagg_group, run_scheduler
 from ..sparse.csr import INDEX_DTYPE
-from .backends import BackendSpec
 from .lbp import LBPResult
 from .pgp import DEFAULT_EPSILON
 from .schedule import Schedule, bucket_level, stack_levels
@@ -128,7 +126,6 @@ def hdagg(
     bin_pack: bool = True,
     group_cost_cap_fraction: float | None = 0.25,
     sync: str = "barrier",
-    backend: "BackendSpec | str | None" = None,
 ) -> Schedule:
     """Build the HDagg schedule for DAG ``g`` with vertex costs ``cost``.
 
@@ -162,17 +159,16 @@ def hdagg(
         synchronise point-to-point like SpMP groups, letting coarsened
         wavefronts overlap — safe because width-partitions are connected
         components (no intra-level dependences by construction).
-    backend:
-        Per-stage implementation selection (:class:`BackendSpec`, its
-        string grammar such as ``"lbp=compiled,coarsen=compiled"``, or
-        ``None`` to read the ``REPRO_BACKENDS`` environment variable).
-        Every tier is bit-identical; the spec only changes speed.
+
+    The ``coarsen`` and ``lbp`` stages run the compiled library when it is
+    built; the schedule is the same either way, and ``meta["backend"]``
+    names the tier that ran.
     """
     group = build_hdagg_group(
         aggregate=aggregate, transitive_reduce=transitive_reduce, bin_pack=bin_pack
     )
     ctx = run_scheduler(
-        group, g, cost, p, epsilon, backend=backend,
+        group, g, cost, p, epsilon,
         group_cost_cap_fraction=group_cost_cap_fraction, sync=sync,
     )
     return ctx["Schedule"]

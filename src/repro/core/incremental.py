@@ -57,7 +57,7 @@ from ..passes import (
     seed_context,
 )
 from ..sparse.csr import INDEX_DTYPE
-from .backends import BackendSpec
+from .backends.compiled import wavefronts_compiled
 from .hdagg import _expand_cw, _grouping_csr
 from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, _RangeComponents
 from .pgp import DEFAULT_EPSILON, pgp
@@ -221,7 +221,6 @@ class InspectionArtifacts:
     group_cost: np.ndarray
     lbp: LBPResult
     schedule: Schedule
-    backend: str
     options: dict = field(default_factory=lambda: dict(_DEFAULT_OPTIONS))
 
 
@@ -230,8 +229,6 @@ def inspect_with_artifacts(
     cost: np.ndarray,
     p: int,
     epsilon: float = DEFAULT_EPSILON,
-    *,
-    backend: "BackendSpec | str | None" = None,
     **options,
 ) -> InspectionArtifacts:
     """Full HDagg inspection that keeps its intermediates.
@@ -248,7 +245,7 @@ def inspect_with_artifacts(
     opts = dict(_DEFAULT_OPTIONS)
     opts.update(options)
     ctx = run_scheduler(
-        _group(opts), g, cost, p, epsilon, backend=backend,
+        _group(opts), g, cost, p, epsilon,
         group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
     )
     return artifacts_from_context(ctx, g, p, epsilon, opts)
@@ -278,7 +275,6 @@ def artifacts_from_context(
         ),
         lbp=ctx["CoarsenedWaves"] if ctx.has("CoarsenedWaves") else empty_lbp,
         schedule=ctx["Schedule"],
-        backend=ctx["Backend"],
         options=dict(options or _DEFAULT_OPTIONS),
     )
 
@@ -333,7 +329,7 @@ def _full_repair(
     reason: str,
 ) -> RepairResult:
     art = inspect_with_artifacts(
-        g_new, cost_new, old.p, old.epsilon, backend=old.backend, **old.options
+        g_new, cost_new, old.p, old.epsilon, **old.options
     )
     return RepairResult(
         schedule=art.schedule, mode="full", artifacts=art, stats={"reason": reason}
@@ -428,7 +424,7 @@ def repair_schedule(
     # ---- exact recompute of the cheap global stages -------------------
     # through the driver's pass runner: contracts, fault points, timing
     ctx = seed_context(
-        group, g_new, cost_new, p, epsilon, backend=old.backend,
+        group, g_new, cost_new, p, epsilon,
         group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
     )
     run_group(group, ctx, plan.recompute)
@@ -545,7 +541,7 @@ def repair_schedule(
 
     # ---- wavefront cleanliness and the dirty window -------------------
     t0 = time.perf_counter()
-    waves_new = compute_wavefronts(g2_new)
+    waves_new = wavefronts_compiled(g2_new)
     l_new, l_old = waves_new.n_levels, old.lbp.waves.n_levels
     lvl_new, lvl_old = waves_new.level, old.lbp.waves.level
     group_clean = matched & ~dirty_group
@@ -702,7 +698,6 @@ def repair_schedule(
         group_cost=group_cost_new,
         lbp=lbp_new,
         schedule=schedule,
-        backend=backend,
         options=dict(opts),
     )
     stats = {

@@ -42,11 +42,11 @@ def _products(group: PassGroup, passes: Tuple[str, ...]) -> Tuple[str, ...]:
 class HDaggInspector:
     """Analyse a DAG once; emit HDagg schedules for many ``(p, epsilon)``.
 
-    Parameters mirror :func:`repro.core.hdagg.hdagg`; the backend spec is
-    read once, at construction.  The passes that depend on the DAG alone
-    run at construction; the passes that depend on the core count run once
-    per distinct cap (one per requested ``p`` under the default fractional
-    cap, one in total when uncapped); the rest run per request.
+    Parameters mirror :func:`repro.core.hdagg.hdagg`.  The passes that
+    depend on the DAG alone run at construction; the passes that depend on
+    the core count run once per distinct cap (one per requested ``p`` under
+    the default fractional cap, one in total when uncapped); the rest run
+    per request.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class HDaggInspector:
         group = build_hdagg_group(transitive_reduce=transitive_reduce)
         ctx = seed_context(group, g, cost, group_cost_cap_fraction=group_cost_cap_fraction)
         self.cost = ctx["Cost"]
-        self._spec = ctx.spec
         dag_only = plan_repair(group, ("Cost", "Cores", "Epsilon")).replay
         run_group(group, ctx, dag_only)
         self._dag_artifacts = {a: ctx[a] for a in _products(group, dag_only)}
@@ -94,7 +93,6 @@ class HDaggInspector:
         group = build_hdagg_group(transitive_reduce=self._transitive_reduce, bin_pack=bin_pack)
         ctx = run_scheduler(
             group, self.g, self.cost, p, epsilon,
-            backend=self._spec,
             reuse={**self._dag_artifacts, **self._groupings.get(cap_key, {})},
             group_cost_cap_fraction=self.group_cost_cap_fraction,
         )

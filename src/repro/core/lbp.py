@@ -30,7 +30,7 @@ import numpy as np
 from ..graph.connected_components import components_as_lists
 from ..graph.dag import DAG, gather_slices
 from ..graph.wavefronts import Wavefronts, compute_wavefronts
-from .binpack import BinPacking, first_fit_pack
+from .binpack import BinPacking, first_fit_pack, first_fit_pack_reference
 from .pgp import DEFAULT_EPSILON, pgp
 
 __all__ = [
@@ -92,13 +92,14 @@ class LBPResult:
 
 
 def _pack_range(
-    g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int, lo: int, hi: int, pack=None
+    g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int, lo: int, hi: int
 ) -> CoarsenedWavefront:
-    """``BinPack(CC(W[lo:hi]), C, p)`` — Lines 23/25 of Algorithm 1."""
+    """``BinPack(CC(W[lo:hi]), C, p)`` — Lines 23/25 of Algorithm 1, from
+    scratch, with the reference loops throughout."""
     verts = waves.vertices_in_range(lo, hi)
     components = components_as_lists(g2, verts)
     comp_costs = np.array([float(cost[c].sum()) for c in components], dtype=np.float64)
-    packing = (pack or first_fit_pack)(comp_costs, p)
+    packing = first_fit_pack_reference(comp_costs, p)
     return CoarsenedWavefront(wave_lo=lo, wave_hi=hi, components=components, packing=packing)
 
 
@@ -144,14 +145,11 @@ class _RangeComponents:
     from-scratch labels exactly.
     """
 
-    def __init__(
-        self, g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int, pack=None
-    ) -> None:
+    def __init__(self, g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int) -> None:
         self.g2 = g2
         self.waves = waves
         self.cost = cost
         self.p = p
-        self.pack = pack or first_fit_pack
         self.level = waves.level
         self.parent = np.arange(g2.n, dtype=self.level.dtype)
         self.lo = 0
@@ -233,7 +231,7 @@ class _RangeComponents:
             comp_costs[k] = cost_sv[starts[k] : ends[k]].sum()
         if sv.size == 0:
             comp_costs = np.empty(0, dtype=np.float64)
-        packing = self.pack(comp_costs, self.p)
+        packing = first_fit_pack(comp_costs, self.p)
         return _RangeCandidate(
             wave_lo=self.lo,
             wave_hi=self.hi,
@@ -250,15 +248,12 @@ def lbp_coarsen(
     epsilon: float = DEFAULT_EPSILON,
     *,
     allow_fine_grained: bool = True,
-    pack=None,
 ) -> LBPResult:
     """Run LBP on the coarsened DAG ``g2`` with per-coarse-vertex ``cost``.
 
     Parameters mirror Algorithm 1: ``p`` is the core count, ``epsilon`` the
     load-balance threshold.  ``allow_fine_grained=False`` suppresses the
-    Lines 36-38 fallback (used by ablation benchmarks).  ``pack`` swaps the
-    bin-packing implementation (the backend registry's ``binpack`` stage);
-    ``None`` means :func:`first_fit_pack`.
+    Lines 36-38 fallback (used by ablation benchmarks).
 
     Fast path: merge candidates share one incremental component structure
     (see :class:`_RangeComponents`); the decision walk and every emitted
@@ -277,7 +272,7 @@ def lbp_coarsen(
             accumulated_pgp=0.0, decisions=decisions,
         )
 
-    cc = _RangeComponents(g2, waves, cost, p, pack)
+    cc = _RangeComponents(g2, waves, cost, p)
     cc.seed(0, 1)
     prev = cc.candidate()  # Line 23 seed
     i = 1
@@ -314,9 +309,9 @@ def lbp_coarsen_reference(
     epsilon: float = DEFAULT_EPSILON,
     *,
     allow_fine_grained: bool = True,
-    pack=None,
 ) -> LBPResult:
-    """Per-candidate from-scratch LBP — the retained oracle for the fast path."""
+    """Per-candidate from-scratch LBP with reference first-fit packing —
+    the retained oracle for the fast path."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape[0] != g2.n:
         raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
@@ -331,16 +326,16 @@ def lbp_coarsen_reference(
         )
 
     cut = 0
-    prev = _pack_range(g2, waves, cost, p, 0, 1, pack)  # Line 23 seed
+    prev = _pack_range(g2, waves, cost, p, 0, 1)  # Line 23 seed
     i = 1
     while i < l:
-        cand = _pack_range(g2, waves, cost, p, cut, i + 1, pack)  # Line 25
+        cand = _pack_range(g2, waves, cost, p, cut, i + 1)  # Line 25
         score = pgp(cand.packing.loads)
         if score > epsilon:  # Line 26
             decisions.append(LBPDecision(wave=i, pgp=score, merged=False))
             coarsened.append(prev)  # Lines 27-31 (single wave == prev here)
             cut = i  # cut before the wavefront that broke balance
-            prev = _pack_range(g2, waves, cost, p, cut, i + 1, pack)
+            prev = _pack_range(g2, waves, cost, p, cut, i + 1)
         else:
             decisions.append(LBPDecision(wave=i, pgp=score, merged=True))
             prev = cand  # Line 34

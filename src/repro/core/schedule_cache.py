@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -59,13 +59,14 @@ def schedule_key(
 
     Covers the DAG structure (``indptr``/``indices`` bytes — the full CSR
     pattern), the kernel and algorithm names, the core count, epsilon, the
-    active backend spec, and any extra keyword options (sorted by name,
-    ``repr``-encoded).  ``cost`` is optional because kernels derive it
-    deterministically from the pattern; pass it when costs come from
-    elsewhere.  ``backend`` keeps schedules produced by different inspector
-    tiers in distinct slots — tiers are bit-identical by contract, but a
-    cache hit must never mask a tier divergence from the differential
-    tests, and provenance (which tier built this schedule) must stay exact.
+    tier that ran the compiled stages, and any extra keyword options
+    (sorted by name, ``repr``-encoded).  ``cost`` is optional because
+    kernels derive it deterministically from the pattern; pass it when
+    costs come from elsewhere.  ``backend``
+    (:func:`~repro.core.backends.active_tier`) keeps schedules built with
+    and without the compiled library in distinct slots — the tiers are
+    bit-identical, but the provenance stamped in ``meta["backend"]`` must
+    stay exact.
     """
     h = sha256(_KEY_VERSION)
     h.update(np.int64(g.n).tobytes())
@@ -120,8 +121,11 @@ class ScheduleCache:
     Each *family* (see :func:`repro.core.incremental.family_key`) keeps the
     :class:`~repro.core.incremental.InspectionArtifacts` of its latest
     HDagg inspection, the ancestor :meth:`acquire` repairs a near-miss
-    against.  ``repairs`` counts repaired schedules served; ``repair_fulls``
-    counts repair attempts that ended in a full inspection instead.
+    against.  Families are bounded by ``max_entries`` too, in their own
+    LRU order: every :meth:`acquire` that repairs against or seeds a
+    family makes it the most recent.  ``repairs`` counts repaired schedules
+    served; ``repair_fulls`` counts repair attempts that ended in a full
+    inspection instead.
     """
 
     def __init__(self, max_entries: Optional[int] = None, *, store=None) -> None:
@@ -130,7 +134,7 @@ class ScheduleCache:
         self.max_entries = max_entries
         self.store = store
         self._entries: "OrderedDict[str, Schedule]" = OrderedDict()
-        self._families: "Dict[str, InspectionArtifacts]" = {}
+        self._families: "OrderedDict[str, InspectionArtifacts]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self.repairs = 0
@@ -190,6 +194,15 @@ class ScheduleCache:
         """The family's repair ancestor, or ``None``."""
         return self._families.get(family)
 
+    def _keep_family(self, family: str, artifacts: "InspectionArtifacts") -> None:
+        """Make ``family``'s ancestor the most recent, evicting LRU families
+        past ``max_entries``."""
+        self._families[family] = artifacts
+        self._families.move_to_end(family)
+        if self.max_entries is not None:
+            while len(self._families) > self.max_entries:
+                self._families.popitem(last=False)
+
     # ------------------------------------------------------------------
     # the reuse ladder
     # ------------------------------------------------------------------
@@ -203,7 +216,6 @@ class ScheduleCache:
         p: int,
         epsilon: Optional[float] = DEFAULT_EPSILON,
         algorithm: str = "hdagg",
-        backend=None,
         validate: bool = False,
         budget: Optional[float] = None,
     ) -> Tuple[Schedule, str]:
@@ -257,12 +269,12 @@ class ScheduleCache:
                 return repaired
         outcome = inspect_with_fallback(
             algorithm, g, cost, p,
-            epsilon=epsilon, budget=budget, validate=validate, backend=backend,
+            epsilon=epsilon, budget=budget, validate=validate,
         )
         if not outcome.degraded:
             if can_repair:
-                self._families[family] = artifacts_from_context(
-                    outcome.context, g, p, epsilon
+                self._keep_family(
+                    family, artifacts_from_context(outcome.context, g, p, epsilon)
                 )
             self.put(key, outcome.schedule)
         return outcome.schedule, "full"
@@ -304,7 +316,7 @@ class ScheduleCache:
             self.repairs += 1
         else:
             self.repair_fulls += 1
-        self._families[family] = result.artifacts
+        self._keep_family(family, result.artifacts)
         self.put(key, result.schedule)
         return result.schedule, result.mode
 

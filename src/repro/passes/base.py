@@ -53,9 +53,8 @@ class PassContext:
     """Artifact store threaded through one pipeline execution.
 
     Holds the named artifacts plus the runtime collaborators a pass may
-    need (the stage timer, the backend spec, the pipeline options).  The
-    context is the *only* channel between passes — passes never call each
-    other directly.
+    need (the stage timer, the pipeline options).  The context is the
+    *only* channel between passes — passes never call each other directly.
     """
 
     def __init__(
@@ -63,12 +62,10 @@ class PassContext:
         artifacts: Optional[Mapping[str, Any]] = None,
         *,
         timer: Optional[StageTimer] = None,
-        spec: Any = None,
         options: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self._artifacts: Dict[str, Any] = dict(artifacts or {})
         self.timer = timer if timer is not None else StageTimer()
-        self.spec = spec
         self.options: Dict[str, Any] = dict(options or {})
 
     def has(self, name: str) -> bool:
@@ -88,13 +85,6 @@ class PassContext:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._artifacts)
 
-    def impl(self, stage: str) -> Callable[..., Any]:
-        """Backend-registry implementation of ``stage`` under this context's spec."""
-        from ..core.backends import BackendSpec, resolve_stage
-
-        fn, _tier = resolve_stage(BackendSpec.coerce(self.spec), stage)
-        return fn
-
 
 @dataclass(frozen=True)
 class Pass:
@@ -103,9 +93,8 @@ class Pass:
     ``run`` takes the context and returns the produced artifacts as a
     mapping (``{"ReducedDAG": ...}``); the executor stores them.  The name
     is the stage's only name: the driver times the pass under it, opens
-    the ``inspect/<name>`` span, labels the ``inspector.stage`` fault
-    point with it, and a pass named after a backend-registry stage binds
-    that stage (``span_attrs`` adds span attributes when tracing is on).
+    the ``inspect/<name>`` span and labels the ``inspector.stage`` fault
+    point with it (``span_attrs`` adds span attributes when tracing is on).
     ``repair`` is the incremental policy: ``recompute`` (cheap, re-run
     exactly), ``splice`` (diff-driven partial recomputation), or
     ``replay`` (reuse verbatim when inputs are clean).

@@ -40,7 +40,7 @@ ARTIFACTS: Mapping[str, str] = {
     "Cost": "per-iteration cost vector aligned with the DAG's vertex ids",
     "Cores": "physical core count p (Listing 2's num_cores())",
     "Epsilon": "load-balance threshold for PGP (Listing 2's epsilon())",
-    "Backend": "canonical description of the effective backend spec",
+    "Backend": "tier running the compiled stages: 'compiled' or 'numpy'",
     "ReducedDAG": "DAG after two-hop transitive reduction (== DAG when disabled)",
     "Grouping": "partition of vertices into aggregation groups (step 1)",
     "CoarseDAG": "the coarsened DAG G'' with one vertex per group",
@@ -57,7 +57,6 @@ INVARIANTS: Mapping[str, str] = {
     "topo-ordered": "vertex ids form a topological order of the active DAG",
     "transitively-reduced": "no edge of the active DAG is implied by a two-hop path",
     "dependence-closed": "every dependence is honored by the level/sync structure",
-    "bit-identical-under-backend": "output bytes do not depend on the backend tier",
     "vertex-cover": "the schedule covers every DAG vertex exactly once",
     "balanced-under-epsilon": "packing PGP within epsilon, or the fine-grained fallback taken",
     "input-immutable": "passes never mutate their input artifacts (lint-enforced)",

@@ -12,7 +12,7 @@ the pass name: a :class:`~repro.runtime.perf.StageTimer` stage, an
 and an ``inspector.stage`` fault point.  It enforces the *runtime* half
 of each contract (required artifacts present, returned products exactly
 as declared); the *static* half — artifact dataflow over the whole list,
-invariant propagation, backend-tier coverage — is
+invariant propagation, dead products — is
 :func:`repro.statan.verify_pipeline`'s job and runs without executing
 anything.
 
@@ -123,16 +123,14 @@ def seed_context(
     cost: Any,
     p: Optional[int] = None,
     epsilon: Optional[float] = None,
-    *,
-    backend: Any = None,
     **options: Any,
 ) -> PassContext:
     """A context for ``group`` holding exactly the inputs it declares.
 
     ``cost`` is coerced to float64 and checked against the DAG size;
-    ``epsilon`` defaults to the paper's threshold; ``backend`` (spec,
-    grammar string, or ``None`` for the ambient default) is coerced only
-    for groups that declare ``Backend``.  ``p`` is seeded when given.
+    ``epsilon`` defaults to the paper's threshold; ``Backend`` is the
+    tier that runs the compiled stages
+    (:func:`~repro.core.backends.active_tier`).  ``p`` is seeded when given.
     Options the group does not declare raise ``TypeError``.
     """
     accepted = sorted(name for name, _ in group.options)
@@ -150,18 +148,16 @@ def seed_context(
         from ..core.pgp import DEFAULT_EPSILON
 
         offered["Epsilon"] = DEFAULT_EPSILON if epsilon is None else epsilon
-    spec = None
     if "Backend" in group.inputs:
-        from ..core.backends import BackendSpec
+        from ..core.backends import active_tier
 
-        spec = BackendSpec.coerce(backend)
-        offered["Backend"] = spec.effective().describe()
+        offered["Backend"] = active_tier()
     artifacts = {
         name: value
         for name, value in offered.items()
         if name in group.inputs and value is not None
     }
-    return PassContext(artifacts, spec=spec, options=options)
+    return PassContext(artifacts, options=options)
 
 
 def run_scheduler(
@@ -171,7 +167,6 @@ def run_scheduler(
     p: Optional[int] = None,
     epsilon: Optional[float] = None,
     *,
-    backend: Any = None,
     reuse: Optional[Mapping[str, Any]] = None,
     **options: Any,
 ) -> PassContext:
@@ -189,7 +184,7 @@ def run_scheduler(
         group = get_pass_group(group)
     if p is None and "Cores" in group.inputs:
         raise TypeError(f"scheduler {group.name!r} requires the core count p")
-    ctx = seed_context(group, g, cost, p, epsilon, backend=backend, **options)
+    ctx = seed_context(group, g, cost, p, epsilon, **options)
     for name, value in (reuse or {}).items():
         ctx.put(name, value)
     attrs = {"n": int(g.n)} if p is None else {"n": int(g.n), "p": int(p)}

@@ -1,17 +1,22 @@
 """The HDagg inspector as a pass group (Algorithm 1, stage per pass).
 
 Each stage of the paper's Algorithm 1 is one :class:`~repro.passes.base.Pass`
-named after the backend registry stage it binds:
+that calls its stage function directly:
 
-==================== ============================ ==============================
-pass                 consumes                     produces
-==================== ============================ ==============================
-transitive_reduction DAG                          ReducedDAG
-aggregation          ReducedDAG, Cost, Cores      Grouping
-coarsen              ReducedDAG, Grouping, Cost   CoarseDAG, GroupCost
-lbp                  CoarseDAG, GroupCost, ...    CoarsenedWaves
-expand               CoarsenedWaves, Grouping...  Schedule
-==================== ============================ ==============================
+==================== ============================ ============== =========================
+pass                 consumes                     produces       calls
+==================== ============================ ============== =========================
+transitive_reduction DAG                          ReducedDAG     transitive_reduction_two_hop
+aggregation          ReducedDAG, Cost, Cores      Grouping       subtree_grouping
+coarsen              ReducedDAG, Grouping, Cost   CoarseDAG,     coarsen_compiled
+                                                  GroupCost
+lbp                  CoarseDAG, GroupCost, ...    CoarsenedWaves lbp_coarsen_compiled
+expand               CoarsenedWaves, Grouping...  Schedule       expand_lbp_to_schedule
+==================== ============================ ============== =========================
+
+The two ``*_compiled`` wrappers run the native library when it is built
+and the numpy implementation otherwise (:mod:`repro.core.backends`); the
+``Backend`` input names which, for ``Schedule.meta["backend"]``.
 
 :func:`build_hdagg_group` is the factory the ablation switches configure:
 ``transitive_reduce=False`` swaps the reduction for an identity variant
@@ -38,7 +43,7 @@ __all__ = ["build_hdagg_group", "HDAGG_INPUTS", "HDAGG_ASSUMES"]
 HDAGG_INPUTS = ("DAG", "Cost", "Cores", "Epsilon", "Backend")
 
 #: invariants the kernel DAG builders guarantee on those inputs
-HDAGG_ASSUMES = ("acyclic", "topo-ordered", "bit-identical-under-backend")
+HDAGG_ASSUMES = ("acyclic", "topo-ordered")
 
 #: group-specific options and their defaults (see :func:`repro.core.hdagg.hdagg`)
 HDAGG_OPTIONS = (("group_cost_cap_fraction", 0.25), ("sync", "barrier"))
@@ -48,7 +53,9 @@ HDAGG_OPTIONS = (("group_cost_cap_fraction", 0.25), ("sync", "barrier"))
 # pass bodies
 # ----------------------------------------------------------------------
 def _run_reduce(ctx: PassContext) -> Mapping[str, Any]:
-    return {"ReducedDAG": ctx.impl("transitive_reduction")(ctx["DAG"])}
+    from ..graph.transitive_reduction import transitive_reduction_two_hop
+
+    return {"ReducedDAG": transitive_reduction_two_hop(ctx["DAG"])}
 
 
 def _run_reduce_identity(ctx: PassContext) -> Mapping[str, Any]:
@@ -57,6 +64,8 @@ def _run_reduce_identity(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_aggregate(ctx: PassContext) -> Mapping[str, Any]:
+    from ..core.aggregation import subtree_grouping
+
     # step-1 groups stop growing at this fraction of one core's fair share
     cost = ctx["Cost"]
     cap_fraction = ctx.options["group_cost_cap_fraction"]
@@ -65,7 +74,7 @@ def _run_aggregate(ctx: PassContext) -> Mapping[str, Any]:
         if cap_fraction is not None
         else None
     )
-    return {"Grouping": ctx.impl("aggregation")(ctx["ReducedDAG"], cost, cap)}
+    return {"Grouping": subtree_grouping(ctx["ReducedDAG"], cost, cap)}
 
 
 def _run_identity_grouping(ctx: PassContext) -> Mapping[str, Any]:
@@ -77,21 +86,18 @@ def _run_identity_grouping(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_coarsen(ctx: PassContext) -> Mapping[str, Any]:
-    g2, group_cost = ctx.impl("coarsen")(ctx["ReducedDAG"], ctx["Grouping"], ctx["Cost"])
+    from ..core.backends.compiled import coarsen_compiled
+
+    g2, group_cost = coarsen_compiled(ctx["ReducedDAG"], ctx["Grouping"], ctx["Cost"])
     return {"CoarseDAG": g2, "GroupCost": group_cost}
 
 
 def _run_lbp(ctx: PassContext) -> Mapping[str, Any]:
-    from ..core.backends import BackendSpec, resolve_stage
+    from ..core.backends.compiled import lbp_coarsen_compiled
 
-    pack_fn, pack_tier = resolve_stage(BackendSpec.coerce(ctx.spec), "binpack")
-    lbp = ctx.impl("lbp")(
-        ctx["CoarseDAG"],
-        ctx["GroupCost"],
-        ctx["Cores"],
-        ctx["Epsilon"],
+    lbp = lbp_coarsen_compiled(
+        ctx["CoarseDAG"], ctx["GroupCost"], ctx["Cores"], ctx["Epsilon"],
         allow_fine_grained=True,
-        pack=None if pack_tier == "numpy" else pack_fn,
     )
     return {"CoarsenedWaves": lbp}
 
@@ -106,6 +112,8 @@ def _run_lbp_fine_grained(ctx: PassContext) -> Mapping[str, Any]:
 
 
 def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
+    from ..core.hdagg import expand_lbp_to_schedule
+
     g = ctx["DAG"]
     lbp = ctx["CoarsenedWaves"]
     grouping = ctx["Grouping"]
@@ -121,7 +129,7 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
         "epsilon": ctx["Epsilon"],
         "backend": ctx["Backend"],
     }
-    schedule = ctx.impl("expand")(
+    schedule = expand_lbp_to_schedule(
         lbp,
         grouping,
         g.n,
@@ -192,7 +200,7 @@ def build_hdagg_group(
                     produces=("ReducedDAG",),
                     requires_invariants=("acyclic", "topo-ordered"),
                     establishes=reduce_establishes,
-                    preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
+                    preserves=("acyclic", "topo-ordered"),
                 ),
                 run=_run_reduce if transitive_reduce else _run_reduce_identity,
                 span_attrs=_reduce_attrs,
@@ -206,7 +214,7 @@ def build_hdagg_group(
                     requires=("ReducedDAG", "Cost", "Cores"),
                     produces=("Grouping",),
                     requires_invariants=("acyclic", "topo-ordered"),
-                    preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
+                    preserves=("acyclic", "topo-ordered"),
                 ),
                 run=_run_aggregate,
                 repair="recompute",
@@ -233,7 +241,7 @@ def build_hdagg_group(
                 requires=("ReducedDAG", "Grouping", "Cost"),
                 produces=("CoarseDAG", "GroupCost"),
                 requires_invariants=("acyclic", "topo-ordered"),
-                preserves=("acyclic", "topo-ordered", "bit-identical-under-backend"),
+                preserves=("acyclic", "topo-ordered"),
             ),
             run=_run_coarsen,
             repair="splice",
@@ -247,7 +255,6 @@ def build_hdagg_group(
                 produces=("CoarsenedWaves",),
                 requires_invariants=("acyclic", "topo-ordered"),
                 establishes=("balanced-under-epsilon",) if bin_pack else (),
-                preserves=("bit-identical-under-backend",),
             ),
             run=_run_lbp if bin_pack else _run_lbp_fine_grained,
             span_attrs=_lbp_attrs,
@@ -271,7 +278,6 @@ def build_hdagg_group(
                 produces=("Schedule",),
                 requires_invariants=("acyclic", "topo-ordered"),
                 establishes=("dependence-closed", "vertex-cover"),
-                preserves=("bit-identical-under-backend",),
             ),
             run=_run_expand,
             repair="splice",

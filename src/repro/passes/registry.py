@@ -2,13 +2,12 @@
 
 ``PASS_GROUPS`` is the only place a scheduler is defined.
 :data:`SCHEDULERS` is a read-only view of it that maps each name to a
-callable ``(g, cost, p=None, epsilon=None, *, backend=None, **options)
--> Schedule`` running the group through the one driver,
+callable ``(g, cost, p=None, epsilon=None, **options) -> Schedule``
+running the group through the one driver,
 :func:`~repro.passes.executor.run_scheduler`.  CI verifies each
 registered group with :func:`repro.statan.verify_pipeline` before any of
 them run, so an ill-formed recombination (a successor scheduler wired
-from existing passes, a compiled stage dropped in) is a structured
-diagnostic, not a runtime crash.
+from existing passes) is a structured diagnostic, not a runtime crash.
 """
 
 from __future__ import annotations

@@ -126,13 +126,12 @@ class EnvironmentFingerprint:
     numpy: str
     scipy: str
     blas: str
-    #: inspector backend spec the observations ran under (canonical
-    #: ``BackendSpec.describe()`` form).  Part of the environment key:
-    #: compiled- and numpy-tier timings must never be longitudinally
-    #: compared as if one machine produced both.  Empty (the default, and
-    #: the value for every pre-backend history line) is excluded from the
-    #: digest payload so existing histories and blessed baselines keep
-    #: their digests.
+    #: tier that ran the inspector's compiled stages
+    #: (:func:`repro.core.backends.active_tier`: ``"compiled"`` or
+    #: ``"numpy"``).  Part of the environment key: compiled- and
+    #: numpy-tier timings must never be compared as if one set-up produced
+    #: both.  Empty (the default) is excluded from the digest payload, so
+    #: tier-agnostic fingerprints keep the digest of the key fields alone.
     backend: str = ""
     # --- provenance (stamped, not hashed) ------------------------------
     git_sha: str = ""
@@ -189,9 +188,9 @@ class EnvironmentFingerprint:
 def collect_fingerprint(backend: str = "", **extra: str) -> EnvironmentFingerprint:
     """Probe the current process's environment; never raises.
 
-    ``backend`` is the canonical inspector backend description the run
-    measures under (environment key; leave empty for backend-agnostic
-    artifacts).  ``extra`` key/values are stamped into provenance (e.g.
+    ``backend`` is the inspector tier the run measures under (environment
+    key; leave empty for tier-agnostic artifacts).  ``extra`` key/values
+    are stamped into provenance (e.g.
     ``collect_fingerprint(benchmark="perf-smoke")``).
     """
     import numpy as np

@@ -157,14 +157,13 @@ def _call_inspector(
     p: int,
     *,
     epsilon: Optional[float],
-    backend=None,
 ):
     """Run one link of the chain; returns its pass context."""
     from ..passes import run_scheduler
 
     fault_point("inspector", label=algorithm)
-    # every link takes both; its group seeds only the inputs it declares
-    return run_scheduler(algorithm, g, cost, p, epsilon, backend=backend)
+    # every link takes epsilon; its group seeds only the inputs it declares
+    return run_scheduler(algorithm, g, cost, p, epsilon)
 
 
 def inspect_with_fallback(
@@ -176,7 +175,6 @@ def inspect_with_fallback(
     epsilon: Optional[float] = None,
     budget: Optional[float] = None,
     validate: bool = True,
-    backend=None,
 ) -> InspectionOutcome:
     """Build a schedule for ``algorithm``, degrading down the chain on failure.
 
@@ -193,9 +191,7 @@ def inspect_with_fallback(
     for algo in fallback_chain(algorithm):
         try:
             context = run_with_budget(
-                lambda a=algo: _call_inspector(
-                    a, g, cost, p, epsilon=epsilon, backend=backend
-                ),
+                lambda a=algo: _call_inspector(a, g, cost, p, epsilon=epsilon),
                 budget,
                 algorithm=algo,
             )

@@ -3,8 +3,7 @@
 Every scheduler is a pass group registered in
 :data:`repro.passes.PASS_GROUPS`; ``SCHEDULERS`` is the read-only view
 mapping each name to a builder with the uniform signature
-``builder(g, cost, p=None, epsilon=None, *, backend=None, **options)
--> Schedule``:
+``builder(g, cost, p=None, epsilon=None, **options) -> Schedule``:
 
 ========== ====================================================
 name        algorithm
@@ -19,8 +18,8 @@ coarsenk    fixed-window wavefront coarsening [5], [6]
 serial      sequential order (NRE denominator)
 ========== ====================================================
 
-``epsilon`` and ``backend`` are accepted by every builder and seeded only
-where the group declares them; group-specific options (``k`` for
+``epsilon`` is accepted by every builder and seeded only where the group
+declares it; group-specific options (``k`` for
 ``coarsenk`` and ``dagp``, the cap and sync model for ``hdagg``) are
 rejected by the groups that do not take them.  This package keeps the
 monolithic baseline algorithms the LBC and DAGP passes run.

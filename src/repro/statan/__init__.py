@@ -4,7 +4,7 @@ Two prongs over one diagnostics model:
 
 * :func:`verify_pipeline` — dataflow analysis over declared pass
   contracts (:mod:`repro.passes`): artifact availability, invariant
-  propagation, dead artifacts, backend-tier coverage.  Rejects
+  propagation, dead artifacts, outputs produced.  Rejects
   ill-formed pipelines with structured diagnostics before anything runs.
 * :func:`run_lint` — an AST rule engine (``hdagg-bench lint``) enforcing
   repo disciplines generic linters cannot see: registered fault sites,

@@ -8,7 +8,7 @@ runs *project rules* over the source tree:
 * :class:`AstRule` — per-module checks over a parsed AST (with parent
   links and raw source available);
 * :class:`ProjectRule` — whole-repo checks that introspect live
-  registries (backend tiers, dataclass fields) instead of parsing text.
+  registries (dataclass fields) instead of parsing text.
 
 Suppression is explicit and auditable: ``# statan: ignore[L003]`` on the
 flagged line silences exactly that rule there (rule L008 polices the

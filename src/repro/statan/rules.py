@@ -1,4 +1,4 @@
-"""The project's lint rules (``L001``–``L009``).
+"""The project's lint rules (``L001``, ``L003``–``L009``).
 
 Each rule machine-checks one discipline the repo's docs state in prose.
 The rules are deliberately conservative: they flag the idioms the
@@ -8,7 +8,6 @@ exception auditable in the diff.
 
 ======  ==============================================================
 L001    ``fault_point`` call sites must use a registered site name
-L002    every backend registry stage must expose reference and numpy
 L003    ambient observability state is used only behind ``.enabled``
 L004    no float reductions over unordered containers in ``repro.core``
 L005    no wall-clock or unseeded RNG in inspector code (core/graph)
@@ -92,29 +91,6 @@ class FaultSiteRegistered(AstRule):
                     node,
                     f"fault_point site {site.value!r} is not registered in FAULT_SITES",
                 )
-
-
-class BackendOracleCoverage(ProjectRule):
-    """L002: every registry stage carries reference and numpy loaders."""
-
-    id = "L002"
-    description = "backend stages must expose reference and numpy tiers"
-
-    def check_project(self, root: Path) -> Iterator[Diagnostic]:
-        from ..core.backends import STAGES, registered_tiers
-
-        for stage in STAGES:
-            tiers = registered_tiers(stage)
-            for required in ("reference", "numpy"):
-                if required not in tiers:
-                    yield Diagnostic(
-                        rule=self.id,
-                        message=f"backend stage {stage!r} has no {required!r} tier "
-                        f"(registered: {list(tiers)})",
-                        path="src/repro/core/backends/__init__.py",
-                        hint="every stage keeps a loop oracle next to its fast path; "
-                        f"register_backend({stage!r}, {required!r}, loader)",
-                    )
 
 
 class ObservabilityGuard(AstRule):
@@ -503,7 +479,6 @@ class MetricNameInCatalog(AstRule):
 #: the full rule set, id order
 ALL_RULES: Tuple[object, ...] = (
     FaultSiteRegistered(),
-    BackendOracleCoverage(),
     ObservabilityGuard(),
     NoUnorderedFloatReduction(),
     NoWallClockOrUnseededRng(),

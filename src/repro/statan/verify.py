@@ -10,8 +10,6 @@ pipelines with structured diagnostics.  Rules:
 SP001   a pass requires an artifact nothing before it provides
 SP002   a pass requires an invariant that is not established/assumed
 SP003   a pass's product is never consumed and is not a group output
-SP004   a pass binds a backend stage (by sharing its name) that lacks
-        its reference/numpy tiers
 SP005   two producers for one artifact (or a pass shadowing an input)
 SP006   a declared group output is never produced
 SP007   a required invariant was explicitly invalidated upstream
@@ -52,34 +50,13 @@ def _diag(
     )
 
 
-def _check_backend_binding(group: PassGroup, p: Pass) -> List[Diagnostic]:
-    """SP004: a pass named after a backend stage needs that stage's oracle tiers."""
-    from ..core.backends import STAGES, registered_tiers
-
-    if p.name not in STAGES:
-        return []
-    tiers = registered_tiers(p.name)
-    return [
-        _diag(
-            group,
-            p,
-            "SP004",
-            f"backend stage {p.name!r} lacks the mandatory {required!r} tier",
-            f"every registry stage needs a {required!r} loader "
-            "(the differential oracle discipline)",
-        )
-        for required in ("reference", "numpy")
-        if required not in tiers
-    ]
-
-
 def verify_pipeline(group: PassGroup) -> List[Diagnostic]:
     """Dataflow-verify one pass group; returns structured diagnostics.
 
     An empty list (or warnings only) means the pipeline is well-formed:
     every required artifact has exactly one provider ordered before its
     consumer, invariants needed are held where needed, nothing dead,
-    every output produced, every backend binding registered.
+    every output produced.
     """
     diags: List[Diagnostic] = []
 
@@ -148,7 +125,6 @@ def verify_pipeline(group: PassGroup) -> List[Diagnostic]:
                         severity="warning",
                     )
                 )
-        diags.extend(_check_backend_binding(group, p))
         for a in p.contract.produces:
             if a in provider:
                 diags.append(

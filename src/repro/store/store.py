@@ -1,7 +1,7 @@
 """Crash-safe sharded persistent schedule store.
 
 The store maps :func:`~repro.core.schedule_cache.schedule_key` digests —
-(structure digest, kernel, scheduler, p, ε, backend) — to encoded
+(structure digest, kernel, scheduler, p, ε, tier) — to encoded
 schedules on disk.  Its failure contract is the whole point: inspection
 is the expensive half of an inspector-executor framework, so a stored
 schedule that is silently lost is bad, and one that is silently *wrong*

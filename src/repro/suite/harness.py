@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.backends import BackendSpec
+from ..core.backends import active_tier
 from ..core.incremental import family_key
 from ..core.pgp import DEFAULT_EPSILON, accumulated_pgp
 from ..core.schedule_cache import ScheduleCache, schedule_key
@@ -133,9 +133,9 @@ class RunRecord:
     #: comma-joined algorithms that failed before the fallback succeeded
     #: (the requested inspector first); empty when not degraded
     degraded_from: str = ""
-    #: canonical backend-spec description of the inspector tier that built
-    #: the schedule (``schedule.meta["backend"]``); empty for algorithms
-    #: that have no backend registry
+    #: the tier that ran the inspector's compiled stages
+    #: (``schedule.meta["backend"]``: ``"compiled"`` or ``"numpy"``); empty
+    #: for algorithms that have none
     backend: str = ""
     #: True when the schedule came from an incremental pattern repair
     #: (the cache's repair rung) rather than a full inspection or an
@@ -159,7 +159,7 @@ class BenchCell:
     """Everything needed to run one (matrix, kernel, machine) cell.
 
     The single-cell counterpart of :class:`MatrixContext`: the trace CLI
-    and the backend differential tests need exactly one cell's operand,
+    and the stage differential tests need exactly one cell's operand,
     DAG, cost vector, and memory model without paying for the full grid.
     """
 
@@ -255,13 +255,11 @@ class Harness:
         matrix in :meth:`prepare` (repairing what is repairable, rejecting
         structural corruption with a structured error).  Well-formed
         matrices pass through unchanged.
-    backend:
-        Inspector backend selection for HDagg cells — a
-        :class:`~repro.core.backends.BackendSpec`, a grammar string
-        (``"lbp=compiled,coarsen=compiled"``), or ``None`` to follow the
-        ``REPRO_BACKENDS`` environment variable.  Tiers are bit-identical
-        by contract, so this changes inspector wall time only; the spec is
-        folded into cache keys and stamped into ``RunRecord.backend``.
+
+    HDagg cells run the compiled inspector stages when the native library
+    is built; the tier that ran
+    (:func:`~repro.core.backends.active_tier`) is folded into the cache
+    keys and the journal fingerprint and stamped into ``RunRecord.backend``.
     """
 
     def __init__(
@@ -276,7 +274,6 @@ class Harness:
         schedule_cache: Optional[ScheduleCache] = None,
         inspector_budget: Optional[float] = None,
         sanitize: bool = True,
-        backend: Union[str, BackendSpec, None] = None,
     ) -> None:
         self.machines: List[MachineConfig] = [
             m if isinstance(m, MachineConfig) else MACHINES[m] for m in machines
@@ -297,9 +294,6 @@ class Harness:
             raise ValueError("inspector_budget must be positive or None")
         self.inspector_budget = inspector_budget
         self.sanitize = sanitize
-        # resolve once so a mid-run environment change cannot split the
-        # grid across tiers (the env source is read exactly here)
-        self.backend: BackendSpec = BackendSpec.coerce(backend)
 
     def __getstate__(self) -> dict:
         # worker processes re-inspect rather than ship the cache's schedules
@@ -319,7 +313,7 @@ class Harness:
                 float(self.epsilon),
                 self.validate,
                 tuple(s.name for s in specs),
-                self.backend.describe(),
+                active_tier(),
             )
         )
         return sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -409,14 +403,14 @@ class Harness:
                         schedule = inspect_with_fallback(
                             algo, g, cost, machine.n_cores,
                             epsilon=self.epsilon, budget=self.inspector_budget,
-                            validate=self.validate, backend=self.backend,
+                            validate=self.validate,
                         ).schedule
                         source = "full"
                     else:
                         schedule, source = self.schedule_cache.acquire(
                             *keys, g, cost,
                             p=machine.n_cores, epsilon=self.epsilon, algorithm=algo,
-                            backend=self.backend, validate=self.validate,
+                            validate=self.validate,
                             budget=self.inspector_budget,
                         )
                     inspector_seconds = time.perf_counter() - t0
@@ -496,7 +490,7 @@ class Harness:
         """``(schedule_key, family_key)`` of one cell; the key's fields follow
         the inputs the scheduler's group declares."""
         inputs = get_pass_group(algo).inputs
-        backend_desc = self.backend.describe() if "Backend" in inputs else ""
+        backend_desc = active_tier() if "Backend" in inputs else ""
         key = schedule_key(
             g,
             kernel=kname,
@@ -791,8 +785,3 @@ def _run_matrix_safely(index: int) -> tuple:
     except Exception as exc:
         return ("error", spec.name, type(exc).__name__, str(exc), traceback.format_exc())
 
-
-def _run_matrix_at(index: int) -> List[RunRecord]:
-    """Back-compat pool worker: run one matrix, raising on failure."""
-    harness, specs = _POOL_PAYLOAD
-    return harness.run_matrix(specs[index])

@@ -33,9 +33,9 @@ _FLOAT_FIELDS = {
 }
 
 #: Resilience and provenance fields are serialised only when they carry
-#: information, so records of non-degraded default-backend runs (and the
-#: --json payloads built from them) stay byte-identical to those written
-#: before the fields existed.
+#: information, so records of non-degraded runs of schedulers without
+#: compiled stages (and the --json payloads built from them) stay
+#: byte-identical to those written before the fields existed.
 _DORMANT_DEFAULTS = {
     "degraded": False,
     "degraded_from": "",

@@ -222,9 +222,8 @@ def test_oversized_delta_falls_back_to_full():
 # ----------------------------------------------------------------------
 # cache wiring
 # ----------------------------------------------------------------------
-def _key_for(g, cost, p, backend=""):
-    return schedule_key(g, kernel="t", algorithm="hdagg", p=p, cost=cost,
-                        backend=backend)
+def _key_for(g, cost, p):
+    return schedule_key(g, kernel="t", algorithm="hdagg", p=p, cost=cost)
 
 
 def test_acquire_full_then_repair_then_hit():

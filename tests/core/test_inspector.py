@@ -85,14 +85,12 @@ def test_schedules_valid(problem):
         insp.schedule(p).validate(g)
 
 
-@pytest.mark.parametrize("backend", ["", "lbp=reference,transitive_reduction=reference"])
-def test_schedules_are_digest_identical_to_hdagg(problem, backend, monkeypatch):
+def test_schedules_are_digest_identical_to_hdagg(problem):
     """Reuse through the driver changes nothing: same bytes, same backend
-    meta as the one-shot inspector, under the default and a non-default spec."""
-    from repro.core.backends import ENV_VAR
+    meta as the one-shot inspector."""
+    from repro.core import active_tier
     from tests.schedulers.test_golden_snapshots import schedule_digest
 
-    monkeypatch.setenv(ENV_VAR, backend)
     g, cost = problem
     insp = HDaggInspector(g, cost)
     for p in (2, 4):
@@ -101,7 +99,7 @@ def test_schedules_are_digest_identical_to_hdagg(problem, backend, monkeypatch):
             direct = hdagg(g, cost, p, epsilon=eps)
             assert schedule_digest(cached) == schedule_digest(direct)
             assert cached.meta["backend"] == direct.meta["backend"]
-    assert insp.schedule(2, 0.1).meta["backend"] == (backend or "numpy")
+    assert insp.schedule(2, 0.1).meta["backend"] == active_tier()
 
 
 def test_reuse_runs_only_the_threshold_passes(problem):

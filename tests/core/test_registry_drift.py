@@ -1,10 +1,8 @@
 """Registry-drift gates: the cross-registry invariants the lint rules and
 the verifier rely on, checked directly so drift fails loudly in CI.
 
-Three registries must stay mutually consistent as the repo grows:
+Two registries must stay mutually consistent as the repo grows:
 
-* the backend registry — every stage keeps its reference and numpy tiers
-  (the differential-oracle discipline);
 * the fault-site registry — every site is exercised somewhere in the
   resilience suite, with only supported actions;
 * the scheduler registry — ``SCHEDULERS`` exposes exactly the registered
@@ -15,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.backends import STAGES, TIERS, registered_tiers
 from repro.passes import PASS_GROUPS
 from repro.resilience.faults import FAULT_SITES, FaultPlan
 from repro.schedulers import SCHEDULERS
@@ -25,22 +22,6 @@ TESTS_ROOT = Path(__file__).resolve().parents[1]
 #: resilience owns the generic chaos machinery; the store suite owns the
 #: three persistent-store sites (store.*)
 FAULT_SUITES = ("resilience", "store")
-
-
-# ----------------------------------------------------------------------
-# backend registry
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("stage", STAGES)
-def test_every_stage_registers_reference_and_numpy(stage):
-    tiers = registered_tiers(stage)
-    assert "reference" in tiers, f"stage {stage!r} lost its loop oracle"
-    assert "numpy" in tiers, f"stage {stage!r} lost its default fast path"
-    assert set(tiers) <= set(TIERS)
-
-
-def test_registered_tiers_rejects_unknown_stage():
-    with pytest.raises(ValueError, match="unknown inspector stage"):
-        registered_tiers("quantize")
 
 
 # ----------------------------------------------------------------------

@@ -301,6 +301,19 @@ class TestRepairRung:
         schedule, source = _acquire(cache, _drift(mesh))
         assert source == "full" and cache.repair_fulls == 1
 
+    def test_families_are_bounded_in_lru_order(self, mesh):
+        """More families than slots: the least recently used family goes,
+        and an acquire that repairs against a family refreshes it."""
+        key, _, g, cost = mesh
+        a, b, c = (family_key(kernel="sptrsv", p=4, label=name) for name in "abc")
+        cache = ScheduleCache(max_entries=2)
+        for i, family in enumerate((a, b, a, c)):
+            cache.acquire(f"{key}-{i}", family, g, cost, p=4)
+        assert cache.repairs == 1  # the second acquire of family a
+        assert cache.artifacts_for(b) is None
+        assert cache.artifacts_for(a) is not None
+        assert cache.artifacts_for(c) is not None
+
     def test_only_repairable_groups_seed_a_family(self, mesh):
         from repro.passes import get_pass_group
 

@@ -126,8 +126,8 @@ def test_scheduler_group_matches_public_function(name, mesh_nd):
 
 
 def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
-    """The driver runs hdagg by name too: it coerces the backend spec and
-    seeds the Backend artifact, exactly as the public hdagg() does."""
+    """The driver runs hdagg by name too: it seeds the Backend artifact
+    with the active tier, exactly as the public hdagg() does."""
     from repro.core import hdagg
 
     g, cost = _mesh_dag_and_cost(mesh_nd)
@@ -139,13 +139,12 @@ def test_hdagg_group_runs_through_uniform_driver(mesh_nd):
 
 def test_hdagg_group_runs_standalone():
     """The registered hdagg group executes outside its driver too."""
-    from repro.core.backends import BackendSpec
+    from repro.core import active_tier
 
     g = DAG.from_edges(6, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
     cost = np.ones(6)
     ctx = PassContext(
-        {"DAG": g, "Cost": cost, "Cores": 2, "Epsilon": 0.1, "Backend": "numpy"},
-        spec=BackendSpec.coerce(None),
+        {"DAG": g, "Cost": cost, "Cores": 2, "Epsilon": 0.1, "Backend": active_tier()}
     )
     run_group(get_pass_group("hdagg"), ctx)
     schedule = ctx["Schedule"]
@@ -174,13 +173,18 @@ def test_every_scheduler_reports_per_pass_stage_seconds(name, mesh_nd):
 
 
 def test_epsilon_and_backend_reach_only_the_groups_that_declare_them(mesh_nd):
+    from repro.core import active_tier
+
     g, cost = _mesh_dag_and_cost(mesh_nd)
     plain = SCHEDULERS["wavefront"](g, cost, 4)
-    both = SCHEDULERS["wavefront"](g, cost, 4, 0.3, backend="lbp=reference")
-    assert both.execution_order().tolist() == plain.execution_order().tolist()
-    assert "backend" not in both.meta
-    hd = SCHEDULERS["hdagg"](g, cost, 4, 0.3, backend="lbp=reference")
-    assert hd.meta["epsilon"] == 0.3 and hd.meta["backend"] == "lbp=reference"
+    with_eps = SCHEDULERS["wavefront"](g, cost, 4, 0.3)
+    assert with_eps.execution_order().tolist() == plain.execution_order().tolist()
+    assert "backend" not in with_eps.meta
+    hd = SCHEDULERS["hdagg"](g, cost, 4, 0.3)
+    assert hd.meta["epsilon"] == 0.3 and hd.meta["backend"] == active_tier()
+    # the tier is the platform's to choose, not an option
+    with pytest.raises(TypeError, match="unexpected options \\['backend'\\]"):
+        SCHEDULERS["hdagg"](g, cost, 4, 0.3, backend="numpy")
 
 
 def test_group_specific_options_are_rejected_elsewhere(mesh_nd):

@@ -205,16 +205,6 @@ def test_l009_undeclared_metric_names(tmp_path):
 # ----------------------------------------------------------------------
 # project rules fire when the live registries drift (simulated)
 # ----------------------------------------------------------------------
-def test_l002_fires_when_a_backend_tier_is_dropped(monkeypatch):
-    from repro.core import backends
-
-    monkeypatch.delitem(backends._LOADERS, ("transitive_reduction", "numpy"))
-    found = [d for d in _rule("L002").check_project(REPO_ROOT)]
-    assert len(found) == 1
-    assert "backend stage 'transitive_reduction' has no 'numpy' tier" in found[0].message
-    assert "register_backend" in found[0].hint
-
-
 def test_l006_fires_when_runrecord_schema_drifts(monkeypatch):
     import repro.suite.harness as harness_mod
 

@@ -133,25 +133,6 @@ def test_sp003_dead_artifact_is_rejected():
     assert d.pass_name == "grouper" and "'Grouping'" in d.message
 
 
-def test_sp004_stage_pass_without_oracle_tier_is_rejected(monkeypatch):
-    """A pass binds the backend stage that shares its name; SP004 reads that
-    stage's tiers from the registry."""
-    from repro.core import backends
-
-    group = PassGroup(
-        name="stage-bound",
-        passes=(_pass("expand", requires=("DAG",), produces=("Schedule",)),),
-        inputs=("DAG",),
-    )
-    assert _errors(verify_pipeline(group)) == []
-    monkeypatch.delitem(backends._LOADERS, ("expand", "reference"))
-    diags = _errors(verify_pipeline(group))
-    assert _rules(diags) == ["SP004"]
-    (d,) = diags
-    assert "backend stage 'expand' lacks the mandatory 'reference' tier" in d.message
-    assert d.pass_name == "expand"
-
-
 def test_sp005_duplicate_producer_is_rejected():
     group = PassGroup(
         name="double-schedule",

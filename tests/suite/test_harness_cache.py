@@ -1,6 +1,6 @@
 """The harness on the schedule cache's reuse ladder: repair and ``--store``."""
 
-from repro.core import ScheduleCache, hdagg, schedule_key
+from repro.core import ScheduleCache, active_tier, hdagg, schedule_key
 from repro.sparse import csr_from_dense, poisson2d
 from repro.suite import Harness
 from repro.suite.cli import main
@@ -45,7 +45,7 @@ def test_same_named_drift_is_repaired():
     art = harness.prepare(drifted).kernels["sptrsv"]
     g, cost = art["dag"], art["cost"]
     key = schedule_key(g, kernel="sptrsv", algorithm="hdagg", p=4,
-                       epsilon=harness.epsilon, backend=harness.backend.describe())
+                       epsilon=harness.epsilon, backend=active_tier())
     assert schedule_digest(cache.get(key)) == schedule_digest(
         hdagg(g, cost, 4, harness.epsilon)
     )
