@@ -11,9 +11,10 @@ pit the schedulers against each other on LBC-favourable inputs.
 Construction: embed ``A`` into its symbolic factor pattern
 (:func:`repro.sparse.symbolic.symbolic_cholesky`) with explicit zeros at
 fill positions; up-looking row factorisation on that pattern *is* complete
-Cholesky, so the numeric core is shared with SpIC0 and the defect
-``max |(L L^T - A)[i,j]|`` is zero over the **dense** matrix, not just a
-sparsity pattern.
+Cholesky, so the numeric core (the scalar row body
+:func:`repro.kernels.spic0._factor_up_looking`) is shared with SpIC0, and
+the defect ``max |(L L^T - A)[i,j]|`` is zero over the **dense** matrix,
+not just a sparsity pattern.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..sparse.triangular import lower_triangle
 from ._trace import trace_self_plus_lower_neighbors
 from .base import KernelError, SparseKernel, check_order
 from .memory import MemoryModel, factor_memory_model
-from .spic0 import _factor_row
+from .spic0 import _factor_up_looking
 
 __all__ = ["SpChol", "embed_in_fill_pattern", "cholesky_reference", "cholesky_in_order", "cholesky_defect"]
 
@@ -59,20 +60,14 @@ def embed_in_fill_pattern(a: CSRMatrix) -> CSRMatrix:
 def cholesky_reference(a: CSRMatrix) -> CSRMatrix:
     """Sequential complete Cholesky; returns ``L`` on the filled pattern."""
     emb = embed_in_fill_pattern(a)
-    l_data = np.zeros(emb.nnz, dtype=VALUE_DTYPE)
-    for i in range(emb.n_rows):
-        _factor_row(i, emb.indptr, emb.indices, emb.data, l_data)
-    return emb.with_data(l_data)
+    return _factor_up_looking(emb, range(emb.n_rows))
 
 
 def cholesky_in_order(a: CSRMatrix, order: np.ndarray) -> CSRMatrix:
     """Complete Cholesky with rows factored in ``order``, checked once beforehand."""
     emb = embed_in_fill_pattern(a)
     order = check_order(emb, order, "cholesky", "row {i} factored before rows {missing}")
-    l_data = np.zeros(emb.nnz, dtype=VALUE_DTYPE)
-    for i in order.tolist():
-        _factor_row(i, emb.indptr, emb.indices, emb.data, l_data)
-    return emb.with_data(l_data)
+    return _factor_up_looking(emb, order.tolist())
 
 
 def cholesky_defect(a: CSRMatrix, factor: CSRMatrix) -> float:

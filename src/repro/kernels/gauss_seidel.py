@@ -47,17 +47,13 @@ def _check_diagonal(a: CSRMatrix) -> None:
         raise KernelError("gauss-seidel: zero on the diagonal")
 
 
-def gauss_seidel_sweep(
-    a: CSRMatrix, b: np.ndarray, x_old: np.ndarray | None = None
-) -> np.ndarray:
-    """One sequential forward sweep; returns the new iterate."""
-    _check_diagonal(a)
+def _sweep(a: CSRMatrix, rows, b: np.ndarray, x_old: np.ndarray | None) -> np.ndarray:
+    """Relax the rows of ``a`` in ``rows``: the one row body of both sweeps."""
     n = a.n_rows
-    b = check_rhs(b, n)
     x_old = np.zeros(n, dtype=VALUE_DTYPE) if x_old is None else np.asarray(x_old, dtype=VALUE_DTYPE)
     x_new = np.empty(n, dtype=VALUE_DTYPE)
     indptr, indices, data = a.indptr, a.indices, a.data
-    for i in range(n):
+    for i in rows:
         lo, hi = indptr[i], indptr[i + 1]
         cols = indices[lo:hi]
         vals = data[lo:hi]
@@ -67,6 +63,15 @@ def gauss_seidel_sweep(
         s = b[i] - vals[below] @ x_new[cols[below]] - vals[above] @ x_old[cols[above]]
         x_new[i] = s / vals[k]
     return x_new
+
+
+def gauss_seidel_sweep(
+    a: CSRMatrix, b: np.ndarray, x_old: np.ndarray | None = None
+) -> np.ndarray:
+    """One sequential forward sweep; returns the new iterate."""
+    _check_diagonal(a)
+    b = check_rhs(b, a.n_rows)
+    return _sweep(a, range(a.n_rows), b, x_old)
 
 
 def gauss_seidel_in_order(
@@ -74,22 +79,9 @@ def gauss_seidel_in_order(
 ) -> np.ndarray:
     """One forward sweep with rows relaxed in ``order``, checked once beforehand."""
     _check_diagonal(a)
-    n = a.n_rows
-    b = check_rhs(b, n)
+    b = check_rhs(b, a.n_rows)
     order = check_order(a, order, "gauss-seidel", "row {i} relaxed before rows {missing}")
-    x_old = np.zeros(n, dtype=VALUE_DTYPE) if x_old is None else np.asarray(x_old, dtype=VALUE_DTYPE)
-    x_new = np.empty(n, dtype=VALUE_DTYPE)
-    indptr, indices, data = a.indptr, a.indices, a.data
-    for i in order:
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        below = cols < i
-        above = cols > i
-        k = int(np.searchsorted(cols, i))
-        s = b[i] - vals[below] @ x_new[cols[below]] - vals[above] @ x_old[cols[above]]
-        x_new[i] = s / vals[k]
-    return x_new
+    return _sweep(a, order.tolist(), b, x_old)
 
 
 class GaussSeidel(SparseKernel):

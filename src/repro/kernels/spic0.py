@@ -8,12 +8,19 @@ as SpTRSV on the lower triangle, which is why the paper drives all three
 kernels through one inspector.
 
 The paper selects SPD inputs precisely so this factorisation exists; a
-non-positive pivot raises :class:`~repro.kernels.base.KernelError` rather
-than silently producing NaNs.
+pivot that is not positive (a NaN one included) raises
+:class:`~repro.kernels.base.KernelError` rather than silently producing NaNs.
+
+The reference and the schedule executor run one row body on Python scalars
+(:func:`_factor_up_looking`, shared with complete Cholesky), the reference in
+natural order and the executor in its checked order.  Its sums run left to
+right in stored column order, so every valid order gives the same factor
+(``==``), which is the reference's.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -29,74 +36,71 @@ from .cost import spic0_cost
 __all__ = ["SpIC0", "spic0_reference", "spic0_in_order", "ic0_defect"]
 
 
-def _sparse_prefix_dot(
-    cols_a: np.ndarray, vals_a: np.ndarray, cols_b: np.ndarray, vals_b: np.ndarray, bound: int
-) -> float:
-    """Dot product of two sparse rows over columns ``< bound`` (sorted inputs)."""
-    ka = int(np.searchsorted(cols_a, bound))
-    kb = int(np.searchsorted(cols_b, bound))
-    ca, va = cols_a[:ka], vals_a[:ka]
-    cb, vb = cols_b[:kb], vals_b[:kb]
-    if ka == 0 or kb == 0:
-        return 0.0
-    pos = np.searchsorted(cb, ca)
-    pos_c = np.minimum(pos, kb - 1)
-    match = cb[pos_c] == ca
-    if not match.any():
-        return 0.0
-    return float(va[match] @ vb[pos_c[match]])
+def _factor_up_looking(low: CSRMatrix, rows) -> CSRMatrix:
+    """Up-looking IC(0) of the lower CSR ``low``, rows factored in ``rows``.
+
+    The one row body of SpIC0 and complete Cholesky, on Python scalars
+    (``tolist()`` once per call).  For each stored ``L[i, j]``, ``j < i``::
+
+        L[i, j] = (A[i, j] - sum_{k < j} L[i, k] L[j, k]) / L[j, j]
+
+    where the prefix dot is a sorted two-pointer merge of row ``i``'s entries
+    left of ``j`` with row ``j``'s off-diagonal entries, and then
+    ``L[i, i] = sqrt(A[i, i] - sum_{k < i} L[i, k]^2)``.  Every sum runs left
+    to right in stored column order, so the factor does not depend on the
+    (valid) order of ``rows``.  A pivot that is not ``> 0`` (NaN included)
+    raises :class:`KernelError`.
+    """
+    indptr, indices, a_data = low.indptr.tolist(), low.indices.tolist(), low.data.tolist()
+    l = [0.0] * len(a_data)
+    for i in rows:
+        lo, diag = indptr[i], indptr[i + 1] - 1
+        # stored lower row always ends with the diagonal (cols sorted, col <= i)
+        if diag < lo or indices[diag] != i:
+            raise KernelError(f"spic0: row {i} is missing its diagonal entry")
+        for t in range(lo, diag):
+            j = indices[t]
+            p, q, jdiag = lo, indptr[j], indptr[j + 1] - 1
+            s = 0.0
+            while p < t and q < jdiag:
+                cp, cq = indices[p], indices[q]
+                if cp == cq:
+                    s += l[p] * l[q]
+                    p += 1
+                    q += 1
+                elif cp < cq:
+                    p += 1
+                else:
+                    q += 1
+            l[t] = (a_data[t] - s) / l[jdiag]
+        s = 0.0
+        for x in l[lo:diag]:
+            s += x * x
+        pivot = a_data[diag] - s
+        if not pivot > 0.0:
+            raise KernelError(f"spic0: non-positive pivot {pivot!r} at row {i} (matrix not SPD enough)")
+        l[diag] = math.sqrt(pivot)
+    return low.with_data(np.array(l, dtype=VALUE_DTYPE))
 
 
-def _factor_row(
-    i: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    a_data: np.ndarray,
-    l_data: np.ndarray,
-) -> None:
-    """Factor row ``i`` of the lower CSR in place (up-looking)."""
-    lo, hi = int(indptr[i]), int(indptr[i + 1])
-    cols_i = indices[lo:hi]
-    # stored lower row always ends with the diagonal (cols sorted, col <= i)
-    if hi == lo or cols_i[-1] != i:
-        raise KernelError(f"spic0: row {i} is missing its diagonal entry")
-    for t in range(hi - lo - 1):
-        j = int(cols_i[t])
-        jlo, jhi = int(indptr[j]), int(indptr[j + 1])
-        cols_j = indices[jlo:jhi]
-        s = a_data[lo + t] - _sparse_prefix_dot(
-            cols_i, l_data[lo:hi], cols_j, l_data[jlo:jhi], j
-        )
-        djj = l_data[jhi - 1]
-        l_data[lo + t] = s / djj
-    off = l_data[lo : hi - 1]
-    pivot = a_data[hi - 1] - float(off @ off)
-    if pivot <= 0.0:
-        raise KernelError(f"spic0: non-positive pivot {pivot!r} at row {i} (matrix not SPD enough)")
-    l_data[hi - 1] = np.sqrt(pivot)
+def _checked_lower(a: CSRMatrix) -> CSRMatrix:
+    low = lower_triangle(a)
+    if not low.has_full_diagonal():
+        raise KernelError("spic0: matrix must have a full diagonal")
+    return low
 
 
 def spic0_reference(a: CSRMatrix) -> CSRMatrix:
     """Sequential IC(0): returns lower-triangular ``L`` on ``tril(A)``'s pattern."""
-    low = lower_triangle(a)
-    if not low.has_full_diagonal():
-        raise KernelError("spic0: matrix must have a full diagonal")
-    l_data = np.zeros(low.nnz, dtype=VALUE_DTYPE)
-    for i in range(low.n_rows):
-        _factor_row(i, low.indptr, low.indices, low.data, l_data)
-    return low.with_data(l_data)
+    low = _checked_lower(a)
+    return _factor_up_looking(low, range(low.n_rows))
 
 
 def spic0_in_order(a: CSRMatrix, order: np.ndarray) -> CSRMatrix:
     """IC(0) with rows factored in ``order``, checked once against every dependence."""
-    low = lower_triangle(a)
-    if not low.has_full_diagonal():
-        raise KernelError("spic0: matrix must have a full diagonal")
+    low = _checked_lower(a)
     order = check_order(low, order, "spic0", "row {i} factored before rows {missing}")
-    l_data = np.zeros(low.nnz, dtype=VALUE_DTYPE)
-    for i in order.tolist():
-        _factor_row(i, low.indptr, low.indices, low.data, l_data)
-    return low.with_data(l_data)
+    return _factor_up_looking(low, order.tolist())
 
 
 def ic0_defect(a: CSRMatrix, factor: CSRMatrix) -> float:

@@ -14,6 +14,12 @@ Row ``i`` reads factored row ``k`` for every stored ``A[i, k]``, ``k < i``,
 giving the same lower-pattern dependence DAG as the other kernels.  This is
 the kernel the paper uses for all of its per-matrix analysis (Figures 6-8)
 because it is the hardest of the three to optimise.
+
+The reference and the schedule executor run this loop as one row body on
+Python scalars (:func:`_eliminate_ikj`), the reference in natural order and
+the executor in its checked order.  It has no reduction, so every valid
+order gives the same factor (``==``).  A zero or NaN pivot raises
+:class:`~repro.kernels.base.KernelError`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from ..graph.build import dag_from_matrix_lower
 from ..graph.dag import DAG
-from ..sparse.csr import CSRMatrix, INDEX_DTYPE
+from ..sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
 from ._trace import trace_self_plus_lower_neighbors
 from .base import KernelError, SparseKernel, check_order
 from .cost import spilu0_cost
@@ -33,70 +39,66 @@ from .spic0 import _pattern_defect
 __all__ = ["SpILU0", "spilu0_reference", "spilu0_in_order", "ilu0_defect", "split_lu"]
 
 
-def _eliminate_row(
-    i: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    diag_pos: np.ndarray,
-) -> None:
-    """Apply all updates to row ``i`` of the in-place LU storage."""
-    lo, hi = int(indptr[i]), int(indptr[i + 1])
-    cols_i = indices[lo:hi]
-    row_i = data[lo:hi]  # view: updates write through
-    n_lower = int(np.searchsorted(cols_i, i))
-    for t in range(n_lower):
-        k = int(cols_i[t])
-        dk = data[diag_pos[k]]
-        if dk == 0.0:
-            raise KernelError(f"spilu0: zero pivot at row {k}")
-        lik = row_i[t] / dk
-        row_i[t] = lik
-        # subtract lik * U(k, j) for stored j > k present in row i
-        klo, khi = int(indptr[k]), int(indptr[k + 1])
-        cols_k = indices[klo:khi]
-        start = int(np.searchsorted(cols_k, k)) + 1  # strictly upper part of row k
-        if start >= khi - klo:
-            continue
-        upper_cols = cols_k[start:]
-        upper_vals = data[klo + start : khi]
-        pos = np.searchsorted(cols_i, upper_cols)
-        pos_c = np.minimum(pos, hi - lo - 1)
-        match = cols_i[pos_c] == upper_cols
-        if match.any():
-            row_i[pos_c[match]] -= lik * upper_vals[match]
-
-
 def _diag_positions(a: CSRMatrix) -> np.ndarray:
-    """Flat index of each diagonal entry in the CSR data array."""
+    """Flat index of each diagonal entry in the CSR data array (one pass)."""
     n = a.n_rows
-    diag_pos = np.empty(n, dtype=INDEX_DTYPE)
-    for i in range(n):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        k = np.searchsorted(a.indices[lo:hi], i)
-        if k >= hi - lo or a.indices[lo + k] != i:
-            raise KernelError(f"spilu0: row {i} is missing its diagonal entry")
-        diag_pos[i] = lo + k
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), a.row_nnz())
+    on_diag = a.indices == rows
+    diag_pos = np.flatnonzero(on_diag).astype(INDEX_DTYPE)
+    if diag_pos.shape[0] != n:
+        found = np.zeros(n, dtype=bool)
+        found[rows[on_diag]] = True
+        i = int(np.argmin(found))
+        raise KernelError(f"spilu0: row {i} is missing its diagonal entry")
     return diag_pos
+
+
+def _eliminate_ikj(a: CSRMatrix, rows) -> CSRMatrix:
+    """Row-wise IKJ ILU(0) of ``a``, rows eliminated in ``rows``.
+
+    The one row body of the reference and the schedule executor, on Python
+    scalars (``tolist()`` once per call).  Row ``i`` finds its columns with
+    a ``col -> pos`` map: a dense list filled from the row and cleared after
+    it, which is faster here than a per-row dict.  Every update is one
+    multiply and one subtract on one entry, so no sum depends on the order.
+    A zero or NaN pivot raises :class:`KernelError` when a later row divides
+    by it.
+    """
+    diag = _diag_positions(a).tolist()
+    indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    pos_of = [-1] * a.n_cols
+    for i in rows:
+        lo, hi = indptr[i], indptr[i + 1]
+        for p in range(lo, hi):
+            pos_of[indices[p]] = p
+        for t in range(lo, diag[i]):
+            k = indices[t]
+            dk = data[diag[k]]
+            if dk == 0.0:
+                raise KernelError(f"spilu0: zero pivot at row {k}")
+            if dk != dk:
+                raise KernelError(f"spilu0: NaN pivot at row {k}")
+            lik = data[t] / dk
+            data[t] = lik
+            # subtract lik * U(k, j) for stored j > k present in row i
+            for q in range(diag[k] + 1, indptr[k + 1]):
+                p = pos_of[indices[q]]
+                if p >= 0:
+                    data[p] -= lik * data[q]
+        for p in range(lo, hi):
+            pos_of[indices[p]] = -1
+    return a.with_data(np.array(data, dtype=VALUE_DTYPE))
 
 
 def spilu0_reference(a: CSRMatrix) -> CSRMatrix:
     """Sequential ILU(0); returns the combined LU factor on ``a``'s pattern."""
-    diag_pos = _diag_positions(a)
-    data = a.data.copy()
-    for i in range(a.n_rows):
-        _eliminate_row(i, a.indptr, a.indices, data, diag_pos)
-    return a.with_data(data)
+    return _eliminate_ikj(a, range(a.n_rows))
 
 
 def spilu0_in_order(a: CSRMatrix, order: np.ndarray) -> CSRMatrix:
     """ILU(0) with rows processed in ``order``, checked once against every dependence."""
     order = check_order(a, order, "spilu0", "row {i} eliminated before rows {missing}")
-    diag_pos = _diag_positions(a)
-    data = a.data.copy()
-    for i in order.tolist():
-        _eliminate_row(i, a.indptr, a.indices, data, diag_pos)
-    return a.with_data(data)
+    return _eliminate_ikj(a, order.tolist())
 
 
 def split_lu(factor: CSRMatrix) -> tuple:

@@ -13,6 +13,7 @@ from repro.kernels import (
     embed_in_fill_pattern,
 )
 from repro.sparse import csr_from_dense, lower_triangle, symbolic_cholesky
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture
@@ -83,6 +84,13 @@ def test_etree_structured_dag_suits_lbc(mesh_nd, kernel):
 
 def test_not_spd_raises():
     a = csr_from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(KernelError, match="pivot"):
+        cholesky_reference(a)
+
+
+def test_nan_pivot_raises():
+    # built directly, since csr_from_dense drops NaN entries (nan > 0 is False)
+    a = CSRMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [4.0, -1.0, -1.0, np.nan])
     with pytest.raises(KernelError, match="pivot"):
         cholesky_reference(a)
 

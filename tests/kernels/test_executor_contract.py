@@ -4,11 +4,15 @@ Every kernel's ``execute_in_order`` checks its order with one vectorized
 pass (:func:`repro.kernels.base.check_order`) before any arithmetic.  These
 tests pin that contract against test-local copies of the per-row loops the
 executors used to run, which checked each iteration's dependences just
-before computing it:
+before computing it and ran the former NumPy row bodies:
 
 * on valid orders (random topological orders and the interleavings of real
-  schedules) SpTRSV matches the sequential oracle and the four other kernels
-  give bit-identical results to the per-row loops;
+  schedules) SpTRSV matches the sequential oracle; SpILU0 and Gauss-Seidel
+  are bit-identical to the NumPy per-row loops; SpIC0 and complete Cholesky
+  are bit-identical to a per-row loop whose sums run left to right in stored
+  column order, and within ``rtol=1e-14`` of the NumPy body, whose BLAS dot
+  may sum in another order;
+* every valid order gives a factor ``==`` to the natural-order reference;
 * on invalid orders every kernel raises exactly the message the per-row
   loop raised;
 * on deep chains the SpTRSV executor is not slower than the per-row loop.
@@ -23,14 +27,114 @@ from hypothesis import strategies as st
 
 from repro.kernels import KERNELS, KernelError, sptrsv_reference
 from repro.kernels.cholesky import embed_in_fill_pattern
-from repro.kernels.gauss_seidel import _check_diagonal
-from repro.kernels.spic0 import _factor_row
-from repro.kernels.spilu0 import _diag_positions, _eliminate_row
 from repro.kernels.sptrsv import check_solvable
 from repro.runtime.executor import interleaved_order
 from repro.schedulers import SCHEDULERS
-from repro.sparse import kite_chain_spd, lower_triangle, spd_from_pattern, tridiagonal_spd
-from repro.sparse.csr import INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse import (
+    apply_ordering,
+    banded_spd,
+    kite_chain_spd,
+    lower_triangle,
+    poisson2d,
+    poisson3d,
+    power_law_spd,
+    random_spd,
+    spd_from_pattern,
+    tridiagonal_spd,
+)
+from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+
+
+# ----------------------------------------------------------------------
+# the former NumPy row bodies
+# ----------------------------------------------------------------------
+def numpy_dot(va, vb):
+    """The former executors' dot product (may sum in any order)."""
+    return float(va @ vb)
+
+
+def left_to_right_dot(va, vb):
+    """Dot product summed left to right, the executors' convention."""
+    s = 0.0
+    for x, y in zip(va.tolist(), vb.tolist()):
+        s += x * y
+    return s
+
+
+def sparse_prefix_dot(cols_a, vals_a, cols_b, vals_b, bound, dot):
+    """Dot product of two sparse rows over columns ``< bound`` (sorted inputs)."""
+    ka = int(np.searchsorted(cols_a, bound))
+    kb = int(np.searchsorted(cols_b, bound))
+    ca, va = cols_a[:ka], vals_a[:ka]
+    cb, vb = cols_b[:kb], vals_b[:kb]
+    if ka == 0 or kb == 0:
+        return 0.0
+    pos = np.searchsorted(cb, ca)
+    pos_c = np.minimum(pos, kb - 1)
+    match = cb[pos_c] == ca
+    if not match.any():
+        return 0.0
+    return dot(va[match], vb[pos_c[match]])
+
+
+def factor_row(i, indptr, indices, a_data, l_data, dot):
+    """Factor row ``i`` of the lower CSR in place (up-looking)."""
+    lo, hi = int(indptr[i]), int(indptr[i + 1])
+    cols_i = indices[lo:hi]
+    if hi == lo or cols_i[-1] != i:
+        raise KernelError(f"spic0: row {i} is missing its diagonal entry")
+    for t in range(hi - lo - 1):
+        j = int(cols_i[t])
+        jlo, jhi = int(indptr[j]), int(indptr[j + 1])
+        cols_j = indices[jlo:jhi]
+        s = a_data[lo + t] - sparse_prefix_dot(
+            cols_i, l_data[lo:hi], cols_j, l_data[jlo:jhi], j, dot
+        )
+        l_data[lo + t] = s / l_data[jhi - 1]
+    off = l_data[lo : hi - 1]
+    pivot = a_data[hi - 1] - dot(off, off)
+    if pivot <= 0.0:
+        raise KernelError(f"spic0: non-positive pivot {pivot!r} at row {i} (matrix not SPD enough)")
+    l_data[hi - 1] = np.sqrt(pivot)
+
+
+def eliminate_row(i, indptr, indices, data, diag_pos):
+    """Apply all IKJ updates to row ``i`` of the in-place LU storage."""
+    lo, hi = int(indptr[i]), int(indptr[i + 1])
+    cols_i = indices[lo:hi]
+    row_i = data[lo:hi]  # view: updates write through
+    n_lower = int(np.searchsorted(cols_i, i))
+    for t in range(n_lower):
+        k = int(cols_i[t])
+        dk = data[diag_pos[k]]
+        if dk == 0.0:
+            raise KernelError(f"spilu0: zero pivot at row {k}")
+        lik = row_i[t] / dk
+        row_i[t] = lik
+        klo, khi = int(indptr[k]), int(indptr[k + 1])
+        cols_k = indices[klo:khi]
+        start = int(np.searchsorted(cols_k, k)) + 1  # strictly upper part of row k
+        if start >= khi - klo:
+            continue
+        upper_cols = cols_k[start:]
+        upper_vals = data[klo + start : khi]
+        pos = np.searchsorted(cols_i, upper_cols)
+        pos_c = np.minimum(pos, hi - lo - 1)
+        match = cols_i[pos_c] == upper_cols
+        if match.any():
+            row_i[pos_c[match]] -= lik * upper_vals[match]
+
+
+def diag_positions(a):
+    """Flat index of each diagonal entry, one ``searchsorted`` per row."""
+    diag_pos = np.empty(a.n_rows, dtype=INDEX_DTYPE)
+    for i in range(a.n_rows):
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        k = np.searchsorted(a.indices[lo:hi], i)
+        if k >= hi - lo or a.indices[lo + k] != i:
+            raise KernelError(f"spilu0: row {i} is missing its diagonal entry")
+        diag_pos[i] = lo + k
+    return diag_pos
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +168,7 @@ def per_row_sptrsv(a, order, b):
     return x
 
 
-def _per_row_factor(name, low, order):
+def _per_row_factor(name, low, order, dot):
     order = _permutation(name, order, low.n_rows)
     done = np.zeros(low.n_rows, dtype=bool)
     l_data = np.zeros(low.nnz, dtype=VALUE_DTYPE)
@@ -74,25 +178,29 @@ def _per_row_factor(name, low, order):
         if not np.all(done[deps]):
             missing = deps[~done[deps]][:5].tolist()
             raise KernelError(f"{name}: row {int(i)} factored before rows {missing}")
-        _factor_row(int(i), low.indptr, low.indices, low.data, l_data)
+        factor_row(int(i), low.indptr, low.indices, low.data, l_data, dot)
         done[i] = True
     return low.with_data(l_data)
 
 
-def per_row_spic0(a, order, b=None):
+def _spic0_lower(a):
     low = lower_triangle(a)
     if not low.has_full_diagonal():
         raise KernelError("spic0: matrix must have a full diagonal")
-    return _per_row_factor("spic0", low, order)
+    return low
 
 
-def per_row_cholesky(a, order, b=None):
-    return _per_row_factor("cholesky", embed_in_fill_pattern(a), order)
+def per_row_spic0(a, order, b=None, dot=left_to_right_dot):
+    return _per_row_factor("spic0", _spic0_lower(a), order, dot)
+
+
+def per_row_cholesky(a, order, b=None, dot=left_to_right_dot):
+    return _per_row_factor("cholesky", embed_in_fill_pattern(a), order, dot)
 
 
 def per_row_spilu0(a, order, b=None):
     order = _permutation("spilu0", order, a.n_rows)
-    diag_pos = _diag_positions(a)
+    diag_pos = diag_positions(a)
     data = a.data.copy()
     done = np.zeros(a.n_rows, dtype=bool)
     for i in order:
@@ -102,13 +210,22 @@ def per_row_spilu0(a, order, b=None):
         if not np.all(done[deps]):
             missing = deps[~done[deps]][:5].tolist()
             raise KernelError(f"spilu0: row {int(i)} eliminated before rows {missing}")
-        _eliminate_row(int(i), a.indptr, a.indices, data, diag_pos)
+        eliminate_row(int(i), a.indptr, a.indices, data, diag_pos)
         done[i] = True
     return a.with_data(data)
 
 
+def _check_gauss_seidel_diagonal(a):
+    if not a.is_square:
+        raise KernelError("gauss-seidel: matrix must be square")
+    if not a.has_full_diagonal():
+        raise KernelError("gauss-seidel: missing diagonal entry")
+    if np.any(a.diagonal() == 0.0):
+        raise KernelError("gauss-seidel: zero on the diagonal")
+
+
 def per_row_gauss_seidel(a, order, b):
-    _check_diagonal(a)
+    _check_gauss_seidel_diagonal(a)
     n = a.n_rows
     order = _permutation("gauss-seidel", order, n)
     b = np.asarray(b, dtype=VALUE_DTYPE)
@@ -247,6 +364,77 @@ def test_results_bit_identical_to_the_per_row_loop(name, a, seed):
             assert np.array_equal(got.indices, want.indices)
             got, want = got.data, want.data
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["spic0", "spchol"])
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_cholesky_factors_within_rtol_of_the_numpy_body(name, a, seed):
+    kernel = KERNELS[name]
+    per_row, _ = PER_ROW[name]
+    order = valid_orders(kernel, a, seed)[-1]
+    got = kernel.execute_in_order(a, order)
+    want = per_row(a, order, dot=numpy_dot)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", FACTOR_KERNELS)
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_every_valid_order_gives_the_reference_factor(name, a, seed):
+    kernel = KERNELS[name]
+    ref = kernel.reference(a)
+    for order in valid_orders(kernel, a, seed):
+        assert np.array_equal(kernel.execute_in_order(a, order).data, ref.data)
+
+
+#: the cold-solve families at their smallest and largest benchmark size
+COLD_SOLVE = [
+    ("poisson2d", lambda size, seed: poisson2d(size, seed=seed), (13, 28)),
+    ("poisson3d", lambda size, seed: poisson3d(size, seed=seed), (6, 10)),
+    ("random_spd", lambda size, seed: random_spd(size, 6, seed=seed), (250, 850)),
+    ("power_law_spd", lambda size, seed: power_law_spd(size, 5, seed=seed), (250, 850)),
+    ("banded_spd", lambda size, seed: banded_spd(size, 8, fill=0.6, seed=seed), (250, 850)),
+    ("kite_chain_spd", lambda size, seed: kite_chain_spd(size, 9, seed=seed), (20, 60)),
+]
+
+
+@pytest.mark.parametrize(
+    "make,size",
+    [(make, size) for _, make, sizes in COLD_SOLVE for size in sizes],
+    ids=[f"{family}-{size}" for family, _, sizes in COLD_SOLVE for size in sizes],
+)
+def test_cold_solve_families_match_the_numpy_bodies(make, size):
+    a, _ = apply_ordering(make(size, 7), "nd")
+    for name in ("spic0", "spilu0"):
+        kernel = KERNELS[name]
+        g = kernel.dag(a)
+        schedule = SCHEDULERS["hdagg"](g, np.asarray(kernel.cost(a), dtype=float)[: g.n], 20)
+        order = schedule.execution_order()
+        got = kernel.execute_in_order(a, order)
+        assert np.array_equal(got.data, kernel.reference(a).data)
+        if name == "spilu0":
+            assert np.array_equal(got.data, per_row_spilu0(a, order).data)
+        else:
+            assert np.array_equal(got.data, per_row_spic0(a, order).data)
+            want = per_row_spic0(a, order, dot=numpy_dot)
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0)
+
+
+@given(a=lower_patterns(), drop=st.lists(st.integers(0, 29), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_missing_diagonal_names_the_first_row_without_one(a, drop):
+    rows = np.repeat(np.arange(a.n_rows), a.row_nnz())
+    dropped = np.isin(rows, [i % a.n_rows for i in drop])
+    keep = ~(dropped & (a.indices == rows))
+    indptr = np.zeros(a.n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(rows[keep], minlength=a.n_rows), out=indptr[1:])
+    m = CSRMatrix(a.n_rows, a.n_cols, indptr, a.indices[keep], a.data[keep])
+    with pytest.raises(KernelError) as want:
+        diag_positions(m)
+    with pytest.raises(KernelError) as got:
+        KERNELS["spilu0"].reference(m)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", sorted(PER_ROW))

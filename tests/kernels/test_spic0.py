@@ -5,6 +5,7 @@ import pytest
 
 from repro.kernels import KernelError, SpIC0, ic0_defect, spic0_in_order, spic0_reference
 from repro.sparse import csr_from_dense, lower_triangle
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture
@@ -51,6 +52,17 @@ class TestReference:
         a = csr_from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(KernelError, match="diagonal"):
             spic0_reference(a)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_nan_pivot_raises(self, row):
+        # built directly, since csr_from_dense drops NaN entries (nan > 0 is False)
+        data = np.array([4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0])
+        data[[0, 3, 6][row]] = np.nan
+        a = CSRMatrix(3, 3, [0, 2, 5, 7], [0, 1, 0, 1, 2, 1, 2], data)
+        with pytest.raises(KernelError, match="pivot"):
+            spic0_reference(a)
+        with pytest.raises(KernelError, match="pivot"):
+            spic0_in_order(a, np.arange(3))
 
 
 class TestInOrder:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.kernels import KernelError, SpILU0, ilu0_defect, spilu0_in_order, spilu0_reference, split_lu
 from repro.sparse import csr_from_dense
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture
@@ -53,6 +54,18 @@ class TestReference:
         a = csr_from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(KernelError, match="diagonal"):
             spilu0_reference(a)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_pivot_raises(self, row):
+        # built directly, since csr_from_dense drops NaN entries (nan > 0 is False);
+        # the pivot of row 0 or 1 is divided by when row 1 or 2 is eliminated
+        data = np.array([4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0])
+        data[[0, 3][row]] = np.nan
+        a = CSRMatrix(3, 3, [0, 2, 5, 7], [0, 1, 0, 1, 2, 1, 2], data)
+        with pytest.raises(KernelError, match="pivot"):
+            spilu0_reference(a)
+        with pytest.raises(KernelError, match="pivot"):
+            spilu0_in_order(a, np.arange(3))
 
     def test_tridiagonal_exact(self, chain):
         """Tridiagonal has no fill, so ILU(0) factors exactly."""
