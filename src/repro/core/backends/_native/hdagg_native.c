@@ -10,16 +10,24 @@
  * coarsening with group costs (hd_coarsen).
  *
  * BIT-IDENTITY CONTRACT: every float produced here must equal the numpy
- * fast path ulp for ulp.  That pins three things:
- *   - summation order: pairwise_sum() replicates numpy's pairwise
- *     reduction (sequential < 8, 8-way unrolled <= 128, recursive
- *     halving above with the split rounded down to a multiple of 8);
+ * tier's scalar LBP walk (repro.core.lbp) ulp for ulp, on every input.
+ * That pins four things:
+ *   - component costs: each union-find root carries its component's cost
+ *     sum, and a union adds the absorbed root's sum into the surviving
+ *     (smaller) root.  Unions run in the same sequence as the Python walk:
+ *     new vertices in wavefront order, in-edge sources ascending, only
+ *     sources inside the range;
+ *   - summation order elsewhere: pairwise_sum() replicates numpy's
+ *     pairwise reduction (sequential < 8, 8-way unrolled <= 128, recursive
+ *     halving above with the split rounded down to a multiple of 8), which
+ *     repro.core.pgp.pairwise_sum replays on Python floats;
  *   - first-fit packing applies loads in item order with the same
  *     adaptive-target expression;
- *   - the accumulated-PGP reduction adds per-wavefront means/maxes
- *     sequentially, like the Python sum() it mirrors.
- * Compile with -ffp-contract=off (no FMA contraction) and without
- * -ffast-math (no reassociation); build.py enforces both.
+ *   - PGP is 1 - (pairwise sum / p) / max, clamped at 0.
+ * The accumulated PGP of Lines 36-38 is computed by the Python wrapper from
+ * the loads written here.  Compile with -ffp-contract=off (no FMA
+ * contraction) and without -ffast-math (no reassociation); build.py
+ * enforces both.
  */
 
 #include <stdint.h>
@@ -196,16 +204,20 @@ static i64 uf_find(i64 *parent, i64 x)
     return r;
 }
 
-static void uf_union(i64 *parent, i64 a, i64 b)
+/* the smaller root absorbs the larger one and its cost sum */
+static void uf_union(i64 *parent, double *csum, i64 a, i64 b)
 {
     i64 ra = uf_find(parent, a);
     i64 rb = uf_find(parent, b);
     if (ra == rb)
         return;
-    if (ra < rb)
-        parent[rb] = ra;
-    else
-        parent[ra] = rb;
+    if (ra > rb) {
+        i64 t = ra;
+        ra = rb;
+        rb = t;
+    }
+    parent[rb] = ra;
+    csum[ra] += csum[rb];
 }
 
 typedef struct {
@@ -226,9 +238,8 @@ typedef struct {
     const i64 *in_ptr;
     const i64 *in_idx;
     i64 *parent;
-    i64 *keys;    /* scratch, capacity n */
-    double *cbuf; /* gathered member costs, capacity n */
-    double *ccost;/* per-component costs, capacity n */
+    double *csum;  /* per-root component cost sum */
+    double *ccost; /* per-component costs, capacity n */
     const double *cost;
     i64 lo, hi;
 } walk_t;
@@ -247,13 +258,14 @@ static void walk_union_incoming(walk_t *w, i64 wlo, i64 whi)
     for (i64 t = w->wptr[wlo]; t < w->wptr[whi]; t++) {
         i64 v = order[t];
         w->parent[v] = v;
+        w->csum[v] = w->cost[v];
     }
     for (i64 t = w->wptr[wlo]; t < w->wptr[whi]; t++) {
         i64 v = order[t];
         for (i64 e = w->in_ptr[v]; e < w->in_ptr[v + 1]; e++) {
             i64 s = w->in_idx[e];
             if (w->level[s] >= w->lo)
-                uf_union(w->parent, s, v);
+                uf_union(w->parent, w->csum, s, v);
         }
     }
 }
@@ -291,30 +303,17 @@ static double walk_candidate(walk_t *w, cand_t *c)
     i64 prev_root = -1;
     for (i64 t = 0; t < m; t++) {
         i64 root = c->sv[t] / w->n;
-        i64 v = c->sv[t] - root * w->n;
-        c->sv[t] = v;
-        w->cbuf[t] = w->cost[v];
+        c->sv[t] -= root * w->n;
         if (root != prev_root) {
+            w->ccost[ncomp] = w->csum[root];
             c->sizes[ncomp] = t; /* component start; converted to size below */
             ncomp++;
             prev_root = root;
         }
     }
     for (i64 k = 0; k < ncomp; k++) {
-        i64 start = c->sizes[k];
         i64 end = (k + 1 < ncomp) ? c->sizes[k + 1] : m;
-        i64 len = end - start;
-        if (len == 1)
-            w->ccost[k] = w->cbuf[start];
-        else if (len == 2)
-            w->ccost[k] = w->cbuf[start] + w->cbuf[start + 1];
-        else
-            w->ccost[k] = pairwise_sum(w->cbuf + start, len);
-    }
-    for (i64 k = 0; k < ncomp; k++) {
-        i64 start = c->sizes[k];
-        i64 end = (k + 1 < ncomp) ? c->sizes[k + 1] : m;
-        c->sizes[k] = end - start;
+        c->sizes[k] = end - c->sizes[k];
     }
     c->ncomp = ncomp;
     first_fit(w->ccost, ncomp, w->p, c->assign, c->loads);
@@ -322,20 +321,18 @@ static double walk_candidate(walk_t *w, cand_t *c)
 }
 
 /* returns 0 ok, 2 allocation failure.  All output arrays are allocated by
- * the caller: cw_* sized by n_levels (vertex/component payloads by n),
- * cw_loads n_levels*p, dec_* n_levels-1. */
+ * the caller: cw_lo n_levels, cw_ptr n_levels+1, the vertex/component
+ * payloads n, loads n_levels*p, dec_* n_levels-1.  Coarsened wavefront i
+ * starts at wave cw_lo[i] and owns components cw_ptr[i]:cw_ptr[i+1]; the
+ * vertices of all components are written back to back. */
 int hd_lbp(i64 n, const i64 *indptr, const i64 *indices,
-           const double *cost, i64 p, double epsilon, int allow_fine,
+           const double *cost, i64 p, double epsilon,
            const i64 *level, const i64 *order, const i64 *wptr, i64 n_levels,
-           i64 *cw_lo, i64 *cw_hi, i64 *cw_vptr, i64 *cw_verts,
-           i64 *cw_cptr, i64 *cw_sizes, i64 *cw_assign, double *cw_loads,
-           double *dec_pgp, uint8_t *dec_merged,
-           i64 *n_cw_out, double *acc_out, uint8_t *fine_out)
+           i64 *cw_lo, i64 *cw_ptr, i64 *vertices,
+           i64 *sizes, i64 *comp_bin, double *loads,
+           double *dec_pgp, uint8_t *dec_merged, i64 *n_cw_out)
 {
-    (void)indptr;
     *n_cw_out = 0;
-    *acc_out = 0.0;
-    *fine_out = 0;
     if (n_levels == 0)
         return 0;
     i64 m_edges = indptr[n];
@@ -343,50 +340,44 @@ int hd_lbp(i64 n, const i64 *indptr, const i64 *indices,
     i64 *in_ptr = calloc((size_t)n + 1, sizeof(i64));
     i64 *in_idx = malloc((size_t)(m_edges > 0 ? m_edges : 1) * sizeof(i64));
     i64 *parent = malloc((size_t)n * sizeof(i64));
-    i64 *keys = malloc((size_t)n * sizeof(i64));
-    double *cbuf = malloc((size_t)n * sizeof(double));
+    i64 *fill = malloc((size_t)n * sizeof(i64));
+    double *csum = malloc((size_t)n * sizeof(double));
     double *ccost = malloc((size_t)n * sizeof(double));
     i64 *buf_i = malloc((size_t)(6 * n) * sizeof(i64));
     double *buf_d = malloc((size_t)(2 * p) * sizeof(double));
-    if (!in_ptr || !in_idx || !parent || !keys || !cbuf || !ccost || !buf_i || !buf_d) {
-        free(in_ptr); free(in_idx); free(parent); free(keys);
-        free(cbuf); free(ccost); free(buf_i); free(buf_d);
+    if (!in_ptr || !in_idx || !parent || !fill || !csum || !ccost || !buf_i || !buf_d) {
+        free(in_ptr); free(in_idx); free(parent); free(fill);
+        free(csum); free(ccost); free(buf_i); free(buf_d);
         return 2;
     }
     for (i64 e = 0; e < m_edges; e++)
         in_ptr[indices[e] + 1]++;
     for (i64 v = 0; v < n; v++)
         in_ptr[v + 1] += in_ptr[v];
-    {
-        i64 *fill = keys; /* scratch reuse */
-        memcpy(fill, in_ptr, (size_t)n * sizeof(i64));
-        for (i64 v = 0; v < n; v++)
-            for (i64 e = indptr[v]; e < indptr[v + 1]; e++)
-                in_idx[fill[indices[e]]++] = v;
-    }
+    memcpy(fill, in_ptr, (size_t)n * sizeof(i64));
+    for (i64 v = 0; v < n; v++)
+        for (i64 e = indptr[v]; e < indptr[v + 1]; e++)
+            in_idx[fill[indices[e]]++] = v;
 
     cand_t prev = {0, 0, 0, 0, buf_i, buf_i + n, buf_i + 2 * n, buf_d};
     cand_t cand = {0, 0, 0, 0, buf_i + 3 * n, buf_i + 4 * n, buf_i + 5 * n, buf_d + p};
     walk_t w = {n, p, order, wptr, level, in_ptr, in_idx,
-                parent, keys, cbuf, ccost, cost, 0, 0};
+                parent, csum, ccost, cost, 0, 0};
 
     i64 n_cw = 0;
     i64 vofs = 0, cofs = 0;
-    cw_vptr[0] = 0;
-    cw_cptr[0] = 0;
+    cw_ptr[0] = 0;
 
 #define EMIT(cp)                                                          \
     do {                                                                  \
         cw_lo[n_cw] = (cp)->lo;                                           \
-        cw_hi[n_cw] = (cp)->hi;                                           \
-        memcpy(cw_verts + vofs, (cp)->sv, (size_t)(cp)->m * sizeof(i64)); \
+        memcpy(vertices + vofs, (cp)->sv, (size_t)(cp)->m * sizeof(i64)); \
         vofs += (cp)->m;                                                  \
-        cw_vptr[n_cw + 1] = vofs;                                         \
-        memcpy(cw_sizes + cofs, (cp)->sizes, (size_t)(cp)->ncomp * sizeof(i64)); \
-        memcpy(cw_assign + cofs, (cp)->assign, (size_t)(cp)->ncomp * sizeof(i64)); \
+        memcpy(sizes + cofs, (cp)->sizes, (size_t)(cp)->ncomp * sizeof(i64)); \
+        memcpy(comp_bin + cofs, (cp)->assign, (size_t)(cp)->ncomp * sizeof(i64)); \
         cofs += (cp)->ncomp;                                              \
-        cw_cptr[n_cw + 1] = cofs;                                         \
-        memcpy(cw_loads + n_cw * p, (cp)->loads, (size_t)p * sizeof(double)); \
+        cw_ptr[n_cw + 1] = cofs;                                          \
+        memcpy(loads + n_cw * p, (cp)->loads, (size_t)p * sizeof(double)); \
         n_cw++;                                                           \
     } while (0)
 
@@ -395,14 +386,13 @@ int hd_lbp(i64 n, const i64 *indptr, const i64 *indices,
     for (i64 i = 1; i < n_levels; i++) {
         walk_extend(&w, i + 1);
         double score = walk_candidate(&w, &cand);
+        dec_pgp[i - 1] = score;
         if (score > epsilon) {
-            dec_pgp[i - 1] = score;
             dec_merged[i - 1] = 0;
             EMIT(&prev);
             walk_seed(&w, i, i + 1); /* cut before the wave that broke balance */
             walk_candidate(&w, &prev);
         } else {
-            dec_pgp[i - 1] = score;
             dec_merged[i - 1] = 1;
             cand_t tmp = prev;
             prev = cand;
@@ -411,26 +401,10 @@ int hd_lbp(i64 n, const i64 *indptr, const i64 *indices,
     }
     EMIT(&prev);
 #undef EMIT
-
-    /* accumulated PGP: sequential sum of per-CW load means and maxes */
-    double total_mean = 0.0, total_max = 0.0;
-    for (i64 c = 0; c < n_cw; c++) {
-        const double *loads = cw_loads + c * p;
-        double mean = pairwise_sum(loads, p) / (double)p;
-        double mx = loads[0];
-        for (i64 b = 1; b < p; b++)
-            if (loads[b] > mx)
-                mx = loads[b];
-        total_mean += mean;
-        total_max += mx;
-    }
-    double acc = total_max > 0.0 ? 1.0 - total_mean / total_max : 0.0;
-    *acc_out = acc;
-    *fine_out = (allow_fine && acc > epsilon) ? 1 : 0;
     *n_cw_out = n_cw;
 
-    free(in_ptr); free(in_idx); free(parent); free(keys);
-    free(cbuf); free(ccost); free(buf_i); free(buf_d);
+    free(in_ptr); free(in_idx); free(parent); free(fill);
+    free(csum); free(ccost); free(buf_i); free(buf_d);
     return 0;
 }
 

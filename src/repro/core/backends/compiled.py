@@ -11,17 +11,16 @@ comes from the canonical path.
 from __future__ import annotations
 
 import ctypes
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ...graph.coarsen import Grouping, coarsen_dag
 from ...graph.dag import DAG
 from ...graph.wavefronts import Wavefronts, compute_wavefronts
-from ...sparse.csr import INDEX_DTYPE
-from ..binpack import BinPacking
-from ..lbp import CoarsenedWavefront, LBPDecision, LBPResult, lbp_coarsen
+from ..lbp import LBPDecision, LBPResult, _check_inputs, lbp_coarsen
 from ..pgp import DEFAULT_EPSILON
+from ..schedule import ptr_from_counts
 from .native import load
 
 __all__ = [
@@ -60,82 +59,48 @@ def lbp_coarsen_compiled(
     allow_fine_grained: bool = True,
 ) -> LBPResult:
     """Compiled LBP walk (first-fit packing included); drop-in for
-    :func:`repro.core.lbp.lbp_coarsen`."""
+    :func:`repro.core.lbp.lbp_coarsen`.  The library writes the flat
+    :class:`LBPResult` arrays directly."""
     lib = load()
-    if lib is None:
+    if lib is None or g2.n == 0:
         return lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained)
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.shape[0] != g2.n:
-        raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
+    cost = np.ascontiguousarray(_check_inputs(g2, cost, p))
     n = g2.n
-    if n == 0:
-        return LBPResult(
-            coarsened=[], waves=compute_wavefronts(g2), fine_grained=False,
-            accumulated_pgp=0.0, decisions=[],
-        )
-
     waves = wavefronts_compiled(g2)
     l = waves.n_levels
-    indptr = np.ascontiguousarray(g2.indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(g2.indices, dtype=np.int64)
-
     cw_lo = np.empty(l, dtype=np.int64)
-    cw_hi = np.empty(l, dtype=np.int64)
-    cw_vptr = np.zeros(l + 1, dtype=np.int64)
-    cw_verts = np.empty(n, dtype=np.int64)
-    cw_cptr = np.zeros(l + 1, dtype=np.int64)
-    cw_sizes = np.empty(n, dtype=np.int64)
-    cw_assign = np.empty(n, dtype=np.int64)
-    cw_loads = np.empty(l * p, dtype=np.float64)
+    cw_ptr = np.zeros(l + 1, dtype=np.int64)
+    vertices = np.empty(n, dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
+    comp_bin = np.empty(n, dtype=np.int64)
+    loads = np.empty(l * p, dtype=np.float64)
     n_dec = max(l - 1, 1)
     dec_pgp = np.empty(n_dec, dtype=np.float64)
     dec_merged = np.zeros(n_dec, dtype=np.uint8)
     n_cw = ctypes.c_int64(0)
-    acc = ctypes.c_double(0.0)
-    fine = ctypes.c_uint8(0)
     rc = lib.hd_lbp(
-        n, indptr, indices, cost, p, float(epsilon),
-        1 if allow_fine_grained else 0,
+        n, np.ascontiguousarray(g2.indptr, dtype=np.int64),
+        np.ascontiguousarray(g2.indices, dtype=np.int64), cost, p, float(epsilon),
         waves.level, waves.order, waves.ptr, l,
-        cw_lo, cw_hi, cw_vptr, cw_verts,
-        cw_cptr, cw_sizes, cw_assign, cw_loads,
-        dec_pgp, dec_merged,
-        ctypes.byref(n_cw), ctypes.byref(acc), ctypes.byref(fine),
+        cw_lo, cw_ptr, vertices, sizes, comp_bin, loads,
+        dec_pgp, dec_merged, ctypes.byref(n_cw),
     )
     if rc != 0:  # pragma: no cover - allocation failure
         return lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=allow_fine_grained)
-
-    coarsened: List[CoarsenedWavefront] = []
-    for i in range(int(n_cw.value)):
-        sv = cw_verts[cw_vptr[i] : cw_vptr[i + 1]]
-        sizes = cw_sizes[cw_cptr[i] : cw_cptr[i + 1]]
-        starts = [0]
-        for s in sizes.tolist()[:-1]:
-            starts.append(starts[-1] + s)
-        components = [
-            np.ascontiguousarray(sv[a : a + s])
-            for a, s in zip(starts, sizes.tolist())
-        ]
-        packing = BinPacking(
-            assignment=np.ascontiguousarray(
-                cw_assign[cw_cptr[i] : cw_cptr[i + 1]], dtype=INDEX_DTYPE
-            ),
-            loads=np.ascontiguousarray(cw_loads[i * p : (i + 1) * p]),
-        )
-        coarsened.append(
-            CoarsenedWavefront(
-                wave_lo=int(cw_lo[i]), wave_hi=int(cw_hi[i]),
-                components=components, packing=packing,
-            )
-        )
+    k = int(n_cw.value)
+    n_comp = int(cw_ptr[k])
     decisions = [
-        LBPDecision(wave=i, pgp=float(dec_pgp[i - 1]), merged=bool(dec_merged[i - 1]))
-        for i in range(1, l)
+        LBPDecision(wave=i, pgp=s, merged=bool(m))
+        for i, (s, m) in enumerate(zip(dec_pgp[: l - 1].tolist(), dec_merged.tolist()), 1)
     ]
-    return LBPResult(
-        coarsened=coarsened, waves=waves,
-        fine_grained=bool(fine.value), accumulated_pgp=float(acc.value),
-        decisions=decisions,
+    return LBPResult.assemble(
+        vertices,
+        ptr_from_counts(sizes[:n_comp]),
+        np.ascontiguousarray(comp_bin[:n_comp]),
+        np.ascontiguousarray(cw_ptr[: k + 1]),
+        np.append(cw_lo[:k], l),
+        loads[: k * p].reshape(k, p),
+        waves, decisions, epsilon, allow_fine_grained,
     )
 
 

@@ -83,14 +83,12 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.hd_lbp.restype = ctypes.c_int
     lib.hd_lbp.argtypes = [
         ctypes.c_int64, _i64, _i64,          # n, indptr, indices
-        _f64, ctypes.c_int64, ctypes.c_double, ctypes.c_int,  # cost, p, eps, fine
+        _f64, ctypes.c_int64, ctypes.c_double,  # cost, p, epsilon
         _i64, _i64, _i64, ctypes.c_int64,    # level, order, wptr, n_levels
-        _i64, _i64, _i64, _i64,              # cw_lo, cw_hi, cw_vptr, cw_verts
-        _i64, _i64, _i64, _f64,              # cw_cptr, cw_sizes, cw_assign, cw_loads
+        _i64, _i64, _i64,                    # cw_lo, cw_ptr, vertices
+        _i64, _i64, _f64,                    # sizes, comp_bin, loads
         _f64, _u8,                           # dec_pgp, dec_merged
         ctypes.POINTER(ctypes.c_int64),      # n_cw_out
-        ctypes.POINTER(ctypes.c_double),     # acc_out
-        ctypes.POINTER(ctypes.c_uint8),      # fine_out
     ]
     lib.hd_coarsen.restype = ctypes.c_int
     lib.hd_coarsen.argtypes = [

@@ -18,9 +18,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..sparse.csr import INDEX_DTYPE
+from .pgp import pairwise_sum
 from .schedule import bucket_level
 
-__all__ = ["first_fit_pack", "first_fit_pack_reference", "BinPacking"]
+__all__ = ["first_fit", "first_fit_pack", "first_fit_pack_reference", "BinPacking"]
 
 
 class BinPacking:
@@ -75,6 +76,35 @@ class BinPacking:
         return pgp(self.loads)
 
 
+def first_fit(costs: List[float], p: int) -> Tuple[List[int], List[float]]:
+    """``(assignment, loads)`` of first-fit over Python floats.
+
+    The one first-fit body: :func:`first_fit_pack` wraps it for arrays and
+    the scalar LBP walk calls it per merge candidate.  ``total`` is
+    :func:`~repro.core.pgp.pairwise_sum`, so targets equal those of
+    ``np.sum`` over the same costs.
+    """
+    loads = [0.0] * p
+    assignment = [0] * len(costs)
+    total = pairwise_sum(costs)
+    b = 0  # first bin that may still be below its adaptive target
+    committed = 0.0  # sum of loads[0:b], frozen once the pointer passes
+    target = total / p
+    for k, c in enumerate(costs):
+        while b < p and loads[b] >= target:
+            committed += loads[b]
+            b += 1
+            if b < p:
+                target = (total - committed) / (p - b)
+        if b < p:
+            placed = b
+        else:  # every bin full: overflow to the least-loaded (first minimum)
+            placed = loads.index(min(loads))
+        loads[placed] += c
+        assignment[k] = placed
+    return assignment, loads
+
+
 def first_fit_pack(item_costs: Sequence[float] | np.ndarray, p: int) -> BinPacking:
     """Pack items (in the given order) into ``p`` bins, first-fit by target.
 
@@ -103,22 +133,11 @@ def first_fit_pack(item_costs: Sequence[float] | np.ndarray, p: int) -> BinPacki
     costs = np.asarray(item_costs, dtype=np.float64)
     if np.any(costs < 0):
         raise ValueError("item costs must be non-negative")
-    loads = [0.0] * p
-    assignment = np.empty(costs.shape[0], dtype=INDEX_DTYPE)
-    total = float(costs.sum())
-    b = 0  # first bin that may still be below its adaptive target
-    committed = 0.0  # sum of loads[0:b], frozen once the pointer passes
-    for k, c in enumerate(costs.tolist()):
-        while b < p and loads[b] >= (total - committed) / (p - b):
-            committed += loads[b]
-            b += 1
-        if b < p:
-            placed = b
-        else:  # every bin full: overflow to the least-loaded (first minimum)
-            placed = min(range(p), key=loads.__getitem__)
-        loads[placed] += c
-        assignment[k] = placed
-    return BinPacking(assignment=assignment, loads=np.asarray(loads, dtype=np.float64))
+    assignment, loads = first_fit(costs.tolist(), p)
+    return BinPacking(
+        assignment=np.asarray(assignment, dtype=INDEX_DTYPE),
+        loads=np.asarray(loads, dtype=np.float64),
+    )
 
 
 def first_fit_pack_reference(item_costs: Sequence[float] | np.ndarray, p: int) -> BinPacking:

@@ -14,7 +14,8 @@ Pipeline:
 2. *LBP wavefront coarsening* — merge wavefronts of ``G''`` under the PGP
    threshold with first-fit bin packing (:mod:`repro.core.lbp`).
 3. Expansion back to original iteration ids, smallest-id-first inside each
-   bin (the spatial-locality rule of Section IV-C).
+   bin (the spatial-locality rule of Section IV-C): a few array passes over
+   the flat LBP result, all coarsened wavefronts at once.
 
 The stages live in :mod:`repro.passes.hdagg` as a declarative pass group
 with per-stage contracts, run by the one scheduler driver
@@ -27,8 +28,6 @@ defaults are the paper's algorithm.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..graph.coarsen import Grouping
@@ -37,7 +36,7 @@ from ..passes import build_hdagg_group, run_scheduler
 from ..sparse.csr import INDEX_DTYPE
 from .lbp import LBPResult
 from .pgp import DEFAULT_EPSILON
-from .schedule import Schedule, bucket_level, stack_levels
+from .schedule import Schedule, ptr_from_counts
 
 __all__ = ["hdagg", "expand_lbp_to_schedule"]
 
@@ -50,33 +49,6 @@ def _grouping_csr(grouping: Grouping) -> tuple[np.ndarray, np.ndarray]:
     ptr = np.zeros(grouping.n_groups + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(labels, minlength=grouping.n_groups), out=ptr[1:])
     return ptr, flat
-
-
-def _expand_cw(
-    cw, fine_grained: bool, gptr: np.ndarray, gflat: np.ndarray,
-    gsize: np.ndarray, p: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand one coarsened wavefront into its width-partitions.
-
-    Expands the whole coarsened wavefront at once: gather every member
-    vertex, tag it with its target bucket (bin, or component in
-    fine-grained mode), and :func:`bucket_level` sorts by (bucket, id)
-    into each partition's smallest-id-first vertex run.  Returns the
-    ``(vertices, sizes, cores)`` block of :func:`stack_levels`.  Shared by
-    the full expansion and the incremental repair path, which re-expands
-    only the coarsened wavefronts inside the dirty window.
-    """
-    sizes = np.asarray([c.shape[0] for c in cw.components], dtype=INDEX_DTYPE)
-    coarse_all = np.concatenate(cw.components)
-    comp_of_coarse = np.repeat(np.arange(sizes.shape[0], dtype=INDEX_DTYPE), sizes)
-    if fine_grained:
-        bucket_of_coarse = comp_of_coarse
-        cores = np.full(sizes.shape[0], -1, dtype=INDEX_DTYPE)
-    else:
-        bucket_of_coarse = cw.packing.assignment[comp_of_coarse]
-        cores = np.arange(p, dtype=INDEX_DTYPE)
-    verts = gather_slices(gptr, gflat, coarse_all)
-    return bucket_level(verts, np.repeat(bucket_of_coarse, gsize[coarse_all]), cores)
 
 
 def expand_lbp_to_schedule(
@@ -95,18 +67,43 @@ def expand_lbp_to_schedule(
     width-partition pinned to that bin's core.  Fine-grained mode
     (Lines 36-38): every connected component becomes its own width-partition
     with ``core = -1`` for dynamic placement.
+
+    All coarsened wavefronts at once, on the flat LBP arrays: one gather
+    lists every coarse vertex's members, each member is tagged with its
+    partition key (``wavefront * p + bin``, or its component in
+    fine-grained mode — both increase with the wavefront), and one lexsort
+    orders the members by (key, id): runs of one key are the partitions,
+    smallest id first (Section IV-C).
     """
     gptr, gflat = _grouping_csr(grouping)
-    gsize = np.diff(gptr)
-
-    blocks = [
-        _expand_cw(cw, lbp.fine_grained, gptr, gflat, gsize, p)
-        for cw in lbp.coarsened
-        if cw.components
-    ]
+    comp_sizes = np.diff(lbp.comp_ptr)
+    cw_of_comp = np.repeat(
+        np.arange(lbp.n_coarsened, dtype=INDEX_DTYPE), np.diff(lbp.cw_ptr)
+    )
+    if lbp.fine_grained:
+        key = np.arange(comp_sizes.shape[0], dtype=INDEX_DTYPE)
+    else:
+        key = cw_of_comp * p + lbp.comp_bin
+    coarse = lbp.vertices
+    verts = gather_slices(gptr, gflat, coarse)
+    vkey = np.repeat(np.repeat(key, comp_sizes), np.diff(gptr)[coarse])
+    order = np.lexsort((verts, vkey))
+    vkey = vkey[order]
+    starts = np.flatnonzero(np.diff(vkey, prepend=-1))
+    part_key = vkey[starts]
+    if lbp.fine_grained:
+        part_core = np.full(part_key.shape[0], -1, dtype=INDEX_DTYPE)
+        part_level = cw_of_comp[part_key]
+    else:
+        part_core = part_key % p
+        part_level = part_key // p
+    widths = np.bincount(part_level)
     return Schedule(
         n=n,
-        **stack_levels(b for b in blocks if b[1].shape[0]),
+        order=verts[order],
+        part_ptr=np.append(starts, vkey.shape[0]),
+        part_core=part_core,
+        level_ptr=ptr_from_counts(widths[widths > 0]),
         sync=sync,
         algorithm=algorithm,
         n_cores=p,

@@ -18,10 +18,11 @@ inspection instead:
    (clean rows are id-remapped from the old ``G''``), re-walks LBP only
    across the dirty wavefront window (reusing the old walk's prefix and
    suffix verbatim — the walk's state fully resets at every cut, so clean
-   cut-to-cut spans replay bit-for-bit), and re-expands only the window's
-   coarsened wavefronts.
+   cut-to-cut spans replay bit-for-bit), and expands the spliced flat
+   LBP result in a few array passes.
 3. :func:`repairable` decides, from a pass group's repair plan alone,
-   whether this splice applies to it; the schedule cache's reuse ladder
+   whether this splice applies to it, :func:`repair_pays` whether it pays
+   on this platform; when both hold, the schedule cache's reuse ladder
    (:meth:`~repro.core.schedule_cache.ScheduleCache.acquire`) turns an
    exact-key miss whose *parameter family* (kernel, algorithm, ``p``,
    ``epsilon``, backend, options) was seen before into a repair instead of
@@ -39,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,11 +58,12 @@ from ..passes import (
     seed_context,
 )
 from ..sparse.csr import INDEX_DTYPE
+from .backends import active_tier
 from .backends.compiled import wavefronts_compiled
-from .hdagg import _expand_cw, _grouping_csr
-from .lbp import CoarsenedWavefront, LBPDecision, LBPResult, _RangeComponents
-from .pgp import DEFAULT_EPSILON, pgp
-from .schedule import Schedule, stack_levels
+from .hdagg import _grouping_csr, expand_lbp_to_schedule
+from .lbp import LBPDecision, LBPResult, _FlatBuilder, _Walk
+from .pgp import DEFAULT_EPSILON
+from .schedule import Schedule
 from .schedule_cache import ScheduleCache
 
 __all__ = [
@@ -74,6 +76,7 @@ __all__ = [
     "RepairResult",
     "repair_schedule",
     "repairable",
+    "repair_pays",
     "IncrementalScheduleCache",
     "family_key",
 ]
@@ -255,13 +258,7 @@ def artifacts_from_context(
     ctx: PassContext, g: DAG, p: int, epsilon: float, options: Optional[dict] = None
 ) -> InspectionArtifacts:
     """The :class:`InspectionArtifacts` of one finished hdagg pass-group run."""
-    empty_lbp = LBPResult(
-        coarsened=[],
-        waves=compute_wavefronts(DAG.empty(0)),
-        fine_grained=False,
-        accumulated_pgp=0.0,
-        decisions=[],
-    )
+    empty_lbp = _FlatBuilder(p).result(compute_wavefronts(DAG.empty(0)), [], epsilon, False)
     return InspectionArtifacts(
         g=g,
         cost=ctx["Cost"],
@@ -303,6 +300,14 @@ def repairable(group: PassGroup) -> bool:
     return _splices_here(plan_repair(group, _DIRTY))
 
 
+def repair_pays() -> bool:
+    """True on the numpy tier only.  A repair re-runs transitive reduction,
+    aggregation and the expansion and saves only ``coarsen`` and ``lbp``,
+    which the compiled stages make cheap: there a full inspection costs
+    ~0.4x of a repair, so the schedule cache inspects a near-miss afresh."""
+    return active_tier() == "numpy"
+
+
 @dataclass
 class RepairResult:
     """Outcome of :func:`repair_schedule`.
@@ -334,27 +339,6 @@ def _full_repair(
     return RepairResult(
         schedule=art.schedule, mode="full", artifacts=art, stats={"reason": reason}
     )
-
-
-def _map_cw(cw: CoarsenedWavefront, pi_old2new: np.ndarray, identity: bool) -> CoarsenedWavefront:
-    """Old coarsened wavefront under the group renumbering (order-preserving)."""
-    if identity:
-        return cw
-    comps = [np.ascontiguousarray(pi_old2new[c]) for c in cw.components]
-    return CoarsenedWavefront(
-        wave_lo=cw.wave_lo, wave_hi=cw.wave_hi, components=comps, packing=cw.packing
-    )
-
-
-def _map_level(
-    schedule: Schedule, k: int, row_map: np.ndarray, identity: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level ``k`` of the old schedule as a :func:`stack_levels` block,
-    under the vertex renumbering (order-preserving)."""
-    lo, hi = int(schedule.level_ptr[k]), int(schedule.level_ptr[k + 1])
-    ptr = schedule.part_ptr[lo : hi + 1]
-    verts = schedule.order[ptr[0] : ptr[-1]]
-    return (verts if identity else row_map[verts]), np.diff(ptr), schedule.part_core[lo:hi]
 
 
 def repair_schedule(
@@ -400,7 +384,7 @@ def repair_schedule(
         return _full_repair(old, g_new, cost_new, "empty pattern")
     if old.schedule.fine_grained:
         return _full_repair(old, g_new, cost_new, "fine-grained schedule")
-    if old.schedule.n_levels != len(old.lbp.coarsened):
+    if old.schedule.n_levels != old.lbp.n_coarsened:
         return _full_repair(old, g_new, cost_new, "schedule/LBP shape mismatch")
 
     opts = old.options
@@ -553,53 +537,59 @@ def repair_schedule(
         wave_clean[:m] = (unclean_at[:m] == 0) & (
             waves_new.sizes()[:m] == old.lbp.waves.sizes()[:m]
         )
-    old_cws = old.lbp.coarsened
-    old_dec = list(old.lbp.decisions or [])
-    old_cut_index = {cw.wave_lo: k for k, cw in enumerate(old_cws)}
-    last_old = len(old_cws) - 1
+    old_lbp = old.lbp
+    wave_ptr_old = old_lbp.wave_ptr.tolist()
+    old_dec = list(old_lbp.decisions)
+    old_cut_index = {lo: k for k, lo in enumerate(wave_ptr_old[:-1])}
+    last_old = len(wave_ptr_old) - 2
 
     def reusable(k: int) -> bool:
         """Can old coarsened wavefront ``k`` replay verbatim?
 
         Its whole span must be clean, and so must the wave its failed
-        merge candidate peeked at (``wave_hi``); the last old wavefront
-        has no failed candidate but must still end the new walk.
+        merge candidate peeked at (its end); the last old wavefront has no
+        failed candidate but must still end the new walk.
         """
-        cw = old_cws[k]
+        lo, hi = wave_ptr_old[k], wave_ptr_old[k + 1]
         if k == last_old:
-            return cw.wave_hi == l_new and bool(
-                np.all(wave_clean[cw.wave_lo : cw.wave_hi])
-            )
-        return cw.wave_hi < l_new and bool(
-            np.all(wave_clean[cw.wave_lo : cw.wave_hi + 1])
-        )
+            return hi == l_new and bool(np.all(wave_clean[lo:hi]))
+        return hi < l_new and bool(np.all(wave_clean[lo : hi + 1]))
+
+    # the old flat arrays under the group renumbering (order-preserving),
+    # as lists a replayed wavefront is sliced from
+    old_vertices = old_lbp.vertices if identity_pi else pi_old2new[old_lbp.vertices]
+    old_vertices = old_vertices.tolist()
+    cp, kp = old_lbp.comp_ptr.tolist(), old_lbp.cw_ptr.tolist()
+    old_sizes = np.diff(old_lbp.comp_ptr).tolist()
+    old_bins = old_lbp.comp_bin.tolist()
+    old_loads = old_lbp.loads.tolist()
 
     # Merge loop over cut-to-cut segments.  Invariant at the top: the full
     # walk on the new inputs has a cut exactly at ``pos`` (or starts
     # there).  Clean old segments cut at an old cut position replay
     # verbatim (the walk's state fully resets at a cut); dirty stretches
     # are re-walked live until they re-synchronise with an old cut.
-    coarsened_new: List[CoarsenedWavefront] = []
+    out = _FlatBuilder(p)
     dec_new: List[LBPDecision] = []
-    #: per-emitted-wavefront origin: old index when replayed, -1 when live
-    origin: List[int] = []
-    cc = None
+    n_reused = 0
+    walk = None
     pos = 0
     while pos < l_new:
         k = old_cut_index.get(pos)
         if k is not None and reusable(k):
-            cw = old_cws[k]
-            coarsened_new.append(_map_cw(cw, pi_old2new, identity_pi))
-            origin.append(k)
-            # decisions for waves pos+1 .. wave_hi (incl. the cut at
-            # wave_hi that ended this segment, when there is one)
-            stop = cw.wave_hi if k != last_old else l_new - 1
-            dec_new.extend(old_dec[pos:stop])
-            pos = cw.wave_hi
+            hi = wave_ptr_old[k + 1]
+            c0, c1 = kp[k], kp[k + 1]
+            out.add(pos, old_vertices[cp[c0] : cp[c1]], old_sizes[c0:c1],
+                    old_bins[c0:c1], old_loads[k])
+            n_reused += 1
+            # decisions for waves pos+1 .. hi (incl. the cut at hi that
+            # ended this segment, when there is one)
+            dec_new.extend(old_dec[pos : hi if k != last_old else l_new - 1])
+            pos = hi
             continue
         # live walk from the cut at ``pos`` until the next cut
-        if cc is None:
-            cc = _RangeComponents(g2_new, waves_new, group_cost_new, p)
+        if walk is None:
+            walk = _Walk(g2_new, waves_new, group_cost_new, p, out)
         # Clean-prefix skip: when an old coarsened wavefront also started
         # at ``pos``, every clean wave at its front was merged by the old
         # walk, and the walk state is path-independent (components are
@@ -609,80 +599,36 @@ def repair_schedule(
         # wave by wave — only the genuinely dirty tail is walked live.
         w = pos + 1
         if k is not None:
-            stop_old = min(old_cws[k].wave_hi, l_new)
+            stop_old = min(wave_ptr_old[k + 1], l_new)
             w = pos
             while w < stop_old and wave_clean[w]:
                 w += 1
             w = max(w, pos + 1)
-        cc.seed(pos, w)
         dec_new.extend(old_dec[pos : w - 1])
-        prev = cc.candidate()
-        i = w
-        cut_at = None
-        while i < l_new:
-            cc.extend(i + 1)
-            cand = cc.candidate()
-            score = pgp(cand.packing.loads)
-            if score > epsilon:
-                dec_new.append(LBPDecision(wave=i, pgp=score, merged=False))
-                cut_at = i
-                break
-            dec_new.append(LBPDecision(wave=i, pgp=score, merged=True))
-            prev = cand
-            i += 1
-        coarsened_new.append(prev.materialize())
-        origin.append(-1)
-        pos = cut_at if cut_at is not None else l_new
-    n_reused = sum(1 for k in origin if k >= 0)
+        pos = walk.segment(pos, w, epsilon, dec_new)
 
     # Lines 36-38 over the final list; loads of reused wavefronts are the
-    # old float arrays, so the Python-sum accumulation replays bit-for-bit
-    total_mean = sum(float(cw.packing.loads.mean()) for cw in coarsened_new)
-    total_max = sum(float(cw.packing.loads.max()) for cw in coarsened_new)
-    accumulated = 1.0 - total_mean / total_max if total_max > 0 else 0.0
-    fine = bool(opts["bin_pack"]) is False or accumulated > epsilon
-    lbp_new = LBPResult(
-        coarsened=coarsened_new,
-        waves=waves_new,
-        fine_grained=fine,
-        accumulated_pgp=accumulated,
-        decisions=dec_new,
-    )
+    # old floats, so the accumulation replays bit-for-bit
+    lbp_new = out.result(waves_new, dec_new, epsilon, True)
+    lbp_new.fine_grained |= not opts["bin_pack"]
     seconds["lbp"] = time.perf_counter() - t0
 
-    # ---- expansion splice ---------------------------------------------
+    # ---- expansion: a few array passes over the whole result ----------
     t0 = time.perf_counter()
-    gsize = np.diff(gptr)
-    identity_rows = delta.is_identity
-    # a flipped packing flag changes bucket shapes everywhere: replay nothing
-    replay = origin if fine == old.schedule.fine_grained else [-1] * len(origin)
-    levels = [
-        _map_level(old.schedule, org, delta.row_map, identity_rows)
-        if org >= 0
-        else _expand_cw(cw, fine, gptr, gflat, gsize, p)
-        for cw, org in zip(coarsened_new, replay)
-        if org >= 0 or cw.components
-    ]
     meta = {
         "n_groups": n_groups_new,
         "n_edges_original": g_new.n_edges,
         "n_edges_reduced": g_base_new.n_edges,
         "n_coarse_vertices": g2_new.n,
-        "n_coarse_wavefronts": len(coarsened_new),
+        "n_coarse_wavefronts": lbp_new.n_coarsened,
         "n_wavefronts": l_new,
-        "accumulated_pgp": accumulated,
+        "accumulated_pgp": lbp_new.accumulated_pgp,
         "cut_positions": lbp_new.cut_positions,
         "epsilon": epsilon,
         "backend": backend,
     }
-    schedule = Schedule(
-        n=g_new.n,
-        **stack_levels(level for level in levels if level[1].shape[0]),
-        sync=opts["sync"],
-        algorithm="hdagg",
-        n_cores=p,
-        fine_grained=fine,
-        meta=meta,
+    schedule = expand_lbp_to_schedule(
+        lbp_new, grouping_new, g_new.n, p, sync=opts["sync"], meta=meta
     )
     seconds["expand"] = time.perf_counter() - t0
     schedule.meta["stage_seconds"] = dict(seconds)
@@ -705,7 +651,7 @@ def repair_schedule(
         "n_dirty_groups": n_dirty,
         "n_matched_groups": int(mids.size),
         "n_reused_cws": n_reused,
-        "n_live_cws": len(coarsened_new) - n_reused,
+        "n_live_cws": lbp_new.n_coarsened - n_reused,
         "seconds": seconds,
         "plan": plan_stats,
     }

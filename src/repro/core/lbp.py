@@ -18,20 +18,32 @@ merge with the next wavefront results in load imbalance".
 Lines 36-38: if the PGP accumulated across all coarsened wavefronts still
 exceeds ``ε``, bin packing is disabled and every connected component becomes
 a fine-grained task for the runtime scheduler to balance dynamically.
+
+:func:`lbp_coarsen` runs the walk on Python scalars: a union-find over
+plain lists whose roots carry their component's cost sum, first-fit over
+the sorted roots per merge candidate.  The incremental repair re-walks
+dirty stretches with the same :class:`_Walk`.  The result is flat
+(:class:`LBPResult`): one vertex array in (coarsened wavefront, component,
+id) order with pointers, a bin per component and a ``(n_cw, p)`` loads
+array, which the expansion and the compiled tier share.
+:func:`lbp_coarsen_reference` recomputes every candidate from scratch and
+is the oracle; the two agree bit for bit when costs are integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.connected_components import components_as_lists
-from ..graph.dag import DAG, gather_slices
+from ..graph.dag import DAG
 from ..graph.wavefronts import Wavefronts, compute_wavefronts
-from .binpack import BinPacking, first_fit_pack, first_fit_pack_reference
-from .pgp import DEFAULT_EPSILON, pgp
+from ..sparse.csr import INDEX_DTYPE
+from .binpack import BinPacking, first_fit, first_fit_pack_reference
+from .pgp import DEFAULT_EPSILON, pgp, pgp_of_loads
+from .schedule import ptr_from_counts
 
 __all__ = [
     "CoarsenedWavefront",
@@ -44,7 +56,7 @@ __all__ = [
 
 @dataclass
 class CoarsenedWavefront:
-    """One merged wavefront range with its packing.
+    """One merged wavefront range with its packing (a view of :class:`LBPResult`).
 
     ``components`` are arrays of *coarse* vertex ids (ordered by smallest
     member); ``packing.assignment[k]`` is the bin of ``components[k]``.
@@ -54,10 +66,6 @@ class CoarsenedWavefront:
     wave_hi: int  # exclusive
     components: List[np.ndarray]
     packing: BinPacking
-
-    @property
-    def n_waves(self) -> int:
-        return self.wave_hi - self.wave_lo
 
     @property
     def pgp(self) -> float:
@@ -75,170 +83,228 @@ class LBPDecision:
 
 @dataclass
 class LBPResult:
-    """Outcome of LBP coarsening over ``G''``."""
+    """Outcome of LBP coarsening over ``G''``, as flat arrays.
 
-    coarsened: List[CoarsenedWavefront]
+    Coarsened wavefront ``i`` spans wavefronts ``wave_ptr[i]:wave_ptr[i+1]``
+    and owns components ``cw_ptr[i]:cw_ptr[i+1]``.  Component ``k`` is
+    ``vertices[comp_ptr[k]:comp_ptr[k+1]]`` (coarse ids, ascending; the
+    components of one coarsened wavefront ordered by smallest member) and is
+    packed into bin ``comp_bin[k]``.  ``loads[i]`` holds wavefront ``i``'s
+    ``p`` bin loads.
+    """
+
+    vertices: np.ndarray
+    comp_ptr: np.ndarray
+    comp_bin: np.ndarray
+    cw_ptr: np.ndarray
+    wave_ptr: np.ndarray
+    loads: np.ndarray  # (n_coarsened, p)
     waves: Wavefronts
     fine_grained: bool
     accumulated_pgp: float
     #: the merge/cut choice made at every wavefront (the paper's Figure 3
     #: highlighted path); empty for <= 1 wavefront
-    decisions: List[LBPDecision] = None
+    decisions: List[LBPDecision]
+
+    @classmethod
+    def assemble(
+        cls, vertices, comp_ptr, comp_bin, cw_ptr, wave_ptr, loads: np.ndarray,
+        waves: Wavefronts, decisions: List[LBPDecision], epsilon: float,
+        allow_fine_grained: bool,
+    ) -> "LBPResult":
+        """The result of one walk, with Lines 36-38 applied to its loads:
+        the imbalance accumulated across all coarsened wavefronts (means
+        and maxes summed in wavefront order) decides fine-grained mode."""
+        accumulated, fine = 0.0, False
+        if loads.shape[0]:
+            total_mean = sum(loads.mean(axis=1).tolist())
+            total_max = sum(loads.max(axis=1).tolist())
+            accumulated = 1.0 - total_mean / total_max if total_max > 0 else 0.0
+            fine = allow_fine_grained and accumulated > epsilon
+        return cls(
+            vertices=vertices, comp_ptr=comp_ptr, comp_bin=comp_bin, cw_ptr=cw_ptr,
+            wave_ptr=wave_ptr, loads=loads, waves=waves, fine_grained=fine,
+            accumulated_pgp=accumulated, decisions=decisions,
+        )
+
+    @property
+    def n_coarsened(self) -> int:
+        """Number of coarsened wavefronts."""
+        return self.wave_ptr.shape[0] - 1
 
     @property
     def cut_positions(self) -> List[int]:
         """Wavefront indices where cuts were placed."""
-        return [cw.wave_lo for cw in self.coarsened[1:]]
+        return self.wave_ptr[1:-1].tolist()
+
+    @property
+    def coarsened(self) -> List[CoarsenedWavefront]:
+        """Per-wavefront views (component arrays and packings), built on demand."""
+        cp, kp, wp = self.comp_ptr.tolist(), self.cw_ptr.tolist(), self.wave_ptr.tolist()
+        return [
+            CoarsenedWavefront(
+                wave_lo=wp[i],
+                wave_hi=wp[i + 1],
+                components=[self.vertices[cp[k] : cp[k + 1]] for k in range(kp[i], kp[i + 1])],
+                packing=BinPacking(self.comp_bin[kp[i] : kp[i + 1]], self.loads[i]),
+            )
+            for i in range(self.n_coarsened)
+        ]
 
 
-def _pack_range(
-    g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int, lo: int, hi: int
-) -> CoarsenedWavefront:
-    """``BinPack(CC(W[lo:hi]), C, p)`` — Lines 23/25 of Algorithm 1, from
-    scratch, with the reference loops throughout."""
-    verts = waves.vertices_in_range(lo, hi)
-    components = components_as_lists(g2, verts)
-    comp_costs = np.array([float(cost[c].sum()) for c in components], dtype=np.float64)
-    packing = first_fit_pack_reference(comp_costs, p)
-    return CoarsenedWavefront(wave_lo=lo, wave_hi=hi, components=components, packing=packing)
+class _FlatBuilder:
+    """Emitted coarsened wavefronts, appended as flat Python lists."""
 
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self.vertices: List[int] = []
+        self.sizes: List[int] = []
+        self.bins: List[int] = []
+        self.n_comps: List[int] = []
+        self.wave_lo: List[int] = []
+        self.loads: List[float] = []
 
-@dataclass
-class _RangeCandidate:
-    """One evaluated merge candidate: packing now, component lists on demand."""
+    def add(
+        self, lo: int, vertices: Sequence[int], sizes: Sequence[int],
+        bins: Sequence[int], loads: Sequence[float],
+    ) -> None:
+        """Append the coarsened wavefront starting at wavefront ``lo``."""
+        self.wave_lo.append(lo)
+        self.vertices.extend(vertices)
+        self.sizes.extend(sizes)
+        self.bins.extend(bins)
+        self.n_comps.append(len(bins))
+        self.loads.extend(loads)
 
-    wave_lo: int
-    wave_hi: int
-    sorted_verts: np.ndarray  # range vertices sorted by (component, id)
-    boundaries: np.ndarray  # component starts within ``sorted_verts`` (without 0)
-    packing: BinPacking
-
-    def materialize(self) -> CoarsenedWavefront:
-        """Build the emitted :class:`CoarsenedWavefront` (lists built here only)."""
-        sv = self.sorted_verts
-        if sv.size == 0:
-            components: List[np.ndarray] = []
-        else:
-            # plain slice pairs, not np.split: split's per-piece swapaxes
-            # overhead dominates when components are tiny and plentiful
-            cuts = self.boundaries.tolist()
-            starts = [0] + cuts
-            ends = cuts + [sv.shape[0]]
-            components = [np.ascontiguousarray(sv[a:b]) for a, b in zip(starts, ends)]
-        return CoarsenedWavefront(
-            wave_lo=self.wave_lo,
-            wave_hi=self.wave_hi,
-            components=components,
-            packing=self.packing,
+    def result(
+        self, waves: Wavefronts, decisions: List[LBPDecision], epsilon: float,
+        allow_fine_grained: bool,
+    ) -> LBPResult:
+        return LBPResult.assemble(
+            np.asarray(self.vertices, dtype=INDEX_DTYPE),
+            ptr_from_counts(self.sizes),
+            np.asarray(self.bins, dtype=INDEX_DTYPE),
+            ptr_from_counts(self.n_comps),
+            np.asarray(self.wave_lo + [waves.n_levels], dtype=INDEX_DTYPE),
+            np.asarray(self.loads, dtype=np.float64).reshape(-1, self.p),
+            waves, decisions, epsilon, allow_fine_grained,
         )
 
 
-class _RangeComponents:
-    """Incremental ``CC(W[lo:hi])`` over a growing wavefront range.
+class _Walk:
+    """The LBP walk over one ``G''`` on Python scalars.
 
-    LBP only ever *extends* the candidate range by one wavefront or resets
-    it to a single wavefront after a cut, so the connected components are
-    maintained with a warm-started hook-and-jump union over just the edges
-    the newest wavefront brings in, instead of re-running Shiloach-Vishkin
-    over the whole range for every merge candidate.  Roots are component
-    minima (hooking always points at the smaller root), reproducing the
-    from-scratch labels exactly.
+    The candidate range ``W[lo:hi]`` is a union-find over plain lists whose
+    roots are component minima; each root carries its component's cost sum
+    and size, added up in union order.  Extending the range unions only the
+    new wavefronts' in-edges whose source is in the range, and a candidate
+    is first-fit over the components in ``sorted(roots)`` order — smallest
+    member first, as the reference orders them.  Component sums are exact,
+    and so equal the reference's ``np.sum`` over sorted members, whenever
+    costs are integers with a total below 2^53 (every cost model here).
     """
 
-    def __init__(self, g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int) -> None:
-        self.g2 = g2
-        self.waves = waves
-        self.cost = cost
+    def __init__(self, g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int,
+                 out: _FlatBuilder) -> None:
         self.p = p
-        self.level = waves.level
-        self.parent = np.arange(g2.n, dtype=self.level.dtype)
-        self.lo = 0
-        self.hi = 0
-        self.verts = np.empty(0, dtype=self.parent.dtype)
+        self.out = out
+        self.in_ptr = g2.in_ptr.tolist()
+        self.in_idx = g2.in_idx.tolist()
+        self.level = waves.level.tolist()
+        self.order = waves.order.tolist()
+        self.wptr = waves.ptr.tolist()
+        self.cost = cost.tolist()
+        self.parent = list(range(g2.n))
+        self.csum = [0.0] * g2.n
+        self.csize = [0] * g2.n
+        self.roots: set = set()
+        self.lo = self.hi = 0
 
     def seed(self, lo: int, hi: int) -> None:
         """Reset the range to ``W[lo:hi]`` (entries outside it become stale)."""
-        self.lo, self.hi = lo, hi
-        self.verts = self.waves.vertices_in_range(lo, hi)
-        self.parent[self.verts] = self.verts
-        self._union_incoming(self.verts)
+        self.lo = self.hi = lo
+        self.roots = set()
+        self.extend(hi)
 
-    def extend(self, new_hi: int) -> None:
-        """Grow the range to ``W[lo:new_hi]``."""
-        new_verts = self.waves.vertices_in_range(self.hi, new_hi)
-        self.hi = new_hi
-        self.parent[new_verts] = new_verts
-        self.verts = np.concatenate((self.verts, new_verts))
-        self._union_incoming(new_verts)
+    def extend(self, hi: int) -> None:
+        """Grow the range to ``W[lo:hi]``."""
+        parent, csum, csize, cost = self.parent, self.csum, self.csize, self.cost
+        level, in_ptr, in_idx, lo = self.level, self.in_ptr, self.in_idx, self.lo
+        wptr, order = self.wptr, self.order
+        new = order[wptr[self.hi] : wptr[hi]]
+        for v in new:
+            parent[v] = v
+            csum[v] = cost[v]
+            csize[v] = 1
+        roots = self.roots
+        roots.update(new)
+        # wavefront ``lo``'s in-edges all come from below the range
+        linked = order[wptr[max(self.hi, lo + 1)] : wptr[max(hi, lo + 1)]]
+        self.hi = hi
+        for v in linked:
+            for s in in_idx[in_ptr[v] : in_ptr[v + 1]]:
+                if level[s] < lo:
+                    continue
+                while parent[s] != s:  # find with path halving
+                    parent[s] = s = parent[parent[s]]
+                r = v
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                if s == r:
+                    continue
+                if s > r:
+                    s, r = r, s
+                parent[r] = s
+                csum[s] += csum[r]
+                csize[s] += csize[r]
+                roots.discard(r)
 
-    def _union_incoming(self, new_verts: np.ndarray) -> None:
-        """Union the in-edges of ``new_verts`` whose source is inside the range."""
-        g2 = self.g2
-        counts = g2.in_ptr[new_verts + 1] - g2.in_ptr[new_verts]
-        srcs = gather_slices(g2.in_ptr, g2.in_idx, new_verts)
-        if srcs.size == 0:
-            return
-        dsts = np.repeat(new_verts, counts)
-        keep = self.level[srcs] >= self.lo  # sources above lo are in range
-        srcs, dsts = srcs[keep], dsts[keep]
-        parent = self.parent
-        while srcs.size:
-            ps, pd = parent[srcs], parent[dsts]
-            lo_r = np.minimum(ps, pd)
-            hi_r = np.maximum(ps, pd)
-            active = lo_r != hi_r
-            if not np.any(active):
+    def pack(self) -> Tuple[List[int], List[int], List[float], float]:
+        """``(roots, bins, loads, pgp)`` of the current range (Lines 23/25)."""
+        roots = sorted(self.roots)
+        bins, loads = first_fit(list(map(self.csum.__getitem__, roots)), self.p)
+        return roots, bins, loads, pgp_of_loads(loads)
+
+    def segment(self, lo: int, hi: int, epsilon: float, decisions: List[LBPDecision]) -> int:
+        """Walk from a cut at ``lo`` with ``W[lo:hi]`` already merged: keep
+        merging while the PGP stays within ``epsilon`` (Lines 24-35), emit
+        the coarsened wavefront, and return where the next one starts."""
+        self.seed(lo, hi)
+        roots, bins, loads, _ = self.pack()
+        n_levels = len(self.wptr) - 1
+        i = hi
+        while i < n_levels:
+            self.extend(i + 1)
+            cand = self.pack()
+            score = cand[3]
+            if score > epsilon:  # Line 26: cut before the wave that broke balance
+                decisions.append(LBPDecision(wave=i, pgp=score, merged=False))
+                self.seed(lo, i)  # re-derive the emitted range's components
                 break
-            np.minimum.at(parent, hi_r[active], lo_r[active])
-            v = self.verts
-            while True:
-                pv = parent[v]
-                ppv = parent[pv]
-                if np.array_equal(ppv, pv):
-                    break
-                parent[v] = ppv
+            decisions.append(LBPDecision(wave=i, pgp=score, merged=True))
+            roots, bins, loads, _ = cand  # Line 34
+            i += 1
+        parent, n = self.parent, len(self.parent)
+        keys = []
+        for v in self.order[self.wptr[lo] : self.wptr[i]]:
+            r = v
+            while parent[r] != r:
+                r = parent[r]
+            keys.append(r * n + v)
+        keys.sort()  # (component, id) order
+        self.out.add(lo, [k % n for k in keys], [self.csize[r] for r in roots], bins, loads)
+        return i
 
-    def candidate(self) -> _RangeCandidate:
-        """Evaluate the current range: component costs and first-fit packing.
 
-        Component costs reproduce the reference's ``cost[members].sum()``
-        bit for bit (same gathered array, same ``np.sum`` pairwise
-        reduction), so packing decisions and the epsilon comparison can
-        never drift by a summation-order ulp.  Length-1/2 segments — the
-        overwhelming majority — are summed directly (provably identical to
-        ``np.sum`` there); longer segments call ``np.sum`` per segment.
-        """
-        roots = self.parent[self.verts]
-        # single int64 key sort == lexsort((verts, roots)): verts are unique,
-        # so root*n + vert orders by (root, vert) with no stability concerns
-        order = np.argsort(roots * np.int64(self.g2.n) + self.verts)
-        sv = np.ascontiguousarray(self.verts[order])
-        sr = roots[order]
-        if sv.size == 0:
-            boundaries = np.empty(0, dtype=np.int64)
-        else:
-            boundaries = np.flatnonzero(sr[1:] != sr[:-1]) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        ends = np.concatenate((boundaries, np.array([sv.shape[0]], dtype=np.int64)))
-        lengths = ends - starts
-        cost_sv = self.cost[sv]
-        comp_costs = np.empty(starts.shape[0], dtype=np.float64)
-        one = lengths == 1
-        comp_costs[one] = cost_sv[starts[one]]
-        two = lengths == 2
-        comp_costs[two] = cost_sv[starts[two]] + cost_sv[starts[two] + 1]
-        for k in np.flatnonzero(lengths > 2).tolist():
-            comp_costs[k] = cost_sv[starts[k] : ends[k]].sum()
-        if sv.size == 0:
-            comp_costs = np.empty(0, dtype=np.float64)
-        packing = first_fit_pack(comp_costs, self.p)
-        return _RangeCandidate(
-            wave_lo=self.lo,
-            wave_hi=self.hi,
-            sorted_verts=sv,
-            boundaries=boundaries,
-            packing=packing,
-        )
+def _check_inputs(g2: DAG, cost: np.ndarray, p: int) -> np.ndarray:
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.shape[0] != g2.n:
+        raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if np.any(cost < 0):
+        raise ValueError("costs must be non-negative")
+    return cost
 
 
 def lbp_coarsen(
@@ -255,51 +321,31 @@ def lbp_coarsen(
     load-balance threshold.  ``allow_fine_grained=False`` suppresses the
     Lines 36-38 fallback (used by ablation benchmarks).
 
-    Fast path: merge candidates share one incremental component structure
-    (see :class:`_RangeComponents`); the decision walk and every emitted
-    coarsened wavefront match :func:`lbp_coarsen_reference`.
+    One scalar walk (:class:`_Walk`) evaluates every merge candidate; its
+    decisions, windows, components and packings equal
+    :func:`lbp_coarsen_reference`'s, bit for bit when costs are integers.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.shape[0] != g2.n:
-        raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
+    cost = _check_inputs(g2, cost, p)
     waves = compute_wavefronts(g2)
-    l = waves.n_levels
-    coarsened: List[CoarsenedWavefront] = []
+    out = _FlatBuilder(p)
     decisions: List[LBPDecision] = []
-    if l == 0:
-        return LBPResult(
-            coarsened=[], waves=waves, fine_grained=False,
-            accumulated_pgp=0.0, decisions=decisions,
-        )
+    walk = _Walk(g2, waves, cost, p, out)
+    pos = 0
+    while pos < waves.n_levels:
+        pos = walk.segment(pos, pos + 1, epsilon, decisions)
+    return out.result(waves, decisions, epsilon, allow_fine_grained)
 
-    cc = _RangeComponents(g2, waves, cost, p)
-    cc.seed(0, 1)
-    prev = cc.candidate()  # Line 23 seed
-    i = 1
-    while i < l:
-        cc.extend(i + 1)
-        cand = cc.candidate()  # Line 25
-        score = pgp(cand.packing.loads)
-        if score > epsilon:  # Line 26
-            decisions.append(LBPDecision(wave=i, pgp=score, merged=False))
-            coarsened.append(prev.materialize())  # Lines 27-31
-            cc.seed(i, i + 1)  # cut before the wavefront that broke balance
-            prev = cc.candidate()
-        else:
-            decisions.append(LBPDecision(wave=i, pgp=score, merged=True))
-            prev = cand  # Line 34
-        i += 1
-    coarsened.append(prev.materialize())
 
-    # Lines 36-38: accumulated imbalance across the whole schedule.
-    total_mean = sum(float(cw.packing.loads.mean()) for cw in coarsened)
-    total_max = sum(float(cw.packing.loads.max()) for cw in coarsened)
-    accumulated = 1.0 - total_mean / total_max if total_max > 0 else 0.0
-    fine = allow_fine_grained and accumulated > epsilon
-    return LBPResult(
-        coarsened=coarsened, waves=waves, fine_grained=fine,
-        accumulated_pgp=accumulated, decisions=decisions,
-    )
+def _pack_range(
+    g2: DAG, waves: Wavefronts, cost: np.ndarray, p: int, lo: int, hi: int
+) -> CoarsenedWavefront:
+    """``BinPack(CC(W[lo:hi]), C, p)`` — Lines 23/25 of Algorithm 1, from
+    scratch, with the reference loops throughout."""
+    verts = waves.vertices_in_range(lo, hi)
+    components = components_as_lists(g2, verts)
+    comp_costs = np.array([float(cost[c].sum()) for c in components], dtype=np.float64)
+    packing = first_fit_pack_reference(comp_costs, p)
+    return CoarsenedWavefront(wave_lo=lo, wave_hi=hi, components=components, packing=packing)
 
 
 def lbp_coarsen_reference(
@@ -312,42 +358,32 @@ def lbp_coarsen_reference(
 ) -> LBPResult:
     """Per-candidate from-scratch LBP with reference first-fit packing —
     the retained oracle for the fast path."""
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.shape[0] != g2.n:
-        raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
+    cost = _check_inputs(g2, cost, p)
     waves = compute_wavefronts(g2)
     l = waves.n_levels
-    coarsened: List[CoarsenedWavefront] = []
+    out = _FlatBuilder(p)
     decisions: List[LBPDecision] = []
-    if l == 0:
-        return LBPResult(
-            coarsened=[], waves=waves, fine_grained=False,
-            accumulated_pgp=0.0, decisions=decisions,
+
+    def emit(cw: CoarsenedWavefront) -> None:
+        out.add(
+            cw.wave_lo, np.concatenate(cw.components).tolist(),
+            [c.shape[0] for c in cw.components],
+            cw.packing.assignment.tolist(), cw.packing.loads.tolist(),
         )
 
-    cut = 0
-    prev = _pack_range(g2, waves, cost, p, 0, 1)  # Line 23 seed
-    i = 1
-    while i < l:
-        cand = _pack_range(g2, waves, cost, p, cut, i + 1)  # Line 25
-        score = pgp(cand.packing.loads)
-        if score > epsilon:  # Line 26
-            decisions.append(LBPDecision(wave=i, pgp=score, merged=False))
-            coarsened.append(prev)  # Lines 27-31 (single wave == prev here)
-            cut = i  # cut before the wavefront that broke balance
-            prev = _pack_range(g2, waves, cost, p, cut, i + 1)
-        else:
-            decisions.append(LBPDecision(wave=i, pgp=score, merged=True))
-            prev = cand  # Line 34
-        i += 1
-    coarsened.append(prev)
-
-    # Lines 36-38: accumulated imbalance across the whole schedule.
-    total_mean = sum(float(cw.packing.loads.mean()) for cw in coarsened)
-    total_max = sum(float(cw.packing.loads.max()) for cw in coarsened)
-    accumulated = 1.0 - total_mean / total_max if total_max > 0 else 0.0
-    fine = allow_fine_grained and accumulated > epsilon
-    return LBPResult(
-        coarsened=coarsened, waves=waves, fine_grained=fine,
-        accumulated_pgp=accumulated, decisions=decisions,
-    )
+    if l:
+        cut = 0
+        prev = _pack_range(g2, waves, cost, p, 0, 1)  # Line 23 seed
+        for i in range(1, l):
+            cand = _pack_range(g2, waves, cost, p, cut, i + 1)  # Line 25
+            score = pgp(cand.packing.loads)
+            if score > epsilon:  # Line 26
+                decisions.append(LBPDecision(wave=i, pgp=score, merged=False))
+                emit(prev)  # Lines 27-31 (single wave == prev here)
+                cut = i  # cut before the wavefront that broke balance
+                prev = _pack_range(g2, waves, cost, p, cut, i + 1)
+            else:
+                decisions.append(LBPDecision(wave=i, pgp=score, merged=True))
+                prev = cand  # Line 34
+        emit(prev)
+    return out.result(waves, decisions, epsilon, allow_fine_grained)

@@ -235,8 +235,9 @@ class ScheduleCache:
         ``"repaired"``
             an incremental repair of the family's last inspection, for a
             ``algorithm`` whose pass group :func:`~repro.core.incremental.repairable`
-            accepts.  A repair that fails (or, with ``validate``, is
-            refuted) falls through to inspection.
+            accepts where :func:`~repro.core.incremental.repair_pays` (no family
+            is kept elsewhere).  A repair that fails (or, with ``validate``,
+            is refuted) falls through to inspection.
         ``"full"``
             a fresh inspection — either the repair's own full fallback
             (its guards fired) or :func:`~repro.resilience.degrade.inspect_with_fallback`
@@ -259,9 +260,9 @@ class ScheduleCache:
 
         from ..passes import get_pass_group
         from ..resilience.degrade import inspect_with_fallback
-        from .incremental import artifacts_from_context, repairable
+        from .incremental import artifacts_from_context, repair_pays, repairable
 
-        can_repair = repairable(get_pass_group(algorithm))
+        can_repair = repair_pays() and repairable(get_pass_group(algorithm))
         old = self._families.get(family) if can_repair else None
         if old is not None:
             repaired = self._repair(key, family, old, g, cost, validate, budget)

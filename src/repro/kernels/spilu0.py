@@ -61,8 +61,8 @@ def _eliminate_ikj(a: CSRMatrix, rows) -> CSRMatrix:
     a ``col -> pos`` map: a dense list filled from the row and cleared after
     it, which is faster here than a per-row dict.  Every update is one
     multiply and one subtract on one entry, so no sum depends on the order.
-    A zero or NaN pivot raises :class:`KernelError` when a later row divides
-    by it.
+    Each row's pivot is checked once the row is finished, so a zero or NaN
+    pivot raises :class:`KernelError` even on a row no later row reads.
     """
     diag = _diag_positions(a).tolist()
     indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
@@ -73,12 +73,7 @@ def _eliminate_ikj(a: CSRMatrix, rows) -> CSRMatrix:
             pos_of[indices[p]] = p
         for t in range(lo, diag[i]):
             k = indices[t]
-            dk = data[diag[k]]
-            if dk == 0.0:
-                raise KernelError(f"spilu0: zero pivot at row {k}")
-            if dk != dk:
-                raise KernelError(f"spilu0: NaN pivot at row {k}")
-            lik = data[t] / dk
+            lik = data[t] / data[diag[k]]  # row k's pivot, checked when k finished
             data[t] = lik
             # subtract lik * U(k, j) for stored j > k present in row i
             for q in range(diag[k] + 1, indptr[k + 1]):
@@ -87,6 +82,11 @@ def _eliminate_ikj(a: CSRMatrix, rows) -> CSRMatrix:
                     data[p] -= lik * data[q]
         for p in range(lo, hi):
             pos_of[indices[p]] = -1
+        pivot = data[diag[i]]
+        if pivot == 0.0:
+            raise KernelError(f"spilu0: zero pivot at row {i}")
+        if pivot != pivot:
+            raise KernelError(f"spilu0: NaN pivot at row {i}")
     return a.with_data(np.array(data, dtype=VALUE_DTYPE))
 
 

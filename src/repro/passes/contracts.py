@@ -46,7 +46,11 @@ ARTIFACTS: Mapping[str, str] = {
     "CoarseDAG": "the coarsened DAG G'' with one vertex per group",
     "GroupCost": "per-group cost vector aligned with CoarseDAG vertex ids",
     "Wavefronts": "level decomposition of a DAG (level sets + pointers)",
-    "CoarsenedWaves": "LBP outcome: coarsened wavefronts with their packings",
+    "CoarsenedWaves": (
+        "flat LBP outcome: coarse vertices in (coarsened wavefront, component, id) "
+        "order, component and wavefront pointers, wave windows, a bin per "
+        "component and the (n_cw, p) bin loads"
+    ),
     "LBPPartition": "per-coarsened-wavefront component lists and bin packings",
     "Schedule": "the executable schedule of levels of width-partitions",
 }

@@ -32,6 +32,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Dict, Mapping
 
+import numpy as np
+
 from ..observability.metrics import MetricsRegistry
 from ..observability.state import STATE as _OBS_STATE
 from .base import Pass, PassContext, PassGroup
@@ -122,7 +124,7 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
         "n_edges_original": g.n_edges,
         "n_edges_reduced": ctx["ReducedDAG"].n_edges,
         "n_coarse_vertices": ctx["CoarseDAG"].n,
-        "n_coarse_wavefronts": len(lbp.coarsened),
+        "n_coarse_wavefronts": lbp.n_coarsened,
         "n_wavefronts": lbp.waves.n_levels,
         "accumulated_pgp": lbp.accumulated_pgp,
         "cut_positions": lbp.cut_positions,
@@ -144,7 +146,7 @@ def _run_expand(ctx: PassContext) -> Mapping[str, Any]:
 
 def _record_metrics(reg: MetricsRegistry, ctx: PassContext) -> None:
     """Inspector metrics, read post hoc from the LBP decision log and the
-    packing results so the inspector hot loops stay untouched."""
+    flat bin loads so the inspector hot loops stay untouched."""
     n, n_coarse, p = ctx["DAG"].n, ctx["CoarseDAG"].n, ctx["Cores"]
     lbp = ctx["CoarsenedWaves"]
     reg.counter("inspector.vertices").inc(n)
@@ -155,9 +157,8 @@ def _record_metrics(reg: MetricsRegistry, ctx: PassContext) -> None:
     for decision in lbp.decisions or []:
         pgp_hist.observe(decision.pgp)
     occupancy = reg.histogram("binpack.occupancy")
-    for cw in lbp.coarsened:
-        if cw.packing is not None and p > 0:
-            occupancy.observe(cw.packing.n_bins_used / p)
+    for used in np.count_nonzero(lbp.loads > 0, axis=1).tolist():
+        occupancy.observe(used / p)
 
 
 # ----------------------------------------------------------------------

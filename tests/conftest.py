@@ -30,6 +30,19 @@ def rng():
     return np.random.default_rng(20220530)  # IPDPS 2022 conference date
 
 
+@pytest.fixture
+def repair_rung(monkeypatch):
+    """The schedule cache's repair rung, on either tier.
+
+    The cache repairs only where a repair pays (``repair_pays``: the numpy
+    tier); tests of the rung itself also run it with the compiled stages
+    loaded, so its splice stays checked against them.
+    """
+    from repro.core import incremental
+
+    monkeypatch.setattr(incremental, "repair_pays", lambda: True)
+
+
 @pytest.fixture(scope="session")
 def tiny_spd():
     """3x3 dense SPD matrix with a hand-checkable Cholesky factor."""

@@ -1,12 +1,24 @@
 """End-to-end tests for the HDagg inspector (Algorithm 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import DEFAULT_EPSILON, hdagg
+from repro.core import DEFAULT_EPSILON, Schedule, expand_lbp_to_schedule, hdagg
+from repro.core.incremental import inspect_with_artifacts
 from repro.graph import dag_from_matrix_lower, verify_schedule_order
 from repro.kernels import KERNELS
-from repro.sparse import lower_triangle
+from repro.sparse import (
+    apply_ordering,
+    banded_spd,
+    kite_chain_spd,
+    lower_triangle,
+    poisson2d,
+    poisson3d,
+    power_law_spd,
+    random_spd,
+)
 
 from ..conftest import assert_valid_schedule
 
@@ -129,3 +141,63 @@ def test_deterministic(mesh_nd):
     s2 = hdagg(g, cost, 4)
     assert s1.execution_order().tolist() == s2.execution_order().tolist()
     assert s1.core_assignment().tolist() == s2.core_assignment().tolist()
+
+
+# ------------------------------------------------- flat expansion differential
+def _expand_per_wavefront(lbp, grouping, n, p):
+    """The expansion one coarsened wavefront at a time, from the component
+    views: a bin's (or, fine-grained, a component's) members, smallest id
+    first, per partition."""
+    labels = grouping.labels
+    levels = []
+    for cw in lbp.coarsened:
+        members = [np.flatnonzero(np.isin(labels, comp)) for comp in cw.components]
+        if lbp.fine_grained:
+            levels.append([(-1, m) for m in members])
+            continue
+        level = []
+        for b in range(p):
+            picked = [m for m, a in zip(members, cw.packing.assignment.tolist()) if a == b]
+            if picked:
+                level.append((b, np.sort(np.concatenate(picked))))
+        levels.append(level)
+    return Schedule.from_partitions(
+        n, levels, sync="barrier", algorithm="hdagg", n_cores=p,
+        fine_grained=lbp.fine_grained,
+    )
+
+
+def _expansion_cases():
+    """(name, DAG, cost) on the golden matrices and the cold-solve families."""
+    cases = {
+        "golden-poisson2d-12": poisson2d(12, seed=0),
+        "golden-banded-160": banded_spd(160, 6, seed=3),
+        "golden-random-150": random_spd(150, 4.0, seed=7),
+        "golden-powerlaw-150": power_law_spd(150, 5.0, seed=11),
+        "cold-poisson2d": poisson2d(20, seed=1),
+        "cold-poisson3d": poisson3d(7, seed=2),
+        "cold-random": random_spd(400, 6, seed=3),
+        "cold-power-law": power_law_spd(400, 5, seed=4),
+        "cold-banded": banded_spd(400, 8, fill=0.6, seed=5),
+        "cold-kite-chain": kite_chain_spd(30, 9, seed=6),
+    }
+    for name, a in cases.items():
+        ordered, _ = apply_ordering(a, "nd")
+        for kname in ("sptrsv", "spilu0"):
+            kernel = KERNELS[kname]
+            operand = lower_triangle(ordered) if kname == "sptrsv" else ordered
+            yield f"{name}-{kname}", kernel.dag(operand), kernel.cost(operand)
+
+
+@pytest.mark.parametrize("p", [8, 20])
+def test_flat_expand_equals_per_wavefront_expansion(p):
+    for name, g, cost in _expansion_cases():
+        art = inspect_with_artifacts(g, cost, p)
+        for fine in (False, True):
+            lbp = dataclasses.replace(art.lbp, fine_grained=fine)
+            flat = expand_lbp_to_schedule(lbp, art.grouping, g.n, p)
+            ref = _expand_per_wavefront(lbp, art.grouping, g.n, p)
+            for field in ("order", "part_ptr", "part_core", "level_ptr"):
+                a, b = getattr(flat, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, fine, field)
+            assert flat.fine_grained == fine

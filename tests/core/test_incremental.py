@@ -23,6 +23,7 @@ from repro.core.incremental import (
     diff_dag,
     family_key,
     inspect_with_artifacts,
+    repair_pays,
     repair_schedule,
 )
 from repro.core.schedule_cache import schedule_key
@@ -226,7 +227,7 @@ def _key_for(g, cost, p):
     return schedule_key(g, kernel="t", algorithm="hdagg", p=p, cost=cost)
 
 
-def test_acquire_full_then_repair_then_hit():
+def test_acquire_full_then_repair_then_hit(repair_rung):
     rng = np.random.default_rng(1)
     g1 = dag_from_matrix_lower(poisson2d(10, seed=1))
     cost = np.ones(g1.n)
@@ -247,7 +248,7 @@ def test_acquire_full_then_repair_then_hit():
     assert cache.repairs == 0
 
 
-def test_repaired_acquire_reports_pass_times_within_its_wall_time():
+def test_repaired_acquire_reports_pass_times_within_its_wall_time(repair_rung):
     """A repair's stage split uses the registry's pass names plus its own
     ``diff`` stage, and never claims more than the acquire took."""
     from repro.passes import PASS_GROUPS
@@ -289,8 +290,12 @@ def test_family_key_separates_parameters():
 @pytest.mark.flaky
 def test_repair_beats_full_on_mesh():
     # the documented budget configuration (natural-ordered mesh, p=8,
-    # 5-row delta) lands near 0.22x in practice; assert a generous 0.8x so
-    # only a broken repair path — not scheduler noise — can fail this
+    # 5-row delta).  Where the schedule cache repairs (the numpy tier) the
+    # repair lands near 0.45x of a full inspection; assert a generous 0.8x
+    # so only a broken repair path — not scheduler noise — can fail this.
+    # With the compiled stages loaded the cache inspects afresh instead,
+    # because there the full inspection is the cheaper of the two (~2.3x):
+    # assert that, so the platform choice is revisited if it stops holding
     g = dag_from_matrix_lower(poisson2d(96, seed=1))
     cost = np.ones(g.n)
     old = inspect_with_artifacts(g, cost, 8)
@@ -315,4 +320,7 @@ def test_repair_beats_full_on_mesh():
         t0 = time.perf_counter()
         inspect_with_artifacts(g_new, cost, 8)
         t_full.append(time.perf_counter() - t0)
-    assert min(t_rep) < 0.8 * min(t_full), (min(t_rep), min(t_full))
+    if repair_pays():
+        assert min(t_rep) < 0.8 * min(t_full), (min(t_rep), min(t_full))
+    else:
+        assert min(t_full) < min(t_rep), (min(t_rep), min(t_full))

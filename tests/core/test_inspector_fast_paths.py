@@ -2,18 +2,25 @@
 reference loops.
 
 Every fast path in the inspector (pointer-jumping subtree grouping,
-monotone-pointer first-fit packing, warm-started LBP connected components)
+monotone-pointer first-fit packing, the scalar LBP walk)
 ships with the original loop implementation as an oracle.  These tests
 drive both over seeded random DAGs and the structural edge cases named in
 the design notes — empty DAG, single chain, star, tree-reduced chordal
 factor — and demand *bit-identical* output: same group partitions, same
 bin assignments and float loads, same coarsened wavefronts and packings.
+LBP is bit-identical for integer costs; with non-integer costs its
+component sums add up in union order, so only its floats may move (by an
+ulp), never its structure.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import subtree_grouping, subtree_grouping_reference
+from repro.core.backends.compiled import lbp_coarsen_compiled
+from repro.core.backends.native import available as native_available
 from repro.core.binpack import first_fit_pack, first_fit_pack_reference
 from repro.core.lbp import lbp_coarsen, lbp_coarsen_reference
 from repro.graph import DAG, dag_from_matrix_lower, transitive_reduction_two_hop
@@ -40,17 +47,26 @@ def _assert_grouping_equal(a, b):
         assert np.array_equal(ga, gb)
 
 
+#: the flat arrays of an LBPResult, loads last
+_FLAT = ("vertices", "comp_ptr", "comp_bin", "cw_ptr", "wave_ptr", "loads")
+
+
+def _structure(r):
+    """Merge flags, windows, components and bin assignments, with dtypes."""
+    return (
+        [(d.wave, d.merged) for d in r.decisions],
+        r.fine_grained,
+        [(getattr(r, f).dtype.str, getattr(r, f).tolist()) for f in _FLAT[:-1]],
+    )
+
+
 def _assert_lbp_equal(a, b):
-    assert len(a.coarsened) == len(b.coarsened)
-    assert a.fine_grained == b.fine_grained
-    assert a.accumulated_pgp == b.accumulated_pgp  # bitwise float equality
-    for ca, cb in zip(a.coarsened, b.coarsened):
-        assert (ca.wave_lo, ca.wave_hi) == (cb.wave_lo, cb.wave_hi)
-        assert len(ca.components) == len(cb.components)
-        for xa, xb in zip(ca.components, cb.components):
-            assert np.array_equal(xa, xb)
-        assert np.array_equal(ca.packing.assignment, cb.packing.assignment)
-        assert np.array_equal(ca.packing.loads, cb.packing.loads)  # bitwise
+    """Bit-identical: the structure, then every float by its bytes."""
+    assert _structure(a) == _structure(b)
+    assert [d.pgp.hex() for d in a.decisions] == [d.pgp.hex() for d in b.decisions]
+    assert (a.loads.dtype, a.loads.shape) == (b.loads.dtype, b.loads.shape)
+    assert a.loads.tobytes() == b.loads.tobytes()
+    assert float(a.accumulated_pgp).hex() == float(b.accumulated_pgp).hex()
 
 
 # ---------------------------------------------------------------- subtree
@@ -158,19 +174,83 @@ def test_items_per_bin_preserves_arrival_order():
 # ---------------------------------------------------------------- lbp
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
-def test_lbp_random_dags_bitwise(epsilon):
+def _random_g2s(epsilon):
+    """Seeded ``G''``s of random DAGs, each with a float-cost generator."""
     rng = np.random.default_rng(hash(epsilon) % 2**31)
     for _ in range(25):
         n = int(rng.integers(1, 45))
         g = transitive_reduction_two_hop(_random_dag(rng, n, float(rng.uniform(0.05, 0.4))))
-        grouping = subtree_grouping(g)
-        g2 = coarsen_dag(g, grouping)
-        cost = rng.uniform(0.5, 4.0, size=g2.n)
+        yield rng, coarsen_dag(g, subtree_grouping(g))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
+def test_lbp_random_dags_bitwise(epsilon):
+    """Integer costs: every component sum is exact in any order, so the
+    scalar walk, the reference and the compiled tier agree bit for bit."""
+    for rng, g2 in _random_g2s(epsilon):
+        cost = rng.integers(0, 9, size=g2.n).astype(np.float64)
         for p in (1, 3, 6):
             fast = lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=True)
             ref = lbp_coarsen_reference(g2, cost, p, epsilon, allow_fine_grained=True)
             _assert_lbp_equal(fast, ref)
+            if native_available():
+                _assert_lbp_equal(lbp_coarsen_compiled(g2, cost, p, epsilon), fast)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
+def test_lbp_random_dags_float_costs(epsilon):
+    """Non-integer costs: component sums add up in union order, not as
+    ``np.sum`` over sorted members, so floats may move by an ulp; merge
+    flags, windows, components and assignments may not.  The compiled tier
+    accumulates the same way and stays bit-identical."""
+    for rng, g2 in _random_g2s(epsilon):
+        cost = rng.uniform(0.5, 4.0, size=g2.n)
+        for p in (1, 3, 6):
+            fast = lbp_coarsen(g2, cost, p, epsilon, allow_fine_grained=True)
+            ref = lbp_coarsen_reference(g2, cost, p, epsilon, allow_fine_grained=True)
+            assert _structure(fast) == _structure(ref)
+            np.testing.assert_allclose(
+                [d.pgp for d in fast.decisions], [d.pgp for d in ref.decisions],
+                rtol=1e-12,
+            )
+            np.testing.assert_allclose(fast.loads, ref.loads, rtol=1e-12)
+            np.testing.assert_allclose(
+                fast.accumulated_pgp, ref.accumulated_pgp, rtol=1e-12
+            )
+            if native_available():
+                _assert_lbp_equal(lbp_coarsen_compiled(g2, cost, p, epsilon), fast)
+
+
+@st.composite
+def integer_cost_dags(draw):
+    """A random id-topological DAG with integer costs (total below 2^53)."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n)
+    )
+    src = [min(a, b) for a, b in pairs if a != b]
+    dst = [max(a, b) for a, b in pairs if a != b]
+    g = DAG.from_edges(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    top = draw(st.sampled_from([1, 9, 2**40]))
+    cost = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return g, np.asarray(cost, dtype=np.float64)
+
+
+@given(
+    integer_cost_dags(),
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_lbp_integer_costs_match_reference(case, p, epsilon, allow_fine):
+    g, cost = case
+    fast = lbp_coarsen(g, cost, p, epsilon, allow_fine_grained=allow_fine)
+    ref = lbp_coarsen_reference(g, cost, p, epsilon, allow_fine_grained=allow_fine)
+    _assert_lbp_equal(fast, ref)
+    if native_available():
+        compiled = lbp_coarsen_compiled(g, cost, p, epsilon, allow_fine_grained=allow_fine)
+        _assert_lbp_equal(compiled, fast)
 
 
 def test_lbp_single_wavefront_and_empty():

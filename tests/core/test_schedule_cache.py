@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.verifier import assert_schedule_safe
-from repro.core import ScheduleCache, family_key, hdagg, schedule_key
+from repro.core import ScheduleCache, active_tier, family_key, hdagg, schedule_key
 from repro.core import incremental
 from repro.core.schedule_cache import CacheStats
 from repro.graph import DAG, dag_from_matrix_lower
@@ -259,6 +259,7 @@ def _drift(problem, rows=2):
     return schedule_key(g2, kernel="sptrsv", p=4), family, g2, cost
 
 
+@pytest.mark.usefixtures("repair_rung")
 class TestRepairRung:
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -327,3 +328,20 @@ class TestRepairRung:
         family = family_key(kernel="sptrsv", algorithm="wavefront", p=4, label="m")
         cache.acquire(key, family, g, cost, p=4, algorithm="wavefront")
         assert cache.artifacts_for(family) is None
+
+
+def test_repair_rung_only_where_a_repair_pays(monkeypatch):
+    """The platform picks the rung: the numpy tier repairs a near-miss; with
+    the compiled stages loaded a full inspection is cheaper, so the cache
+    keeps no family and inspects the near-miss afresh."""
+    assert incremental.repair_pays() == (active_tier() == "numpy")
+    monkeypatch.setattr(incremental, "repair_pays", lambda: False)
+    mesh = _problem(lambda: poisson2d(24, seed=1))
+    cache = ScheduleCache()
+    _acquire(cache, mesh)
+    assert cache.artifacts_for(mesh[1]) is None
+    drifted = _drift(mesh)
+    schedule, source = _acquire(cache, drifted)
+    assert source == "full" and (cache.repairs, cache.repair_fulls) == (0, 0)
+    fresh = hdagg(drifted[2], drifted[3], 4)
+    assert schedule.execution_order().tolist() == fresh.execution_order().tolist()

@@ -50,6 +50,27 @@ class TestReference:
         with pytest.raises(KernelError, match="pivot"):
             spilu0_reference(a)
 
+    @pytest.mark.parametrize(
+        "dense, row",
+        [
+            ([[1.0, 1], [1, 1]], 1),  # the last row's pivot becomes 0
+            ([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]], 1),  # no later row reads row 1
+        ],
+    )
+    def test_unread_zero_pivot_raises(self, dense, row):
+        a = csr_from_dense(np.array(dense))
+        with pytest.raises(KernelError, match=f"zero pivot at row {row}"):
+            spilu0_reference(a)
+        with pytest.raises(KernelError, match=f"zero pivot at row {row}"):
+            spilu0_in_order(a, np.arange(a.n_rows))
+
+    def test_unread_nan_pivot_raises(self):
+        # row 2 is the last row: no later row divides by its pivot
+        data = np.array([4.0, -1.0, -1.0, 4.0, -1.0, -1.0, np.nan])
+        a = CSRMatrix(3, 3, [0, 2, 5, 7], [0, 1, 0, 1, 2, 1, 2], data)
+        with pytest.raises(KernelError, match="NaN pivot at row 2"):
+            spilu0_reference(a)
+
     def test_missing_diagonal_raises(self):
         a = csr_from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(KernelError, match="diagonal"):

@@ -1,9 +1,10 @@
 """Tests for RCM / nested dissection orderings.
 
 The orderings walk plain Python lists and ``permute_symmetric`` sorts once;
-the per-vertex NumPy loops and the per-row sort they replaced are kept
-below as ``_reference`` oracles, and the results must be equal (``==``,
-same dtypes), not merely valid.
+the loops they replaced are kept below as ``_reference`` oracles (a
+dict-and-set BFS bisection, a per-vertex NumPy RCM queue and a per-row
+sort), and the results must be equal (``==``, same dtypes), not merely
+valid.
 """
 
 from collections import deque
@@ -126,19 +127,19 @@ def _adjacency_reference(a):
     )
     cols = np.concatenate([a.indices, at.indices])
     keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    pair = np.unique(np.stack([rows, cols], axis=1), axis=0)
+    # unique (row, col) pairs in lexicographic order, as one int64 key each
+    key = np.unique(rows[keep] * n + cols[keep])
     indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(pair[:, 0], minlength=n), out=indptr[1:])
-    return indptr, np.ascontiguousarray(pair[:, 1])
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, key % n
 
 
 def _pseudo_peripheral_reference(indptr, indices, start):
-    n = indptr.shape[0] - 1
+    n = len(indptr) - 1
     u = start
     last_ecc = -1
     for _ in range(n):
-        dist = np.full(n, -1, dtype=INDEX_DTYPE)
+        dist = [-1] * n
         dist[u] = 0
         q = deque([u])
         far = u
@@ -147,9 +148,9 @@ def _pseudo_peripheral_reference(indptr, indices, start):
             for w in indices[indptr[v] : indptr[v + 1]]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
-                    far = int(w)
-                    q.append(int(w))
-        ecc = int(dist[far])
+                    far = w
+                    q.append(w)
+        ecc = dist[far]
         if ecc <= last_ecc:
             return u
         last_ecc = ecc
@@ -163,10 +164,11 @@ def rcm_reference(a):
     degree = np.diff(indptr)
     visited = np.zeros(n, dtype=bool)
     order = []
+    lists = indptr.tolist(), indices.tolist()
     for seed in range(n):
         if visited[seed]:
             continue
-        root = _pseudo_peripheral_reference(indptr, indices, seed)
+        root = _pseudo_peripheral_reference(*lists, seed)
         visited[root] = True
         q = deque([root])
         while q:
@@ -181,7 +183,7 @@ def rcm_reference(a):
 
 
 def _bfs_bisect_reference(indptr, indices, nodes):
-    sub = set(nodes.tolist())
+    sub = set(nodes)
 
     def bfs(root):
         dist = {root: 0}
@@ -190,47 +192,46 @@ def _bfs_bisect_reference(indptr, indices, nodes):
         while q:
             v = q.popleft()
             for w in indices[indptr[v] : indptr[v + 1]]:
-                w = int(w)
                 if w in sub and w not in dist:
                     dist[w] = dist[v] + 1
                     q.append(w)
                     order.append(w)
         return dist, order
 
-    _, order = bfs(int(nodes[0]))
+    _, order = bfs(nodes[0])
     dist, _ = bfs(order[-1])
-    unreached = [v for v in nodes.tolist() if v not in dist]
     half = (len(dist) + 1) // 2
     max_level = max(dist.values())
     counts = np.zeros(max_level + 1, dtype=np.int64)
     for d in dist.values():
         counts[d] += 1
     sep_level = min(int(np.searchsorted(np.cumsum(counts), half)), max_level)
-    left = [v for v, d in dist.items() if d < sep_level]
-    sep = [v for v, d in dist.items() if d == sep_level]
-    right = [v for v, d in dist.items() if d > sep_level] + unreached
-    return tuple(np.array(sorted(part), dtype=INDEX_DTYPE) for part in (left, right, sep))
+    left = sorted(v for v, d in dist.items() if d < sep_level)
+    sep = sorted(v for v, d in dist.items() if d == sep_level)
+    # the far levels plus every vertex the sweeps never reached, in id order
+    right = [v for v in nodes if dist.get(v, max_level + 1) > sep_level]
+    return left, right, sep
 
 
 def nested_dissection_reference(a, *, leaf_size=64):
     n = a.n_rows
-    indptr, indices = _adjacency_reference(a)
+    indptr, indices = (x.tolist() for x in _adjacency_reference(a))
     out = []
-    stack = [("split", np.arange(n, dtype=INDEX_DTYPE))]
+    stack = [("split", list(range(n)))]  # sorted vertex lists
     while stack:
         tag, payload = stack.pop()
         if tag == "emit":
             out.extend(payload)
             continue
         nodes = payload
-        if nodes.shape[0] <= leaf_size:
-            out.extend(nodes.tolist())
+        if len(nodes) <= leaf_size:
+            out.extend(nodes)
             continue
         left, right, sep = _bfs_bisect_reference(indptr, indices, nodes)
-        if left.shape[0] == 0 or right.shape[0] == 0:
-            out.extend(nodes.tolist())
+        if not left or not right:
+            out.extend(nodes)
             continue
-        stack.append(("emit", sep.tolist()))
+        stack.append(("emit", sep))
         stack.append(("split", right))
         stack.append(("split", left))
     return np.array(out, dtype=INDEX_DTYPE)

@@ -28,7 +28,7 @@ def _drifted_mesh():
     return csr_from_dense(dense)
 
 
-def test_same_named_drift_is_repaired():
+def test_same_named_drift_is_repaired(repair_rung):
     cache = ScheduleCache()
     # natural ordering keeps the drift local (ND would renumber the mesh)
     harness = Harness(machines=["laptop4"], kernels=["sptrsv"], ordering="natural",

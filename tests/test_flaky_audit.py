@@ -23,7 +23,8 @@ TESTS_DIR = Path(__file__).parent
 FLAKY_ALLOWLIST: dict = {
     "core/test_incremental.py": (
         "test_repair_beats_full_on_mesh asserts a wall-clock ratio "
-        "(repair < 0.8x full, ~0.22x in practice); a loaded CI machine "
+        "(repair < 0.8x full on the numpy tier, ~0.45x in practice; full "
+        "< repair with the compiled stages, ~0.4x); a loaded CI machine "
         "can still blow the generous margin"
     ),
 }
