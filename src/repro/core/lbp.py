@@ -302,8 +302,8 @@ def _check_inputs(g2: DAG, cost: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"cost has length {cost.shape[0]}, expected {g2.n}")
     if p < 1:
         raise ValueError("p must be >= 1")
-    if np.any(cost < 0):
-        raise ValueError("costs must be non-negative")
+    if not (np.isfinite(cost).all() and (cost >= 0).all()):
+        raise ValueError("costs must be finite and non-negative")
     return cost
 
 

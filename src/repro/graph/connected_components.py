@@ -59,6 +59,38 @@ def shiloach_vishkin(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return parent
 
 
+#: Subsets up to this size take the union-find over Python lists; above it
+#: the vectorised hook-and-jump rounds win.
+SMALL_SUBSET = 64
+
+
+def _union_find_labels(m: int, src: list, dst: list) -> np.ndarray:
+    """Dense component labels ordered by smallest member, on Python lists."""
+    root = list(range(m))
+    for a, b in zip(src, dst):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    # roots are smallest members, so each is labelled before its members
+    labels = [0] * m
+    k = 0
+    for i in range(m):
+        r = i
+        while root[r] != r:
+            r = root[r]
+        if r == i:
+            labels[i] = k
+            k += 1
+        else:
+            labels[i] = labels[r]
+    return np.asarray(labels, dtype=INDEX_DTYPE)
+
+
 def connected_components_of_subset(g: DAG, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Components of the subgraph of ``g`` induced by ``vertices``.
 
@@ -67,16 +99,15 @@ def connected_components_of_subset(g: DAG, vertices: np.ndarray) -> tuple[np.nda
     0-based, ordered by smallest member id) of ``verts[k]``.
 
     Only edges with both endpoints inside the subset are considered, matching
-    ``CC(W[cut:i])`` in Algorithm 1.
+    ``CC(W[cut:i])`` in Algorithm 1.  The work is proportional to the
+    subset and its out-edges, not to ``g.n``.
     """
     verts = np.sort(np.asarray(vertices, dtype=INDEX_DTYPE))
     m = verts.shape[0]
     if m == 0:
         return np.empty(0, dtype=INDEX_DTYPE), verts
-    # local re-indexing: global id -> position in verts
-    local = np.full(g.n, -1, dtype=INDEX_DTYPE)
-    local[verts] = np.arange(m, dtype=INDEX_DTYPE)
-    # gather out-edges of subset vertices
+    # gather out-edges of subset vertices; an edge stays when its head is in
+    # the subset, found by binary search in the sorted ``verts``
     starts = g.indptr[verts]
     counts = g.indptr[verts + 1] - starts
     total = int(counts.sum())
@@ -84,12 +115,15 @@ def connected_components_of_subset(g: DAG, vertices: np.ndarray) -> tuple[np.nda
         cum = np.cumsum(counts)
         within = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(cum - counts, counts)
         dst_g = g.indices[np.repeat(starts, counts) + within]
-        src_l = np.repeat(np.arange(m, dtype=INDEX_DTYPE), counts)
-        dst_l = local[dst_g]
-        keep = dst_l >= 0
-        src_l, dst_l = src_l[keep], dst_l[keep]
+        dst_l = np.searchsorted(verts, dst_g)
+        np.minimum(dst_l, m - 1, out=dst_l)
+        keep = verts[dst_l] == dst_g
+        src_l = np.repeat(np.arange(m, dtype=INDEX_DTYPE), counts)[keep]
+        dst_l = dst_l[keep]
     else:
         src_l = dst_l = np.empty(0, dtype=INDEX_DTYPE)
+    if m <= SMALL_SUBSET:
+        return _union_find_labels(m, src_l.tolist(), dst_l.tolist()), verts
     roots = shiloach_vishkin(m, src_l, dst_l)
     # densify root labels to 0..k-1 ordered by root (== smallest member id)
     uniq, labels = np.unique(roots, return_inverse=True)

@@ -4,11 +4,12 @@ The level-set family (wavefront, SpMP, MKL-style) shares one
 ``wavefronts`` pass and differs only in its emit pass — chunking policy
 and synchronisation model are *configuration*.  ``coarsenk`` adds a
 fixed-window merge pass between the two.  LBC and DAGP keep their
-monolithic algorithms (:mod:`repro.schedulers.lbc`,
-:mod:`repro.schedulers.dagp`) as single passes with full contracts: the
-verifier still checks their dataflow, and decomposing them further is a
-follow-up, not a prerequisite.  Each group's description carries the
-paper's rationale for the baseline.
+algorithms in :mod:`repro.schedulers.lbc` and :mod:`repro.schedulers.dagp`
+and run as two passes each: the elimination tree (``ETree``) then the cut
+search and packing, and the acyclic partition (``PartLabels``) then the
+quotient's core assignment, so ``stage_seconds`` names the step that costs
+the time.  Each group's description carries the paper's rationale for the
+baseline.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def build_coarsen_k_group() -> PassGroup:
 
 
 # ----------------------------------------------------------------------
-# serial / lbc / dagp: single-pass groups
+# serial (one pass), lbc and dagp (two passes each)
 # ----------------------------------------------------------------------
 def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
     from ..core.schedule import Schedule
@@ -326,20 +327,36 @@ def build_serial_group() -> PassGroup:
     )
 
 
-def _run_lbc(ctx: PassContext) -> Mapping[str, Any]:
-    from ..schedulers.lbc import lbc_body
+def _run_lbc_etree(ctx: PassContext) -> Mapping[str, Any]:
+    from ..schedulers.lbc import build_etree
 
-    return {
-        "Schedule": lbc_body(ctx["DAG"], ctx["Cost"], ctx["Cores"], ctx["Epsilon"])
-    }
+    return {"ETree": build_etree(ctx["DAG"], ctx["Cost"])}
+
+
+def _run_lbc_cut_pack(ctx: PassContext) -> Mapping[str, Any]:
+    from ..schedulers.lbc import cut_pack
+
+    return {"Schedule": cut_pack(ctx["ETree"], ctx["Cost"], ctx["Cores"], ctx["Epsilon"])}
 
 
 def build_lbc_group() -> PassGroup:
     return PassGroup(
         name="lbc",
         passes=(
+            Pass(
+                name="lbc-etree",
+                contract=Contract(
+                    requires=("DAG", "Cost"),
+                    produces=("ETree",),
+                    requires_invariants=("acyclic", "topo-ordered"),
+                ),
+                run=_run_lbc_etree,
+            ),
             _emit_pass(
-                "lbc-etree-cut", _run_lbc, ("DAG", "Cost", "Cores", "Epsilon"), "recompute"
+                "lbc-cut-pack",
+                _run_lbc_cut_pack,
+                ("ETree", "Cost", "Cores", "Epsilon"),
+                "recompute",
             ),
         ),
         inputs=("DAG", "Cost", "Cores", "Epsilon"),
@@ -355,19 +372,40 @@ def build_lbc_group() -> PassGroup:
     )
 
 
-def _run_dagp(ctx: PassContext) -> Mapping[str, Any]:
-    from ..schedulers.dagp import dagp_body
+def _run_dagp_partition(ctx: PassContext) -> Mapping[str, Any]:
+    from ..schedulers.dagp import acyclic_partition
 
-    return {
-        "Schedule": dagp_body(ctx["DAG"], ctx["Cost"], ctx["Cores"], ctx.options["k"])
-    }
+    return {"PartLabels": acyclic_partition(ctx["DAG"], ctx["Cost"], ctx.options["k"])}
+
+
+def _run_dagp_quotient_assign(ctx: PassContext) -> Mapping[str, Any]:
+    from ..schedulers.dagp import assign_quotient
+
+    schedule = assign_quotient(
+        ctx["DAG"], ctx["Cost"], ctx["Cores"], ctx["PartLabels"], ctx.options["k"]
+    )
+    return {"Schedule": schedule}
 
 
 def build_dagp_group() -> PassGroup:
     return PassGroup(
         name="dagp",
         passes=(
-            _emit_pass("dagp-partition-quotient", _run_dagp, _BASELINE_INPUTS, "recompute"),
+            Pass(
+                name="dagp-partition",
+                contract=Contract(
+                    requires=("DAG", "Cost"),
+                    produces=("PartLabels",),
+                    requires_invariants=("acyclic", "topo-ordered"),
+                ),
+                run=_run_dagp_partition,
+            ),
+            _emit_pass(
+                "dagp-quotient-assign",
+                _run_dagp_quotient_assign,
+                ("PartLabels", *_BASELINE_INPUTS),
+                "recompute",
+            ),
         ),
         inputs=_BASELINE_INPUTS,
         assumes=_BASELINE_ASSUMES,

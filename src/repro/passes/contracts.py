@@ -52,6 +52,11 @@ ARTIFACTS: Mapping[str, str] = {
         "component and the (n_cw, p) bin loads"
     ),
     "LBPPartition": "per-coarsened-wavefront component lists and bin packings",
+    "ETree": (
+        "elimination tree of the DAG: parent pointers, leaf-up heights, "
+        "subtree cost sums and subtree minima"
+    ),
+    "PartLabels": "acyclic partition: a dense part label per DAG vertex",
     "Schedule": "the executable schedule of levels of width-partitions",
 }
 

@@ -127,7 +127,9 @@ def seed_context(
 ) -> PassContext:
     """A context for ``group`` holding exactly the inputs it declares.
 
-    ``cost`` is coerced to float64 and checked against the DAG size;
+    ``cost`` is coerced to float64 and checked against the DAG size, and
+    a negative or non-finite cost raises ``ValueError`` before any pass
+    runs;
     ``epsilon`` defaults to the paper's threshold; ``Backend`` is the
     tier that runs the compiled stages
     (:func:`~repro.core.backends.active_tier`).  ``p`` is seeded when given.
@@ -143,6 +145,8 @@ def seed_context(
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape[0] != g.n:
         raise ValueError(f"cost has length {cost.shape[0]}, expected {g.n}")
+    if not (np.isfinite(cost).all() and (cost >= 0).all()):
+        raise ValueError("costs must be finite and non-negative")
     offered: Dict[str, Any] = {"DAG": g, "Cost": cost, "Cores": p}
     if "Epsilon" in group.inputs:
         from ..core.pgp import DEFAULT_EPSILON

@@ -22,22 +22,22 @@ serial      sequential order (NRE denominator)
 declares it; group-specific options (``k`` for
 ``coarsenk`` and ``dagp``, the cap and sync model for ``hdagg``) are
 rejected by the groups that do not take them.  This package keeps the
-monolithic baseline algorithms the LBC and DAGP passes run.
+baseline algorithms the LBC and DAGP passes run.
 """
 
 from typing import Any, Callable
 
 from ..passes.registry import SCHEDULERS
 from .dagp import acyclic_partition, edge_cut
-from .lbc import elimination_tree, forest_components, tree_levels
+from .lbc import ETree, build_etree, tree_levels
 
 __all__ = [
     "SCHEDULERS",
     "get_scheduler",
     "acyclic_partition",
     "edge_cut",
-    "elimination_tree",
-    "forest_components",
+    "ETree",
+    "build_etree",
     "tree_levels",
 ]
 

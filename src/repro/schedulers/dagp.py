@@ -17,43 +17,29 @@ with the same contract and the same failure mode:
   construction; on id-topological kernel DAGs, an id prefix), which keeps
   parts contiguous and reuse-friendly.
 
-The quotient DAG's wavefronts become the schedule levels with parts
-LPT-assigned to cores; independent partitions of one quotient level run in
-parallel and a barrier separates levels, matching the paper's description
+Two passes run it: ``dagp-partition`` (:func:`acyclic_partition`, the
+``PartLabels`` artifact) and ``dagp-quotient-assign``
+(:func:`assign_quotient`).  The quotient DAG's wavefronts become the
+schedule levels with parts LPT-assigned to cores; independent partitions
+of one quotient level run in parallel and a barrier separates levels,
+matching the paper's description
 ("independent partitions are scheduled to execute in parallel" — and the
 depth of the quotient is precisely DAGP's restricted-parallelism weakness).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
-from ..core.schedule import Schedule, bucket_level, ptr_from_counts, stack_levels
-from ..graph.connected_components import components_as_lists
-from ..graph.dag import DAG, gather_slices
+from ..core.schedule import Schedule, ptr_from_counts
+from ..graph.connected_components import connected_components_of_subset
+from ..graph.dag import DAG
 from ..graph.wavefronts import level_of_vertices
 from ..sparse.csr import INDEX_DTYPE
 
-__all__ = ["dagp_body", "acyclic_partition", "edge_cut"]
-
-
-def _split_components(
-    comps: List[np.ndarray], cost: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distribute whole components into two cost-balanced halves (greedy)."""
-    weights = np.array([float(cost[c].sum()) for c in comps])
-    order = np.argsort(-weights, kind="stable")
-    loads = [0.0, 0.0]
-    sides: List[List[np.ndarray]] = [[], []]
-    for k in order:
-        side = 0 if loads[0] <= loads[1] else 1
-        sides[side].append(comps[int(k)])
-        loads[side] += weights[k]
-    left = np.sort(np.concatenate(sides[0])) if sides[0] else np.empty(0, dtype=INDEX_DTYPE)
-    right = np.sort(np.concatenate(sides[1])) if sides[1] else np.empty(0, dtype=INDEX_DTYPE)
-    return left, right
+__all__ = ["acyclic_partition", "assign_quotient", "edge_cut"]
 
 
 def acyclic_partition(g: DAG, cost: np.ndarray, k: int) -> np.ndarray:
@@ -62,48 +48,81 @@ def acyclic_partition(g: DAG, cost: np.ndarray, k: int) -> np.ndarray:
     Guarantees an acyclic quotient: every split either separates whole
     components (no edges) or cuts at a topological prefix (edges one-way).
     Part ids are dense, ordered by smallest member vertex.
+
+    A disconnected set is split on its component labels: one
+    ``np.bincount`` weighs the components, the greedy side choice (heaviest
+    first, to the lighter side) runs over Python floats, and each half is
+    ``verts[side == s]``, so both halves stay sorted.  A half made of whole
+    components inherits their labels instead of searching for them again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     cost = np.asarray(cost, dtype=np.float64)
     labels = np.zeros(g.n, dtype=INDEX_DTYPE)
-    next_label = [0]
-
-    def rec(verts: np.ndarray, parts: int) -> None:
-        if parts <= 1 or verts.shape[0] <= 1:
-            labels[verts] = next_label[0]
-            next_label[0] += 1
-            return
-        comps = components_as_lists(g, verts)
-        if len(comps) > 1:
-            left, right = _split_components(comps, cost)
-        else:
-            # topological prefix at half the cost (ids are topological)
-            c = cost[verts]
-            total = float(c.sum())
-            if total <= 0:
-                mid = verts.shape[0] // 2
-            else:
-                mid = int(np.searchsorted(np.cumsum(c), total / 2.0)) + 1
-                mid = min(max(mid, 1), verts.shape[0] - 1)
-            left, right = verts[:mid], verts[mid:]
-        if left.shape[0] == 0 or right.shape[0] == 0:
-            labels[verts] = next_label[0]
-            next_label[0] += 1
-            return
+    n_parts = 0
+    # (sorted vertices, their component labels or None if unknown, parts)
+    stack = [(np.arange(g.n, dtype=INDEX_DTYPE), None, min(k, g.n))]
+    while stack:
+        verts, comp, parts = stack.pop()
+        halves = None
+        if parts > 1 and verts.shape[0] > 1:
+            halves = _bisect(g, cost, verts, comp)
+        if halves is None:
+            labels[verts] = n_parts
+            n_parts += 1
+            continue
         half = parts // 2
-        rec(left, parts - half)
-        rec(right, half)
-
-    verts = np.arange(g.n, dtype=INDEX_DTYPE)
-    rec(verts, min(k, g.n))
+        stack.append((*halves[1], half))
+        stack.append((*halves[0], parts - half))
     # densify by smallest member id
-    first_member = np.full(next_label[0], g.n, dtype=INDEX_DTYPE)
-    np.minimum.at(first_member, labels, verts)
+    first_member = np.full(n_parts, g.n, dtype=INDEX_DTYPE)
+    np.minimum.at(first_member, labels, np.arange(g.n, dtype=INDEX_DTYPE))
     order = np.argsort(first_member, kind="stable")
-    remap = np.empty(next_label[0], dtype=INDEX_DTYPE)
-    remap[order] = np.arange(next_label[0], dtype=INDEX_DTYPE)
+    remap = np.empty(n_parts, dtype=INDEX_DTYPE)
+    remap[order] = np.arange(n_parts, dtype=INDEX_DTYPE)
     return remap[labels]
+
+
+def _bisect(g: DAG, cost: np.ndarray, verts: np.ndarray, comp: Optional[np.ndarray]):
+    """Split sorted ``verts`` into two non-empty halves, or ``None``.
+
+    ``comp`` holds the component labels of ``verts`` (dense, ordered by
+    smallest member) when known.  Each half is ``(vertices, component
+    labels)``: relabelled components for a component split, ``None`` for
+    a prefix split.
+    """
+    if comp is None:
+        comp, verts = connected_components_of_subset(g, verts)
+    n_comp = int(comp.max()) + 1
+    if n_comp > 1:
+        weights = np.bincount(comp, weights=cost[verts], minlength=n_comp)
+        wl = weights.tolist()
+        loads = [0.0, 0.0]
+        side_of = [0] * n_comp
+        for c in np.argsort(-weights, kind="stable").tolist():
+            s = 0 if loads[0] <= loads[1] else 1
+            side_of[c] = s
+            loads[s] += wl[c]
+        comp_side = np.asarray(side_of, dtype=INDEX_DTYPE)
+        side = comp_side[comp]
+        halves = []
+        for s in (0, 1):
+            keep = side == s
+            relabel = np.cumsum(comp_side == s) - 1
+            halves.append((verts[keep], relabel[comp[keep]]))
+    else:
+        # topological prefix at half the cost (ids are topological)
+        c = cost[verts]
+        total = float(c.sum())
+        if total <= 0:
+            mid = verts.shape[0] // 2
+        else:
+            mid = int(np.searchsorted(np.cumsum(c), total / 2.0)) + 1
+            mid = min(max(mid, 1), verts.shape[0] - 1)
+        halves = [(verts[:mid], None), (verts[mid:], None)]
+    if halves[0][0].shape[0] == 0 or halves[1][0].shape[0] == 0:
+        return None
+    return halves
 
 
 def edge_cut(g: DAG, labels: np.ndarray) -> int:
@@ -112,72 +131,67 @@ def edge_cut(g: DAG, labels: np.ndarray) -> int:
     return int(np.count_nonzero(labels[src] != labels[dst]))
 
 
-def dagp_body(g: DAG, cost: np.ndarray, p: int, k: int) -> Schedule:
-    """Partition into ``k`` parts, then list-schedule the quotient DAG.
+def assign_quotient(g: DAG, cost: np.ndarray, p: int, labels: np.ndarray, k: int) -> Schedule:
+    """List-schedule the quotient DAG of the part ``labels`` onto ``p`` cores.
 
-    The body of the ``dagp`` scheduler's single ``dagp-partition-quotient``
-    pass.
+    The body of the ``dagp-quotient-assign`` pass; ``k`` is the requested
+    part count, reported in the meta.
     """
-    labels = acyclic_partition(g, cost, k)
     n_parts = int(labels.max()) + 1
 
     # Quotient DAG and its wavefront levels.
     src, dst = g.edge_list()
     keep = labels[src] != labels[dst]
-    quotient = DAG.from_edges(n_parts, labels[src][keep], labels[dst][keep], dedup=True)
+    cut_src, cut_dst = labels[src][keep], labels[dst][keep]
+    quotient = DAG.from_edges(n_parts, cut_src, cut_dst, dedup=True)
     qlevel = level_of_vertices(quotient)
-
-    part_cost = np.zeros(n_parts, dtype=np.float64)
-    np.add.at(part_cost, labels, cost)
-    # members of part i: mflat[mptr[i]:mptr[i + 1]]
-    mflat = np.argsort(labels, kind="stable").astype(INDEX_DTYPE, copy=False)
-    mptr = ptr_from_counts(np.bincount(labels, minlength=n_parts))
+    n_levels = int(qlevel.max()) + 1
+    part_cost = np.bincount(labels, weights=cost, minlength=n_parts)
 
     # Core assignment follows Figure 1(d): a part with dependences executes
     # on the core of its (heaviest-cut) predecessor — partitions connected
     # by dependences cluster on one core, so a level's effective width is
     # the number of independent chains, not min(width, p).  Sources go to
     # the least-loaded core.
-    part_core = np.full(n_parts, -1, dtype=INDEX_DTYPE)
-    core_loads = np.zeros(p, dtype=np.float64)
     pred_of = np.full(n_parts, -1, dtype=INDEX_DTYPE)
-    if np.any(keep):
-        cut_src, cut_dst = labels[src][keep], labels[dst][keep]
-        # heaviest predecessor = the one contributing the most cut edges
-        pair, counts = np.unique(
-            np.stack([cut_dst, cut_src], axis=1), axis=0, return_counts=True
-        )
-        best_count = np.zeros(n_parts, dtype=np.int64)
-        for (d_part, s_part), cnt in zip(pair.tolist(), counts.tolist()):
-            if cnt > best_count[d_part]:
-                best_count[d_part] = cnt
-                pred_of[d_part] = s_part
+    if cut_src.shape[0]:
+        # heaviest predecessor: the most cut edges, the smallest id on ties
+        pair, counts = np.unique(cut_dst * n_parts + cut_src, return_counts=True)
+        d_part, s_part = np.divmod(pair, n_parts)
+        by_weight = np.lexsort((s_part, -counts, d_part))
+        first = np.ones(by_weight.shape[0], dtype=bool)
+        first[1:] = d_part[by_weight[1:]] != d_part[by_weight[:-1]]
+        pred_of[d_part[by_weight[first]]] = s_part[by_weight[first]]
 
-    levels = []
-    cores = np.arange(p, dtype=INDEX_DTYPE)
-    for lev in range(int(qlevel.max()) + 1 if n_parts else 0):
-        parts_here = np.nonzero(qlevel == lev)[0]
-        # heavier parts claim their preferred core first
-        order = parts_here[np.argsort(-part_cost[parts_here], kind="stable")]
-        for part_id in order:
-            pred = pred_of[part_id]
-            core = int(part_core[pred]) if pred >= 0 else int(np.argmin(core_loads))
-            part_core[part_id] = core
-            core_loads[core] += part_cost[part_id]
-        # one width-partition per used core: its parts' vertices, ascending
-        verts = gather_slices(mptr, mflat, parts_here)
-        levels.append(bucket_level(verts, part_core[labels[verts]], cores))
+    # Level by level, heavier parts claim their preferred core first; a
+    # predecessor sits on an earlier level, so its core is already set.
+    pred, weight = pred_of.tolist(), part_cost.tolist()
+    part_core = [-1] * n_parts
+    core_loads = [0.0] * p
+    for part in np.lexsort((-part_cost, qlevel)).tolist():
+        core = part_core[pred[part]] if pred[part] >= 0 else core_loads.index(min(core_loads))
+        part_core[part] = core
+        core_loads[core] += weight[part]
 
+    # one width-partition per (level, used core): its vertices, ascending
+    vlevel = qlevel[labels]
+    vcore = np.asarray(part_core, dtype=INDEX_DTYPE)[labels]
+    order = np.lexsort((np.arange(g.n, dtype=INDEX_DTYPE), vcore, vlevel))
+    sizes = np.bincount(vlevel * p + vcore, minlength=n_levels * p)
+    used = sizes > 0
     return Schedule(
         n=g.n,
-        **stack_levels(levels),
+        order=order,
+        part_ptr=ptr_from_counts(sizes[used]),
+        part_core=np.tile(np.arange(p, dtype=INDEX_DTYPE), n_levels)[used],
+        level_ptr=ptr_from_counts(used.reshape(n_levels, p).sum(axis=1)),
         sync="barrier",
         algorithm="dagp",
         n_cores=p,
         meta={
             "k_requested": k,
             "n_parts": n_parts,
-            "edge_cut": edge_cut(g, labels),
-            "n_quotient_levels": int(qlevel.max()) + 1,
+            "edge_cut": int(cut_src.shape[0]),
+            "n_quotient_levels": n_levels,
         },
     )

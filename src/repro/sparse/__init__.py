@@ -42,6 +42,7 @@ from .properties import (
 )
 from .symbolic import (
     column_counts,
+    elimination_tree,
     elimination_tree_from_matrix,
     factor_pattern_spd,
     fill_in,
@@ -111,6 +112,7 @@ __all__ = [
     "diagonal_dominance_ratio",
     "MatrixSummary",
     "summarize",
+    "elimination_tree",
     "elimination_tree_from_matrix",
     "symbolic_cholesky",
     "column_counts",

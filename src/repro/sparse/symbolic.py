@@ -4,8 +4,9 @@ The paper's SpTRSV workload is a lower-triangular *factor* — the output of
 a (complete or incomplete) factorisation — whose pattern includes fill.
 This module computes that pattern without numerics:
 
-* :func:`elimination_tree_from_matrix` — Liu's etree directly from a
-  symmetric matrix's lower pattern;
+* :func:`elimination_tree` — Liu's etree from a strictly-lower pattern
+  (the one body; LBC calls it on a dependence DAG's in-edges), and
+  :func:`elimination_tree_from_matrix`, its wrapper for a symmetric matrix;
 * :func:`symbolic_cholesky` — the filled pattern of the Cholesky factor
   ``L`` (row-subtree characterisation: row ``i`` of ``L`` contains ``j``
   iff ``j`` is on an etree path from a nonzero column of ``A`` row ``i``
@@ -28,6 +29,7 @@ from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, csr_from_coo
 from .triangular import lower_triangle
 
 __all__ = [
+    "elimination_tree",
     "elimination_tree_from_matrix",
     "symbolic_cholesky",
     "column_counts",
@@ -38,6 +40,38 @@ __all__ = [
 ]
 
 
+def elimination_tree(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Liu's elimination tree of a strictly-lower pattern (parent array).
+
+    Row ``i`` of the pattern lists the columns ``k < i`` stored in
+    ``indices[indptr[i]:indptr[i + 1]]``; entries with ``k >= i`` are
+    skipped, so a full symmetric pattern gives the same tree.  Returns
+    ``parent`` with ``parent[root] = -1`` and ``parent(v) > v``.  The
+    path-compressed "ancestor" forest gives near-linear time; the walk runs
+    over Python lists.
+    """
+    n = len(indptr) - 1
+    ptr = np.asarray(indptr).tolist()
+    idx = np.asarray(indices).tolist()
+    parent = [-1] * n
+    ancestor = [-1] * n
+    for i in range(n):
+        for t in range(ptr[i], ptr[i + 1]):
+            r = idx[t]
+            if r >= i:
+                continue
+            while True:
+                a = ancestor[r]
+                if a == i:
+                    break
+                ancestor[r] = i  # path compression
+                if a == -1:
+                    parent[r] = i
+                    break
+                r = a
+    return np.asarray(parent, dtype=INDEX_DTYPE)
+
+
 def elimination_tree_from_matrix(a: CSRMatrix) -> np.ndarray:
     """Liu's elimination tree of ``a``'s symmetric pattern (parent array).
 
@@ -46,24 +80,7 @@ def elimination_tree_from_matrix(a: CSRMatrix) -> np.ndarray:
     """
     if not a.is_square:
         raise ValueError("elimination tree requires a square matrix")
-    n = a.n_rows
-    parent = np.full(n, -1, dtype=INDEX_DTYPE)
-    ancestor = np.full(n, -1, dtype=INDEX_DTYPE)
-    indptr, indices = a.indptr, a.indices
-    for i in range(n):
-        for t in range(indptr[i], indptr[i + 1]):
-            k = int(indices[t])
-            if k >= i:
-                continue
-            r = k
-            while ancestor[r] != -1 and ancestor[r] != i:
-                nxt = int(ancestor[r])
-                ancestor[r] = i
-                r = nxt
-            if ancestor[r] == -1:
-                ancestor[r] = i
-                parent[r] = i
-    return parent
+    return elimination_tree(a.indptr, a.indices)
 
 
 def symbolic_cholesky(a: CSRMatrix) -> CSRMatrix:

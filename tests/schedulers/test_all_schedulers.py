@@ -82,3 +82,14 @@ def test_more_cores_than_vertices(name):
     g = dag_from_matrix_lower(a)
     s = build(name, g, np.ones(9), 32)
     s.validate(g)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_bad_costs_fail_closed(name, bad, mesh):
+    """A negative or non-finite cost is refused before any pass runs."""
+    g = dag_from_matrix_lower(mesh)
+    cost = np.ones(g.n)
+    cost[g.n // 2] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SCHEDULERS[name](g, cost, 4)

@@ -6,14 +6,8 @@ import pytest
 from repro.graph import DAG, compute_wavefronts, dag_from_matrix_lower
 from repro.kernels import KERNELS
 from repro.passes.baselines import chunk_by_cost, chunk_by_count
-from repro.schedulers import (
-    SCHEDULERS,
-    acyclic_partition,
-    edge_cut,
-    elimination_tree,
-    forest_components,
-    tree_levels,
-)
+from repro.schedulers import SCHEDULERS, acyclic_partition, build_etree, edge_cut, tree_levels
+from repro.sparse import elimination_tree
 
 
 class TestChunkHelpers:
@@ -85,7 +79,7 @@ class TestLBC:
 
     def test_elimination_tree_structure(self, mesh):
         g = dag_from_matrix_lower(mesh)
-        parent = elimination_tree(g)
+        parent = elimination_tree(g.in_ptr, g.in_idx)
         n = g.n
         roots = np.nonzero(parent < 0)[0]
         assert roots.size >= 1
@@ -99,7 +93,7 @@ class TestLBC:
         """Every dependence edge u -> v has u a descendant of v in etree."""
         for name, a in all_small_matrices.items():
             g = dag_from_matrix_lower(a)
-            parent = elimination_tree(g)
+            parent = elimination_tree(g.in_ptr, g.in_idx)
             for u, v in list(g.iter_edges())[:400]:
                 w = u
                 seen = 0
@@ -118,10 +112,19 @@ class TestLBC:
             tree_levels(np.array([1, 0]))
 
     def test_forest_components(self):
-        parent = np.array([1, 4, 3, 4, -1])
-        mask = np.array([True, True, True, False, False])
-        comps = forest_components(parent, mask)
-        assert [c.tolist() for c in comps] == [[0, 1], [2]]
+        """Below the cut, LBC packs whole subtrees, by smallest member."""
+        # etree 0 -> 1 -> 4 <- 3 <- 2 (heights 0, 1, 0, 1, 2); cut 1 keeps
+        # the leaves {0} and {2}; cut 2 the subtrees {0, 1} and {2, 3}
+        g = DAG.from_edges(5, np.array([0, 1, 2, 3]), np.array([1, 4, 3, 4]))
+        tree = build_etree(g, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert tree.parent.tolist() == [1, 4, 3, 4, -1]
+        assert tree.height.tolist() == [0, 1, 0, 1, 2]
+        assert tree.subtree_cost.tolist() == [1.0, 3.0, 3.0, 7.0, 15.0]
+        assert tree.subtree_min.tolist() == [0, 0, 2, 2, 0]
+        s = SCHEDULERS["lbc"](g, np.ones(5), 2, epsilon=0.3)
+        assert s.meta["cut_level"] == 2
+        parts = np.split(s.order, s.part_ptr[1:-1])
+        assert [part.tolist() for part in parts] == [[0, 1], [2, 3], [4]]
 
 
 class TestDAGP:

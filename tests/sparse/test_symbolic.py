@@ -40,11 +40,11 @@ def arrow():
 def test_etree_matches_dag_builder(mesh):
     """The matrix-level etree equals the DAG-level etree used by LBC."""
     from repro.graph import dag_from_matrix_lower
-    from repro.schedulers import elimination_tree
+    from repro.schedulers import build_etree
 
+    g = dag_from_matrix_lower(mesh)
     np.testing.assert_array_equal(
-        elimination_tree_from_matrix(mesh),
-        elimination_tree(dag_from_matrix_lower(mesh)),
+        elimination_tree_from_matrix(mesh), build_etree(g, np.ones(g.n)).parent
     )
 
 
