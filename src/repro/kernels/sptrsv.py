@@ -15,16 +15,18 @@ those reads are the loop-carried dependences the inspectors schedule around.
 Three executors are provided:
 
 * :func:`sptrsv_reference` — the literal sequential loop (oracle);
-* :func:`sptrsv_levelwise` — vectorized level-synchronous solve used by the
-  fast paths of the harness (one segmented mat-vec per wavefront);
+* :func:`sptrsv_levelwise` — vectorized level-synchronous solve (one
+  segmented mat-vec per wavefront), used by the examples and tests;
 * :meth:`SpTRSV.execute_in_order` — the schedule executor: it checks the
-  whole (schedule-derived) order against the dependences once, raising on
-  any violation, then runs the iterations in that order on Python scalars.
+  whole (schedule-derived) order against the dependences once per call,
+  raising on any violation, then runs the iterations in that order on the
+  matrix's memoised row program (:func:`row_program`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import gc
+from typing import List, Tuple
 
 import numpy as np
 
@@ -50,14 +52,46 @@ def check_solvable(low: CSRMatrix) -> None:
     """Validate that ``low`` is lower-triangular with a non-zero full diagonal."""
     if not low.is_square:
         raise KernelError("sptrsv: matrix must be square")
-    row_of = np.repeat(np.arange(low.n_rows, dtype=INDEX_DTYPE), low.row_nnz())
-    if np.any(low.indices > row_of):
+    counts = low.row_nnz()
+    rows = np.arange(low.n_rows, dtype=INDEX_DTYPE)
+    if np.any(low.indices > np.repeat(rows, counts)):
         raise KernelError("sptrsv: matrix has entries above the diagonal")
-    if not low.has_full_diagonal():
+    last = low.indptr[1:] - 1  # with nothing above it, a row's diagonal is its last entry
+    if not counts.all() or np.any(low.indices[last] != rows):
         raise KernelError("sptrsv: missing diagonal entry")
-    d = low.diagonal()
-    if np.any(d == 0.0):
+    if np.any(low.data[last] == 0.0):
         raise KernelError("sptrsv: zero on the diagonal")
+
+
+def row_program(low: CSRMatrix) -> Tuple[List[tuple], List[float]]:
+    """``(rows, diag)``: the solvable lower triangle ``low`` as Python lists.
+
+    ``rows[i]`` is a tuple of row ``i``'s off-diagonal ``(value, column)``
+    pairs in stored order and ``diag[i]`` is ``L[i, i]``.  The program is
+    memoised on ``low``, which is immutable, and built only after
+    :func:`check_solvable` passes: a matrix that fails the check raises on
+    every call and never gets a program.
+    """
+    program = low._row_program
+    if program is None:
+        check_solvable(low)
+        last = low.indptr[1:] - 1  # a solvable row stores its diagonal last
+        off = np.ones(low.nnz, dtype=bool)
+        off[last] = False
+        vals, cols = low.data[off].tolist(), low.indices[off].tolist()
+        ptr = (low.indptr - np.arange(low.n_rows + 1, dtype=INDEX_DTYPE)).tolist()
+        # The build makes ~nnz acyclic tuples; with the cyclic collector
+        # scanning them as they are made it took about twice as long.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            pairs = tuple(zip(vals, cols))
+            rows = [pairs[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+        finally:
+            if collecting:
+                gc.enable()
+        program = low._row_program = (rows, low.data[last].tolist())
+    return program
 
 
 def sptrsv_reference(low: CSRMatrix, b: np.ndarray) -> np.ndarray:
@@ -259,25 +293,25 @@ class SpTRSV(SparseKernel):
     ) -> np.ndarray:
         """Forward substitution running the iterations in ``order``.
 
-        The whole order is checked against the dependences first; then each
-        row computes ``x[i] = (b[i] - sum_j L[i, j] x[j]) / L[i, i]`` on
-        plain Python floats, the sum taken left to right in stored order.
+        The matrix's :func:`row_program` is built on the first call; the
+        order is checked against the dependences on every call, since it
+        may differ from call to call.  Then each row computes
+        ``x[i] = (b[i] - sum_j L[i, j] x[j]) / L[i, i]`` on plain Python
+        floats, the sum taken left to right in stored order.
         """
-        check_solvable(a)
+        rows, diag = row_program(a)
         n = a.n_rows
         b = check_rhs(np.ones(n) if b is None else b, n)
         order = check_order(
             a, order, "sptrsv", "iteration {i} scheduled before its dependences {missing}"
         )
-        indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
         rhs = b.tolist()
         x = [0.0] * n
         for i in order.tolist():
-            lo, diag = indptr[i], indptr[i + 1] - 1
             s = 0.0
-            for k in range(lo, diag):
-                s += data[k] * x[indices[k]]
-            x[i] = (rhs[i] - s) / data[diag]
+            for v, j in rows[i]:
+                s += v * x[j]
+            x[i] = (rhs[i] - s) / diag[i]
         return np.array(x, dtype=VALUE_DTYPE)
 
     def verify(self, a: CSRMatrix, result, b: np.ndarray | None = None) -> float:

@@ -13,9 +13,12 @@ Design notes
   the hot inspector loops.
 * Column indices within each row are kept sorted and duplicate-free; the
   constructor verifies this (cheaply, vectorized) unless told not to.
-* The structure arrays are set read-only.  Numeric kernels that need to
-  update values (e.g. factorizations) copy ``data`` explicitly, which makes
-  aliasing bugs impossible.
+* The arrays are set read-only, and an array that views memory someone
+  else can still write (``buf[:k]`` of a writeable ``buf``) is copied
+  first, so a matrix never changes after construction and values derived
+  from it (the SpTRSV row program) may be memoised on it.  Numeric kernels
+  that need to update values (e.g. factorizations) copy ``data``
+  explicitly, which makes aliasing bugs impossible.
 """
 
 from __future__ import annotations
@@ -54,6 +57,21 @@ def _as_value_array(a, name: str) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied first when its memory is writeable elsewhere.
+
+    An array that owns its memory is frozen in place, and so is a view of a
+    read-only array (``with_data`` shares its structure this way); a view of
+    a writeable array or of a foreign buffer is copied, so writes through
+    its base cannot reach the matrix.
+    """
+    base = arr.base
+    if base is not None and (not isinstance(base, np.ndarray) or base.flags.writeable):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
     """``b`` as a float vector of exactly ``n`` entries, else ``ValueError``."""
     b = np.asarray(b, dtype=VALUE_DTYPE)
@@ -80,11 +98,12 @@ class CSRMatrix:
         When true (default) validate the invariants: monotone ``indptr``,
         in-range and strictly increasing column indices per row.
 
-    The arrays are stored read-only; use :meth:`with_data` to obtain a matrix
-    sharing the structure but carrying fresh values.
+    The arrays are stored read-only (views of writeable memory are copied);
+    use :meth:`with_data` to obtain a matrix sharing the structure but
+    carrying fresh values.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_row_program")
 
     def __init__(
         self,
@@ -103,8 +122,12 @@ class CSRMatrix:
         self.data = _as_value_array(data, "data")
         if check:
             self._validate()
-        for arr in (self.indptr, self.indices, self.data):
-            arr.flags.writeable = False
+        self.indptr = _frozen(self.indptr)
+        self.indices = _frozen(self.indices)
+        self.data = _frozen(self.data)
+        #: SpTRSV's per-row lists, filled by ``repro.kernels.sptrsv`` on the
+        #: first solve that finds the matrix solvable
+        self._row_program: tuple | None = None
 
     # ------------------------------------------------------------------
     # invariants
@@ -312,6 +335,10 @@ class CSRMatrix:
 
     def __hash__(self) -> int:
         raise TypeError("CSRMatrix is not hashable")
+
+    def __reduce__(self):
+        # rebuilt through __init__: unpickled arrays come back writeable
+        return (CSRMatrix, (self.n_rows, self.n_cols, self.indptr, self.indices, self.data))
 
 
 def csr_from_coo(

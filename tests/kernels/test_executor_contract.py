@@ -15,9 +15,15 @@ before computing it and ran the former NumPy row bodies:
 * every valid order gives a factor ``==`` to the natural-order reference;
 * on invalid orders every kernel raises exactly the message the per-row
   loop raised;
-* on deep chains the SpTRSV executor is not slower than the per-row loop.
+* on deep chains the SpTRSV executor is not slower than the per-row loop;
+* the SpTRSV executor's memoised row program: repeated calls on one matrix
+  are ``==`` to the former scalar body that rebuilt everything per call
+  (suite lower triangles; natural, HDagg and random topological orders),
+  the order is still checked on every call, a matrix that is not solvable
+  raises on every call, and a ``with_data`` matrix gets its own program.
 """
 
+import os
 import time
 
 import numpy as np
@@ -26,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import KERNELS, KernelError, sptrsv_reference
+from repro.kernels.base import check_order
 from repro.kernels.cholesky import embed_in_fill_pattern
 from repro.kernels.sptrsv import check_solvable
 from repro.runtime.executor import interleaved_order
@@ -42,7 +49,8 @@ from repro.sparse import (
     spd_from_pattern,
     tridiagonal_spd,
 )
-from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, check_rhs
+from repro.suite import SUITE
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +174,26 @@ def per_row_sptrsv(a, order, b):
         x[i] = (b[i] - data[lo : hi - 1] @ x[cols]) / data[hi - 1]
         done[i] = True
     return x
+
+
+def scalar_sptrsv(a, order, b=None):
+    """The SpTRSV executor before its row program: check and flatten per call."""
+    check_solvable(a)
+    n = a.n_rows
+    b = check_rhs(np.ones(n) if b is None else b, n)
+    order = check_order(
+        a, order, "sptrsv", "iteration {i} scheduled before its dependences {missing}"
+    )
+    indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    rhs = b.tolist()
+    x = [0.0] * n
+    for i in order.tolist():
+        lo, diag = indptr[i], indptr[i + 1] - 1
+        s = 0.0
+        for k in range(lo, diag):
+            s += data[k] * x[indices[k]]
+        x[i] = (rhs[i] - s) / data[diag]
+    return np.array(x, dtype=VALUE_DTYPE)
 
 
 def _per_row_factor(name, low, order, dot):
@@ -487,3 +515,95 @@ def test_deep_chain_not_slower_than_the_per_row_loop(make):
     new = _best_of(lambda: kernel.execute_in_order(low, order, b))
     old = _best_of(lambda: per_row_sptrsv(low, order, b))
     assert new <= old, f"checked-once executor {new * 1e3:.2f} ms vs per-row {old * 1e3:.2f} ms"
+
+
+# ----------------------------------------------------------------------
+# the SpTRSV row program
+# ----------------------------------------------------------------------
+#: one or two small matrices per family in tier-1; every suite matrix with
+#: ``REPRO_DIFF_FULL=1``
+_SUBSET = ["mesh2d-s", "mesh3d-s", "band-dense", "rand-dense", "chain-pure", "blocks-few",
+           "arrow-many", "power-hard", "kite-small"]
+SUITE_MATRICES = [s.name for s in SUITE] if os.environ.get("REPRO_DIFF_FULL") else _SUBSET
+
+
+def _suite_lower(name):
+    spec = next(s for s in SUITE if s.name == name)
+    return lower_triangle(apply_ordering(spec.build(), "nd")[0])
+
+
+@pytest.mark.parametrize("name", SUITE_MATRICES)
+def test_sptrsv_repeated_calls_equal_the_former_body(name):
+    low = _suite_lower(name)
+    kernel = KERNELS["sptrsv"]
+    g = kernel.dag(low)
+    schedule = SCHEDULERS["hdagg"](g, np.asarray(kernel.cost(low), dtype=float)[: g.n], 20)
+    rng = np.random.default_rng(0)
+    orders = {
+        "natural": np.arange(low.n_rows, dtype=INDEX_DTYPE),
+        "hdagg": schedule.execution_order(),
+        "random": random_topological_order(g, rng),
+    }
+    for round_ in range(2):
+        for label, order in orders.items():
+            b = rng.standard_normal(low.n_rows)
+            got = kernel.execute_in_order(low, order.copy(), b)
+            assert np.array_equal(got, scalar_sptrsv(low, order, b)), (label, round_)
+
+
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_sptrsv_checks_the_order_on_every_call(a, seed):
+    kernel = KERNELS["sptrsv"]
+    low = lower_triangle(a)
+    b = np.random.default_rng(seed).standard_normal(low.n_rows)
+    good = np.arange(low.n_rows, dtype=INDEX_DTYPE)
+    want = scalar_sptrsv(low, good, b)
+    assert np.array_equal(kernel.execute_in_order(low, good, b), want)
+    for order in invalid_orders(kernel, low, seed):
+        status, got = _outcome(kernel.execute_in_order, low, order, b)
+        want_status, want_out = _outcome(scalar_sptrsv, low, order, b)
+        assert status == want_status, (order, got, want_out)
+        assert np.array_equal(got, want_out) if status == "ok" else got == want_out
+    assert np.array_equal(kernel.execute_in_order(low, good, b), want)
+
+
+@pytest.mark.parametrize(
+    "indptr,indices,data,message",
+    [
+        ([0, 1, 3], [0, 0, 1], [2.0, 1.0, 0.0], "sptrsv: zero on the diagonal"),
+        ([0, 2, 3], [0, 1, 1], [2.0, 1.0, 3.0], "sptrsv: matrix has entries above the diagonal"),
+        ([0, 1, 2], [0, 0], [2.0, 1.0], "sptrsv: missing diagonal entry"),
+        ([0, 1, 1], [0], [2.0], "sptrsv: missing diagonal entry"),
+    ],
+    ids=["zero-diagonal", "above-diagonal", "missing-diagonal", "empty-row"],
+)
+def test_unsolvable_matrix_raises_on_every_call(indptr, indices, data, message):
+    m = CSRMatrix(2, 2, indptr, indices, data)
+    for _ in range(3):
+        with pytest.raises(KernelError) as exc:
+            KERNELS["sptrsv"].execute_in_order(m, [0, 1], [1.0, 1.0])
+        assert str(exc.value) == message
+
+
+def test_with_data_gets_its_own_program():
+    kernel = KERNELS["sptrsv"]
+    low = lower_triangle(tridiagonal_spd(50, seed=1))
+    order = np.arange(low.n_rows, dtype=INDEX_DTYPE)
+    b = np.random.default_rng(1).standard_normal(low.n_rows)
+    first = kernel.execute_in_order(low, order, b)
+    scaled = low.with_data(low.data * 3.0)
+    assert np.array_equal(kernel.execute_in_order(scaled, order, b), scalar_sptrsv(scaled, order, b))
+    assert np.array_equal(kernel.execute_in_order(low, order, b), first)
+    data = low.data.copy()
+    data[low.indptr[8] - 1] = 0.0  # row 7's diagonal
+    with pytest.raises(KernelError, match="zero on the diagonal"):
+        kernel.execute_in_order(low.with_data(data), order, b)
+
+
+def test_b_none_solves_with_ones():
+    kernel = KERNELS["sptrsv"]
+    low = lower_triangle(poisson2d(8, seed=2))
+    order = np.arange(low.n_rows, dtype=INDEX_DTYPE)
+    for _ in range(2):
+        assert np.array_equal(kernel.execute_in_order(low, order), scalar_sptrsv(low, order))

@@ -1,5 +1,7 @@
 """Unit tests for the CSR container."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,35 @@ class TestConstruction:
             a.data[0] = 9.0
         with pytest.raises(ValueError):
             a.indices[0] = 1
+
+    def test_view_of_writeable_memory_is_copied(self):
+        buf = np.array([1.0, 2.0, 3.0])
+        cols = np.array([0, 1, 7])
+        a = CSRMatrix(2, 2, [0, 1, 2], cols[:2], buf[:2])
+        buf[0] = 99.0
+        cols[1] = 0
+        assert a.data.tolist() == [1.0, 2.0]
+        assert a.indices.tolist() == [0, 1]
+        assert buf.flags.writeable and cols.flags.writeable
+
+    def test_owned_and_read_only_arrays_are_not_copied(self):
+        data = np.array([1.0, 2.0])
+        a = CSRMatrix(2, 2, [0, 1, 2], [0, 1], data)
+        assert np.shares_memory(a.data, data) and not data.flags.writeable
+        b = a.with_data([3.0, 4.0])
+        assert np.shares_memory(b.indptr, a.indptr)
+        assert np.shares_memory(b.indices, a.indices)
+        frozen = np.array([5.0, 6.0, 7.0])
+        frozen.flags.writeable = False
+        c = CSRMatrix(2, 2, [0, 1, 2], [0, 1], frozen[1:])
+        assert np.shares_memory(c.data, frozen)
+
+    def test_unpickled_matrix_is_read_only(self):
+        a = dense_roundtrip([[2.0, 0.0], [1.0, 3.0]])
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a
+        for arr in (b.indptr, b.indices, b.data):
+            assert not arr.flags.writeable
 
     def test_bad_indptr_length(self):
         with pytest.raises(ValueError, match="indptr"):
