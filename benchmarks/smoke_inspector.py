@@ -98,8 +98,8 @@ def main(
     low = lower_triangle(poisson2d(96))
     kernel = KERNELS["sptrsv"]
     g96 = kernel.dag(low)
-    art = inspect_with_artifacts(g96, kernel.cost(low), 20)
-    verify_ms = verify_median_ms(g96, art.schedule)
+    schedule96, art = inspect_with_artifacts(g96, kernel.cost(low), 20)
+    verify_ms = verify_median_ms(g96, schedule96)
     print(f"poisson2d(96) verify_dependences: median of {MEDIAN_ROUNDS} = {verify_ms:.2f} ms")
     if verify_ms > verify_budget_ms:
         print(f"FAIL: verify exceeds budget of {verify_budget_ms:.1f} ms", file=sys.stderr)

@@ -7,9 +7,7 @@ from .binpack import BinPacking, first_fit_pack
 from .hdagg import expand_lbp_to_schedule, hdagg
 from .incremental import (
     InspectionArtifacts,
-    PatternDelta,
     RepairResult,
-    diff_dag,
     family_key,
     inspect_with_artifacts,
     repair_schedule,
@@ -54,8 +52,6 @@ __all__ = [
     "CacheStats",
     "schedule_key",
     "active_tier",
-    "PatternDelta",
-    "diff_dag",
     "InspectionArtifacts",
     "inspect_with_artifacts",
     "RepairResult",

@@ -1,38 +1,34 @@
-"""Incremental re-inspection: repair a schedule after a small pattern change.
+"""Incremental repair: schedule a near-miss pattern by splicing the last inspection.
 
 Solver pipelines re-factorize: a few rows of the factor change (pivot
 perturbation, partial refactorization, mesh-local updates) while the rest
-of the sparsity pattern — and therefore the dependence DAG, the subtree
-grouping, and most of the LBP walk — is untouched.  A full re-inspection
-pays the whole Algorithm-1 pipeline again; this module repairs the cached
-inspection instead:
+of the sparsity pattern — and therefore most of the dependence DAG, the
+subtree grouping, and the LBP walk — is untouched.  The schedule cache's
+reuse ladder (:meth:`~repro.core.schedule_cache.ScheduleCache.acquire`)
+keeps, per *parameter family* (kernel, algorithm, ``p``, ``epsilon``,
+tier, matrix label), what the splice reads of the family's last HDagg
+inspection (:class:`InspectionArtifacts`), and turns an exact-key miss
+in a known family into :func:`repair_schedule`:
 
-1. :class:`PatternDelta` names the row-level difference (rows added,
-   removed, or retained-with-changed-columns) via a monotone old→new row
-   map; :func:`diff_dag` builds one and :func:`changed_rows` extracts the
-   structurally-changed retained rows.
-2. :func:`repair_schedule` re-runs only the cheap global stages (two-hop
-   reduction, subtree grouping — both fractions of the pipeline), then
-   *diffs* everything downstream: it matches old groups to new groups,
-   marks the dirty ones, splices the coarsened DAG ``G''`` row-by-row
-   (clean rows are id-remapped from the old ``G''``), re-walks LBP only
-   across the dirty wavefront window (reusing the old walk's prefix and
-   suffix verbatim — the walk's state fully resets at every cut, so clean
-   cut-to-cut spans replay bit-for-bit), and expands the spliced flat
-   LBP result in a few array passes.
-3. :func:`repairable` decides, from a pass group's repair plan alone,
-   whether this splice applies to it, :func:`repair_pays` whether it pays
-   on this platform; when both hold, the schedule cache's reuse ladder
-   (:meth:`~repro.core.schedule_cache.ScheduleCache.acquire`) turns an
-   exact-key miss whose *parameter family* (kernel, algorithm, ``p``,
-   ``epsilon``, backend, options) was seen before into a repair instead of
-   a full inspection.
+1. the two cheap global stages — two-hop reduction and subtree grouping —
+   re-run exactly, through the driver's pass runner;
+2. rows are matched by id (a vertex-count change is inspected afresh):
+   the diff marks the rows whose reduced out-edges or cost changed, matches
+   old groups to new groups, and marks the dirty groups;
+3. the coarsened DAG ``G''`` is spliced row by row (clean rows are
+   id-remapped from the old ``G''``), LBP is re-walked only across the
+   dirty wavefront window (the old walk's prefix and suffix replay
+   verbatim — the walk's state fully resets at every cut), and the flat
+   LBP result is expanded in a few array passes.
+
+:func:`repairable` decides from a pass group's contracts whether this
+splice applies to it, :func:`repair_pays` whether it pays on this platform.
 
 The contract is strict: when ``mode == "repaired"`` the output schedule is
-**bit-identical** to a full re-inspection of the new pattern (enforced by
-the hypothesis suite in ``tests/core/test_incremental.py``).  Every guard
-that cannot cheaply prove identity falls back to ``mode == "full"``, which
-is simply a fresh :func:`inspect_with_artifacts` call.
+**bit-identical** to a fresh :func:`~repro.core.hdagg.hdagg` inspection of
+the new pattern (enforced by the hypothesis suite in
+``tests/core/test_incremental.py``).  Every guard that cannot cheaply
+prove identity falls back to ``mode == "full"``, a fresh inspection.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,9 +46,8 @@ from ..graph.wavefronts import compute_wavefronts
 from ..passes import (
     PassContext,
     PassGroup,
-    RepairPlan,
+    affected_passes,
     build_hdagg_group,
-    plan_repair,
     run_group,
     run_scheduler,
     seed_context,
@@ -67,9 +62,6 @@ from .schedule import Schedule
 from .schedule_cache import ScheduleCache
 
 __all__ = [
-    "PatternDelta",
-    "diff_dag",
-    "changed_rows",
     "InspectionArtifacts",
     "inspect_with_artifacts",
     "artifacts_from_context",
@@ -83,128 +75,13 @@ __all__ = [
 
 _FAMILY_KEY_VERSION = b"repro-family-key-v1\0"
 
-#: the passes :func:`repair_schedule` splices; a pattern delta dirties these inputs
+#: the passes :func:`repair_schedule` splices; a pattern change dirties these inputs
 _SPLICE = ("coarsen", "lbp", "expand")
 _DIRTY = ("DAG", "Cost")
 
-#: pipeline options a repair understands; anything else forces a full run
-_DEFAULT_OPTIONS = {
-    "aggregate": True,
-    "transitive_reduce": True,
-    "bin_pack": True,
-    "group_cost_cap_fraction": 0.25,
-    "sync": "barrier",
-}
-
-
-# ----------------------------------------------------------------------
-# Pattern deltas
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PatternDelta:
-    """Row-level difference between an old and a new sparsity pattern.
-
-    ``row_map[i]`` is the new row id of old row ``i``, or ``-1`` when the
-    row was removed.  The map must be strictly increasing over retained
-    rows — row insertion and deletion preserve the relative order of the
-    survivors, which is what lets the repair path reuse sorted vertex
-    arrays without re-sorting.  New rows are exactly the new ids missing
-    from the map's image.
-    """
-
-    n_old: int
-    n_new: int
-    row_map: np.ndarray
-
-    def __post_init__(self) -> None:
-        rm = np.ascontiguousarray(self.row_map, dtype=INDEX_DTYPE)
-        object.__setattr__(self, "row_map", rm)
-        if rm.shape[0] != self.n_old:
-            raise ValueError(f"row_map has length {rm.shape[0]}, expected {self.n_old}")
-        kept = rm[rm >= 0]
-        if kept.size:
-            if int(kept.max()) >= self.n_new:
-                raise ValueError("row_map target out of range")
-            if kept.size > 1 and np.any(np.diff(kept) <= 0):
-                raise ValueError("row_map must be strictly increasing on retained rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "PatternDelta":
-        """Same row count, same numbering (columns may still have changed)."""
-        return cls(n, n, np.arange(n, dtype=INDEX_DTYPE))
-
-    @property
-    def retained_old(self) -> np.ndarray:
-        """Old ids of retained rows (ascending)."""
-        return np.flatnonzero(self.row_map >= 0).astype(INDEX_DTYPE, copy=False)
-
-    @property
-    def retained_new(self) -> np.ndarray:
-        """New ids of retained rows, aligned with :attr:`retained_old`."""
-        return self.row_map[self.retained_old]
-
-    @property
-    def removed(self) -> np.ndarray:
-        """Old ids of removed rows."""
-        return np.flatnonzero(self.row_map < 0).astype(INDEX_DTYPE, copy=False)
-
-    @property
-    def added(self) -> np.ndarray:
-        """New ids of added rows."""
-        mask = np.ones(self.n_new, dtype=bool)
-        mask[self.retained_new] = False
-        return np.flatnonzero(mask).astype(INDEX_DTYPE, copy=False)
-
-    @property
-    def is_identity(self) -> bool:
-        """True when no rows were added or removed (ids are unchanged)."""
-        return self.n_old == self.n_new and self.removed.size == 0
-
-
-def diff_dag(g_old: DAG, g_new: DAG, row_map: Optional[np.ndarray] = None) -> PatternDelta:
-    """Delta between two dependence DAGs.
-
-    Without ``row_map`` the DAGs must have equal vertex counts and rows
-    are matched by id; pass an explicit map when rows were inserted or
-    deleted (the caller knows the renumbering, the DAGs alone do not).
-    """
-    if row_map is None:
-        if g_old.n != g_new.n:
-            raise ValueError(
-                f"row_map required when vertex counts differ ({g_old.n} vs {g_new.n})"
-            )
-        return PatternDelta.identity(g_old.n)
-    return PatternDelta(g_old.n, g_new.n, np.asarray(row_map, dtype=INDEX_DTYPE))
-
-
-def changed_rows(g_old: DAG, g_new: DAG, delta: PatternDelta) -> np.ndarray:
-    """New ids of retained rows whose out-edge lists differ.
-
-    Old targets are pushed through ``delta.row_map`` before comparison, so
-    an edge to a removed vertex — or to a renumbered one that moved — reads
-    as a change.  Fully vectorized: rows with equal lengths are compared as
-    one flat gather, mismatches mapped back to their row via ``np.repeat``.
-    """
-    old_ids = delta.retained_old
-    new_ids = delta.row_map[old_ids]
-    if old_ids.size == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    cnt_old = g_old.indptr[old_ids + 1] - g_old.indptr[old_ids]
-    cnt_new = g_new.indptr[new_ids + 1] - g_new.indptr[new_ids]
-    diff_len = cnt_old != cnt_new
-    same = ~diff_len
-    sel_old, sel_new = old_ids[same], new_ids[same]
-    bad = np.zeros(sel_old.shape[0], dtype=bool)
-    a = gather_slices(g_old.indptr, g_old.indices, sel_old)
-    if a.size:
-        b = gather_slices(g_new.indptr, g_new.indices, sel_new)
-        mismatch = delta.row_map[a] != b
-        if mismatch.any():
-            rows = np.repeat(
-                np.arange(sel_old.shape[0], dtype=INDEX_DTYPE), cnt_old[same]
-            )
-            bad[np.bincount(rows[mismatch], minlength=sel_old.shape[0]) > 0] = True
-    return np.sort(np.concatenate((new_ids[diff_len], sel_new[bad])))
+#: above this fraction of dirty groups a splice does not pay and a full
+#: inspection runs instead
+MAX_DIRTY_FRACTION = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -212,92 +89,72 @@ def changed_rows(g_old: DAG, g_new: DAG, delta: PatternDelta) -> np.ndarray:
 # ----------------------------------------------------------------------
 @dataclass
 class InspectionArtifacts:
-    """Every intermediate Algorithm-1 product, kept for later repair."""
+    """What :func:`repair_schedule` reads of one HDagg inspection.
 
-    g: DAG
+    ``g_base`` (the reduced DAG) and ``g2`` (the coarsened DAG ``G''``)
+    are kept as out-edge CSR only, without the in-edge caches the stages
+    built on them.
+    """
+
     cost: np.ndarray
     p: int
     epsilon: float
-    g_base: DAG  # reduced DAG (== g when reduction/aggregation disabled)
+    g_base: DAG
     grouping: Grouping
-    g2: DAG  # coarsened DAG G''
+    g2: DAG
     group_cost: np.ndarray
     lbp: LBPResult
-    schedule: Schedule
-    options: dict = field(default_factory=lambda: dict(_DEFAULT_OPTIONS))
+
+
+def _out_edges(g: DAG) -> DAG:
+    """``g`` without its in-edge caches (its frozen arrays are shared)."""
+    return DAG(g.n, g.indptr, g.indices, check=False)
 
 
 def inspect_with_artifacts(
-    g: DAG,
-    cost: np.ndarray,
-    p: int,
-    epsilon: float = DEFAULT_EPSILON,
-    **options,
-) -> InspectionArtifacts:
-    """Full HDagg inspection that keeps its intermediates.
+    g: DAG, cost: np.ndarray, p: int, epsilon: float = DEFAULT_EPSILON
+) -> Tuple[Schedule, InspectionArtifacts]:
+    """A full HDagg inspection and the artifacts a later repair reads.
 
-    Identical to :func:`repro.core.hdagg.hdagg` (same pipeline call, same
-    schedule) but returns the stage products a later
-    :func:`repair_schedule` needs.  ``options`` accepts the :func:`hdagg`
-    keyword switches (``aggregate``, ``transitive_reduce``, ``bin_pack``,
-    ``group_cost_cap_fraction``, ``sync``).
+    The schedule is the one :func:`repro.core.hdagg.hdagg` returns (same
+    pass group, same driver).
     """
-    unknown = set(options) - set(_DEFAULT_OPTIONS)
-    if unknown:
-        raise TypeError(f"unknown inspection options: {sorted(unknown)}")
-    opts = dict(_DEFAULT_OPTIONS)
-    opts.update(options)
-    ctx = run_scheduler(
-        _group(opts), g, cost, p, epsilon,
-        group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
-    )
-    return artifacts_from_context(ctx, g, p, epsilon, opts)
+    ctx = run_scheduler(build_hdagg_group(), g, cost, p, epsilon)
+    return ctx["Schedule"], artifacts_from_context(ctx)
 
 
-def artifacts_from_context(
-    ctx: PassContext, g: DAG, p: int, epsilon: float, options: Optional[dict] = None
-) -> InspectionArtifacts:
+def artifacts_from_context(ctx: PassContext) -> InspectionArtifacts:
     """The :class:`InspectionArtifacts` of one finished hdagg pass-group run."""
-    empty_lbp = _FlatBuilder(p).result(compute_wavefronts(DAG.empty(0)), [], epsilon, False)
+    p, epsilon = ctx["Cores"], ctx["Epsilon"]
+    if ctx["DAG"].n == 0:
+        # the driver runs no pass on an empty DAG
+        empty = DAG.empty(0)
+        lbp = _FlatBuilder(p).result(compute_wavefronts(empty), [], epsilon, False)
+        return InspectionArtifacts(
+            ctx["Cost"], p, epsilon, empty, identity_grouping(0), empty,
+            np.empty(0, dtype=np.float64), lbp,
+        )
     return InspectionArtifacts(
-        g=g,
         cost=ctx["Cost"],
         p=p,
         epsilon=epsilon,
-        g_base=ctx["ReducedDAG"] if ctx.has("ReducedDAG") else g,
-        grouping=ctx["Grouping"] if ctx.has("Grouping") else identity_grouping(g.n),
-        g2=ctx["CoarseDAG"] if ctx.has("CoarseDAG") else DAG.empty(0),
-        group_cost=(
-            ctx["GroupCost"] if ctx.has("GroupCost") else np.empty(0, dtype=np.float64)
-        ),
-        lbp=ctx["CoarsenedWaves"] if ctx.has("CoarsenedWaves") else empty_lbp,
-        schedule=ctx["Schedule"],
-        options=dict(options or _DEFAULT_OPTIONS),
+        g_base=_out_edges(ctx["ReducedDAG"]),
+        grouping=ctx["Grouping"],
+        g2=_out_edges(ctx["CoarseDAG"]),
+        group_cost=ctx["GroupCost"],
+        lbp=ctx["CoarsenedWaves"],
     )
-
-
-def _group(opts: dict) -> PassGroup:
-    """The hdagg pass-group variant for one set of inspection options."""
-    return build_hdagg_group(
-        aggregate=opts["aggregate"],
-        transitive_reduce=opts["transitive_reduce"],
-        bin_pack=opts["bin_pack"],
-    )
-
-
-def _splices_here(plan: RepairPlan) -> bool:
-    return plan.splice == _SPLICE and not plan.replay
 
 
 def repairable(group: PassGroup) -> bool:
     """Can :func:`repair_schedule` repair schedules of ``group``?
 
-    Decided from the group's contracts alone: its repair plan for a
-    pattern delta must splice exactly the passes this module splices.
-    Every other group (the baselines, an injected stand-in) is inspected
-    afresh on a near-miss.
+    Decided from the group's contracts alone: the passes a pattern change
+    (``DAG`` and ``Cost``) reaches must end in exactly the three this
+    module splices.  Every other group (the baselines, an injected
+    stand-in) is inspected afresh on a near-miss.
     """
-    return _splices_here(plan_repair(group, _DIRTY))
+    return affected_passes(group, _DIRTY)[-len(_SPLICE):] == _SPLICE
 
 
 def repair_pays() -> bool:
@@ -328,102 +185,56 @@ class RepairResult:
 # Repair
 # ----------------------------------------------------------------------
 def _full_repair(
-    old: InspectionArtifacts,
-    g_new: DAG,
-    cost_new: np.ndarray,
-    reason: str,
+    old: InspectionArtifacts, g_new: DAG, cost_new: np.ndarray, reason: str
 ) -> RepairResult:
-    art = inspect_with_artifacts(
-        g_new, cost_new, old.p, old.epsilon, **old.options
-    )
-    return RepairResult(
-        schedule=art.schedule, mode="full", artifacts=art, stats={"reason": reason}
-    )
+    schedule, art = inspect_with_artifacts(g_new, cost_new, old.p, old.epsilon)
+    return RepairResult(schedule, "full", art, {"reason": reason})
 
 
 def repair_schedule(
-    old: InspectionArtifacts,
-    g_new: DAG,
-    cost_new: np.ndarray,
-    delta: Optional[PatternDelta] = None,
-    *,
-    max_dirty_fraction: float = 0.25,
+    old: InspectionArtifacts, g_new: DAG, cost_new: np.ndarray
 ) -> RepairResult:
     """Repair ``old``'s schedule for the new pattern ``(g_new, cost_new)``.
 
-    ``delta`` relates old rows to new rows; ``None`` means identity when
-    the vertex counts match (the factorization-update case) and otherwise
-    forces a full inspection.  When more than ``max_dirty_fraction`` of the
-    groups are dirty the delta is too large for splicing to pay off and a
-    full inspection runs instead.
+    Rows are matched by id, so a change of the vertex count falls back to
+    a full inspection, and so does a change that dirties more than
+    :data:`MAX_DIRTY_FRACTION` of the groups (splicing would not pay).
 
     The repair recomputes the two cheap global stages exactly (two-hop
     reduction and subtree grouping — both depend globally on the pattern
-    via the cost-cap, so recomputing them is what keeps the bit-identity
+    via the cost cap, so recomputing them is what keeps the bit-identity
     proof local), then splices everything downstream around the dirty set.
-    The recompute/splice boundary is not hard-coded: it is read off the
-    hdagg pass group's declared ``repair`` policies via
-    :func:`repro.passes.plan_repair` (a pass whose contracts changed
-    policy would make the plan disagree with this implementation, which
-    falls back to a full inspection rather than splice wrongly), and the
-    plan is stamped into ``stats["plan"]``.
     """
     cost_new = np.asarray(cost_new, dtype=np.float64)
     if cost_new.shape[0] != g_new.n:
         raise ValueError(f"cost has length {cost_new.shape[0]}, expected {g_new.n}")
-    if delta is None:
-        if g_new.n != old.g.n:
-            return _full_repair(old, g_new, cost_new, "row map required for size change")
-        delta = PatternDelta.identity(g_new.n)
-    if delta.n_old != old.g.n or delta.n_new != g_new.n:
-        raise ValueError(
-            f"delta shape ({delta.n_old}->{delta.n_new}) does not match "
-            f"DAGs ({old.g.n}->{g_new.n})"
-        )
-    if old.g.n == 0 or g_new.n == 0:
+    if g_new.n != old.cost.shape[0]:
+        return _full_repair(old, g_new, cost_new, "size change")
+    if g_new.n == 0:
         return _full_repair(old, g_new, cost_new, "empty pattern")
-    if old.schedule.fine_grained:
-        return _full_repair(old, g_new, cost_new, "fine-grained schedule")
-    if old.schedule.n_levels != old.lbp.n_coarsened:
-        return _full_repair(old, g_new, cost_new, "schedule/LBP shape mismatch")
-
-    opts = old.options
     p, epsilon = old.p, old.epsilon
-
-    # ---- repair plan from the pass-group contracts --------------------
-    # A pattern delta dirties the DAG and Cost inputs; the plan buckets
-    # the group's passes by their declared repair policy.  This splice
-    # implementation handles exactly {coarsen, lbp, expand} — anything
-    # else means the group's contracts moved out from under us.
-    group = _group(opts)
-    plan = plan_repair(group, _DIRTY)
-    if not _splices_here(plan):
-        return _full_repair(old, g_new, cost_new, f"unsupported repair plan {plan}")
-    plan_stats = {
-        "recompute": list(plan.recompute),
-        "splice": list(plan.splice),
-        "replay": list(plan.replay),
-    }
 
     # ---- exact recompute of the cheap global stages -------------------
     # through the driver's pass runner: contracts, fault points, timing
-    ctx = seed_context(
-        group, g_new, cost_new, p, epsilon,
-        group_cost_cap_fraction=opts["group_cost_cap_fraction"], sync=opts["sync"],
-    )
-    run_group(group, ctx, plan.recompute)
+    group = build_hdagg_group()
+    ctx = seed_context(group, g_new, cost_new, p, epsilon)
+    run_group(group, ctx, [q.name for q in group.passes if q.name not in _SPLICE])
     g_base_new, grouping_new = ctx["ReducedDAG"], ctx["Grouping"]
-    backend = ctx["Backend"]
     # per-pass seconds of the recompute passes, then the repair's own stages
     seconds: Dict[str, float] = ctx.timer.seconds
 
     # ---- diff: dirty vertices, group matching, dirty groups -----------
+    # a row is dirty when its cost or its reduced out-edge list changed;
+    # rows of equal length are compared as one flat gather
     t0 = time.perf_counter()
-    ro, rn = delta.retained_old, delta.retained_new
-    dirty_vertex = np.zeros(g_new.n, dtype=bool)
-    dirty_vertex[changed_rows(old.g_base, g_base_new, delta)] = True
-    dirty_vertex[rn[old.cost[ro] != cost_new[rn]]] = True
-    dirty_vertex[delta.added] = True
+    len_old, len_new = np.diff(old.g_base.indptr), np.diff(g_base_new.indptr)
+    dirty_vertex = (len_old != len_new) | (old.cost != cost_new)
+    same = np.flatnonzero(~dirty_vertex)
+    mismatch = gather_slices(old.g_base.indptr, old.g_base.indices, same) != gather_slices(
+        g_base_new.indptr, g_base_new.indices, same
+    )
+    if mismatch.any():
+        dirty_vertex[np.repeat(same, len_new[same])[mismatch]] = True
 
     labels_new = grouping_new.labels
     labels_old = old.grouping.labels
@@ -431,15 +242,13 @@ def repair_schedule(
     n_groups_old = old.grouping.n_groups
     gptr, gflat = _grouping_csr(grouping_new)
     sizes_new = np.diff(gptr)
-    # per new group: the old label of every member (or -1 for added rows);
-    # a group matches an old one iff the labels agree and the sizes do too
-    ol = np.full(g_new.n, -1, dtype=INDEX_DTYPE)
-    ol[rn] = labels_old[ro]
-    ol_sorted = ol[gflat]
+    # a new group matches an old one iff all its members had one old label
+    # and the old group had as many members
+    ol_sorted = labels_old[gflat]
     gmin = np.minimum.reduceat(ol_sorted, gptr[:-1])
     gmax = np.maximum.reduceat(ol_sorted, gptr[:-1])
     sizes_old = np.bincount(labels_old, minlength=n_groups_old)
-    matched = (gmin >= 0) & (gmin == gmax)
+    matched = gmin == gmax
     matched[matched] &= sizes_old[gmin[matched]] == sizes_new[matched]
     pi_new2old = np.where(matched, gmin, np.int64(-1)).astype(INDEX_DTYPE, copy=False)
     mids = np.flatnonzero(matched)
@@ -464,12 +273,12 @@ def repair_schedule(
         dirty_group[gs[bad_target]] = True
     n_dirty = int(dirty_group.sum())
     seconds["diff"] = time.perf_counter() - t0
-    if n_dirty > max_dirty_fraction * n_groups_new:
+    if n_dirty > MAX_DIRTY_FRACTION * n_groups_new:
         return _full_repair(
             old,
             g_new,
             cost_new,
-            f"dirty fraction {n_dirty}/{n_groups_new} exceeds {max_dirty_fraction}",
+            f"dirty fraction {n_dirty}/{n_groups_new} exceeds {MAX_DIRTY_FRACTION}",
         )
 
     # ---- coarsen splice: G'' rows and group costs ---------------------
@@ -610,7 +419,6 @@ def repair_schedule(
     # Lines 36-38 over the final list; loads of reused wavefronts are the
     # old floats, so the accumulation replays bit-for-bit
     lbp_new = out.result(waves_new, dec_new, epsilon, True)
-    lbp_new.fine_grained |= not opts["bin_pack"]
     seconds["lbp"] = time.perf_counter() - t0
 
     # ---- expansion: a few array passes over the whole result ----------
@@ -625,26 +433,23 @@ def repair_schedule(
         "accumulated_pgp": lbp_new.accumulated_pgp,
         "cut_positions": lbp_new.cut_positions,
         "epsilon": epsilon,
-        "backend": backend,
+        "backend": ctx["Backend"],
     }
     schedule = expand_lbp_to_schedule(
-        lbp_new, grouping_new, g_new.n, p, sync=opts["sync"], meta=meta
+        lbp_new, grouping_new, g_new.n, p, sync=ctx.options["sync"], meta=meta
     )
     seconds["expand"] = time.perf_counter() - t0
     schedule.meta["stage_seconds"] = dict(seconds)
 
     artifacts = InspectionArtifacts(
-        g=g_new,
         cost=cost_new,
         p=p,
         epsilon=epsilon,
-        g_base=g_base_new,
+        g_base=_out_edges(g_base_new),
         grouping=grouping_new,
-        g2=g2_new,
+        g2=_out_edges(g2_new),
         group_cost=group_cost_new,
         lbp=lbp_new,
-        schedule=schedule,
-        options=dict(opts),
     )
     stats = {
         "n_groups": n_groups_new,
@@ -653,7 +458,6 @@ def repair_schedule(
         "n_reused_cws": n_reused,
         "n_live_cws": lbp_new.n_coarsened - n_reused,
         "seconds": seconds,
-        "plan": plan_stats,
     }
     return RepairResult(schedule=schedule, mode="repaired", artifacts=artifacts, stats=stats)
 

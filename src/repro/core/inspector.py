@@ -22,8 +22,8 @@ import numpy as np
 from ..graph.dag import DAG
 from ..passes import (
     PassGroup,
+    affected_passes,
     build_hdagg_group,
-    plan_repair,
     run_group,
     run_scheduler,
     seed_context,
@@ -32,6 +32,12 @@ from .pgp import DEFAULT_EPSILON
 from .schedule import Schedule
 
 __all__ = ["HDaggInspector"]
+
+
+def _unaffected(group: PassGroup, dirty: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Names of the passes of ``group`` a change of ``dirty`` cannot reach."""
+    affected = affected_passes(group, dirty)
+    return tuple(p.name for p in group.passes if p.name not in affected)
 
 
 def _products(group: PassGroup, passes: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -63,11 +69,11 @@ class HDaggInspector:
         group = build_hdagg_group(transitive_reduce=transitive_reduce)
         ctx = seed_context(group, g, cost, group_cost_cap_fraction=group_cost_cap_fraction)
         self.cost = ctx["Cost"]
-        dag_only = plan_repair(group, ("Cost", "Cores", "Epsilon")).replay
+        dag_only = _unaffected(group, ("Cost", "Cores", "Epsilon"))
         run_group(group, ctx, dag_only)
         self._dag_artifacts = {a: ctx[a] for a in _products(group, dag_only)}
         #: artifacts of the passes independent of epsilon (given p)
-        self._per_cores = _products(group, plan_repair(group, ("Epsilon",)).replay)
+        self._per_cores = _products(group, _unaffected(group, ("Epsilon",)))
         self._groupings: Dict[Optional[int], Dict[str, Any]] = {}
         self._schedules: Dict[Tuple[int, float, bool], Schedule] = {}
 

@@ -274,9 +274,7 @@ class ScheduleCache:
         )
         if not outcome.degraded:
             if can_repair:
-                self._keep_family(
-                    family, artifacts_from_context(outcome.context, g, p, epsilon)
-                )
+                self._keep_family(family, artifacts_from_context(outcome.context))
             self.put(key, outcome.schedule)
         return outcome.schedule, "full"
 

@@ -12,7 +12,10 @@ computation; :meth:`DAG.is_id_topological` checks it and
 
 Storage is out-edge CSR (``indptr``/``indices``); the in-edge (parent) CSR is
 materialised lazily and cached, since step 1 of HDagg and transitive
-reduction are parent-driven.
+reduction are parent-driven.  The arrays are read-only, and an array that
+views memory someone else can still write is copied first (the rule of
+:class:`~repro.sparse.csr.CSRMatrix`), so the cached in-edges never go
+stale.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ..sparse.csr import INDEX_DTYPE
+from ..sparse.csr import INDEX_DTYPE, _frozen
 
 __all__ = ["DAG", "gather_slices"]
 
@@ -72,8 +75,8 @@ class DAG:
         self._in_idx: np.ndarray | None = None
         if check:
             self._validate()
-        self.indptr.flags.writeable = False
-        self.indices.flags.writeable = False
+        self.indptr = _frozen(self.indptr)
+        self.indices = _frozen(self.indices)
 
     def _validate(self) -> None:
         if self.indptr.shape[0] != self.n + 1 or self.indptr[0] != 0:
@@ -218,3 +221,7 @@ class DAG:
 
     def __hash__(self) -> int:
         raise TypeError("DAG is not hashable")
+
+    def __reduce__(self):
+        # rebuilt through __init__: unpickled arrays come back writeable
+        return (DAG, (self.n, self.indptr, self.indices))

@@ -8,15 +8,15 @@ driver-supplied inputs, assumptions and options.  ``PASS_GROUPS``
 registers one group per scheduler and is the only scheduler registry;
 :func:`run_scheduler` is the one driver every scheduler runs through.
 :func:`repro.statan.verify_pipeline` proves a group well-formed before
-anything runs, and :func:`plan_repair` derives the incremental-repair
-boundary from the contracts alone.
+anything runs, and :func:`affected_passes` reads off the contracts alone
+which passes a change of inputs reaches.
 """
 
 from .base import MissingArtifactError, Pass, PassContext, PassGroup
 from .contracts import ARTIFACTS, INVARIANTS, Contract, ContractError
 from .executor import PipelineExecutionError, run_group, run_scheduler, seed_context
 from .hdagg import build_hdagg_group
-from .incremental import RepairPlan, plan_repair
+from .incremental import affected_passes
 from .registry import PASS_GROUPS, SCHEDULERS, get_pass_group, register_pass_group
 
 __all__ = [
@@ -33,8 +33,7 @@ __all__ = [
     "run_scheduler",
     "seed_context",
     "build_hdagg_group",
-    "RepairPlan",
-    "plan_repair",
+    "affected_passes",
     "PASS_GROUPS",
     "SCHEDULERS",
     "get_pass_group",

@@ -29,10 +29,6 @@ from .contracts import Contract
 
 __all__ = ["Pass", "PassGroup", "PassContext", "MissingArtifactError"]
 
-#: incremental-repair policies a pass can declare (see
-#: :func:`repro.passes.incremental.plan_repair`)
-REPAIR_POLICIES = ("recompute", "splice", "replay")
-
 
 class MissingArtifactError(KeyError):
     """A pass (or caller) asked the context for an artifact that is absent."""
@@ -95,22 +91,12 @@ class Pass:
     is the stage's only name: the driver times the pass under it, opens
     the ``inspect/<name>`` span and labels the ``inspector.stage`` fault
     point with it (``span_attrs`` adds span attributes when tracing is on).
-    ``repair`` is the incremental policy: ``recompute`` (cheap, re-run
-    exactly), ``splice`` (diff-driven partial recomputation), or
-    ``replay`` (reuse verbatim when inputs are clean).
     """
 
     name: str
     contract: Contract
     run: Callable[[PassContext], Mapping[str, Any]]
     span_attrs: Optional[Callable[[PassContext], Dict[str, Any]]] = None
-    repair: str = "recompute"
-
-    def __post_init__(self) -> None:
-        if self.repair not in REPAIR_POLICIES:
-            raise ValueError(
-                f"unknown repair policy {self.repair!r}; expected one of {REPAIR_POLICIES}"
-            )
 
 
 @dataclass(frozen=True)

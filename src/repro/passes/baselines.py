@@ -102,7 +102,6 @@ _WAVEFRONTS_PASS = Pass(
         preserves=("acyclic", "topo-ordered"),
     ),
     run=_run_wavefronts,
-    repair="recompute",
 )
 
 
@@ -147,7 +146,7 @@ def _run_emit_mkl(ctx: PassContext) -> Mapping[str, Any]:
     return _emit_levels(ctx, chunk="count", sync="barrier", algorithm="mkl")
 
 
-def _emit_pass(name: str, run: Any, requires: tuple, repair: str = "splice") -> Pass:
+def _emit_pass(name: str, run: Any, requires: tuple) -> Pass:
     """A pass that emits the final schedule from ``requires``."""
     return Pass(
         name=name,
@@ -158,7 +157,6 @@ def _emit_pass(name: str, run: Any, requires: tuple, repair: str = "splice") -> 
             establishes=("dependence-closed", "vertex-cover"),
         ),
         run=run,
-        repair=repair,
     )
 
 
@@ -277,7 +275,6 @@ def build_coarsen_k_group() -> PassGroup:
                     requires_invariants=("acyclic", "topo-ordered"),
                 ),
                 run=_run_window_merge,
-                repair="splice",
             ),
             _emit_pass(
                 "emit-windows", _run_emit_windows, ("LBPPartition", "Wavefronts", "DAG", "Cores")
@@ -320,7 +317,7 @@ def _run_serial(ctx: PassContext) -> Mapping[str, Any]:
 def build_serial_group() -> PassGroup:
     return PassGroup(
         name="serial",
-        passes=(_emit_pass("emit-serial", _run_serial, ("DAG",), "recompute"),),
+        passes=(_emit_pass("emit-serial", _run_serial, ("DAG",)),),
         inputs=("DAG",),
         assumes=_BASELINE_ASSUMES,
         description="ascending-id order on one core, no synchronisation (NRE denominator)",
@@ -356,7 +353,6 @@ def build_lbc_group() -> PassGroup:
                 "lbc-cut-pack",
                 _run_lbc_cut_pack,
                 ("ETree", "Cost", "Cores", "Epsilon"),
-                "recompute",
             ),
         ),
         inputs=("DAG", "Cost", "Cores", "Epsilon"),
@@ -404,7 +400,6 @@ def build_dagp_group() -> PassGroup:
                 "dagp-quotient-assign",
                 _run_dagp_quotient_assign,
                 ("PartLabels", *_BASELINE_INPUTS),
-                "recompute",
             ),
         ),
         inputs=_BASELINE_INPUTS,

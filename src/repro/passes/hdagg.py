@@ -205,7 +205,6 @@ def build_hdagg_group(
                 ),
                 run=_run_reduce if transitive_reduce else _run_reduce_identity,
                 span_attrs=_reduce_attrs,
-                repair="recompute",
             )
         )
         passes.append(
@@ -218,7 +217,6 @@ def build_hdagg_group(
                     preserves=("acyclic", "topo-ordered"),
                 ),
                 run=_run_aggregate,
-                repair="recompute",
             )
         )
     else:
@@ -232,7 +230,6 @@ def build_hdagg_group(
                     preserves=("acyclic", "topo-ordered"),
                 ),
                 run=_run_identity_grouping,
-                repair="recompute",
             )
         )
     passes.append(
@@ -245,7 +242,6 @@ def build_hdagg_group(
                 preserves=("acyclic", "topo-ordered"),
             ),
             run=_run_coarsen,
-            repair="splice",
         )
     )
     passes.append(
@@ -259,7 +255,6 @@ def build_hdagg_group(
             ),
             run=_run_lbp if bin_pack else _run_lbp_fine_grained,
             span_attrs=_lbp_attrs,
-            repair="splice",
         )
     )
     passes.append(
@@ -281,7 +276,6 @@ def build_hdagg_group(
                 establishes=("dependence-closed", "vertex-cover"),
             ),
             run=_run_expand,
-            repair="splice",
         )
     )
     return PassGroup(

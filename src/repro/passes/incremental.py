@@ -1,74 +1,36 @@
-"""Incremental repair as a pass-group property.
+"""Which passes a change of inputs reaches, read off the declared dataflow.
 
-When a matrix's sparsity pattern changes, only passes whose *inputs* are
-dirty need to re-run — everything else replays verbatim.  Which passes
-those are is a pure function of the group's declared contracts, not of
-the repair implementation: :func:`plan_repair` walks the pass list,
-propagates dirtiness through ``requires``/``produces``, and buckets each
-affected pass by its declared ``repair`` policy (``recompute`` — cheap,
-re-run exactly; ``splice`` — diff-driven partial recomputation reusing
-clean regions; ``replay`` — reuse the old product untouched).
-
-:func:`repro.core.incremental.repair_schedule` consults this plan: the
-stage boundary between "recompute exactly" and "splice around the dirty
-set" is read off the hdagg group's contracts rather than hard-coded, and
-the plan is stamped into the repair stats for observability.
+When some artifacts of a pass group change, exactly the passes that
+require a changed artifact — directly, or through the products of another
+such pass — would compute something new; every other pass would produce
+what it produced before.  :func:`affected_passes` reads that closure off
+the contracts alone.  :class:`~repro.core.inspector.HDaggInspector` runs
+the passes a change of ``(p, epsilon)`` cannot reach once per DAG, and
+:func:`~repro.core.incremental.repairable` accepts a group whose passes
+reached by a pattern change (``DAG`` and ``Cost``) end in the three the
+incremental repair splices: ``coarsen``, ``lbp`` and ``expand``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Set, Tuple
+from typing import Iterable, Tuple
 
 from .base import PassGroup
 
-__all__ = ["RepairPlan", "plan_repair"]
+__all__ = ["affected_passes"]
 
 
-@dataclass(frozen=True)
-class RepairPlan:
-    """Partition of a group's passes for one incremental repair.
+def affected_passes(group: PassGroup, dirty: Iterable[str]) -> Tuple[str, ...]:
+    """Names of the passes of ``group`` that a change of ``dirty`` reaches.
 
-    ``recompute`` and ``splice`` are the affected passes, in pipeline
-    order, bucketed by their declared policy; ``replay`` are the passes
-    whose inputs stayed clean and whose products can be reused verbatim.
-    ``dirty_artifacts`` is the closure of dirtiness after propagation.
+    ``dirty`` names the artifacts whose values changed.  A pass is affected
+    when any artifact it requires is dirty; its products then turn dirty
+    in turn.  The names come in pipeline order.
     """
-
-    recompute: Tuple[str, ...]
-    splice: Tuple[str, ...]
-    replay: Tuple[str, ...]
-    dirty_artifacts: Tuple[str, ...]
-
-    @property
-    def affected(self) -> Tuple[str, ...]:
-        return self.recompute + self.splice
-
-
-def plan_repair(group: PassGroup, dirty: Iterable[str]) -> RepairPlan:
-    """Which passes of ``group`` must re-run when ``dirty`` inputs changed.
-
-    ``dirty`` names the artifacts whose values changed (typically
-    ``{"DAG", "Cost"}`` for a sparsity-pattern delta).  A pass is affected
-    when any required artifact is dirty; its products then become dirty in
-    turn, so dirtiness propagates exactly along the declared dataflow.
-    """
-    dirty_set: Set[str] = set(dirty)
-    recompute = []
-    splice = []
-    replay = []
+    dirty_set = set(dirty)
+    affected = []
     for p in group.passes:
-        if dirty_set & set(p.contract.requires):
-            if p.repair == "splice":
-                splice.append(p.name)
-            else:
-                recompute.append(p.name)
-            dirty_set |= set(p.contract.produces)
-        else:
-            replay.append(p.name)
-    return RepairPlan(
-        recompute=tuple(recompute),
-        splice=tuple(splice),
-        replay=tuple(replay),
-        dirty_artifacts=tuple(sorted(dirty_set)),
-    )
+        if dirty_set.intersection(p.contract.requires):
+            affected.append(p.name)
+            dirty_set.update(p.contract.produces)
+    return tuple(affected)

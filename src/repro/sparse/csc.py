@@ -4,7 +4,8 @@ SuiteSparse, Sympiler, and most direct solvers are CSC-first; this
 container completes the substrate so CSC-shaped workloads can be expressed
 natively.  It shares the conventions of :class:`~repro.sparse.csr.CSRMatrix`
 (int64 indices, float64 values, sorted unique indices per column, read-only
-arrays) and converts losslessly in both directions.
+arrays, views of writeable memory copied) and converts losslessly in both
+directions.
 
 The column-oriented (left-looking) triangular solve lives here too: it is
 the dual of the CSR row solve — once ``x[j]`` is final, column ``j``'s
@@ -19,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, check_rhs
+from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, _frozen, check_rhs
 
 __all__ = ["CSCMatrix", "csc_from_csr", "csr_from_csc", "sptrsv_csc_reference", "sptrsv_csc_in_order"]
 
@@ -41,8 +42,9 @@ class CSCMatrix:
         self.data = np.ascontiguousarray(data, dtype=VALUE_DTYPE)
         if check:
             self._validate()
-        for arr in (self.indptr, self.indices, self.data):
-            arr.flags.writeable = False
+        self.indptr = _frozen(self.indptr)
+        self.indices = _frozen(self.indices)
+        self.data = _frozen(self.data)
 
     def _validate(self) -> None:
         if self.indptr.shape[0] != self.n_cols + 1 or self.indptr[0] != 0:
@@ -111,6 +113,10 @@ class CSCMatrix:
 
     def __hash__(self):
         raise TypeError("CSCMatrix is not hashable")
+
+    def __reduce__(self):
+        # rebuilt through __init__: unpickled arrays come back writeable
+        return (CSCMatrix, (self.n_rows, self.n_cols, self.indptr, self.indices, self.data))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -192,7 +192,7 @@ def _expansion_cases():
 @pytest.mark.parametrize("p", [8, 20])
 def test_flat_expand_equals_per_wavefront_expansion(p):
     for name, g, cost in _expansion_cases():
-        art = inspect_with_artifacts(g, cost, p)
+        _, art = inspect_with_artifacts(g, cost, p)
         for fine in (False, True):
             lbp = dataclasses.replace(art.lbp, fine_grained=fine)
             flat = expand_lbp_to_schedule(lbp, art.grouping, g.n, p)

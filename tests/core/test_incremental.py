@@ -1,11 +1,12 @@
 """Incremental re-inspection: repaired schedules are bit-identical to full.
 
 The hypothesis suite drives :func:`repair_schedule` with random pattern
-deltas — single-row column changes, multi-row changes (optionally with a
-cost perturbation), and row removals — and asserts the strict contract:
-whatever path the repair takes (``repaired`` or guard-forced ``full``),
-its schedule equals a from-scratch inspection of the new pattern down to
-every vertex array, cut position, and accumulated-PGP float.
+changes — single-row column changes, multi-row changes (optionally with a
+cost perturbation), and row removals (a vertex-count change, which is
+inspected afresh) — and asserts the strict contract: whatever path the
+repair takes (``repaired`` or guard-forced ``full``), its schedule equals
+a from-scratch inspection of the new pattern down to every vertex array,
+cut position, and accumulated-PGP float.
 """
 
 import time
@@ -16,11 +17,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import assert_schedule_safe
+from repro.core import hdagg
 from repro.core.incremental import (
     IncrementalScheduleCache,
-    PatternDelta,
-    changed_rows,
-    diff_dag,
     family_key,
     inspect_with_artifacts,
     repair_pays,
@@ -101,7 +100,7 @@ def _rewrite_rows(g, rows, rng):
 
 @st.composite
 def delta_cases(draw):
-    """(g_old, cost_old, g_new, cost_new, delta) for one repair problem."""
+    """(g_old, cost_old, g_new, cost_new) for one repair problem."""
     n = draw(st.integers(4, 28))
     m = draw(st.integers(0, 90))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -120,30 +119,28 @@ def delta_cases(draw):
         emask = (row_map[esrc] >= 0) & (row_map[edst] >= 0)
         g_new = DAG.from_edges(kept.size, row_map[esrc[emask]], row_map[edst[emask]])
         cost_new = cost_old[kept]
-        delta = PatternDelta(n, kept.size, row_map)
     else:
         k = 1 if kind == "single" else int(rng.integers(2, 5))
         rows = rng.choice(n, size=min(k, n), replace=False)
         g_new = _rewrite_rows(g_old, rows, rng)
         cost_new = cost_old
-        delta = diff_dag(g_old, g_new)
     if perturb_cost:
         cost_new = np.array(cost_new, copy=True)
         cost_new[int(rng.integers(0, cost_new.size))] += 1.0
-    return g_old, cost_old, g_new, cost_new, delta
+    return g_old, cost_old, g_new, cost_new
 
 
 @given(delta_cases(), st.integers(1, 6), st.sampled_from([None, 0.05, 0.5]))
 @settings(max_examples=60, deadline=None)
 def test_repair_equals_full_reinspection(case, p, epsilon):
-    g_old, cost_old, g_new, cost_new, delta = case
+    g_old, cost_old, g_new, cost_new = case
     kwargs = {} if epsilon is None else {"epsilon": epsilon}
-    old = inspect_with_artifacts(g_old, cost_old, p, **kwargs)
-    res = repair_schedule(old, g_new, cost_new, delta)
-    full = inspect_with_artifacts(g_new, cost_new, p, **kwargs)
+    _, old = inspect_with_artifacts(g_old, cost_old, p, **kwargs)
+    res = repair_schedule(old, g_new, cost_new)
+    schedule, full = inspect_with_artifacts(g_new, cost_new, p, **kwargs)
     event(f"mode={res.mode}")
     assert res.mode in ("repaired", "full")
-    assert_same_schedule(res.schedule, full.schedule)
+    assert_same_schedule(res.schedule, schedule)
     if res.mode == "repaired":
         assert_same_lbp(res.artifacts.lbp, full.lbp)
         assert np.array_equal(res.artifacts.group_cost, full.group_cost)
@@ -155,69 +152,67 @@ def test_repair_equals_full_reinspection(case, p, epsilon):
 @settings(max_examples=30, deadline=None)
 def test_repaired_artifacts_seed_the_next_repair(case, p):
     # a repair's output artifacts must be as good an ancestor as a full
-    # inspection's: chain two deltas and compare against scratch
-    g_old, cost_old, g_new, cost_new, delta = case
-    old = inspect_with_artifacts(g_old, cost_old, p)
-    first = repair_schedule(old, g_new, cost_new, delta)
+    # inspection's: chain two changes and compare against scratch
+    g_old, cost_old, g_new, cost_new = case
+    _, old = inspect_with_artifacts(g_old, cost_old, p)
+    first = repair_schedule(old, g_new, cost_new)
     rng = np.random.default_rng(7)
     g_third = _rewrite_rows(g_new, rng.choice(g_new.n, size=1), rng)
     second = repair_schedule(first.artifacts, g_third, cost_new)
-    full = inspect_with_artifacts(g_third, cost_new, p)
-    assert_same_schedule(second.schedule, full.schedule)
+    assert_same_schedule(second.schedule, hdagg(g_third, cost_new, p))
 
 
 # ----------------------------------------------------------------------
-# deltas and diffs
+# guards
 # ----------------------------------------------------------------------
-def test_pattern_delta_validates_row_map():
-    with pytest.raises(ValueError, match="length"):
-        PatternDelta(3, 3, np.array([0, 1]))
-    with pytest.raises(ValueError, match="out of range"):
-        PatternDelta(2, 2, np.array([0, 5]))
-    with pytest.raises(ValueError, match="increasing"):
-        PatternDelta(3, 3, np.array([1, 0, 2]))
-    d = PatternDelta(4, 3, np.array([0, -1, 1, 2]))
-    assert list(d.removed) == [1]
-    assert list(d.retained_old) == [0, 2, 3]
-    assert list(d.retained_new) == [0, 1, 2]
-    assert list(d.added) == []
-    assert not d.is_identity
-    assert PatternDelta.identity(4).is_identity
+def _drop_one_dependence(g, rows, rng):
+    """``g`` less one out-edge of each of the given rows (if it has one)."""
+    keep = np.ones(g.indices.size, dtype=bool)
+    for r in rows:
+        lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
+        if hi > lo:
+            keep[int(rng.integers(lo, hi))] = False
+    esrc, edst = g.edge_list()
+    return DAG.from_edges(g.n, esrc[keep], edst[keep])
 
 
-def test_diff_dag_requires_row_map_on_size_change():
-    a = DAG.from_edges(3, [0], [1])
-    b = DAG.from_edges(4, [0], [1])
-    with pytest.raises(ValueError, match="row_map required"):
-        diff_dag(a, b)
-    assert diff_dag(a, DAG.from_edges(3, [0], [2])).is_identity
+def test_fine_grained_ancestor_is_repaired():
+    # a fine-grained schedule is no reason to inspect afresh: the splice
+    # re-decides fine-grained mode from all the loads, as a full run does
+    rng = np.random.default_rng(3)
+    g_old = dag_from_matrix_lower(poisson2d(8, seed=1))
+    cost = np.ones(g_old.n)
+    schedule, old = inspect_with_artifacts(g_old, cost, 4)
+    assert schedule.fine_grained and old.lbp.fine_grained
+    g_new = _drop_one_dependence(g_old, [g_old.n // 2], rng)
+    res = repair_schedule(old, g_new, cost)
+    assert res.mode == "repaired"
+    assert_same_schedule(res.schedule, hdagg(g_new, cost, 4))
 
 
-def test_changed_rows_sees_renumbered_targets():
-    # old: 0->2, 1->2; drop row 2 entirely — both survivors' edge lists
-    # vanish, and row 1 (renumbered from old row 1) reads as changed
-    g_old = DAG.from_edges(3, [0, 1], [2, 2])
-    g_new = DAG.from_edges(2, [], [])
-    delta = PatternDelta(3, 2, np.array([0, 1, -1]))
-    assert list(changed_rows(g_old, g_new, delta)) == [0, 1]
-    # identical pattern: nothing changed
-    same = diff_dag(g_old, g_old)
-    assert changed_rows(g_old, g_old, same).size == 0
+def test_vertex_count_change_is_inspected_afresh():
+    g_old = DAG.from_edges(3, [0], [1])
+    g_new = DAG.from_edges(4, [0, 2], [1, 3])
+    _, old = inspect_with_artifacts(g_old, np.ones(3), 2)
+    res = repair_schedule(old, g_new, np.ones(4))
+    assert res.mode == "full"
+    assert res.stats["reason"] == "size change"
+    assert_same_schedule(res.schedule, hdagg(g_new, np.ones(4), 2))
+    assert res.artifacts.cost.shape == (4,)
 
 
 def test_oversized_delta_falls_back_to_full():
     rng = np.random.default_rng(0)
     g_old = dag_from_matrix_lower(poisson2d(12, seed=1))
     cost = np.ones(g_old.n)
-    old = inspect_with_artifacts(g_old, cost, 4)
-    assert not old.schedule.fine_grained
+    schedule, old = inspect_with_artifacts(g_old, cost, 4)
+    assert not schedule.fine_grained
     # rewrite most rows: dirty fraction blows the splice budget
     g_new = _rewrite_rows(g_old, np.arange(g_old.n - 10), rng)
     res = repair_schedule(old, g_new, cost)
     assert res.mode == "full"
     assert "dirty fraction" in res.stats["reason"]
-    full = inspect_with_artifacts(g_new, cost, 4)
-    assert_same_schedule(res.schedule, full.schedule)
+    assert_same_schedule(res.schedule, hdagg(g_new, cost, 4))
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +233,7 @@ def test_acquire_full_then_repair_then_hit(repair_rung):
     g2 = _rewrite_rows(g1, np.array([g1.n // 2]), rng)
     s2, src2 = cache.acquire(_key_for(g2, cost, 4), fam, g2, cost, p=4)
     assert src2 in ("repaired", "full")
-    assert_same_schedule(s2, inspect_with_artifacts(g2, cost, 4).schedule)
+    assert_same_schedule(s2, hdagg(g2, cost, 4))
     s3, src3 = cache.acquire(_key_for(g2, cost, 4), fam, g2, cost, p=4)
     assert src3 == "hit"
     assert s3 is s2
@@ -260,13 +255,7 @@ def test_repaired_acquire_reports_pass_times_within_its_wall_time(repair_rung):
     fam = family_key(kernel="t", p=8, label="poisson96")
     cache.acquire(_key_for(g, cost, 8), fam, g, cost, p=8)
     rng = np.random.default_rng(0)
-    keep = np.ones(g.indices.size, dtype=bool)
-    for r in rng.choice(g.n, size=5, replace=False):
-        lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
-        if hi > lo:
-            keep[int(rng.integers(lo, hi))] = False
-    esrc, edst = g.edge_list()
-    g_new = DAG.from_edges(g.n, esrc[keep], edst[keep])
+    g_new = _drop_one_dependence(g, rng.choice(g.n, size=5, replace=False), rng)
     t0 = time.perf_counter()
     schedule, source = cache.acquire(_key_for(g_new, cost, 8), fam, g_new, cost, p=8)
     wall = time.perf_counter() - t0
@@ -298,17 +287,11 @@ def test_repair_beats_full_on_mesh():
     # assert that, so the platform choice is revisited if it stops holding
     g = dag_from_matrix_lower(poisson2d(96, seed=1))
     cost = np.ones(g.n)
-    old = inspect_with_artifacts(g, cost, 8)
+    _, old = inspect_with_artifacts(g, cost, 8)
     # drop one dependence from each of 5 random rows — the local,
     # factorization-update-shaped delta the budget is stated for
     rng = np.random.default_rng(0)
-    keep = np.ones(g.indices.size, dtype=bool)
-    for r in rng.choice(g.n, size=5, replace=False):
-        lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
-        if hi > lo:
-            keep[int(rng.integers(lo, hi))] = False
-    esrc, edst = g.edge_list()
-    g_new = DAG.from_edges(g.n, esrc[keep], edst[keep])
+    g_new = _drop_one_dependence(g, rng.choice(g.n, size=5, replace=False), rng)
     res = repair_schedule(old, g_new, cost)
     assert res.mode == "repaired"
     assert res.stats["n_reused_cws"] > res.stats["n_live_cws"]

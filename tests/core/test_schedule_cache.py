@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.verifier import assert_schedule_safe
-from repro.core import ScheduleCache, active_tier, family_key, hdagg, schedule_key
+from repro.core import (
+    DEFAULT_EPSILON, ScheduleCache, active_tier, family_key, hdagg, schedule_key,
+)
 from repro.core import incremental
 from repro.core.schedule_cache import CacheStats
 from repro.graph import DAG, dag_from_matrix_lower
@@ -14,6 +16,8 @@ from repro.kernels import KERNELS
 from repro.resilience.faults import FaultPlan, FaultSpec, armed, corrupt_schedule
 from repro.sparse import apply_ordering, banded_spd, lower_triangle, poisson2d
 from repro.store import ScheduleStore
+
+from ..conftest import assert_same_arrays
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +184,10 @@ class TestLadder:
         with armed(plan):
             schedule, source = _acquire(cache, problem_a, validate=True)
         assert plan.fired
-        # the corrupt hit was refuted, invalidated, and re-inspected
-        assert source == "full"
+        # the corrupt hit was refuted and invalidated; where a repair pays
+        # the family's own inspection repairs the (unchanged) pattern,
+        # elsewhere it is inspected afresh
+        assert source == ("repaired" if incremental.repair_pays() else "full")
         assert_schedule_safe(schedule, problem_a[2])
         assert _acquire(cache, problem_a)[1] == "hit"  # slot healed
 
@@ -274,6 +280,40 @@ class TestRepairRung:
         fresh = hdagg(drifted[2], drifted[3], 4)
         assert schedule.execution_order().tolist() == fresh.execution_order().tolist()
         assert "verify" in schedule.meta["stage_seconds"]
+
+    def test_near_miss_of_a_fine_grained_family_is_repaired(self, problem_a):
+        cache = ScheduleCache()
+        first, _ = _acquire(cache, problem_a)
+        assert first.fine_grained
+        drifted = _drift(problem_a)
+        schedule, source = _acquire(cache, drifted, validate=True)
+        assert source == "repaired" and cache.repairs == 1
+        fresh = hdagg(drifted[2], drifted[3], 4)
+        assert_same_arrays(schedule, fresh)
+        assert schedule.fine_grained == fresh.fine_grained
+        assert schedule.meta["cut_positions"] == fresh.meta["cut_positions"]
+
+    def test_epsilon_none_family_is_repaired(self, mesh):
+        # epsilon=None means the paper's default; the family records the
+        # value the inspection used, so its repair runs instead of raising
+        cache = ScheduleCache()
+        _acquire(cache, mesh, epsilon=None)
+        assert cache.artifacts_for(mesh[1]).epsilon == DEFAULT_EPSILON
+        schedule, source = _acquire(cache, _drift(mesh), epsilon=None, validate=True)
+        assert source == "repaired" and cache.repair_fulls == 0
+
+    def test_family_record_keeps_only_what_the_splice_reads(self, mesh):
+        cache = ScheduleCache()
+        _acquire(cache, mesh)
+        _acquire(cache, _drift(mesh))  # the repair's artifacts replace the family's
+        for art in (cache.artifacts_for(mesh[1]),
+                    incremental.inspect_with_artifacts(mesh[2], mesh[3], 4)[1]):
+            assert set(vars(art)) == {
+                "cost", "p", "epsilon", "g_base", "grouping", "g2", "group_cost", "lbp"
+            }
+            # no input DAG, no schedule, and out-edges only
+            for dag in (art.g_base, art.g2):
+                assert dag._in_ptr is None and dag._in_idx is None
 
     def test_refuted_repair_falls_through_to_inspection(self, mesh, monkeypatch):
         real = incremental.repair_schedule

@@ -1,5 +1,7 @@
 """Unit tests for the CSR-backed DAG."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,36 @@ class TestConstruction:
         g = DAG.from_edges(2, [0], [1])
         with pytest.raises(ValueError):
             g.indices[0] = 0
+
+    def test_view_of_writeable_memory_is_copied(self):
+        # the in-edge cache is built from the arrays once; a write through
+        # the caller's buffer must not reach the out-edges behind its back
+        buf = np.array([1, 2, 2, 9])
+        ptr = np.array([0, 2, 3, 3, 7])
+        g = DAG(3, ptr[:4], buf[:3])
+        assert g.in_ptr.tolist() == [0, 0, 1, 3]
+        buf[1] = 1
+        ptr[1] = 1
+        assert g.indices.tolist() == [1, 2, 2]
+        assert g.indptr.tolist() == [0, 2, 3, 3]
+        assert g.parents(2).tolist() == [0, 1]
+        assert buf.flags.writeable and ptr.flags.writeable
+
+    def test_unpickled_dag_is_read_only(self):
+        g = DAG.from_edges(3, [0, 0, 1], [1, 2, 2])
+        assert g.parents(2).tolist() == [0, 1]
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g
+        assert not h.indptr.flags.writeable and not h.indices.flags.writeable
+
+    def test_owned_and_read_only_arrays_are_not_copied(self):
+        ptr, idx = np.array([0, 1, 1]), np.array([1])
+        g = DAG(2, ptr, idx)
+        assert np.shares_memory(g.indptr, ptr) and np.shares_memory(g.indices, idx)
+        assert not idx.flags.writeable
+        # a DAG sharing another's frozen arrays (out-edges only) copies nothing
+        h = DAG(g.n, g.indptr, g.indices, check=False)
+        assert np.shares_memory(h.indices, g.indices)
 
 
 class TestAccessors:

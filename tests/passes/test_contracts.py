@@ -64,11 +64,6 @@ def test_establishes_and_invalidates_must_be_disjoint():
         Contract(establishes=("acyclic",), invalidates=("acyclic",))
 
 
-def test_pass_rejects_unknown_repair_policy():
-    with pytest.raises(ValueError, match="unknown repair policy"):
-        Pass(name="p", contract=Contract(), run=_noop, repair="guess")
-
-
 def test_pass_group_lookup_by_name():
     p = Pass(name="only", contract=Contract(produces=("Schedule",)), run=_noop)
     group = PassGroup(name="g", passes=(p,), inputs=("DAG",))

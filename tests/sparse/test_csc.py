@@ -1,5 +1,7 @@
 """Tests for the CSC container and the column-oriented solve."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,28 @@ class TestContainer:
 
     def test_equality(self, a):
         assert csc_from_csr(a) == csc_from_csr(a)
+
+    def test_view_of_writeable_memory_is_copied(self):
+        d = np.array([1.0, 2.0, 3.0])
+        rows = np.array([0, 1, 7])
+        c = CSCMatrix(2, 2, [0, 1, 2], rows[:2], d[:2])
+        d[0] = 99.0
+        rows[1] = 0
+        assert c.data.tolist() == [1.0, 2.0]
+        assert c.indices.tolist() == [0, 1]
+        assert d.flags.writeable and rows.flags.writeable
+
+    def test_unpickled_matrix_is_read_only(self, a):
+        csc = csc_from_csr(a)
+        back = pickle.loads(pickle.dumps(csc))
+        assert back == csc
+        for arr in (back.indptr, back.indices, back.data):
+            assert not arr.flags.writeable
+
+    def test_owned_arrays_are_frozen_in_place(self):
+        d = np.array([1.0, 2.0])
+        c = CSCMatrix(2, 2, [0, 1, 2], [0, 1], d)
+        assert np.shares_memory(c.data, d) and not d.flags.writeable
 
 
 class TestCscSolve:
