@@ -5,12 +5,15 @@ Two promises from the observability layer, checked on a smoke-sized cell:
 1. **<2% dormant overhead.**  Disabled instrumentation costs one guard —
    an attribute read on the module-global state slot, or a local
    ``is not None`` check — per site.  The gate measures the per-guard cost
-   directly (amortised over a tight loop), takes a *generous upper bound*
-   on the number of guard sites the smoke cell executes (every vertex,
-   every edge, every partition — far more than are actually guarded), and
-   asserts that ``guards x cost_per_guard`` stays under 2% of the measured
-   cell runtime.  Bounding the product, instead of diffing two noisy
-   wall-clock runs, keeps the gate deterministic on shared CI runners.
+   directly (amortised over a tight loop), counts the guards the smoke
+   cell executes in one extra dormant run, and asserts that
+   ``guards x cost_per_guard`` stays under 2% of the measured cell
+   runtime.  ``STATE.enabled`` reads are counted by giving ``STATE`` a
+   counting subclass for that run; the simulator's ``recorder is not
+   None`` checks are counted from the partitions of every simulated
+   schedule (two per partition at most, three per call).  Bounding the
+   product, instead of diffing two noisy wall-clock runs, keeps the gate
+   deterministic on shared CI runners.
 
 2. **Byte-identical records when off.**  Two dormant runs of the same
    harness cell must serialise to byte-identical JSON once wall-clock
@@ -30,8 +33,10 @@ from __future__ import annotations
 import json
 import sys
 import time
+from unittest import mock
 
-from repro.observability.state import STATE, observed
+from repro.observability.state import STATE, ObservabilityState, observed
+from repro.suite import harness
 from repro.suite.harness import Harness
 from repro.suite.matrices import small_suite
 from repro.suite.storage import record_to_blob
@@ -67,6 +72,52 @@ def _guard_cost_seconds(iterations: int = 1_000_000) -> float:
     return elapsed / iterations
 
 
+class _CountingState(ObservabilityState):
+    """``ObservabilityState`` whose ``enabled`` reads are counted.
+
+    It adds no slots, so the process-global ``STATE`` can take this class
+    for one run and every module reading it is counted.
+    """
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        _CountingState.reads += 1
+        return ObservabilityState.enabled.__get__(self)
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        ObservabilityState.enabled.__set__(self, value)
+
+
+def _count_guards(spec) -> int:
+    """Guards one dormant run of the cell executes.
+
+    Every ``STATE.enabled`` read, plus the simulator's ``recorder is not
+    None`` checks: three per call, and for a p2p schedule two more per
+    partition at most (its stall and its busy segment).
+    """
+    simulate = harness.simulate
+    recorder_checks = 0
+
+    def counting_simulate(schedule, *args, **kwargs):
+        nonlocal recorder_checks
+        per_part = 2 if schedule.sync == "p2p" else 0
+        recorder_checks += 3 + per_part * schedule.n_partitions
+        return simulate(schedule, *args, **kwargs)
+
+    _CountingState.reads = 0
+    STATE.__class__ = _CountingState
+    try:
+        with mock.patch.object(harness, "simulate", counting_simulate):
+            _run_cell(spec)
+    finally:
+        STATE.__class__ = ObservabilityState
+    return _CountingState.reads + recorder_checks
+
+
 def _run_cell(spec):
     harness = Harness(machines=["laptop4"], kernels=["sptrsv"])
     t0 = time.perf_counter()
@@ -76,8 +127,6 @@ def _run_cell(spec):
 
 def main(budget_ms: float = DEFAULT_BUDGET_MS) -> int:
     spec = min(small_suite(), key=lambda s: s.build().n_rows)
-    a = spec.build()
-    n, nnz = a.n_rows, int(a.indptr[-1])
 
     _run_cell(spec)  # warm-up: imports, allocator, caches
     best_s = float("inf")
@@ -89,17 +138,12 @@ def main(budget_ms: float = DEFAULT_BUDGET_MS) -> int:
 
     # --- gate 1: dormant guard overhead bound -------------------------
     per_guard = _guard_cost_seconds()
-    # upper bound on guarded events in the cell: one per vertex (executor
-    # busy checks), one per edge (p2p wait checks), plus a wide allowance
-    # for stage spans, dispatch wrappers, and per-partition checks across
-    # every algorithm in the grid
-    n_algorithms = len(runs[0])
-    n_guards = n_algorithms * (n + nnz) + 10_000
+    n_guards = _count_guards(spec)
     overhead_s = n_guards * per_guard
     ratio = overhead_s / best_s
     print(f"{spec.name}: cell best of {ROUNDS} = {best_s * 1e3:.1f} ms, "
           f"guard = {per_guard * 1e9:.1f} ns, "
-          f"bound = {n_guards} guards -> {overhead_s * 1e3:.2f} ms "
+          f"counted {n_guards} guards -> {overhead_s * 1e3:.2f} ms "
           f"({ratio * 100:.2f}% of cell)")
     ok = True
     if ratio > OVERHEAD_LIMIT:

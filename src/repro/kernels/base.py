@@ -47,7 +47,10 @@ def check_order(pattern: CSRMatrix, order, name: str, violation: str) -> np.ndar
     dependences in stored column order: the message is
     ``f"{name}: " + violation.format(i=..., missing=[...])``.
 
-    Returns ``order`` as an index array.
+    Returns ``order`` as an index array.  The strictly-lower entries
+    ``(rows, cols)`` depend only on the immutable ``pattern``, so they are
+    memoised in its ``_lower_pattern`` slot on the first call; the order is
+    checked on every call.
     """
     n = pattern.n_rows
     order = np.asarray(order, dtype=INDEX_DTYPE)
@@ -55,9 +58,12 @@ def check_order(pattern: CSRMatrix, order, name: str, violation: str) -> np.ndar
         raise KernelError(f"{name}: order must be a permutation of range(n)")
     pos = np.empty(n, dtype=INDEX_DTYPE)
     pos[order] = np.arange(n, dtype=INDEX_DTYPE)
-    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), pattern.row_nnz())
-    cols = pattern.indices
-    late = (cols < rows) & (pos[cols] > pos[rows])
+    if pattern._lower_pattern is None:
+        rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), pattern.row_nnz())
+        lower = pattern.indices < rows
+        pattern._lower_pattern = (rows[lower], pattern.indices[lower])
+    rows, cols = pattern._lower_pattern
+    late = pos[cols] > pos[rows]
     if late.any():
         i = int(order[pos[rows[late]].min()])
         missing = cols[late & (rows == i)][:5].tolist()

@@ -45,11 +45,23 @@ wait at level boundaries, reproducing SpMP's overlap (Figure 1(b)).
 Fine-grained schedules (HDagg with bin packing disabled) are *bound* first:
 within each level, partitions are LPT-assigned to the least-loaded core —
 what a work-stealing OpenMP runtime achieves — then simulated as usual.
+
+Cost
+----
+The simulator costs about as much as its sorts.  The memory model ranks
+vertices by (core, position, id) and sorts edges by the one integer key
+``src * n + vrank[dst]``; out-edges are stored in ascending ``dst``, so
+this is the order of a stable three-key lexsort, ties included.  The p2p
+dependence pairs are one sort of the 1-D keys ``dst_pid * n_parts +
+src_pid``.  The p2p clock recurrence runs on Python lists, with the same
+IEEE operations in the same order as a per-partition NumPy loop, so every
+result is bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import add
 from typing import List, Optional
 
 import numpy as np
@@ -232,18 +244,24 @@ def _memory_cycles(
         #   heavily: adjacent rows share dependence sources.
         # Group edges by (source, consumer core) in consumer execution
         # order; the first edge of each group uses the producer rule, the
-        # rest chain off the previous consumer.
-        order = np.lexsort((position[dst], core[dst], src))
+        # rest chain off the previous consumer.  ``vrank`` ranks vertices by
+        # (core, position, id), so the one integer key ``src * n + vrank``
+        # sorts edges by (src, consumer core, consumer position) with ties
+        # broken by ``dst``: out-edges are stored in ascending ``dst`` per
+        # source, so this is the permutation of the equivalent stable
+        # three-key lexsort.
+        vrank = np.empty(n, dtype=np.int64)
+        vrank[np.lexsort((position, core))] = np.arange(n, dtype=np.int64)
+        order = np.argsort(src * n + vrank[dst])
         s_o, d_o = src[order], dst[order]
+        c_d, pos_d = core[d_o], position[d_o]
         first = np.ones(order.shape[0], dtype=bool)
-        first[1:] = (s_o[1:] != s_o[:-1]) | (core[d_o[1:]] != core[d_o[:-1]])
+        first[1:] = (s_o[1:] != s_o[:-1]) | (c_d[1:] != c_d[:-1])
         prev_pos = np.empty(order.shape[0], dtype=np.float64)
         prev_pos[0] = 0.0
-        prev_pos[1:] = position[d_o[:-1]]
-        producer_hit = first & (core[s_o] == core[d_o]) & (
-            position[d_o] - position[s_o] <= cap
-        )
-        consumer_hit = ~first & (position[d_o] - prev_pos <= cap)
+        prev_pos[1:] = pos_d[:-1]
+        producer_hit = first & (core[s_o] == c_d) & (pos_d - position[s_o] <= cap)
+        consumer_hit = ~first & (pos_d - prev_pos <= cap)
         hit_sorted = producer_hit | consumer_hit
         hit = np.empty_like(hit_sorted)
         hit[order] = hit_sorted
@@ -255,15 +273,20 @@ def _memory_cycles(
 
 
 def _p2p_dependencies(schedule: Schedule, g: DAG) -> tuple[np.ndarray, np.ndarray]:
-    """Unique cross-partition dependence pairs ``(src_pid, dst_pid)``."""
+    """Unique cross-partition dependence pairs ``(src_pid, dst_pid)``.
+
+    The pairs come sorted by ``dst_pid``, then ``src_pid``: one sort of the
+    1-D keys ``dst_pid * n_parts + src_pid``, duplicates dropped.
+    """
     pid = schedule.partition_of()
+    n_parts = schedule.n_partitions
     src, dst = g.edge_list()
     ps, pd = pid[src], pid[dst]
     cross = ps != pd
-    if not np.any(cross):
-        return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=INDEX_DTYPE)
-    pairs = np.unique(np.stack([ps[cross], pd[cross]], axis=1), axis=0)
-    return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    keys = np.sort(pd[cross] * n_parts + ps[cross])
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys % n_parts, keys // n_parts
 
 
 def simulate(
@@ -375,51 +398,50 @@ def simulate(
         dep_src, dep_dst = _p2p_dependencies(schedule, g)
         dep_ptr = np.zeros(n_parts + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(dep_dst, minlength=n_parts), out=dep_ptr[1:])
-        order = np.argsort(dep_dst, kind="stable")
-        dep_src_sorted = dep_src[order]
+        cross = part_core_mod[dep_src] != part_core_mod[dep_dst]
+        n_p2p = int(np.count_nonzero(cross))
+        n_cross_list = np.bincount(dep_dst[cross], minlength=n_parts).tolist()
+        lag_list = np.where(cross, machine.p2p_sync_cycles, 0.0).tolist()
 
         # The clock recurrence is inherently sequential (a partition's start
-        # depends on earlier finishes), but each step now reads precomputed
-        # partition sums instead of gathering exec_cycles per partition.
-        finish = np.zeros(n_parts, dtype=np.float64)
-        core_clock = np.zeros(p, dtype=np.float64)
+        # depends on earlier finishes), so it runs on Python floats and
+        # lists: the same IEEE operations, in the same order, as a
+        # per-partition NumPy gather, without the per-step call overhead.
+        # A dependence is ready at its finish plus the sync cost when it
+        # ran on another core; dependences come in ascending source order,
+        # and the first latest one is the blocking dependence.
+        finish = [0.0] * n_parts
+        clock = [0.0] * p
+        busy_list = [0.0] * p
         w_list = w_part.tolist()
         core_list = part_core_mod.tolist()
         dep_ptr_list = dep_ptr.tolist()
+        deps_list = dep_src.tolist()
+        if recorder is not None:
+            head = verts_all[part_ptr[:-1]].tolist()
         for k in range(n_parts):
             c = core_list[k]
             w = w_list[k]
-            deps = dep_src_sorted[dep_ptr_list[k] : dep_ptr_list[k + 1]]
-            start = core_clock[c]
-            blocking = -1
-            if deps.size:
-                cross_core = part_core_mod[deps] != c
-                n_cross = int(np.count_nonzero(cross_core))
-                n_p2p += n_cross
-                sync_cycles += machine.p2p_sync_cycles * n_cross
-                dep_finish = finish[deps] + np.where(
-                    cross_core, machine.p2p_sync_cycles, 0.0
-                )
-                dep_max = float(dep_finish.max())
-                if recorder is not None and dep_max > start:
-                    blocking = int(deps[int(np.argmax(dep_finish))])
-                start = max(start, dep_max)
-            if recorder is not None:
-                if start > core_clock[c]:  # stalled on the blocking dependence
-                    recorder.record(
-                        c, "p2p_wait", float(core_clock[c]), start,
-                        vertex=int(verts_all[part_ptr[k]]),
-                        dependence=int(verts_all[part_ptr[blocking]])
-                        if blocking >= 0 else -1,
-                    )
-                if w > 0.0:
-                    recorder.record(
-                        c, "busy", start, start + w, vertex=int(verts_all[part_ptr[k]])
-                    )
-            finish[k] = start + w
-            core_clock[c] = finish[k]
-            busy[c] += w
-        makespan = float(core_clock.max()) if n_parts else 0.0
+            start = clock[c]
+            lo, hi = dep_ptr_list[k], dep_ptr_list[k + 1]
+            if lo < hi:
+                sync_cycles += machine.p2p_sync_cycles * n_cross_list[k]
+                ready = list(map(add, map(finish.__getitem__, deps_list[lo:hi]), lag_list[lo:hi]))
+                dep_max = max(ready)
+                if dep_max > start:
+                    if recorder is not None:  # stalled on the blocking dependence
+                        blocking = deps_list[lo + ready.index(dep_max)]
+                        recorder.record(
+                            c, "p2p_wait", start, dep_max,
+                            vertex=head[k], dependence=head[blocking],
+                        )
+                    start = dep_max
+            if recorder is not None and w > 0.0:
+                recorder.record(c, "busy", start, start + w, vertex=head[k])
+            finish[k] = clock[c] = start + w
+            busy_list[c] += w
+        busy = np.array(busy_list, dtype=np.float64)
+        makespan = max(clock) if n_parts else 0.0
         if recorder is not None:
             recorder.wall_t0, recorder.wall_t1 = 0.0, makespan
 

@@ -103,7 +103,9 @@ class CSRMatrix:
     carrying fresh values.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_row_program")
+    __slots__ = (
+        "n_rows", "n_cols", "indptr", "indices", "data", "_row_program", "_lower_pattern"
+    )
 
     def __init__(
         self,
@@ -128,6 +130,9 @@ class CSRMatrix:
         #: SpTRSV's per-row lists, filled by ``repro.kernels.sptrsv`` on the
         #: first solve that finds the matrix solvable
         self._row_program: tuple | None = None
+        #: the strictly-lower entries ``(rows, cols)``, filled by
+        #: ``repro.kernels.base.check_order`` on its first call
+        self._lower_pattern: tuple | None = None
 
     # ------------------------------------------------------------------
     # invariants

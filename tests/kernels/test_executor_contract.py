@@ -481,6 +481,42 @@ def test_invalid_orders_raise_the_per_row_message(name, a, seed):
             assert got == want
 
 
+def former_check_order(pattern, order, name, violation):
+    """``check_order`` before its memo: the pattern's rows rebuilt per call."""
+    n = pattern.n_rows
+    order = np.asarray(order, dtype=INDEX_DTYPE)
+    if order.shape[0] != n or np.any(np.sort(order) != np.arange(n)):
+        raise KernelError(f"{name}: order must be a permutation of range(n)")
+    pos = np.empty(n, dtype=INDEX_DTYPE)
+    pos[order] = np.arange(n, dtype=INDEX_DTYPE)
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), pattern.row_nnz())
+    cols = pattern.indices
+    late = (cols < rows) & (pos[cols] > pos[rows])
+    if late.any():
+        i = int(order[pos[rows[late]].min()])
+        missing = cols[late & (rows == i)][:5].tolist()
+        raise KernelError(f"{name}: " + violation.format(i=i, missing=missing))
+    return order
+
+
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_memoised_check_order_keeps_every_outcome(a, seed):
+    """Full patterns too: entries on and above the diagonal are no dependence."""
+    kernel = KERNELS["spilu0"]
+    good = np.arange(a.n_rows, dtype=INDEX_DTYPE)
+    for round_ in range(2):
+        for order in [good] + invalid_orders(kernel, a, seed + round_):
+            args = (order, "k", "row {i} before {missing}")
+            status, got = _outcome(check_order, a, *args)
+            want_status, want = _outcome(former_check_order, a, *args)
+            assert status == want_status, order
+            assert np.array_equal(got, want) if status == "ok" else got == want
+    memo = a._lower_pattern
+    check_order(a, good, "k", "{i} {missing}")
+    assert a._lower_pattern is memo
+
+
 def test_violation_names_earliest_iteration_and_first_five_dependences():
     a = tridiagonal_spd(12, seed=0)
     low = lower_triangle(a)
