@@ -14,13 +14,13 @@ On the same DAGs it then times ``simulate`` of the ``spmp`` schedule (the
 p2p clock recurrence) on the intel20 machine model scaled to p = 8, and
 checks the result ``==`` to a second run's.  The simulator sorts its edges
 by one integer key, finds the cross-partition pairs with one sort of 1-D
-keys and runs the clock on Python lists; its budget sits below what the
-former three-key lexsort, 2-D ``np.unique`` and per-partition NumPy loop
-took.
+keys and runs the clock on Python lists; its fixed 20 ms budget sits below
+what the former three-key lexsort, 2-D ``np.unique`` and per-partition
+NumPy loop took.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/smoke_baselines.py [lbc_ms [dagp_ms [simulate_ms]]]
+    PYTHONPATH=src python benchmarks/smoke_baselines.py [lbc_ms [dagp_ms]]
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.suite.matrices import suite_by_name
 
 DEFAULT_LBC_BUDGET_MS = 200.0
 DEFAULT_DAGP_BUDGET_MS = 250.0
-DEFAULT_SIMULATE_BUDGET_MS = 20.0
+SIMULATE_BUDGET_MS = 20.0
 ROUNDS = 5
 P = 8
 
@@ -74,11 +74,7 @@ def _median_ms(run, same, first) -> float | None:
     return float(np.median(times)) * 1e3
 
 
-def main(
-    lbc_ms: float = DEFAULT_LBC_BUDGET_MS,
-    dagp_ms: float = DEFAULT_DAGP_BUDGET_MS,
-    simulate_ms: float = DEFAULT_SIMULATE_BUDGET_MS,
-) -> int:
+def main(lbc_ms: float = DEFAULT_LBC_BUDGET_MS, dagp_ms: float = DEFAULT_DAGP_BUDGET_MS) -> int:
     cases = {
         "poisson2d(128)": lower_triangle(poisson2d(128, seed=1)),
         "rand-sparse": lower_triangle(suite_by_name()["rand-sparse"].build()),
@@ -108,24 +104,24 @@ def main(
             print(f"FAIL: {name} simulate: result differs between runs", file=sys.stderr)
             return 1
         print(f"{name} simulate(spmp): median of {ROUNDS} = {median_ms:.1f} ms")
-        if median_ms > simulate_ms:
-            print(f"FAIL: {name} simulate exceeds budget of {simulate_ms:.1f} ms",
+        if median_ms > SIMULATE_BUDGET_MS:
+            print(f"FAIL: {name} simulate exceeds budget of {SIMULATE_BUDGET_MS:.1f} ms",
                   file=sys.stderr)
             failed = True
     if failed:
         return 1
     print(f"OK: lbc within {lbc_ms:.1f} ms, dagp within {dagp_ms:.1f} ms, "
-          f"simulate within {simulate_ms:.1f} ms")
+          f"simulate within {SIMULATE_BUDGET_MS:.1f} ms")
     return 0
 
 
 if __name__ == "__main__":
     try:
-        args = [float(x) for x in sys.argv[1:4]]
+        args = [float(x) for x in sys.argv[1:3]]
     except ValueError:
         print(
-            f"usage: {sys.argv[0]} [lbc_ms [dagp_ms [simulate_ms]]]  (budgets must be "
-            f"numbers, got {sys.argv[1:4]!r})",
+            f"usage: {sys.argv[0]} [lbc_ms [dagp_ms]]  (budgets must be numbers, "
+            f"got {sys.argv[1:3]!r})",
             file=sys.stderr,
         )
         raise SystemExit(2)

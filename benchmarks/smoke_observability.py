@@ -10,8 +10,8 @@ Two promises from the observability layer, checked on a smoke-sized cell:
    ``guards x cost_per_guard`` stays under 2% of the measured cell
    runtime.  ``STATE.enabled`` reads are counted by giving ``STATE`` a
    counting subclass for that run; the simulator's ``recorder is not
-   None`` checks are counted from the partitions of every simulated
-   schedule (two per partition at most, three per call).  Bounding the
+   None`` checks are bounded by ``3 + 2 * n_partitions`` per simulated
+   schedule, whatever its sync.  Bounding the
    product, instead of diffing two noisy wall-clock runs, keeps the gate
    deterministic on shared CI runners.
 
@@ -95,17 +95,16 @@ class _CountingState(ObservabilityState):
 def _count_guards(spec) -> int:
     """Guards one dormant run of the cell executes.
 
-    Every ``STATE.enabled`` read, plus the simulator's ``recorder is not
-    None`` checks: three per call, and for a p2p schedule two more per
-    partition at most (its stall and its busy segment).
+    Every ``STATE.enabled`` read, plus an upper bound on the simulator's
+    ``recorder is not None`` checks: ``3 + 2 * n_partitions`` per call,
+    whatever the schedule's sync.
     """
     simulate = harness.simulate
     recorder_checks = 0
 
     def counting_simulate(schedule, *args, **kwargs):
         nonlocal recorder_checks
-        per_part = 2 if schedule.sync == "p2p" else 0
-        recorder_checks += 3 + per_part * schedule.n_partitions
+        recorder_checks += 3 + 2 * schedule.n_partitions
         return simulate(schedule, *args, **kwargs)
 
     _CountingState.reads = 0

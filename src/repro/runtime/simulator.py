@@ -51,11 +51,11 @@ Cost
 The simulator costs about as much as its sorts.  The memory model ranks
 vertices by (core, position, id) and sorts edges by the one integer key
 ``src * n + vrank[dst]``; out-edges are stored in ascending ``dst``, so
-this is the order of a stable three-key lexsort, ties included.  The p2p
-dependence pairs are one sort of the 1-D keys ``dst_pid * n_parts +
-src_pid``.  The p2p clock recurrence runs on Python lists, with the same
-IEEE operations in the same order as a per-partition NumPy loop, so every
-result is bit-identical to it.
+the ``vrank`` id tie-break decides which consumer's reuse hits when two
+consumers share an access position.  The p2p dependence pairs are one
+sort of the 1-D keys ``dst_pid * n_parts + src_pid``, repeats dropped.
+The p2p clock recurrence is sequential and runs on Python lists and
+floats; a partition's blocking dependence is the first latest one.
 """
 
 from __future__ import annotations
@@ -247,9 +247,9 @@ def _memory_cycles(
         # rest chain off the previous consumer.  ``vrank`` ranks vertices by
         # (core, position, id), so the one integer key ``src * n + vrank``
         # sorts edges by (src, consumer core, consumer position) with ties
-        # broken by ``dst``: out-edges are stored in ascending ``dst`` per
-        # source, so this is the permutation of the equivalent stable
-        # three-key lexsort.
+        # broken by ``dst``, the order out-edges are stored in per source;
+        # a position tie (a vertex with no stream and no incoming edge
+        # lines) thus chains consumer reuse in ascending ``dst``.
         vrank = np.empty(n, dtype=np.int64)
         vrank[np.lexsort((position, core))] = np.arange(n, dtype=np.int64)
         order = np.argsort(src * n + vrank[dst])
@@ -405,11 +405,10 @@ def simulate(
 
         # The clock recurrence is inherently sequential (a partition's start
         # depends on earlier finishes), so it runs on Python floats and
-        # lists: the same IEEE operations, in the same order, as a
-        # per-partition NumPy gather, without the per-step call overhead.
-        # A dependence is ready at its finish plus the sync cost when it
-        # ran on another core; dependences come in ascending source order,
-        # and the first latest one is the blocking dependence.
+        # lists, without per-step NumPy call overhead.  A dependence is
+        # ready at its finish plus the sync cost when it ran on another
+        # core; dependences come in ascending source order, and the first
+        # latest one is the blocking dependence.
         finish = [0.0] * n_parts
         clock = [0.0] * p
         busy_list = [0.0] * p

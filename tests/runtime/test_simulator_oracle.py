@@ -1,7 +1,7 @@
 """The simulator against the sorts and the clock loop it replaced.
 
 The memory model sorts edges by one integer key (``src * n + vrank``),
-``_p2p_dependencies`` takes one ``np.unique`` over 1-D pair keys, and the
+``_p2p_dependencies`` sorts the 1-D pair keys and drops repeats, and the
 p2p clock recurrence runs on Python lists.  These tests pin every
 :class:`SimulationResult` field ``==`` to test-local copies of the former
 bodies (a three-key ``np.lexsort``, a 2-D ``np.unique`` over stacked pairs,
