@@ -1,7 +1,7 @@
 """HDagg core: the paper's contribution (Algorithm 1) and its data types."""
 
 from .aggregation import aggregate_densely_connected, subtree_grouping
-from .analysis import level_table, schedule_report, utilization_chart
+from .analysis import level_table, schedule_report
 from .backends import active_tier
 from .binpack import BinPacking, first_fit_pack
 from .hdagg import expand_lbp_to_schedule, hdagg
@@ -30,7 +30,6 @@ __all__ = [
     "HDaggInspector",
     "level_table",
     "schedule_report",
-    "utilization_chart",
     "expand_lbp_to_schedule",
     "aggregate_densely_connected",
     "subtree_grouping",

@@ -1,9 +1,9 @@
-"""Human-readable schedule analysis: per-level stats and utilisation charts.
+"""Human-readable schedule analysis: per-level stats.
 
 Inspectors are opaque without tooling; this module renders what a schedule
 actually looks like — the per-coarsened-wavefront width, load spread, and
-PGP — and turns a simulation result into a text utilisation chart, the
-terminal stand-in for the paper's per-matrix bar figures.
+PGP.  Per-core utilisation of a traced run is
+:func:`repro.observability.reports.utilization_report`.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from typing import List
 
 import numpy as np
 
-from ..runtime.simulator import SimulationResult
 from .pgp import pgp
 from .schedule import Schedule
 
-__all__ = ["level_table", "schedule_report", "utilization_chart"]
+__all__ = ["level_table", "schedule_report"]
 
 
 def level_table(schedule: Schedule, cost: np.ndarray) -> List[dict]:
@@ -57,24 +56,4 @@ def schedule_report(schedule: Schedule, cost: np.ndarray, *, max_rows: int = 40)
         )
     if len(rows) > max_rows:
         lines.append(f"  ... {len(rows) - max_rows + 1} more levels")
-    return "\n".join(lines)
-
-
-def utilization_chart(result: SimulationResult, *, width: int = 40) -> str:
-    """Text bar chart of per-core busy cycles (the simulator's PG visual).
-
-    Bars are scaled to the busiest core; the summary line restates the
-    measured potential gain those bars imply.
-    """
-    busy = result.core_busy_cycles
-    mx = float(busy.max()) if busy.size else 0.0
-    lines = [f"core utilisation ({result.algorithm} on {result.machine}):"]
-    for c, cycles in enumerate(busy):
-        bar = "#" * (int(round(width * cycles / mx)) if mx > 0 else 0)
-        lines.append(f"  core {c:>3} |{bar:<{width}}| {cycles:>12.0f}")
-    lines.append(
-        f"  potential gain {result.potential_gain:.2f}, "
-        f"makespan {result.makespan_cycles:.0f} cycles, "
-        f"hit rate {result.hit_rate:.2f}"
-    )
     return "\n".join(lines)

@@ -15,7 +15,6 @@ from .connected_components import (
 )
 from .dag import DAG, gather_slices
 from .generators import chain_dag, fan_dag, layered_dag, random_forest, series_parallel_dag
-from .io import from_edge_list, read_edge_list, to_dot, to_edge_list, write_edge_list
 from .topological import CycleError, is_acyclic, topological_order, verify_schedule_order
 from .transitive_reduction import (
     transitive_edge_mask,
@@ -28,11 +27,6 @@ from .wavefronts import Wavefronts, compute_wavefronts, level_of_vertices
 __all__ = [
     "DAG",
     "gather_slices",
-    "to_edge_list",
-    "from_edge_list",
-    "write_edge_list",
-    "read_edge_list",
-    "to_dot",
     "layered_dag",
     "random_forest",
     "chain_dag",

@@ -11,7 +11,6 @@ from .sptrsv import (
     SpTRSV,
     check_solvable,
     sptrsv_levelwise,
-    sptrsv_levelwise_multi,
     sptrsv_reference,
     sptrsv_transpose_levelwise,
     sptrsv_transpose_reference,
@@ -33,7 +32,6 @@ __all__ = [
     "gauss_seidel_in_order",
     "sptrsv_reference",
     "sptrsv_levelwise",
-    "sptrsv_levelwise_multi",
     "sptrsv_transpose_reference",
     "sptrsv_transpose_levelwise",
     "check_solvable",

@@ -41,7 +41,6 @@ __all__ = [
     "SpTRSV",
     "sptrsv_reference",
     "sptrsv_levelwise",
-    "sptrsv_levelwise_multi",
     "sptrsv_transpose_reference",
     "sptrsv_transpose_levelwise",
     "check_solvable",
@@ -139,45 +138,6 @@ def sptrsv_levelwise(low: CSRMatrix, b: np.ndarray, waves: Wavefronts | None = N
         else:
             sums = np.zeros(rows.shape[0], dtype=VALUE_DTYPE)
         x[rows] = (b[rows] - sums) / data[ends - 1]
-    return x
-
-
-def sptrsv_levelwise_multi(
-    low: CSRMatrix, b: np.ndarray, waves: Wavefronts | None = None
-) -> np.ndarray:
-    """Forward substitution for multiple right-hand sides at once.
-
-    ``b`` has shape ``(n, k)``; iterative solvers with several systems and
-    block Krylov methods batch exactly like this, amortising one schedule
-    (and the gathered index work) over ``k`` solves.  Row-major access over
-    the RHS block keeps the inner ops contiguous.
-    """
-    check_solvable(low)
-    if waves is None:
-        waves = compute_wavefronts(dag_from_lower_triangular(low))
-    n = low.n_rows
-    b = np.asarray(b, dtype=VALUE_DTYPE)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"b has shape {b.shape}, expected ({n}, k)")
-    x = np.empty_like(b)
-    indptr, indices, data = low.indptr, low.indices, low.data
-    for k in range(waves.n_levels):
-        rows = waves.wavefront(k)
-        starts = indptr[rows]
-        ends = indptr[rows + 1]
-        counts = ends - starts - 1
-        total = int(counts.sum())
-        if total:
-            cum = np.cumsum(counts)
-            within = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(cum - counts, counts)
-            flat = np.repeat(starts, counts) + within
-            prods = data[flat][:, None] * x[indices[flat], :]
-            sums = np.zeros((rows.shape[0], b.shape[1]), dtype=VALUE_DTYPE)
-            seg = np.repeat(np.arange(rows.shape[0], dtype=INDEX_DTYPE), counts)
-            np.add.at(sums, seg, prods)
-        else:
-            sums = np.zeros((rows.shape[0], b.shape[1]), dtype=VALUE_DTYPE)
-        x[rows, :] = (b[rows, :] - sums) / data[ends - 1][:, None]
     return x
 
 

@@ -52,6 +52,7 @@ def spans_to_jsonl(spans: Iterable[Span]) -> str:
 
 
 def write_spans_jsonl(spans: Iterable[Span], path: Union[str, PathLike]) -> None:
+    """Write :func:`spans_to_jsonl` to ``path``, newline-terminated when non-empty."""
     text = spans_to_jsonl(spans)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

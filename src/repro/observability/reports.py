@@ -61,6 +61,7 @@ def utilization_rows(timeline: CoreTimeline) -> List[list]:
 
 
 def utilization_report(timeline: CoreTimeline, *, unit: str = "s") -> str:
+    """:func:`utilization_rows` as a text table, times in ``unit``."""
     from ..suite.reporting import format_table
 
     headers = ["core", f"busy ({unit})", f"barrier ({unit})", f"p2p ({unit})",
@@ -107,6 +108,7 @@ def sync_breakdown(timeline: CoreTimeline, *, top: int = 5) -> dict:
 
 
 def sync_report(timeline: CoreTimeline, *, unit: str = "s") -> str:
+    """:func:`sync_breakdown` as text, times in ``unit``."""
     b = sync_breakdown(timeline)
     lines = [
         "Synchronisation cost breakdown",
@@ -167,6 +169,7 @@ def imbalance_report(
     *,
     simulated_pg: Optional[float] = None,
 ) -> str:
+    """:func:`imbalance_comparison` as a text table."""
     from ..suite.reporting import format_table
 
     c = imbalance_comparison(timeline, schedule, cost, simulated_pg=simulated_pg)

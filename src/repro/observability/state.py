@@ -60,6 +60,7 @@ STATE = ObservabilityState()
 
 
 def is_enabled() -> bool:
+    """True while observability is switched on (:func:`enable`, :func:`observed`)."""
     return STATE.enabled
 
 

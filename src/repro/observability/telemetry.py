@@ -75,11 +75,9 @@ def metric_catalog() -> Dict[str, str]:
         "store.quarantined": "counter",
         "store.manifest_repairs": "counter",
         "store.manifest_rebuilds": "counter",
-        "store.evictions": "counter",
         "store.codec_errors": "counter",
         "store.quarantine_count": "gauge",
         "store.shard_occupancy": "gauge",
-        "store.occupancy_bytes": "gauge",
     }
     for site in FAULT_SITES:
         catalog[f"resilience.faults_fired.{site}"] = "counter"

@@ -39,6 +39,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
 
 
 def perf_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``hdagg-bench perf``; returns :func:`perf_compare`'s exit code."""
     args = build_perf_parser().parse_args(argv)
     return perf_compare(args.parent_dir, args.change_dir)
 

@@ -1,6 +1,6 @@
-"""Runtime layer: machine models, cache model, simulator, executors."""
+"""Runtime layer: machine models, simulator, exact-cache oracle, executors."""
 
-from .cache import LRUCache, per_vertex_memory_cycles, reuse_window_hits
+from .cache import LRUCache
 from .exact import ExactCacheStats, simulate_cache_exact
 from .executor import execute_schedule, interleaved_order
 from .machine import AMD64, INTEL20, LAPTOP4, MACHINES, MachineConfig
@@ -16,8 +16,6 @@ __all__ = [
     "MACHINES",
     "StageTimer",
     "LRUCache",
-    "reuse_window_hits",
-    "per_vertex_memory_cycles",
     "simulate",
     "simulate_cache_exact",
     "ExactCacheStats",

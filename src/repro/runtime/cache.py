@@ -1,32 +1,20 @@
-"""Per-core cache model: the locality half of the execution simulator.
+"""Per-core exact LRU cache: the exact-cache oracle's cache.
 
 The paper's locality metric is the *average memory access latency* measured
-with PAPI counters (Section V-A, Figure 6).  The model here reproduces that
-metric from first principles: each core owns a private LRU-like cache of
-``capacity`` 64-byte lines; every access in a kernel iteration's line trace
-is a hit (``hit_cycles``) or a miss (``miss_cycles``), and the
-access-weighted mean is the reported latency.
-
-Two implementations with one contract:
-
-* :class:`LRUCache` — an exact LRU simulator (ordered dict), used by the
-  tests and available for small problems;
-* :func:`reuse_window_hits` — the vectorized production path: an access
-  hits iff its *reuse distance proxy* (number of accesses since the
-  previous touch of the same line) is below the capacity window.  Time
-  distance upper-bounds true LRU stack distance, so the approximation is
-  conservative and — crucially for the paper's comparisons — identical
-  across all schedulers, preserving relative locality.
+with PAPI counters (Section V-A, Figure 6).  :class:`LRUCache` models one
+core's private cache of ``capacity`` 64-byte lines: every access in a kernel
+iteration's line trace is a hit or a miss under exact LRU replacement.
+:mod:`repro.runtime.exact` replays whole schedules through one per core; the
+production simulator scores locality with the edge model of
+:mod:`repro.kernels.memory` instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["LRUCache", "reuse_window_hits", "per_vertex_memory_cycles"]
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
@@ -64,40 +52,3 @@ class LRUCache:
 
     def __len__(self) -> int:
         return len(self._lines)
-
-
-def reuse_window_hits(trace: np.ndarray, capacity: int) -> np.ndarray:
-    """Vectorized hit mask: hit iff the same line was touched within the
-    last ``capacity`` accesses (cold first touches always miss).
-
-    O(N log N) from one stable argsort; no Python-level loop.
-    """
-    n = trace.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(trace, kind="stable")
-    sorted_lines = trace[order]
-    prev = np.full(n, -(10**18), dtype=np.int64)
-    same = sorted_lines[1:] == sorted_lines[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    dist = np.arange(n, dtype=np.int64) - prev
-    return dist <= capacity
-
-
-def per_vertex_memory_cycles(
-    ptr: np.ndarray,
-    hit_mask: np.ndarray,
-    hit_cycles: float,
-    miss_cycles: float,
-) -> Tuple[np.ndarray, int, int]:
-    """Fold a per-access hit mask back into per-vertex memory cycles.
-
-    ``ptr`` is the ragged trace pointer (vertex ``i`` owns accesses
-    ``ptr[i]:ptr[i+1]`` *of this core's concatenated trace*).  Returns
-    ``(cycles_per_vertex, hits, misses)``.
-    """
-    lat = np.where(hit_mask, hit_cycles, miss_cycles)
-    cum = np.concatenate(([0.0], np.cumsum(lat)))
-    cycles = cum[ptr[1:]] - cum[ptr[:-1]]
-    hits = int(np.count_nonzero(hit_mask))
-    return cycles, hits, int(hit_mask.shape[0] - hits)

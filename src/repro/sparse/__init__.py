@@ -5,7 +5,6 @@ self-contained (no imports from the rest of :mod:`repro`) so it can be reused
 independently of the scheduling machinery.
 """
 
-from .csc import CSCMatrix, csc_from_csr, csr_from_csc, sptrsv_csc_in_order, sptrsv_csc_reference
 from .csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, csr_from_coo, csr_from_dense, csr_from_scipy
 from .generators import (
     arrowhead_spd,
@@ -31,25 +30,13 @@ from .linalg import CGResult, conjugate_gradient, dense_lower_solve, dense_upper
 from .ordering import apply_ordering, natural, nested_dissection, random_permutation, rcm
 from .sanitize import CSRSanitizeError, SanitizeIssue, SanitizeReport, sanitize_csr
 from .properties import (
-    MatrixSummary,
     bandwidth,
     density,
-    diagonal_dominance_ratio,
     is_numerically_symmetric,
     is_structurally_symmetric,
     profile,
-    summarize,
 )
-from .symbolic import (
-    column_counts,
-    elimination_tree,
-    elimination_tree_from_matrix,
-    factor_pattern_spd,
-    fill_in,
-    is_chordal_pattern,
-    supernodes,
-    symbolic_cholesky,
-)
+from .symbolic import elimination_tree, elimination_tree_from_matrix, fill_in, symbolic_cholesky
 from .triangular import (
     is_lower_triangular,
     is_upper_triangular,
@@ -62,11 +49,6 @@ from .triangular import (
 
 __all__ = [
     "CSRMatrix",
-    "CSCMatrix",
-    "csc_from_csr",
-    "csr_from_csc",
-    "sptrsv_csc_reference",
-    "sptrsv_csc_in_order",
     "INDEX_DTYPE",
     "VALUE_DTYPE",
     "csr_from_coo",
@@ -109,17 +91,10 @@ __all__ = [
     "bandwidth",
     "profile",
     "density",
-    "diagonal_dominance_ratio",
-    "MatrixSummary",
-    "summarize",
     "elimination_tree",
     "elimination_tree_from_matrix",
     "symbolic_cholesky",
-    "column_counts",
     "fill_in",
-    "is_chordal_pattern",
-    "factor_pattern_spd",
-    "supernodes",
     "dense_lower_solve",
     "dense_upper_solve",
     "residual_norm",

@@ -31,14 +31,18 @@ __all__ = ["rcm", "nested_dissection", "natural", "random_permutation", "apply_o
 def _neighbours(a: CSRMatrix) -> list[list[int]]:
     """Neighbour lists (ids increasing) of the symmetrised pattern, no self-loops.
 
-    The union of the patterns of A and A^T is one unique over the 1-D keys
-    ``row * n + col``: sorted, they run row by row, columns increasing.
+    The union of the patterns of A and A^T is one sort of the 1-D keys
+    ``row * n + col``, repeats dropped: sorted, they run row by row,
+    columns increasing.  (A plain ``np.unique`` on 1-D integers hashes,
+    which is many times slower than the sort here.)
     """
     n = a.n_rows
     rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), a.row_nnz())
     keep = rows != a.indices
     rows, cols = rows[keep], a.indices[keep]
-    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     ptr = np.searchsorted(keys, np.arange(n + 1, dtype=INDEX_DTYPE) * n).tolist()
     idx = (keys % n).tolist()
     return [idx[ptr[v] : ptr[v + 1]] for v in range(n)]

@@ -8,8 +8,6 @@ DAG-derived metrics live in :mod:`repro.metrics.parallelism`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .csr import CSRMatrix, INDEX_DTYPE
@@ -20,9 +18,6 @@ __all__ = [
     "bandwidth",
     "profile",
     "density",
-    "diagonal_dominance_ratio",
-    "MatrixSummary",
-    "summarize",
 ]
 
 
@@ -67,49 +62,3 @@ def density(a: CSRMatrix) -> float:
     """``nnz / (n_rows * n_cols)``; 0 for degenerate shapes."""
     cells = a.n_rows * a.n_cols
     return a.nnz / cells if cells else 0.0
-
-
-def diagonal_dominance_ratio(a: CSRMatrix) -> float:
-    """Fraction of rows where ``|a_ii| >= sum_{j != i} |a_ij|``."""
-    if not a.is_square or a.n_rows == 0:
-        return 0.0
-    row_of = np.repeat(np.arange(a.n_rows, dtype=INDEX_DTYPE), a.row_nnz())
-    abs_sum = np.zeros(a.n_rows)
-    np.add.at(abs_sum, row_of, np.abs(a.data))
-    diag = np.abs(a.diagonal())
-    off = abs_sum - diag
-    return float(np.count_nonzero(diag >= off)) / a.n_rows
-
-
-@dataclass(frozen=True)
-class MatrixSummary:
-    """Compact description of a matrix, printed in dataset tables."""
-
-    n: int
-    nnz: int
-    density: float
-    bandwidth: int
-    structurally_symmetric: bool
-    avg_nnz_per_row: float
-    max_nnz_per_row: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.n} nnz={self.nnz} dens={self.density:.2e} "
-            f"bw={self.bandwidth} sym={self.structurally_symmetric} "
-            f"avg_row={self.avg_nnz_per_row:.1f} max_row={self.max_nnz_per_row}"
-        )
-
-
-def summarize(a: CSRMatrix) -> MatrixSummary:
-    """Build a :class:`MatrixSummary` for reporting."""
-    per_row = a.row_nnz()
-    return MatrixSummary(
-        n=a.n_rows,
-        nnz=a.nnz,
-        density=density(a),
-        bandwidth=bandwidth(a),
-        structurally_symmetric=is_structurally_symmetric(a),
-        avg_nnz_per_row=float(per_row.mean()) if a.n_rows else 0.0,
-        max_nnz_per_row=int(per_row.max()) if a.n_rows else 0,
-    )

@@ -108,6 +108,7 @@ def render_text(diagnostics: Sequence[Diagnostic]) -> str:
 
 
 def render_json(diagnostics: Sequence[Diagnostic]) -> str:
+    """All diagnostics plus error and warning tallies as one JSON document."""
     return json.dumps(
         {
             "diagnostics": [d.to_json() for d in diagnostics],

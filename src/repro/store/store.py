@@ -51,7 +51,7 @@ import zlib
 from dataclasses import dataclass, field
 from os import PathLike
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.schedule import Schedule
 from ..observability.state import STATE as _OBS_STATE
@@ -99,7 +99,6 @@ class StoreStats:
     writes: int
     quarantined: int
     manifest_repairs: int
-    evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -115,7 +114,6 @@ class AuditReport:
     ok: int = 0
     quarantined: List[QuarantineEvent] = field(default_factory=list)
     repaired_manifests: int = 0
-    evictions: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -123,7 +121,6 @@ class AuditReport:
             "ok": self.ok,
             "quarantined": [q.as_dict() for q in self.quarantined],
             "repaired_manifests": self.repaired_manifests,
-            "evictions": self.evictions,
         }
 
 
@@ -169,16 +166,6 @@ class ScheduleStore:
     durable:
         fsync records and manifests (the crash-consistency contract).
         Tests that only exercise logic may pass ``False`` for speed.
-    max_bytes:
-        Size budget for the store's record bytes (manifest-accounted).
-        ``None`` (the default) keeps the store unbounded.  When a
-        :meth:`put` pushes the total over budget, cold records are
-        evicted — fewest hits first, then least recently served — the
-        same per-key disaggregation of the ``store.hits``/``store.misses``
-        counters the :class:`~repro.observability.metrics.MetricsRegistry`
-        exports, so the policy and the metrics read one signal.
-        Evictions are clean deletes (record + manifest entry), counted in
-        :attr:`stats` and every :meth:`audit` report, never quarantines.
     """
 
     def __init__(
@@ -187,15 +174,11 @@ class ScheduleStore:
         *,
         n_shards: int = 16,
         durable: bool = True,
-        max_bytes: Optional[int] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 or None")
         self.root = Path(root)
         self.durable = durable
-        self.max_bytes = max_bytes
         self._lock = threading.RLock()
         self._manifests: Dict[int, Dict[str, dict]] = {}
         self.events: List[QuarantineEvent] = []
@@ -204,11 +187,6 @@ class ScheduleStore:
         self._writes = 0
         self._quarantined = 0
         self._manifest_repairs = 0
-        self._evictions = 0
-        # per-key (hit count, last-served sequence): the eviction policy's
-        # ranking signal, mirrored in aggregate by store.hits/store.misses
-        self._access: Dict[str, Tuple[int, int]] = {}
-        self._access_seq = 0
         self.root.mkdir(parents=True, exist_ok=True)
         meta_path = self.root / "store.json"
         if meta_path.exists():
@@ -303,71 +281,12 @@ class ScheduleStore:
         if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
             _OBS_STATE.registry.counter(name).inc(amount)
 
-    def _publish_gauges(self, shard: int, total_bytes: Optional[int]) -> None:
+    def _publish_gauges(self, shard: int) -> None:
         """Refresh the store health gauges after a mutation (guarded)."""
         if _OBS_STATE.enabled and _OBS_STATE.registry is not None:
             reg = _OBS_STATE.registry
             reg.gauge("store.quarantine_count").set(self._quarantined)
             reg.gauge("store.shard_occupancy").set(len(self._manifests.get(shard, {})))
-            if total_bytes is not None:
-                reg.gauge("store.occupancy_bytes").set(total_bytes)
-
-    # ------------------------------------------------------------------
-    # size budget
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """Manifest-accounted record bytes across every shard."""
-        with self._lock:
-            return sum(
-                int(entry.get("size", 0))
-                for shard in range(self.n_shards)
-                for entry in self._manifest(shard).values()
-            )
-
-    def _record_access(self, key: str) -> None:
-        self._access_seq += 1
-        count, _ = self._access.get(key, (0, 0))
-        self._access[key] = (count + 1, self._access_seq)
-
-    def _evict_to_budget(self, protect: str) -> int:
-        """Delete cold records until the store fits ``max_bytes``.
-
-        Victims are ranked coldest-first by ``(hit count, last-served
-        sequence, key)`` — the per-key view of the exported hit/miss
-        metrics, with the key as a deterministic tie-break so two stores
-        replaying the same traffic evict identically.  ``protect`` (the
-        record just written) is never a victim, so a single over-budget
-        record still persists.  Returns the post-eviction total.
-        """
-        assert self.max_bytes is not None
-        total = self.total_bytes()
-        if total <= self.max_bytes:
-            return total
-        candidates: List[Tuple[int, int, str, int, int]] = []
-        for shard in range(self.n_shards):
-            for key, entry in self._manifest(shard).items():
-                if key == protect:
-                    continue
-                count, seq = self._access.get(key, (0, 0))
-                candidates.append((count, seq, key, shard, int(entry.get("size", 0))))
-        candidates.sort()
-        dirty = set()
-        for count, seq, key, shard, size in candidates:
-            if total <= self.max_bytes:
-                break
-            try:
-                self._record_path(shard, key).unlink(missing_ok=True)
-            except OSError:
-                continue
-            del self._manifests[shard][key]
-            self._access.pop(key, None)
-            dirty.add(shard)
-            total -= size
-            self._evictions += 1
-            self._count("store.evictions")
-        for shard in sorted(dirty):
-            self._write_manifest(shard)
-        return total
 
     # ------------------------------------------------------------------
     # the API
@@ -417,10 +336,7 @@ class ScheduleStore:
             self._write_manifest(shard)
             self._writes += 1
             self._count("store.writes")
-            total: Optional[int] = None
-            if self.max_bytes is not None:
-                total = self._evict_to_budget(protect=key)
-            self._publish_gauges(shard, total)
+            self._publish_gauges(shard)
 
     def get(self, key: str) -> Optional[Schedule]:
         """The stored schedule, or ``None`` (absent *or* quarantined).
@@ -476,7 +392,6 @@ class ScheduleStore:
                 self._count("store.manifest_repairs")
             self._hits += 1
             self._count("store.hits")
-            self._record_access(key)
             return schedule
 
     def quarantine_key(self, key: str, reason: str) -> bool:
@@ -509,10 +424,9 @@ class ScheduleStore:
                 pass
         event = QuarantineEvent(key=key, shard=shard, reason=reason, path=str(dest))
         self.events.append(event)
-        self._access.pop(key, None)
         self._quarantined += 1
         self._count("store.quarantined")
-        self._publish_gauges(shard, None)
+        self._publish_gauges(shard)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -538,7 +452,6 @@ class ScheduleStore:
             writes=self._writes,
             quarantined=self._quarantined,
             manifest_repairs=self._manifest_repairs,
-            evictions=self._evictions,
         )
 
     def audit(self) -> AuditReport:
@@ -565,7 +478,6 @@ class ScheduleStore:
                         report.ok += 1
             report.quarantined = self.events[before:]
             report.repaired_manifests = self._manifest_repairs - repairs_before
-            report.evictions = self._evictions
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,10 +4,9 @@ from .autotune import DEFAULT_CANDIDATES, SchedulerChoice, choose_scheduler
 from .dataset_report import dataset_report, dataset_rows
 from .harness import DEFAULT_ALGORITHMS, Harness, MatrixContext, RunRecord
 from .matrices import FAMILIES, SUITE, MatrixSpec, small_suite, suite_by_name
-from .regression import RecordDelta, diff_records, regression_report
 from .reporting import dump_json, format_kv, format_table, geomean
 from .storage import load_records, records_from_json, records_to_json, save_records
-from .sweeps import ScalingPoint, epsilon_sensitivity, strong_scaling
+from .sweeps import ScalingPoint, strong_scaling
 from .tables import (
     HIGH_PARALLELISM_THRESHOLD,
     LARGE_NNZ_THRESHOLD,
@@ -30,12 +29,8 @@ __all__ = [
     "dataset_report",
     "save_records",
     "strong_scaling",
-    "epsilon_sensitivity",
     "ScalingPoint",
     "load_records",
-    "diff_records",
-    "regression_report",
-    "RecordDelta",
     "records_to_json",
     "records_from_json",
     "dataset_rows",

@@ -1,9 +1,8 @@
-"""Parameter sweeps: strong scaling and threshold sensitivity.
+"""Strong-scaling sweep.
 
 The paper evaluates two fixed core counts (20 and 64); a strong-scaling
 sweep interpolates between them and exposes where each scheduler saturates
-— the natural extension experiment for a schedule-quality study.  The
-epsilon sweep generalises the ablation benchmark's into a reusable helper.
+— the natural extension experiment for a schedule-quality study.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core.pgp import DEFAULT_EPSILON
 from ..graph.dag import DAG
 from ..kernels.memory import MemoryModel
 from ..runtime.machine import MachineConfig
 from ..runtime.simulator import simulate
 from ..schedulers import SCHEDULERS
 
-__all__ = ["ScalingPoint", "strong_scaling", "epsilon_sensitivity"]
+__all__ = ["ScalingPoint", "strong_scaling"]
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,3 @@ def strong_scaling(
                 )
             )
     return points
-
-
-def epsilon_sensitivity(
-    g: DAG,
-    cost: np.ndarray,
-    memory: MemoryModel,
-    machine: MachineConfig,
-    *,
-    epsilons: Sequence[float] = (0.05, 0.1, 0.2, DEFAULT_EPSILON, 0.5, 0.8),
-) -> List[dict]:
-    """HDagg speedup / structure across the balance-threshold range."""
-    cost = np.asarray(cost, dtype=np.float64)
-    serial = simulate(SCHEDULERS["serial"](g, cost), g, cost, memory, machine.scaled(1))
-    out: List[dict] = []
-    for eps in epsilons:
-        schedule = SCHEDULERS["hdagg"](g, cost, machine.n_cores, epsilon=eps)
-        result = simulate(schedule, g, cost, memory, machine)
-        out.append(
-            {
-                "epsilon": eps,
-                "n_levels": schedule.n_levels,
-                "fine_grained": schedule.fine_grained,
-                "speedup": serial.makespan_cycles / result.makespan_cycles,
-                "potential_gain": result.potential_gain,
-            }
-        )
-    return out

@@ -1,12 +1,9 @@
 """Tests for schedule analysis reports."""
 
-import numpy as np
 import pytest
 
-from repro.core import hdagg, level_table, schedule_report, utilization_chart
-from repro.graph import dag_from_matrix_lower
+from repro.core import hdagg, level_table, schedule_report
 from repro.kernels import KERNELS
-from repro.runtime import LAPTOP4, simulate
 from repro.schedulers import SCHEDULERS
 
 
@@ -17,11 +14,11 @@ def prepared(request):
     g = kernel.dag(mesh_nd)
     cost = kernel.cost(mesh_nd)
     s = hdagg(g, cost, 4)
-    return g, cost, s, kernel.memory_model(mesh_nd, g)
+    return g, cost, s
 
 
 def test_level_table_shape(prepared):
-    g, cost, s, _ = prepared
+    g, cost, s = prepared
     rows = level_table(s, cost)
     assert len(rows) == s.n_levels
     total_vertices = sum(r["vertices"] for r in rows)
@@ -33,7 +30,7 @@ def test_level_table_shape(prepared):
 
 
 def test_schedule_report_content(prepared):
-    g, cost, s, _ = prepared
+    g, cost, s = prepared
     text = schedule_report(s, cost)
     assert "hdagg" in text
     assert f"n={g.n}" in text
@@ -42,18 +39,7 @@ def test_schedule_report_content(prepared):
 
 
 def test_schedule_report_truncates(prepared):
-    g, cost, _, _ = prepared
+    g, cost, _ = prepared
     s = SCHEDULERS["wavefront"](g, cost, 4)
     text = schedule_report(s, cost, max_rows=5)
     assert "more levels" in text
-
-
-def test_utilization_chart(prepared):
-    g, cost, s, mem = prepared
-    r = simulate(s, g, cost, mem, LAPTOP4)
-    chart = utilization_chart(r, width=20)
-    lines = chart.splitlines()
-    assert len(lines) == LAPTOP4.n_cores + 2  # header + cores + summary
-    assert "potential gain" in lines[-1]
-    # the busiest core's bar is full width
-    assert "#" * 20 in chart

@@ -15,7 +15,6 @@ class TestCatalog:
         assert set(catalog.values()) <= {"counter", "gauge", "histogram"}
         # spot-check one name per subsystem
         for name in (
-            "store.evictions",
             "store.quarantine_count",
             "schedule_cache.evictions",
             "schedule_cache.store_hits",

@@ -1,11 +1,9 @@
-"""Tests for the cache models."""
+"""Tests for the exact LRU cache."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.runtime import LRUCache, per_vertex_memory_cycles, reuse_window_hits
+from repro.runtime import LRUCache
 
 
 class TestLRUCache:
@@ -46,59 +44,3 @@ class TestLRUCache:
         c = LRUCache(8)
         mask = c.access_trace(np.array([1, 2, 1, 3, 2]))
         assert mask.tolist() == [False, False, True, False, True]
-
-
-class TestReuseWindow:
-    def test_cold_misses(self):
-        hits = reuse_window_hits(np.array([1, 2, 3]), capacity=10)
-        assert hits.tolist() == [False, False, False]
-
-    def test_near_reuse_hits(self):
-        hits = reuse_window_hits(np.array([1, 2, 1]), capacity=10)
-        assert hits.tolist() == [False, False, True]
-
-    def test_window_bound(self):
-        trace = np.array([1, 2, 3, 4, 1])
-        assert reuse_window_hits(trace, capacity=4)[-1]
-        assert not reuse_window_hits(trace, capacity=3)[-1]
-
-    def test_empty(self):
-        assert reuse_window_hits(np.array([], dtype=np.int64), 4).size == 0
-
-    @given(st.lists(st.integers(0, 10), min_size=0, max_size=100), st.integers(1, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_window_is_upper_bounded_by_huge_lru(self, trace, cap):
-        """With capacity >= trace length, window hits == exact LRU hits
-        (every non-cold access hits in both models)."""
-        trace = np.array(trace, dtype=np.int64)
-        big = max(len(trace), 1)
-        window = reuse_window_hits(trace, big)
-        lru = LRUCache(big).access_trace(trace) if trace.size else np.zeros(0, bool)
-        np.testing.assert_array_equal(window, lru)
-
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=80))
-    @settings(max_examples=60, deadline=None)
-    def test_window_conservative_vs_lru(self, trace):
-        """Time-window hits never exceed what an LRU of the same capacity
-        gives (time distance >= stack distance)."""
-        trace = np.array(trace, dtype=np.int64)
-        cap = 3
-        window = int(reuse_window_hits(trace, cap).sum())
-        lru = LRUCache(cap)
-        lru.access_trace(trace)
-        assert window <= lru.hits
-
-
-class TestPerVertexFold:
-    def test_fold(self):
-        ptr = np.array([0, 2, 3])
-        mask = np.array([True, False, True])
-        cycles, hits, misses = per_vertex_memory_cycles(ptr, mask, 1.0, 10.0)
-        assert cycles.tolist() == [11.0, 1.0]
-        assert hits == 2 and misses == 1
-
-    def test_empty_vertex(self):
-        ptr = np.array([0, 0, 1])
-        mask = np.array([False])
-        cycles, hits, misses = per_vertex_memory_cycles(ptr, mask, 1.0, 10.0)
-        assert cycles.tolist() == [0.0, 10.0]

@@ -6,11 +6,9 @@ from repro.sparse import (
     bandwidth,
     csr_from_dense,
     density,
-    diagonal_dominance_ratio,
     is_numerically_symmetric,
     is_structurally_symmetric,
     profile,
-    summarize,
 )
 
 
@@ -52,20 +50,3 @@ def test_profile():
 def test_density():
     assert density(csr_from_dense(np.eye(4))) == 4 / 16
     assert density(csr_from_dense(np.zeros((0, 5)))) == 0.0
-
-
-def test_diagonal_dominance(mesh):
-    # generators build strictly dominant matrices
-    assert diagonal_dominance_ratio(mesh) == 1.0
-    weak = csr_from_dense(np.array([[1.0, 5.0], [5.0, 1.0]]))
-    assert diagonal_dominance_ratio(weak) == 0.0
-
-
-def test_summarize(mesh):
-    s = summarize(mesh)
-    assert s.n == mesh.n_rows
-    assert s.nnz == mesh.nnz
-    assert s.structurally_symmetric
-    assert s.max_nnz_per_row == int(mesh.row_nnz().max())
-    assert 0 < s.density < 1
-    assert "nnz" in str(s)

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse import csr_from_dense, lower_triangle, poisson2d, tridiagonal_spd
-from repro.sparse.symbolic import (
-    column_counts,
-    elimination_tree_from_matrix,
-    factor_pattern_spd,
-    fill_in,
-    is_chordal_pattern,
-    symbolic_cholesky,
-)
+from repro.sparse import csr_from_dense, lower_triangle
+from repro.sparse.symbolic import elimination_tree_from_matrix, fill_in, symbolic_cholesky
 
 
 def dense_chol_pattern(a):
@@ -64,25 +57,16 @@ def test_symbolic_matches_numeric_cholesky(mesh):
 
 def test_tridiagonal_has_no_fill(chain):
     assert fill_in(chain) == 0
-    assert is_chordal_pattern(chain)
 
 
 def test_arrowhead_reversed_fills_completely(arrow):
     l = symbolic_cholesky(arrow)
     # dense first column -> fully dense factor
     assert l.nnz == 5 * 6 // 2
-    assert not is_chordal_pattern(arrow)
 
 
 def test_mesh_fills(mesh):
     assert fill_in(mesh) > 0
-    assert not is_chordal_pattern(mesh)
-
-
-def test_column_counts_match_pattern(mesh):
-    l = symbolic_cholesky(mesh)
-    counts = np.bincount(l.indices, minlength=mesh.n_rows)
-    np.testing.assert_array_equal(column_counts(mesh), counts)
 
 
 def test_factor_includes_original_lower(mesh):
@@ -92,25 +76,13 @@ def test_factor_includes_original_lower(mesh):
     assert np.all(ld[low.to_dense() != 0])
 
 
-def test_factor_pattern_spd_is_chordal_and_spd(mesh):
-    f = factor_pattern_spd(mesh, seed=3)
-    assert is_chordal_pattern(f)
-    eig = np.linalg.eigvalsh(f.to_dense())
-    assert eig.min() > 0
-    # pattern matches the symbolic factor (mirrored)
-    np.testing.assert_array_equal(
-        lower_triangle(f).indices, symbolic_cholesky(mesh).indices
-    )
-
-
 def test_factor_pattern_solve_has_tree_friendly_dag(mesh):
     """On a chordal pattern the etree drives LBC exactly (the class LBC is
     optimised for)."""
     from repro.graph import dag_from_matrix_lower
     from repro.schedulers import SCHEDULERS
 
-    f = factor_pattern_spd(mesh, seed=3)
-    g = dag_from_matrix_lower(f)
+    g = dag_from_matrix_lower(symbolic_cholesky(mesh))
     s = SCHEDULERS["lbc"](g, np.ones(g.n), 4)
     s.validate(g)
 

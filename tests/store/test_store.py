@@ -225,105 +225,3 @@ class TestCacheIntegration:
         cache = ScheduleCache(store=ExplodingStore())
         cache.put("00" * 32, schedule)  # must not raise
         assert cache.get("00" * 32) is not None
-
-
-class TestEviction:
-    def _fill(self, store, corpus, n):
-        schedules = [s for (s, _) in corpus.values()][:1] * n
-        keys = [f"{i:064x}" for i in range(n)]
-        for key, sched in zip(keys, schedules):
-            store.put(key, sched)
-        return keys
-
-    def test_unbounded_store_never_evicts(self, store, corpus):
-        self._fill(store, corpus, 6)
-        assert store.stats.evictions == 0
-        assert len(store) == 6
-
-    def test_over_budget_put_evicts_down_to_budget(self, tmp_path, schedule):
-        probe = ScheduleStore(tmp_path / "probe", durable=False)
-        probe.put("aa" * 32, schedule)
-        record = probe.total_bytes()
-        store = ScheduleStore(
-            tmp_path / "store", durable=False, max_bytes=3 * record
-        )
-        keys = self._fill(store, {("a", "b"): (schedule, None)}, 5)
-        assert store.total_bytes() <= store.max_bytes
-        assert store.stats.evictions == 2
-        assert len(store) == 3
-        # evicted records are clean deletes, not quarantines
-        assert store.stats.quarantined == 0
-        assert store.events == []
-        for key in keys:
-            got = store.get(key)
-            assert got is None or got is not None  # never raises
-
-    def test_hot_records_survive_cold_ones_go(self, tmp_path, schedule):
-        probe = ScheduleStore(tmp_path / "probe", durable=False)
-        probe.put("aa" * 32, schedule)
-        record = probe.total_bytes()
-        store = ScheduleStore(
-            tmp_path / "store", durable=False, max_bytes=int(2.5 * record)
-        )
-        hot, cold = "00" * 32, "11" * 32
-        store.put(hot, schedule)
-        store.put(cold, schedule)
-        for _ in range(3):
-            assert store.get(hot) is not None
-        store.put("22" * 32, schedule)  # over budget: the cold key goes
-        assert store.get(hot) is not None
-        assert cold not in store
-        assert store.stats.evictions == 1
-
-    def test_eviction_is_deterministic_without_access_history(self, tmp_path, schedule):
-        def run():
-            store = ScheduleStore(
-                tmp_path / f"store{len(list(tmp_path.iterdir()))}",
-                durable=False, max_bytes=1,
-            )
-            for i in range(4):
-                store.put(f"{i:064x}", schedule)
-            return store.keys()
-
-        assert run() == run()
-
-    def test_protected_key_survives_even_alone_over_budget(self, tmp_path, schedule):
-        store = ScheduleStore(tmp_path / "store", durable=False, max_bytes=1)
-        store.put("aa" * 32, schedule)
-        # the freshly written record is never its own victim
-        assert store.get("aa" * 32) is not None
-        assert store.stats.evictions == 0
-
-    def test_audit_reports_the_eviction_counter(self, tmp_path, schedule):
-        store = ScheduleStore(tmp_path / "store", durable=False, max_bytes=1)
-        store.put("aa" * 32, schedule)
-        store.put("bb" * 32, schedule)
-        report = store.audit()
-        assert report.evictions == store.stats.evictions == 1
-        assert report.as_dict()["evictions"] == 1
-
-    def test_eviction_survives_reopen(self, tmp_path, schedule):
-        root = tmp_path / "store"
-        store = ScheduleStore(root, durable=False, max_bytes=1)
-        store.put("aa" * 32, schedule)
-        store.put("bb" * 32, schedule)
-        survivors = store.keys()
-        back = ScheduleStore(root, durable=False)
-        assert back.keys() == survivors
-        assert back.audit().quarantined == []
-
-    def test_bad_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ScheduleStore(tmp_path / "store", durable=False, max_bytes=0)
-
-    def test_eviction_metrics_are_in_the_catalog(self, tmp_path, schedule):
-        from repro.observability import observed
-        from repro.observability.telemetry import catalog_violations
-
-        with observed() as (_, registry):
-            store = ScheduleStore(tmp_path / "store", durable=False, max_bytes=1)
-            store.put("aa" * 32, schedule)
-            store.put("bb" * 32, schedule)
-        assert registry.counter("store.evictions").value == 1
-        assert registry.gauge("store.occupancy_bytes").value == store.total_bytes()
-        assert catalog_violations(registry.names()) == []

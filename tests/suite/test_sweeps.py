@@ -1,12 +1,11 @@
-"""Tests for the strong-scaling and epsilon sweeps."""
+"""Tests for the strong-scaling sweep."""
 
-import numpy as np
 import pytest
 
 from repro.kernels import KERNELS
 from repro.runtime import LAPTOP4
 from repro.sparse import apply_ordering, poisson2d
-from repro.suite import epsilon_sensitivity, strong_scaling
+from repro.suite import strong_scaling
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +36,3 @@ def test_strong_scaling_single_core_near_serial(problem):
     (pt,) = strong_scaling(g, cost, mem, LAPTOP4,
                            algorithms=("hdagg",), core_counts=(1,))
     assert 0.5 <= pt.speedup <= 1.6
-
-
-def test_epsilon_sensitivity(problem):
-    g, cost, mem = problem
-    rows = epsilon_sensitivity(g, cost, mem, LAPTOP4, epsilons=(0.05, 0.3, 0.9))
-    assert [r["epsilon"] for r in rows] == [0.05, 0.3, 0.9]
-    # looser epsilon merges at least as much
-    assert rows[-1]["n_levels"] <= rows[0]["n_levels"]
-    for r in rows:
-        assert r["speedup"] > 0

@@ -25,6 +25,11 @@ MODULES = [
     "repro.resilience",
     "repro.store",
     "repro.service",
+    "repro.analysis",
+    "repro.observability",
+    "repro.passes",
+    "repro.perflab",
+    "repro.statan",
 ]
 
 
