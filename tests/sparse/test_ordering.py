@@ -20,6 +20,7 @@ from repro.sparse import (
     bandwidth,
     csr_from_dense,
     kite_chain_spd,
+    lower_triangle,
     natural,
     nested_dissection,
     poisson2d,
@@ -30,6 +31,7 @@ from repro.sparse import (
     rcm,
 )
 from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.ordering import _neighbours
 from repro.suite.matrices import SUITE
 
 
@@ -359,3 +361,45 @@ def test_permute_symmetric_matches_per_row_sort_on_unchecked_input(n, seed):
     a = CSRMatrix(n, n, indptr, indices, rng.standard_normal(indices.shape[0]), check=False)
     perm = rng.permutation(n)
     _assert_same_matrix(a.permute_symmetric(perm), permute_symmetric_reference(a, perm))
+
+
+# ----------------------------------------------------------------------
+# The symmetrised neighbour lists every ordering starts from.
+# ----------------------------------------------------------------------
+def _neighbours_reference(a):
+    """Oracle: per-vertex sets of the pattern of A + A^T, self-loops dropped."""
+    sets = [set() for _ in range(a.n_rows)]
+    for i in range(a.n_rows):
+        for j in a.indices[a.indptr[i] : a.indptr[i + 1]].tolist():
+            if i != j:
+                sets[i].add(j)
+                sets[j].add(i)
+    return [sorted(s) for s in sets]
+
+
+#: conftest fixtures, one per structure family
+FAMILIES = ["mesh", "mesh3d_small", "kite", "blocks", "chain", "irregular", "skewed", "banded"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_neighbours_match_set_oracle(name, request):
+    a = request.getfixturevalue(name)
+    assert _neighbours(a) == _neighbours_reference(a)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_neighbours_symmetrise_a_triangle(name, request):
+    """The lower triangle alone yields the full symmetric matrix's lists."""
+    a = request.getfixturevalue(name)
+    assert _neighbours(lower_triangle(a)) == _neighbours(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=patterns())
+def test_neighbours_of_random_patterns(a):
+    assert _neighbours(a) == _neighbours_reference(a)
+
+
+def test_neighbours_of_diagonal_and_empty_matrices():
+    assert _neighbours(csr_from_dense(np.eye(3))) == [[], [], []]
+    assert _neighbours(csr_from_dense(np.zeros((0, 0)))) == []

@@ -1,6 +1,7 @@
 """Tests for structural matrix properties."""
 
 import numpy as np
+import pytest
 
 from repro.sparse import (
     bandwidth,
@@ -8,6 +9,7 @@ from repro.sparse import (
     density,
     is_numerically_symmetric,
     is_structurally_symmetric,
+    lower_triangle,
     profile,
 )
 
@@ -50,3 +52,24 @@ def test_profile():
 def test_density():
     assert density(csr_from_dense(np.eye(4))) == 4 / 16
     assert density(csr_from_dense(np.zeros((0, 5)))) == 0.0
+
+
+#: conftest fixtures, one per structure family
+FAMILIES = ["mesh", "mesh3d_small", "kite", "blocks", "chain", "irregular", "skewed", "banded"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_bandwidth_matches_dense_oracle(name, request):
+    a = request.getfixturevalue(name)
+    i, j = np.nonzero(a.to_dense())
+    assert bandwidth(a) == int(np.abs(i - j).max())
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_profile_matches_dense_oracle(name, request):
+    """Per row, the distance from the leftmost entry to the diagonal (if left of it)."""
+    a = request.getfixturevalue(name)
+    dense = a.to_dense()
+    want = sum(max(0, i - int(np.flatnonzero(row)[0])) for i, row in enumerate(dense) if row.any())
+    assert profile(a) == want
+    assert profile(lower_triangle(a)) == want

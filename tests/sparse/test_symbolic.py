@@ -92,3 +92,33 @@ def test_requires_square():
         symbolic_cholesky(csr_from_dense(np.ones((2, 3))))
     with pytest.raises(ValueError):
         elimination_tree_from_matrix(csr_from_dense(np.ones((2, 3))))
+
+
+#: conftest fixtures, one per structure family
+FAMILIES = ["mesh", "mesh3d_small", "kite", "blocks", "chain", "irregular", "skewed", "banded"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_pattern_matches_dense_oracle_on_every_family(name, request):
+    a = request.getfixturevalue(name)
+    l = symbolic_cholesky(a)
+    want = dense_chol_pattern(a)
+    np.testing.assert_array_equal(l.to_dense() != 0, want)
+    assert fill_in(a) == int(want.sum()) - lower_triangle(a).nnz
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_etree_parent_is_first_subdiagonal_entry_of_factor(name, request):
+    """parent(j) = min{i > j : L[i, j] != 0}, -1 for an empty column."""
+    a = request.getfixturevalue(name)
+    pat = np.tril(dense_chol_pattern(a), -1)
+    want = [int(np.argmax(col)) if col.any() else -1 for col in pat.T]
+    np.testing.assert_array_equal(elimination_tree_from_matrix(a), want)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_etree_reads_only_the_lower_triangle(name, request):
+    a = request.getfixturevalue(name)
+    np.testing.assert_array_equal(
+        elimination_tree_from_matrix(a), elimination_tree_from_matrix(lower_triangle(a))
+    )

@@ -65,6 +65,50 @@ class TestRoundTrip:
         assert s.hit_rate == 0.5
 
 
+class TestReadsDoNotWrite:
+    """A store read is a read: it never rewrites a record or a manifest."""
+
+    @staticmethod
+    def _snapshot(root):
+        return {
+            p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*"))
+            if p.is_file()
+        }
+
+    def test_hits_leave_every_file_untouched(self, tmp_path, corpus):
+        root = tmp_path / "store"
+        store = ScheduleStore(root, durable=False)
+        for i, (schedule, _) in enumerate(corpus.values()):
+            store.put(f"{i:064x}", schedule)
+        before = self._snapshot(root)
+        reader = ScheduleStore(root)
+        for _ in range(3):
+            for key in reader.keys():
+                assert reader.get(key) is not None
+        assert self._snapshot(root) == before
+        assert reader.stats.hits == 3 * len(corpus)
+
+    def test_misses_leave_every_file_untouched(self, tmp_path, schedule):
+        root = tmp_path / "store"
+        ScheduleStore(root, durable=False).put(KEY_A, schedule)
+        before = self._snapshot(root)
+        reader = ScheduleStore(root)
+        assert reader.get(KEY_B) is None
+        assert self._snapshot(root) == before
+
+    def test_every_record_stays_served(self, tmp_path, corpus):
+        root = tmp_path / "store"
+        store = ScheduleStore(root, durable=False)
+        keys = [f"{i:064x}" for i in range(len(corpus))]
+        for key, (schedule, _) in zip(keys, corpus.values()):
+            store.put(key, schedule)
+        reopened = ScheduleStore(root)
+        assert len(reopened) == len(corpus)
+        for key, (schedule, _) in zip(keys, corpus.values()):
+            assert encode_schedule(reopened.get(key)) == encode_schedule(schedule)
+
+
 class TestLayout:
     def test_shard_mapping_is_stable_and_in_range(self, store):
         for key in (KEY_A, KEY_B, "0123abcd" + "00" * 28):
