@@ -1,6 +1,6 @@
 """Chaos + resume gate: seeded fault injection and journal round-trips.
 
-CI's resilience smoke.  Two phases, both exiting non-zero on any violation:
+CI's resilience smoke.  Three phases, all exiting non-zero on any violation:
 
 1. **Chaos sweep** — for each seed, arm ``FaultPlan.chaos(seed)`` and run a
    small grid with failure isolation.  The gate is *zero unhandled
@@ -14,6 +14,11 @@ CI's resilience smoke.  Two phases, both exiting non-zero on any violation:
    wall-clock fields included for the replayed prefix) to an uninterrupted
    journaled run's.
 
+3. **Dead worker** — run the grid with ``n_jobs=2`` and a journal while an
+   injected ``pool.worker`` exit kills the worker of the second matrix.
+   The run must fail at once with ``BrokenProcessPool``, and a second run
+   on the same journal must give the rows of a clean run.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/chaos_resume.py [seed ...]
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.core import ScheduleCache
@@ -134,12 +140,35 @@ def run_resume_round_trip(workdir: Path) -> int:
     return 0
 
 
+def run_dead_worker_round_trip(workdir: Path) -> int:
+    path = workdir / "dead-worker.jsonl"
+    reference = _harness().run_suite(SPECS)
+    plan = FaultPlan([FaultSpec("pool.worker", "exit", times=-1, match=SPECS[1].name)])
+    try:
+        with armed(plan):
+            _harness().run_suite(SPECS, n_jobs=2, journal=str(path))
+    except BrokenProcessPool as exc:
+        if SPECS[1].name not in str(exc):
+            print(f"FAIL dead worker: the error does not name {SPECS[1].name}: {exc}")
+            return 1
+    else:
+        print("FAIL dead worker: the killed worker did not fail the run")
+        return 1
+    resumed = _harness().run_suite(SPECS, n_jobs=2, journal=str(path))
+    if [_strip(r) for r in resumed] != [_strip(r) for r in reference]:
+        print("FAIL dead worker: resumed records differ from a clean run")
+        return 1
+    print(f"ok dead worker: the run failed fast, resuming gave {len(resumed)} records")
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     seeds = tuple(int(a) for a in argv) or DEFAULT_SEEDS
     bad = run_chaos(seeds)
     with tempfile.TemporaryDirectory(prefix="chaos-resume-") as tmp:
         bad += run_resume_round_trip(Path(tmp))
+        bad += run_dead_worker_round_trip(Path(tmp))
     if bad:
         print(f"{bad} resilience gate failure(s)")
         return 1

@@ -217,7 +217,6 @@ class ScheduleCache:
         epsilon: Optional[float] = DEFAULT_EPSILON,
         algorithm: str = "hdagg",
         validate: bool = False,
-        budget: Optional[float] = None,
     ) -> Tuple[Schedule, str]:
         """Schedule ``(g, cost)`` with ``algorithm``, reusing what is safe to reuse.
 
@@ -240,13 +239,13 @@ class ScheduleCache:
             is refuted) falls through to inspection.
         ``"full"``
             a fresh inspection — either the repair's own full fallback
-            (its guards fired) or :func:`~repro.resilience.degrade.inspect_with_fallback`
-            under ``budget``.  An HDagg inspection seeds the family; a
-            degraded schedule (``schedule.algorithm != algorithm``) is
-            served but never cached or persisted.
+            (its guards fired) or :func:`~repro.resilience.degrade.inspect_with_fallback`.
+            An HDagg inspection seeds the family; a degraded schedule
+            (``schedule.algorithm != algorithm``) is served but never
+            cached or persisted.
 
-        With the defaults (no store, no ``validate``, no ``budget``) a call
-        verifies nothing and starts no budget thread.
+        With the defaults (no store, no ``validate``) a call verifies
+        nothing.
         """
         hit = self.get(key)
         if hit is not None:
@@ -265,12 +264,12 @@ class ScheduleCache:
         can_repair = repair_pays() and repairable(get_pass_group(algorithm))
         old = self._families.get(family) if can_repair else None
         if old is not None:
-            repaired = self._repair(key, family, old, g, cost, validate, budget)
+            repaired = self._repair(key, family, old, g, cost, validate)
             if repaired is not None:
                 return repaired
         outcome = inspect_with_fallback(
             algorithm, g, cost, p,
-            epsilon=epsilon, budget=budget, validate=validate,
+            epsilon=epsilon, validate=validate,
         )
         if not outcome.degraded:
             if can_repair:
@@ -296,15 +295,12 @@ class ScheduleCache:
         _count("schedule_cache.store_hits")
         return stored
 
-    def _repair(self, key, family, old, g, cost, validate, budget):
+    def _repair(self, key, family, old, g, cost, validate):
         """Repair rung: ``(schedule, source)``, or ``None`` to fall through."""
-        from ..resilience.degrade import run_with_budget
         from .incremental import repair_schedule
 
         try:
-            result = run_with_budget(
-                lambda: repair_schedule(old, g, cost), budget, algorithm="repair"
-            )
+            result = repair_schedule(old, g, cost)
         except Exception:
             result = None
         if result is None or (validate and not _safe(result.schedule, g)):

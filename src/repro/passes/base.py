@@ -38,6 +38,11 @@ class MissingArtifactError(KeyError):
         self.artifact = name
         self.available = available
 
+    # pool workers send exceptions back pickled: rebuild from the
+    # constructor's arguments, not from ``args`` (the formatted message)
+    def __reduce__(self):
+        return type(self), (self.artifact, self.available)
+
     def __str__(self) -> str:
         return (
             f"artifact {self.artifact!r} is not in the context "

@@ -51,6 +51,12 @@ class PipelineExecutionError(RuntimeError):
         super().__init__(f"group {group!r}, pass {pass_name!r}: {message}")
         self.group = group
         self.pass_name = pass_name
+        self.detail = message
+
+    # pool workers send exceptions back pickled: rebuild from the
+    # constructor's arguments, not from ``args`` (the formatted message)
+    def __reduce__(self):
+        return type(self), (self.group, self.pass_name, self.detail)
 
 
 def _span(name: str, attrs: Mapping[str, Any]) -> ContextManager[Any]:

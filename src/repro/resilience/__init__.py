@@ -1,16 +1,15 @@
 """Resilience layer: fault injection, graceful degradation, resumable runs.
 
-Four legs keep a production grid run alive through pathological inputs:
+Four legs keep a grid run alive through pathological inputs:
 
 * :mod:`repro.resilience.faults` — seeded, deterministic fault injection
   (:class:`FaultPlan` + the :func:`fault_point` hook, compiled down to one
   ``None`` check when dormant);
-* :mod:`repro.resilience.degrade` — inspector wall-clock budgets and the
-  ``hdagg → wavefront → serial`` fallback chain;
+* :mod:`repro.resilience.degrade` — the ``hdagg → wavefront → serial``
+  fallback chain;
 * :mod:`repro.resilience.journal` — JSONL checkpointing so an interrupted
   suite run resumes bit-identically;
-* :mod:`repro.resilience.retry` / :mod:`repro.resilience.failures` —
-  bounded exponential backoff and structured per-matrix failure rows.
+* :mod:`repro.resilience.failures` — structured per-matrix failure rows.
 
 The degradation module is loaded lazily (it pulls in the scheduler and
 verifier stacks); everything else imports nothing from the rest of
@@ -33,7 +32,6 @@ from .faults import (
     fault_point,
 )
 from .journal import JOURNAL_VERSION, JournalError, RunJournal
-from .retry import RetryExhausted, retry_with_backoff
 
 __all__ = [
     "FAULT_SITES",
@@ -51,17 +49,13 @@ __all__ = [
     "RunJournal",
     "JournalError",
     "JOURNAL_VERSION",
-    "retry_with_backoff",
-    "RetryExhausted",
     # lazily loaded from .degrade (see __getattr__)
     "FALLBACK_CHAIN",
     "TERMINAL_FALLBACK",
     "fallback_chain",
-    "InspectorTimeout",
     "DegradationError",
     "AttemptFailure",
     "InspectionOutcome",
-    "run_with_budget",
     "inspect_with_fallback",
 ]
 
@@ -71,11 +65,9 @@ _LAZY = {
     "FALLBACK_CHAIN",
     "TERMINAL_FALLBACK",
     "fallback_chain",
-    "InspectorTimeout",
     "DegradationError",
     "AttemptFailure",
     "InspectionOutcome",
-    "run_with_budget",
     "inspect_with_fallback",
 }
 

@@ -1,12 +1,12 @@
-"""Graceful inspector degradation: budgets and fallback chains.
+"""Graceful inspector degradation: the fallback chain.
 
 Böhnlein et al. (PAPERS.md) show scheduler cost and quality vary wildly
 across adversarial DAG shapes; an inspector that is excellent on meshes
 can stall or misbehave on a pathological input.  In a solver pipeline the
 right response is not a crash but a *declared downgrade*: run the
-requested inspector under a wall-clock budget, and on timeout, exception,
-or a schedule that fails :func:`~repro.analysis.verifier.assert_schedule_safe`,
-fall down a fixed chain toward schedules that cannot fail:
+requested inspector, and on an exception or a schedule that fails
+:func:`~repro.analysis.verifier.assert_schedule_safe`, fall down a fixed
+chain toward schedules that cannot fail:
 
     hdagg / spmp / lbc / dagp / mkl / coarsenk  →  wavefront  →  serial
 
@@ -19,9 +19,8 @@ visible in every table instead of silently wrong or fatally absent.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -33,11 +32,9 @@ __all__ = [
     "FALLBACK_CHAIN",
     "TERMINAL_FALLBACK",
     "fallback_chain",
-    "InspectorTimeout",
     "DegradationError",
     "AttemptFailure",
     "InspectionOutcome",
-    "run_with_budget",
     "inspect_with_fallback",
 ]
 
@@ -71,15 +68,6 @@ def fallback_chain(algorithm: str) -> List[str]:
     return chain
 
 
-class InspectorTimeout(RuntimeError):
-    """An inspector exceeded its wall-clock budget."""
-
-    def __init__(self, algorithm: str, budget: float) -> None:
-        super().__init__(f"inspector {algorithm!r} exceeded its {budget:.3f}s budget")
-        self.algorithm = algorithm
-        self.budget = budget
-
-
 class DegradationError(RuntimeError):
     """Every algorithm in the fallback chain failed (including serial)."""
 
@@ -88,6 +76,11 @@ class DegradationError(RuntimeError):
         super().__init__(f"no fallback produced a safe schedule for {requested!r} ({detail})")
         self.requested = requested
         self.failures = failures
+
+    # pool workers send exceptions back pickled: rebuild from the
+    # constructor's arguments, not from ``args`` (the formatted message)
+    def __reduce__(self):
+        return type(self), (self.requested, self.failures)
 
 
 @dataclass(frozen=True)
@@ -120,36 +113,6 @@ class InspectionOutcome:
     context: Any = None
 
 
-def run_with_budget(fn: Callable[[], Any], budget: Optional[float], *, algorithm: str = "") -> Any:
-    """Run ``fn`` under a wall-clock budget.
-
-    With ``budget=None`` this is a direct call (zero overhead — the
-    dormant path).  Otherwise ``fn`` runs on a daemon thread and a budget
-    overrun raises :class:`InspectorTimeout`; the abandoned thread is left
-    to finish in the background (CPython offers no safe preemption), which
-    is acceptable because inspectors hold no locks and write nothing
-    shared.
-    """
-    if budget is None:
-        return fn()
-    box: dict = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn()
-        except BaseException as exc:  # re-raised on the caller's thread
-            box["error"] = exc
-
-    t = threading.Thread(target=target, daemon=True, name=f"inspector-{algorithm}")
-    t.start()
-    t.join(budget)
-    if t.is_alive():
-        raise InspectorTimeout(algorithm, budget)
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
-
-
 def _call_inspector(
     algorithm: str,
     g: DAG,
@@ -173,14 +136,13 @@ def inspect_with_fallback(
     p: int,
     *,
     epsilon: Optional[float] = None,
-    budget: Optional[float] = None,
     validate: bool = True,
 ) -> InspectionOutcome:
     """Build a schedule for ``algorithm``, degrading down the chain on failure.
 
-    Each link runs under ``budget`` (when set) and, with ``validate``, must
-    pass ``assert_schedule_safe`` before being accepted — an inspector that
-    *returns* an unsafe schedule is treated exactly like one that raised.
+    With ``validate`` each link must pass ``assert_schedule_safe`` before
+    being accepted — an inspector that *returns* an unsafe schedule is
+    treated exactly like one that raised.
     The terminal ``serial`` link failing too raises
     :class:`DegradationError`; ``KeyboardInterrupt``/``SystemExit`` always
     propagate.
@@ -190,11 +152,7 @@ def inspect_with_fallback(
     failures: List[AttemptFailure] = []
     for algo in fallback_chain(algorithm):
         try:
-            context = run_with_budget(
-                lambda a=algo: _call_inspector(a, g, cost, p, epsilon=epsilon),
-                budget,
-                algorithm=algo,
-            )
+            context = _call_inspector(algo, g, cost, p, epsilon=epsilon)
             schedule = context["Schedule"]
             if validate:
                 assert_schedule_safe(schedule, g)

@@ -17,14 +17,15 @@ this occurrence fires and with which action:
 ``raise``
     raise a :class:`FaultError` naming the site (hung-free failure path);
 ``stall``
-    sleep ``duration`` seconds (inspector budget overruns, executor core
-    stalls feeding the p2p deadlock detector);
+    sleep ``duration`` seconds (a slow inspector or inspector stage,
+    executor core stalls feeding the p2p deadlock detector);
 ``corrupt``
     return a deterministically corrupted variant of ``payload`` (malformed
     CSR inputs for :func:`repro.sparse.sanitize.sanitize_csr`, broken
     schedules from the schedule cache);
 ``exit``
-    hard-kill the process via ``os._exit`` (fork pool-worker death).
+    hard-kill the process via ``os._exit`` (fork pool-worker death, which
+    fails the grid run at once).
 
 This module intentionally imports nothing from the rest of :mod:`repro`
 so any layer (sparse, core, runtime, suite) can instrument itself without
@@ -39,6 +40,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,6 +124,11 @@ class FaultError(RuntimeError):
         self.site = site
         self.label = label
         self.occurrence = occurrence
+
+    # pool workers send exceptions back pickled: rebuild from the
+    # constructor's arguments, not from ``args`` (the formatted message)
+    def __reduce__(self):
+        return partial(type(self), label=self.label, occurrence=self.occurrence), (self.site,)
 
 
 @dataclass(frozen=True)

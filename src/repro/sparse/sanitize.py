@@ -102,6 +102,11 @@ class CSRSanitizeError(ValueError):
         super().__init__(report.describe())
         self.report = report
 
+    # pool workers send exceptions back pickled: rebuild from the
+    # constructor's arguments, not from ``args`` (the formatted message)
+    def __reduce__(self):
+        return type(self), (self.report,)
+
 
 def _reject(report: SanitizeReport) -> "CSRSanitizeError":
     return CSRSanitizeError(report)

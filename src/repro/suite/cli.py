@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         print("# --resume requires --journal", file=sys.stderr)
         return 2
     if args.store and args.jobs > 1:
-        # fork workers re-inspect without the parent's cache
+        # each fork worker fills its own copy of the cache, lost on exit
         print("# --store requires --jobs 1", file=sys.stderr)
         return 2
     if args.load_records:

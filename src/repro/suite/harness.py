@@ -17,15 +17,15 @@ memory model per kernel, not one per algorithm.
 
 Resilience (all dormant-by-default, see DESIGN.md "Resilience"):
 
-* inspectors run with a fallback chain (``hdagg → wavefront → serial``)
-  and optional wall-clock budget; a failed or refuted inspection degrades
-  the cell — stamped ``RunRecord.degraded`` / ``degraded_from`` — instead
-  of killing the grid;
-* ``run_suite`` can isolate per-matrix failures into structured
-  :class:`~repro.resilience.failures.FailureRecord` rows, checkpoint
+* inspectors run with a fallback chain (``hdagg → wavefront → serial``);
+  a failed or refuted inspection degrades the cell — stamped
+  ``RunRecord.degraded`` / ``degraded_from`` — instead of killing the grid;
+* ``run_suite`` is one loop over the specs: it can isolate per-matrix
+  failures into structured
+  :class:`~repro.resilience.failures.FailureRecord` rows and checkpoint
   finished matrices to a JSONL :class:`~repro.resilience.journal.RunJournal`
-  (killed runs resume bit-identically), and recover crashed fork workers
-  with bounded exponential-backoff retries;
+  (killed runs resume bit-identically); with ``n_jobs > 1`` a fork pool
+  runs the matrices, and a dead worker fails the run at once;
 * named ``fault_point`` sites let seeded
   :class:`~repro.resilience.faults.FaultPlan` chaos runs exercise every
   failure path deterministically.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-import traceback
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -59,7 +58,6 @@ from ..resilience.degrade import fallback_chain, inspect_with_fallback
 from ..resilience.failures import FailureRecord
 from ..resilience.faults import fault_point
 from ..resilience.journal import RunJournal
-from ..resilience.retry import RetryExhausted, retry_with_backoff
 from ..runtime.machine import MACHINES, MachineConfig
 from ..runtime.simulator import SimulationResult, simulate
 from ..schedulers import SCHEDULERS
@@ -246,10 +244,6 @@ class Harness:
         degrade down the declared fallback chain either way (stamping
         ``RunRecord.degraded``); on the success path this is
         byte-identical to a direct inspector call.
-    inspector_budget:
-        Optional wall-clock seconds each inspector may spend before it is
-        abandoned (``None`` — the default — imposes no budget and no
-        threading overhead).
     sanitize:
         Run :func:`~repro.sparse.sanitize.sanitize_csr` over every built
         matrix in :meth:`prepare` (repairing what is repairable, rejecting
@@ -272,7 +266,6 @@ class Harness:
         epsilon: float = DEFAULT_EPSILON,
         validate: bool = True,
         schedule_cache: Optional[ScheduleCache] = None,
-        inspector_budget: Optional[float] = None,
         sanitize: bool = True,
     ) -> None:
         self.machines: List[MachineConfig] = [
@@ -290,16 +283,7 @@ class Harness:
         self.epsilon = epsilon
         self.validate = validate
         self.schedule_cache = schedule_cache
-        if inspector_budget is not None and inspector_budget <= 0:
-            raise ValueError("inspector_budget must be positive or None")
-        self.inspector_budget = inspector_budget
         self.sanitize = sanitize
-
-    def __getstate__(self) -> dict:
-        # worker processes re-inspect rather than ship the cache's schedules
-        state = self.__dict__.copy()
-        state["schedule_cache"] = None
-        return state
 
     # ------------------------------------------------------------------
     def config_fingerprint(self, specs: Sequence[MatrixSpec]) -> str:
@@ -402,8 +386,7 @@ class Harness:
                         # no cache: the reuse ladder's last rung
                         schedule = inspect_with_fallback(
                             algo, g, cost, machine.n_cores,
-                            epsilon=self.epsilon, budget=self.inspector_budget,
-                            validate=self.validate,
+                            epsilon=self.epsilon, validate=self.validate,
                         ).schedule
                         source = "full"
                     else:
@@ -411,7 +394,6 @@ class Harness:
                             *keys, g, cost,
                             p=machine.n_cores, epsilon=self.epsilon, algorithm=algo,
                             validate=self.validate,
-                            budget=self.inspector_budget,
                         )
                     inspector_seconds = time.perf_counter() - t0
                     cached = source in ("hit", "store")
@@ -515,29 +497,32 @@ class Harness:
         isolate_failures: bool = False,
         failures: Optional[List[FailureRecord]] = None,
         journal: Optional[Union[RunJournal, str]] = None,
-        max_retries: int = 2,
-        retry_base_delay: float = 0.1,
-        worker_timeout: Optional[float] = None,
     ) -> List[RunRecord]:
-        """Run the grid over many matrices; flat record list.
+        """Run the grid over many matrices; flat record list in spec order.
 
-        ``n_jobs > 1`` fans the per-matrix work over a fork pool with
-        streamed progress (rows come back in spec order either way, so
-        downstream tables are identical whichever mode produced them).
+        One loop walks the specs in order.  A matrix already checkpointed
+        in ``journal`` (a path or :class:`RunJournal`) is replayed from it
+        verbatim, so a killed run resumes bit-identically; any other
+        matrix is run and then checkpointed.  ``n_jobs > 1`` runs those
+        matrices on a fork pool and the loop takes their records in spec
+        order, so downstream tables are identical whichever mode produced
+        them.
 
         ``isolate_failures`` turns a failing matrix into a structured
         :class:`FailureRecord` (collected into ``failures`` when given)
         while the rest of the grid continues; without it the first failure
-        raises, always naming the matrix.  ``journal`` (a path or
-        :class:`RunJournal`) checkpoints each finished matrix to JSONL;
-        matrices already checkpointed are replayed from the journal
-        verbatim, so a killed run resumes bit-identically.  Crashed or
-        hung pool workers (detected via ``worker_timeout`` seconds without
-        a result) are retried serially in the parent up to ``max_retries``
-        times with exponential backoff starting at ``retry_base_delay``.
+        raises, naming the matrix.  An exception in a pool worker is
+        handled the same way.  A pool worker that dies raises
+        :class:`~concurrent.futures.process.BrokenProcessPool` naming the
+        unfinished matrices; the finished ones are in the journal, so a
+        second run on it completes the grid.
         """
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        from concurrent.futures.process import BrokenProcessPool
+
+        from .storage import record_from_blob, record_to_blob
+
         specs = list(specs)
         owns_journal = journal is not None and not isinstance(journal, RunJournal)
         if owns_journal:
@@ -547,241 +532,95 @@ class Harness:
                 resume=True,
             )
         failures_out: List[FailureRecord] = failures if failures is not None else []
+        pending = [i for i, s in enumerate(specs) if journal is None or not journal.has(s.name)]
+        pool = None
         try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = None  # spawn cannot inherit matrix builders; run serially
-        try:
-            if n_jobs == 1 or len(specs) <= 1 or ctx is None:
-                return self._run_suite_serial(
-                    specs,
-                    progress=progress,
-                    isolate_failures=isolate_failures,
-                    failures_out=failures_out,
-                    journal=journal,
-                )
-            return self._run_suite_pool(
-                specs,
-                ctx=ctx,
-                n_jobs=n_jobs,
-                progress=progress,
-                isolate_failures=isolate_failures,
-                failures_out=failures_out,
-                journal=journal,
-                max_retries=max_retries,
-                retry_base_delay=retry_base_delay,
-                worker_timeout=worker_timeout,
-            )
+            pool = _fork_pool(self, specs, min(n_jobs, len(pending)))
+            futures = {i: pool.submit(_run_in_worker, i) for i in pending} if pool else {}
+            out: List[RunRecord] = []
+            for i, spec in enumerate(specs):
+                tag = f"[{i + 1}/{len(specs)}] {spec.name}"
+                if journal is not None and journal.has(spec.name):
+                    if progress:
+                        print(f"{tag} (from journal)", flush=True)
+                    out.extend(record_from_blob(b) for b in journal.record_blobs_for(spec.name))
+                    continue
+                if progress:
+                    print(tag, flush=True)
+                try:
+                    recs = futures[i].result() if pool is not None else self.run_matrix(spec)
+                except BrokenProcessPool as exc:
+                    unfinished = [specs[j].name for j in pending if j >= i]
+                    raise BrokenProcessPool(
+                        f"a pool worker died; unfinished matrices: {unfinished}"
+                    ) from exc
+                except Exception as exc:
+                    record = FailureRecord(
+                        matrix=spec.name,
+                        family=spec.family,
+                        error_type=type(exc).__name__,
+                        message=str(exc),
+                        site=getattr(exc, "site", None),
+                    )
+                    if not isolate_failures:
+                        raise RuntimeError(
+                            f"matrix {spec.name!r} failed: {record.describe()}"
+                        ) from exc
+                    failures_out.append(record)
+                    if journal is not None:
+                        journal.append_failure(record.as_dict())
+                    if progress:
+                        print(f"    {spec.name} FAILED: {record.error_type}: {record.message}",
+                              flush=True)
+                    continue
+                out.extend(recs)
+                if journal is not None:
+                    journal.append_matrix(spec.name, [record_to_blob(r) for r in recs])
+            return out
         finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
             if owns_journal:
                 journal.close()
 
-    # ------------------------------------------------------------------
-    def _journal_records(self, journal: RunJournal, name: str) -> List[RunRecord]:
-        from .storage import record_from_blob
 
-        return [record_from_blob(blob) for blob in journal.record_blobs_for(name)]
+def _fork_pool(harness: Harness, specs: List[MatrixSpec], n_workers: int):
+    """A fork pool whose workers inherit ``(harness, specs)``, or ``None``.
 
-    def _checkpoint(self, journal: Optional[RunJournal], name: str, records: List[RunRecord]) -> None:
-        if journal is None:
-            return
-        from .storage import record_to_blob
-
-        journal.append_matrix(name, [record_to_blob(r) for r in records])
-
-    def _isolate(
-        self,
-        spec: MatrixSpec,
-        exc: BaseException,
-        *,
-        stage: str,
-        attempts: int,
-        isolate_failures: bool,
-        failures_out: List[FailureRecord],
-        journal: Optional[RunJournal],
-        progress: bool,
-    ) -> None:
-        """Fold one matrix failure into a structured row, or re-raise."""
-        cause = exc.last if isinstance(exc, RetryExhausted) else exc
-        record = FailureRecord(
-            matrix=spec.name,
-            family=spec.family,
-            stage=stage,
-            error_type=type(cause).__name__,
-            message=str(cause),
-            attempts=attempts,
-            site=getattr(cause, "site", None),
-        )
-        if not isolate_failures:
-            raise RuntimeError(f"matrix {spec.name!r} failed: {record.describe()}") from exc
-        failures_out.append(record)
-        if journal is not None:
-            journal.append_failure(record.as_dict())
-        if progress:
-            print(f"    {spec.name} FAILED: {record.error_type}: {record.message}", flush=True)
-
-    def _run_suite_serial(
-        self,
-        specs: List[MatrixSpec],
-        *,
-        progress: bool,
-        isolate_failures: bool,
-        failures_out: List[FailureRecord],
-        journal: Optional[RunJournal],
-    ) -> List[RunRecord]:
-        out: List[RunRecord] = []
-        for i, spec in enumerate(specs):
-            if journal is not None and journal.has(spec.name):
-                if progress:
-                    print(f"[{i + 1}/{len(specs)}] {spec.name} (from journal)", flush=True)
-                out.extend(self._journal_records(journal, spec.name))
-                continue
-            if progress:
-                print(f"[{i + 1}/{len(specs)}] {spec.name}", flush=True)
-            try:
-                recs = self.run_matrix(spec)
-            except Exception as exc:
-                self._isolate(
-                    spec,
-                    exc,
-                    stage="run",
-                    attempts=1,
-                    isolate_failures=isolate_failures,
-                    failures_out=failures_out,
-                    journal=journal,
-                    progress=progress,
-                )
-                continue
-            out.extend(recs)
-            self._checkpoint(journal, spec.name, recs)
-        return out
-
-    def _run_suite_pool(
-        self,
-        specs: List[MatrixSpec],
-        *,
-        ctx,
-        n_jobs: int,
-        progress: bool,
-        isolate_failures: bool,
-        failures_out: List[FailureRecord],
-        journal: Optional[RunJournal],
-        max_retries: int,
-        retry_base_delay: float,
-        worker_timeout: Optional[float],
-    ) -> List[RunRecord]:
-        # Matrix builders (closures) don't pickle; fork workers inherit the
-        # payload through this module global and receive only an index.
-        global _POOL_PAYLOAD
-        if _POOL_PAYLOAD is not None:
-            raise RuntimeError(
-                "Harness.run_suite(n_jobs>1) is already active in this process; "
-                "nested or concurrent pool runs would clobber the shared worker "
-                "payload — run them sequentially or with n_jobs=1"
-            )
-        results: Dict[int, List[RunRecord]] = {}
-        pending: List[int] = []
-        for i, spec in enumerate(specs):
-            if journal is not None and journal.has(spec.name):
-                results[i] = self._journal_records(journal, spec.name)
-            else:
-                pending.append(i)
-        #: pool-side failures to resolve serially after the pool closes:
-        #: index -> ("error", matrix, type, message, traceback) | ("crash", ...)
-        deferred: Dict[int, tuple] = {}
-        _POOL_PAYLOAD = (self, specs)
-        try:
-            if pending:
-                with ctx.Pool(processes=min(n_jobs, len(pending))) as pool:
-                    it = pool.imap(_run_matrix_safely, pending)
-                    for pos, i in enumerate(pending):
-                        spec = specs[i]
-                        try:
-                            if worker_timeout is not None:
-                                payload = it.next(timeout=worker_timeout)
-                            else:
-                                payload = next(it)
-                        except multiprocessing.TimeoutError:
-                            # the worker crashed or hung: the pool's result
-                            # stream is unrecoverable, so every matrix from
-                            # here on is resolved serially in the parent
-                            pool.terminate()
-                            for j in pending[pos:]:
-                                deferred[j] = (
-                                    "crash",
-                                    specs[j].name,
-                                    "TimeoutError",
-                                    f"pool worker returned no result within {worker_timeout}s",
-                                    "",
-                                )
-                            break
-                        if payload[0] == "ok":
-                            results[i] = payload[1]
-                            if progress:
-                                print(
-                                    f"[{i + 1}/{len(specs)}] {spec.name}", flush=True
-                                )
-                            self._checkpoint(journal, spec.name, results[i])
-                        else:
-                            deferred[i] = payload
-        finally:
-            _POOL_PAYLOAD = None
-        # resolve pool-side failures serially, in spec order
-        for i in sorted(deferred):
-            spec = specs[i]
-            kind, _, etype, msg, tb = deferred[i]
-            if progress:
-                print(
-                    f"[{i + 1}/{len(specs)}] {spec.name} "
-                    f"(pool worker {'crashed' if kind == 'crash' else 'failed'}: "
-                    f"{etype}; re-running serially)",
-                    flush=True,
-                )
-            retries = max_retries if kind == "crash" else 0
-            attempts = 2 if kind == "error" else 1  # the worker attempt counts
-            try:
-                recs = retry_with_backoff(
-                    lambda s=spec: self.run_matrix(s),
-                    retries=retries,
-                    base_delay=retry_base_delay,
-                )
-            except Exception as exc:
-                total = attempts + (retries if isinstance(exc, RetryExhausted) else 0)
-                self._isolate(
-                    spec,
-                    exc,
-                    stage="worker",
-                    attempts=total,
-                    isolate_failures=isolate_failures,
-                    failures_out=failures_out,
-                    journal=journal,
-                    progress=progress,
-                )
-                continue
-            results[i] = recs
-            self._checkpoint(journal, spec.name, recs)
-        out: List[RunRecord] = []
-        for i in range(len(specs)):
-            out.extend(results.get(i, []))
-        return out
-
-
-#: (harness, specs) visible to fork workers; see Harness.run_suite
-_POOL_PAYLOAD: Optional[tuple] = None
-
-
-def _run_matrix_safely(index: int) -> tuple:
-    """Module-level pool worker: run one matrix of the inherited payload.
-
-    Exceptions are returned as a structured payload naming the matrix (a
-    bare pool traceback says nothing about which matrix died); only a hard
-    crash (injected ``pool.worker`` death, OOM-kill) leaves no payload.
+    ``None`` (run in-process) for fewer than two workers, and where fork is
+    unavailable: matrix builders are closures, which spawn cannot pickle.
+    The grid reaches the workers through fork, so nothing of it is pickled;
+    only spec indices go out and records or exceptions come back.
     """
-    harness, specs = _POOL_PAYLOAD
+    if n_workers < 2:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return None
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        mp_context=ctx,
+        initializer=_init_worker,
+        initargs=((harness, specs),),
+    )
+
+
+#: ``(harness, specs)`` of the pool that forked this process; set by
+#: :func:`_init_worker` in pool workers only
+_WORKER_GRID: Optional[tuple] = None
+
+
+def _init_worker(grid: tuple) -> None:
+    global _WORKER_GRID
+    _WORKER_GRID = grid
+
+
+def _run_in_worker(index: int) -> List[RunRecord]:
+    """Pool task: run matrix ``index`` of the grid inherited through fork."""
+    harness, specs = _WORKER_GRID
     spec = specs[index]
     fault_point("pool.worker", label=spec.name)
-    try:
-        return ("ok", harness.run_matrix(spec))
-    except Exception as exc:
-        return ("error", spec.name, type(exc).__name__, str(exc), traceback.format_exc())
-
+    return harness.run_matrix(spec)

@@ -240,16 +240,6 @@ class TestLadder:
         assert problem_a[0] not in store
         assert cache.artifacts_for(problem_a[1]) is None
 
-    def test_budget_overrun_degrades(self, problem_a):
-        cache = ScheduleCache()
-        plan = FaultPlan(
-            [FaultSpec("inspector", "stall", times=-1, match="hdagg", duration=1.0)]
-        )
-        with armed(plan):
-            schedule, source = _acquire(cache, problem_a, budget=0.1)
-        assert source == "full" and schedule.algorithm == "wavefront"
-        assert problem_a[0] not in cache
-
 
 def _drift(problem, rows=2):
     """The same matrix with a few rows' dependences dropped."""

@@ -6,12 +6,20 @@ every outcome must be a normal record, a degraded record, or a structured
 reproduces the exact same injected faults.  Executor-level chaos checks
 that an injected core stall trips PR 2's p2p deadlock detector with the
 correct (core, vertex, dependence) triple, and that a hard-killed fork
-pool worker is recovered by the parent's serial retry path.
+pool worker fails the grid run at once, which then resumes from its
+journal.
 """
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ScheduleCache
 from repro.core.schedule import Schedule
 from repro.graph import DAG
@@ -55,7 +63,6 @@ def test_chaos_degrades_gracefully(seed):
     assert all(isinstance(r, RunRecord) for r in records)
     assert all(isinstance(f, FailureRecord) for f in failures)
     for f in failures:
-        assert f.stage in ("prepare", "run", "worker")
         assert f.error_type and f.message
     for r in records:
         if r.degraded:
@@ -224,23 +231,54 @@ def test_executor_worker_crash_names_core_and_vertex():
     assert exc_info.value.core == 1
 
 
-def test_pool_worker_death_recovered_serially():
-    """A hard-killed fork worker is detected and its matrix re-run in-parent."""
-    specs = SUITE[:3]
-    harness = Harness(kernels=("sptrsv",), algorithms=("wavefront",))
-    reference = Harness(
-        kernels=("sptrsv",), algorithms=("wavefront",)
-    ).run_suite(specs)
-    plan = FaultPlan(
-        [FaultSpec("pool.worker", "exit", times=-1, match=specs[1].name)]
-    )
+#: runs a --jobs 2 grid whose worker for the second matrix hard-exits;
+#: exit 3 means the parent raised BrokenProcessPool (printed on stdout)
+_DEAD_WORKER_RUN = """
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from repro.resilience.faults import FaultPlan, FaultSpec, armed
+from repro.suite import Harness
+from repro.suite.matrices import SUITE
+
+specs = SUITE[:3]
+plan = FaultPlan([FaultSpec("pool.worker", "exit", times=-1, match=specs[1].name)])
+harness = Harness(kernels=("sptrsv",), algorithms=("wavefront",))
+try:
     with armed(plan):
-        records = harness.run_suite(specs, n_jobs=2, worker_timeout=5.0)
-    assert [_strip(r) for r in records] == [_strip(r) for r in reference]
+        harness.run_suite(specs, n_jobs=2, isolate_failures=True, journal=sys.argv[1])
+except BrokenProcessPool as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_pool_worker_death_fails_fast_and_resumes(tmp_path):
+    """A hard-killed fork worker fails the run at once, naming the matrices
+    left unfinished; a second run on the journal completes the grid.  The
+    run is a subprocess under a timeout, so a hang fails this test instead
+    of hanging the suite."""
+    specs = SUITE[:3]
+    journal = tmp_path / "grid.jsonl"
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_WORKER_RUN, str(journal)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert specs[1].name in proc.stdout
+    assert elapsed < 30.0
+    harness = Harness(kernels=("sptrsv",), algorithms=("wavefront",))
+    resumed = harness.run_suite(specs, journal=str(journal))
+    reference = Harness(kernels=("sptrsv",), algorithms=("wavefront",)).run_suite(specs)
+    assert [_strip(r) for r in resumed] == [_strip(r) for r in reference]
 
 
 def test_pool_worker_exception_names_matrix():
-    """An in-worker exception must be retried serially, then isolated with context."""
+    """An in-worker exception is isolated with context, like a serial one."""
     specs = SUITE[:2]
     harness = Harness(kernels=("sptrsv",), algorithms=("wavefront",))
     failures = []
@@ -252,5 +290,4 @@ def test_pool_worker_exception_names_matrix():
             specs, n_jobs=2, isolate_failures=True, failures=failures
         )
     assert [f.matrix for f in failures] == [specs[0].name]
-    assert failures[0].stage == "worker"
     assert {r.matrix for r in records} == {specs[1].name}

@@ -1,6 +1,4 @@
-"""Graceful degradation: inspector budgets and the fallback chain."""
-
-import time
+"""Graceful degradation: the inspector fallback chain."""
 
 import numpy as np
 import pytest
@@ -10,10 +8,8 @@ from repro.resilience.degrade import (
     FALLBACK_CHAIN,
     TERMINAL_FALLBACK,
     DegradationError,
-    InspectorTimeout,
     fallback_chain,
     inspect_with_fallback,
-    run_with_budget,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, armed
 from repro.schedulers import SCHEDULERS
@@ -42,29 +38,6 @@ class TestFallbackChain:
         assert fallback_chain("serial") == ["serial"]
 
 
-class TestRunWithBudget:
-    def test_no_budget_is_direct_call(self):
-        assert run_with_budget(lambda: 42, None) == 42
-
-    def test_result_within_budget(self):
-        assert run_with_budget(lambda: "ok", 5.0, algorithm="x") == "ok"
-
-    def test_timeout_raises(self):
-        t0 = time.perf_counter()
-        with pytest.raises(InspectorTimeout) as exc_info:
-            run_with_budget(lambda: time.sleep(5.0), 0.05, algorithm="slow")
-        assert time.perf_counter() - t0 < 2.0
-        assert exc_info.value.algorithm == "slow"
-        assert exc_info.value.budget == pytest.approx(0.05)
-
-    def test_worker_exception_reraised_on_caller(self):
-        def boom():
-            raise KeyError("inner")
-
-        with pytest.raises(KeyError, match="inner"):
-            run_with_budget(boom, 5.0)
-
-
 class TestInspectWithFallback:
     def test_success_path_is_not_degraded(self, problem):
         g, cost = problem
@@ -88,16 +61,6 @@ class TestInspectWithFallback:
         assert outcome.requested == "hdagg"
         assert outcome.degraded_from == "hdagg"
         assert outcome.failures[0].error_type == "FaultError"
-
-    def test_budget_timeout_degrades(self, problem):
-        g, cost = problem
-        plan = FaultPlan(
-            [FaultSpec("inspector", "stall", times=-1, match="hdagg", duration=1.0)]
-        )
-        with armed(plan):
-            outcome = inspect_with_fallback("hdagg", g, cost, 4, budget=0.1)
-        assert outcome.degraded and outcome.algorithm == "wavefront"
-        assert outcome.failures[0].error_type == "InspectorTimeout"
 
     def test_unsafe_schedule_is_refuted_and_degraded(self, problem, monkeypatch):
         import random

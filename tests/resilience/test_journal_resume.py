@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from repro.resilience import FailureRecord
 from repro.resilience.faults import FaultError, FaultPlan, FaultSpec, armed
 from repro.resilience.journal import JOURNAL_VERSION, JournalError, RunJournal
 from repro.suite import Harness
@@ -165,3 +166,43 @@ class TestHarnessResume:
         assert [f["matrix"] for f in j.failures] == [specs[0].name]
         assert j.failures[0]["error_type"] == "FaultError"
         j.close()
+
+    def test_older_failure_rows_still_resume(self, tmp_path, specs, harness_kwargs):
+        """Journals from before ``FailureRecord`` lost ``stage`` and
+        ``attempts`` carry both in their failure rows; they still load, and
+        a resume re-runs the failed matrix."""
+        path = tmp_path / "grid.jsonl"
+        h = Harness(**harness_kwargs)
+        grid = list(specs[:2])
+        first = h.run_matrix(grid[0])
+        old_row = {
+            "matrix": grid[1].name,
+            "family": grid[1].family,
+            "stage": "worker",
+            "error_type": "FaultError",
+            "message": "injected fault at site 'suite.matrix', occurrence 1",
+            "attempts": 2,
+            "site": "suite.matrix",
+        }
+        with RunJournal(path, fingerprint=h.config_fingerprint(grid)) as j:
+            j.append_matrix(grid[0].name, [record_to_blob(r) for r in first])
+            j.append_failure(old_row)
+        back = RunJournal(path, fingerprint=h.config_fingerprint(grid), resume=True)
+        assert back.failures == [old_row]
+        assert FailureRecord.from_dict(back.failures[0]) == FailureRecord(
+            matrix=grid[1].name,
+            family=grid[1].family,
+            error_type="FaultError",
+            message=old_row["message"],
+            site="suite.matrix",
+        )
+        back.close()
+        resumed = Harness(**harness_kwargs).run_suite(grid, journal=str(path))
+        reference = Harness(**harness_kwargs).run_suite(grid)
+        assert [_strip(r) for r in resumed] == [_strip(r) for r in reference]
+        assert [record_to_blob(r) for r in resumed[: len(first)]] == [
+            record_to_blob(r) for r in first
+        ]
+        done = RunJournal(path, resume=True)
+        assert done.completed == [s.name for s in grid]
+        done.close()

@@ -1,12 +1,11 @@
-"""Suite-run fault isolation, retry/backoff, and degenerate-input guards."""
+"""Suite-run fault isolation and degenerate-input guards."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.suite.harness as harness_mod
-from repro.resilience import FailureRecord, RetryExhausted, retry_with_backoff
+from repro.resilience import FailureRecord
 from repro.sparse import csr_from_dense
 from repro.suite import Harness
 from repro.suite.matrices import SUITE, MatrixSpec
@@ -36,7 +35,7 @@ class TestIsolation:
         assert len(failures) == 1
         f = failures[0]
         assert isinstance(f, FailureRecord)
-        assert f.matrix == "broken" and f.stage == "run"
+        assert f.matrix == "broken"
         assert f.error_type == "ValueError"
         assert "synthetic build failure" in f.message
         assert "broken" in f.describe()
@@ -55,78 +54,12 @@ class TestIsolation:
         )
         assert {r.matrix for r in records} == {SUITE[0].name, SUITE[1].name}
         assert [f.matrix for f in failures] == ["pool-broken"]
-        assert failures[0].stage == "worker"
         assert "synthetic build failure" in failures[0].message
 
     def test_pool_mode_without_isolation_names_matrix(self, harness_kwargs):
         specs = [SUITE[0], _bad_spec("pool-dies")]
         with pytest.raises(RuntimeError, match="pool-dies"):
             Harness(**harness_kwargs).run_suite(specs, n_jobs=2)
-
-
-class TestPoolPayloadClobberGuard:
-    def test_nested_pool_run_refused(self, harness_kwargs):
-        specs = list(SUITE[:2])
-        harness_mod._POOL_PAYLOAD = ("sentinel", specs)
-        try:
-            with pytest.raises(RuntimeError, match="already active"):
-                Harness(**harness_kwargs).run_suite(specs, n_jobs=2)
-        finally:
-            harness_mod._POOL_PAYLOAD = None
-
-    def test_payload_cleared_after_run(self, harness_kwargs):
-        Harness(**harness_kwargs).run_suite(SUITE[:2], n_jobs=2)
-        assert harness_mod._POOL_PAYLOAD is None
-
-    def test_payload_cleared_after_failed_run(self, harness_kwargs):
-        with pytest.raises(RuntimeError):
-            Harness(**harness_kwargs).run_suite(
-                [_bad_spec(), SUITE[0]], n_jobs=2
-            )
-        assert harness_mod._POOL_PAYLOAD is None
-
-
-class TestRetryBackoff:
-    def test_success_needs_no_retry(self):
-        sleeps = []
-        assert retry_with_backoff(lambda: 7, sleep=sleeps.append) == 7
-        assert sleeps == []
-
-    def test_backoff_sequence_is_exponential(self):
-        sleeps = []
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 4:
-                raise OSError("transient")
-            return "done"
-
-        out = retry_with_backoff(
-            flaky, retries=3, base_delay=0.1, factor=2.0, sleep=sleeps.append
-        )
-        assert out == "done"
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_exhaustion_carries_history(self):
-        def always():
-            raise OSError("still down")
-
-        with pytest.raises(RetryExhausted) as e:
-            retry_with_backoff(always, retries=2, sleep=lambda _: None)
-        assert e.value.attempts == 3
-        assert isinstance(e.value.last, OSError)
-
-    def test_non_matching_exception_propagates_immediately(self):
-        def boom():
-            raise KeyError("no retry for this")
-
-        with pytest.raises(KeyError):
-            retry_with_backoff(boom, retries=5, retry_on=(OSError,), sleep=lambda _: None)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            retry_with_backoff(lambda: 1, retries=-1)
 
 
 class TestZeroCycleGuards:
