@@ -5,10 +5,11 @@ Forward Gauss-Seidel has the same loop-carried dependence DAG as SpTRSV
 (rows read freshly-updated values for columns below the diagonal), so the
 HDagg inspector schedules it unchanged.  This example smooths a Poisson
 right-hand side with scheduled sweeps — the workload of a multigrid
-smoother — executed through the *threaded* runtime (real concurrent
-threads with barrier synchronisation), and compares residual histories for
-plain and scheduled execution (they are identical: the two-vector
-formulation is order-independent).
+smoother — relaxed in the order of the core stepper (``run_cores``, which
+steps the four cores' programs under the schedule's barriers and checks
+every dependence), and compares residual histories for plain and
+scheduled execution (they are identical: the two-vector formulation is
+order-independent).
 
 Run:  python examples/gauss_seidel_smoother.py
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro import hdagg
 from repro.kernels import GaussSeidel, gauss_seidel_sweep
-from repro.runtime import run_threaded
+from repro.runtime import run_cores
 from repro.sparse import apply_ordering, poisson2d
 
 
@@ -36,7 +37,7 @@ def main() -> None:
         f"{schedule.n_levels} coarsened wavefronts on 4 cores"
     )
 
-    # -- scheduled sweeps through real threads -------------------------
+    # -- scheduled sweeps through the core stepper ---------------------
     indptr, indices, data = a.indptr, a.indices, a.data
     x = np.zeros(a.n_rows)
     residuals = [float(np.linalg.norm(a.matvec(x) - b))]
@@ -54,7 +55,7 @@ def main() -> None:
             s = b[i] - vals[below] @ x_new[cols[below]] - vals[above] @ x_old[cols[above]]
             x_new[i] = s / vals[k]
 
-        run_threaded(schedule, g, relax, cost=kernel.cost(a))
+        run_cores(schedule, g, relax, cost=kernel.cost(a))
         x = x_new
         residuals.append(float(np.linalg.norm(a.matvec(x) - b)))
 
@@ -64,7 +65,7 @@ def main() -> None:
         y = gauss_seidel_sweep(a, b, y)
 
     print("residual history:", " ".join(f"{r:.2e}" for r in residuals))
-    print(f"threaded == sequential: {np.allclose(x, y)}")
+    print(f"stepped == sequential: {np.allclose(x, y)}")
     print(f"residual reduced {residuals[0] / residuals[-1]:.1f}x over 8 sweeps")
 
 

@@ -11,8 +11,10 @@ Three independent checks, ordered by what they trust:
   flagged statically — catching DAG-construction bugs the verifier is
   blind to;
 * :mod:`~repro.analysis.tracecheck` trusts neither and checks an actual
-  threaded *execution*, replaying the runtime's event log through vector
-  clocks.
+  *execution* — one deterministic run of the cores under the schedule's
+  own barriers or point-to-point waits
+  (:func:`repro.runtime.executor.run_cores`) — replaying its event log
+  through vector clocks.
 
 :mod:`~repro.analysis.mutate` closes the loop: known-unsafe schedule edits
 that must be caught, asserted in CI via ``hdagg-bench analyze``

@@ -5,8 +5,10 @@ Runs the static analyses over a (matrix x kernel x scheduler) grid:
 * dependence verifier — every DAG edge ordered by the schedule;
 * memory-footprint race detector — no same-wavefront cross-partition
   footprint conflict (independent of the DAG construction);
-* optional happens-before trace check (``--trace``) — execute through the
-  threaded runtime and replay the event log through vector clocks;
+* optional happens-before trace check (``--trace``) — step the schedule's
+  cores through :func:`repro.runtime.executor.run_cores` (one
+  deterministic run under the schedule's own sync) and replay the event
+  log through vector clocks;
 * optional mutation harness (``--mutate``) — inject the known-unsafe
   schedule edits and fail unless every applicable mutation is caught.
 
@@ -54,7 +56,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="HDagg/LBC balance threshold")
     p.add_argument("--ordering", default="nd", choices=["nd", "rcm", "natural", "random"])
     p.add_argument("--trace", action="store_true",
-                   help="also execute through the threaded runtime and check the trace")
+                   help="also step the cores under the schedule's sync and check the trace")
     p.add_argument("--timeline", action="store_true",
                    help="also collect the simulator's per-core model timeline and "
                         "report its load-balance / sync summary per combination")
@@ -199,13 +201,12 @@ def _timeline_one(schedule, g, cost, kernel, operand, cores) -> Dict:
 
 
 def _trace_one(schedule, g, cost, recorder) -> tuple:
-    """Threaded no-op execution + vector-clock replay of the trace."""
-    from ..runtime.threaded import ThreadedExecutionError, run_threaded
+    """Stepped no-op execution + vector-clock replay of the trace."""
+    from ..runtime.executor import ExecutionError, run_cores
 
     try:
-        run_threaded(schedule, g, lambda v: None, cost=cost,
-                     deadlock_timeout=10.0, trace=recorder)
-    except ThreadedExecutionError as exc:
+        run_cores(schedule, g, cost=cost, trace=recorder)
+    except ExecutionError as exc:
         return False, f"executor: {exc}"
     report = check_trace(recorder.events, g)
     return report.ok, "" if report.ok else report.describe()

@@ -1,14 +1,15 @@
-"""Happens-before trace checker for the threaded executor.
+"""Happens-before trace checker for the core stepper.
 
 The verifier and race detector certify the *schedule*; this module checks
-the *executor*.  :func:`repro.runtime.threaded.run_threaded` optionally
+one *execution* of it.  :func:`repro.runtime.executor.run_cores` steps the
+cores' programs under the schedule's own synchronisation and optionally
 records an event log through a :class:`TraceRecorder`:
 
 * ``("exec", core, v)`` — ``v``'s kernel body finished on ``core``
-  (recorded *before* the completion flag is published);
-* ``("acquire", core, u)`` — p2p sync only: the spin on ``done[u]``
-  completed on ``core`` (recorded after observing the flag, hence always
-  after ``u``'s exec record);
+  (recorded before ``v`` is marked done);
+* ``("acquire", core, u)`` — p2p sync only: ``core`` observed ``u``'s done
+  flag (recorded once every in-edge of the waiting vertex is done, hence
+  always after ``u``'s exec record);
 * ``("barrier", core, k)`` — ``core`` passed the barrier closing level
   ``k``.
 
@@ -16,24 +17,24 @@ records an event log through a :class:`TraceRecorder`:
 core owns a clock component; exec increments the owner's component and
 snapshots the clock as the vertex's *write clock*; acquire joins the
 dependence's write clock into the reader (the release/acquire pair of the
-flag spin); a barrier joins every core's clock.  A dependence ``u -> v``
+flag wait); a barrier joins every core's clock.  A dependence ``u -> v``
 is satisfied iff ``u``'s write clock happens-before ``v``'s exec — checked
-componentwise.  Anything the synchronisation operations that *actually
-happened* cannot order is a violation, even when the run produced correct
-numbers by timing luck.  That is the gap this closes: the flag check in the
-executor only sees one interleaving; the vector clocks certify all of them
-consistent with the recorded synchronisation.
+componentwise.  Anything the synchronisation that *actually happened*
+cannot order is a violation, even when the stepped order ran ``u`` first.
+So one deterministic run certifies the schedule's synchronisation: p2p
+progress is monotone (a done flag is never cleared, an enabled core stays
+enabled), so every interleaving gets stuck in the states the stepper
+finds; under barrier sync a dependence inside one level raises in the
+stepper or is unordered here, whichever core runs first.
 
-Complexity: O(events * p + E * p) for p cores.
+Complexity: O(events * p + E * p) for p cores, on Python scalars.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..graph.dag import DAG
 
@@ -41,25 +42,22 @@ __all__ = ["TraceRecorder", "HappensBeforeViolation", "TraceReport", "check_trac
 
 
 class TraceRecorder:
-    """Thread-safe, totally ordered event log (the executor's tracing hook).
+    """Totally ordered event log (the core stepper's tracing hook).
 
-    The lock gives every event a unique, monotonically increasing sequence
-    number; per-core subsequences are therefore in program order, which is
-    all the checker relies on.
+    Every event gets a unique, monotonically increasing sequence number;
+    per-core subsequences are therefore in program order, which is all the
+    checker relies on.
     """
 
-    __slots__ = ("events", "_lock", "_seq")
+    __slots__ = ("events",)
 
     def __init__(self) -> None:
         self.events: List[Tuple[int, str, int, int]] = []
-        self._lock = threading.Lock()
-        self._seq = 0
 
     def record(self, kind: str, core: int, a: int) -> None:
-        """Append ``(seq, kind, core, a)``; called from worker threads."""
-        with self._lock:
-            self.events.append((self._seq, kind, core, int(a)))
-            self._seq += 1
+        """Append ``(seq, kind, core, a)``."""
+        events = self.events
+        events.append((len(events), kind, core, int(a)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -146,7 +144,7 @@ def check_trace(
     barrier_counts = [sum(1 for e in stream if e[1] == "barrier") for stream in per_core]
     n_epochs = max(barrier_counts, default=0) + 1
     if len(set(barrier_counts)) > 1:
-        worst = int(np.argmin(barrier_counts))
+        worst = barrier_counts.index(min(barrier_counts))
         add(HappensBeforeViolation("barrier-mismatch", -1, -1, worst, -1))
 
     # epoch-partitioned streams: epoch e of a core is everything between its
@@ -160,10 +158,10 @@ def check_trace(
                 continue
             epochs[e].append((seq, kind, core, a))
 
-    vc = np.zeros((p, p), dtype=np.int64)
-    write_clock: Dict[int, np.ndarray] = {}
+    vc: List[List[int]] = [[0] * p for _ in range(p)]
+    write_clock: Dict[int, Tuple[int, ...]] = {}
     exec_core: Dict[int, int] = {}
-    in_ptr, in_idx = g.in_ptr, g.in_idx
+    in_ptr, in_idx = g.in_ptr.tolist(), g.in_idx.tolist()
 
     for epoch_events in epochs:
         # a barrier epoch boundary joins all clocks; within an epoch the
@@ -175,27 +173,28 @@ def check_trace(
                 if w is None:
                     add(HappensBeforeViolation("acquire-before-exec", -1, a, core, -1))
                 else:
-                    np.maximum(vc[core], w, out=vc[core])
+                    vc[core] = list(map(max, vc[core], w))
             elif kind == "exec":
                 v = a
                 if v in exec_core:
                     add(HappensBeforeViolation("duplicate-exec", v, -1, core, exec_core[v]))
-                vc[core, core] += 1
-                for u in in_idx[in_ptr[v] : in_ptr[v + 1]].tolist():
+                clock = vc[core]
+                clock[core] += 1
+                for u in in_idx[in_ptr[v] : in_ptr[v + 1]]:
                     w = write_clock.get(u)
                     if w is None:
                         add(HappensBeforeViolation("missing-dependence", v, u, core, -1))
-                    elif not bool(np.all(w <= vc[core])):
+                    elif any(map(gt, w, clock)):
                         add(
                             HappensBeforeViolation(
                                 "unordered-dependence", v, u, core, exec_core.get(u, -1)
                             )
                         )
-                write_clock[v] = vc[core].copy()
+                write_clock[v] = tuple(clock)
                 exec_core[v] = core
         # barrier: every core's clock joins to the common maximum
-        joined = vc.max(axis=0)
-        vc[:] = joined
+        joined = [max(column) for column in zip(*vc)]
+        vc = [list(joined) for _ in range(p)]
 
     if expect_all:
         for v in range(g.n):

@@ -5,7 +5,7 @@ The subsystem behind ``hdagg-bench trace`` (see DESIGN.md §10):
 * :mod:`~repro.observability.spans` — nested span tracer;
 * :mod:`~repro.observability.metrics` — counters / gauges / histograms;
 * :mod:`~repro.observability.timeline` — per-core busy/wait/idle segments
-  from the threaded executor and the simulator;
+  from the core stepper (wall clock) and the simulator (model cycles);
 * :mod:`~repro.observability.export` — JSONL span logs and Chrome
   ``trace_event`` files (Perfetto-loadable);
 * :mod:`~repro.observability.reports` — utilization, sync-cost, and

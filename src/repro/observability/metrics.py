@@ -5,8 +5,7 @@ vertices coarsened, the PGP seen at every LBP merge decision, bin-pack
 occupancy, schedule-cache hits, fault-site triggers — and the registry
 turns them into one JSON document.  Instruments are created on first use
 (``registry.counter("schedule_cache.hits").inc()``) so call sites never
-need registration boilerplate, and every instrument is thread-safe (the
-threaded executor increments from worker threads).
+need registration boilerplate, and every instrument is thread-safe.
 
 Naming convention: dotted ``subsystem.metric`` names
 (``inspector.vertices_coarsened``, ``binpack.occupancy``,

@@ -1,7 +1,7 @@
 """Derived reports over traces: utilization, sync cost, trace-vs-model.
 
 These turn a :class:`~repro.observability.timeline.CoreTimeline` (wall
-clock from the threaded executor, or model cycles from the simulator) into
+clock from the core stepper, or model cycles from the simulator) into
 the paper-style summaries:
 
 * **per-core utilization** — busy / barrier-wait / p2p-wait / idle share

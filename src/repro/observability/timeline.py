@@ -5,10 +5,11 @@ synchronisation stalls versus useful work versus idling at level
 boundaries.  This module gives both executors the same per-core segment
 representation:
 
-* the **threaded executor** (:func:`repro.runtime.threaded.run_threaded`)
-  records wall-clock segments into a :class:`TimelineRecorder` — ``busy``
-  per vertex, ``barrier_wait`` at each level barrier, ``p2p_wait`` with
-  the (vertex, dependence) pair the spin was blocked on;
+* the **core stepper** (:func:`repro.runtime.executor.run_cores`) records
+  wall-clock segments of its one-thread stepped order into a
+  :class:`TimelineRecorder` — ``busy`` per vertex, ``barrier_wait`` at
+  each level barrier, ``p2p_wait`` with the (vertex, dependence) pair a
+  core was blocked on;
 * the **simulator** (:func:`repro.runtime.simulator.simulate` with
   ``collect_timeline=True``) emits the same structure in *model cycles*,
   which is deterministic and therefore what the trace-vs-model
@@ -70,12 +71,11 @@ class Segment:
 
 
 class TimelineRecorder:
-    """Collects per-core segments; worker threads append without locking.
+    """Collects per-core segments, one list per core.
 
     Cores must be registered up front (:meth:`open`) or lazily on first
-    record; each core's list is only ever touched by the worker that owns
-    it, so the hot path is a plain ``list.append``.  ``clock`` is
-    injectable for deterministic tests (the threaded executor reads it for
+    record; the hot path is a plain ``list.append``.  ``clock`` is
+    injectable for deterministic tests (the core stepper reads it for
     every timestamp).
     """
 
@@ -104,10 +104,7 @@ class TimelineRecorder:
         """Append one segment to ``core``'s own list."""
         if kind not in SEGMENT_KINDS or kind == "idle":
             raise ValueError(f"cannot record segment kind {kind!r}")
-        bucket = self._segments.get(core)
-        if bucket is None:
-            bucket = self._segments.setdefault(core, [])
-        bucket.append(
+        self._segments.setdefault(core, []).append(
             Segment(core=core, kind=kind, t0=t0, t1=t1,
                     vertex=vertex, dependence=dependence, level=level)
         )

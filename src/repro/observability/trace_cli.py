@@ -5,8 +5,9 @@ pipeline for one (matrix, kernel, algorithm, machine) cell, and writes:
 
 * ``spans.jsonl`` — every recorded span, one JSON object per line;
 * ``trace.json`` — Chrome ``trace_event`` file combining the inspector /
-  executor spans with the *threaded* executor's wall-clock per-core
-  timeline (load it in ``chrome://tracing`` or https://ui.perfetto.dev);
+  executor spans with the core stepper's wall-clock per-core timeline
+  (:func:`repro.runtime.executor.run_cores`; load it in
+  ``chrome://tracing`` or https://ui.perfetto.dev);
 * ``model_trace.json`` — the simulator's deterministic per-core timeline
   in model cycles (same format, 1 cycle exported as 1 µs);
 * ``metrics.json`` — the metrics registry (vertices coarsened, PGP at
@@ -28,8 +29,6 @@ import argparse
 import os
 import sys
 from typing import List, Optional
-
-import numpy as np
 
 from . import reports
 from .export import write_chrome_trace, write_spans_jsonl
@@ -58,7 +57,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
                    help="output directory (created if missing); --out is an "
                         "accepted alias, as in bench/run.py")
     p.add_argument("--no-threaded", action="store_true",
-                   help="skip the threaded execution (model timeline only)")
+                   help="skip the stepped execution of the cores (model "
+                        "timeline only); the name is kept for compatibility")
     return p
 
 
@@ -79,7 +79,7 @@ def _build_cell(args):
 def trace_main(argv: Optional[List[str]] = None) -> int:
     args = build_trace_parser().parse_args(argv)
     from ..runtime.simulator import simulate
-    from ..runtime.threaded import run_threaded
+    from ..runtime.executor import run_cores
     from ..schedulers import SCHEDULERS
 
     if args.algorithm not in SCHEDULERS:
@@ -97,14 +97,8 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
                        collect_timeline=True)
         wall_timeline = None
         if not args.no_threaded:
-            with tracer.span("execute/threaded", n=g.n, p=p):
-                touched = np.zeros(g.n, dtype=np.int64)
-
-                def process_vertex(v: int) -> None:
-                    touched[v] += 1
-
-                run_threaded(schedule, g, process_vertex, cost=cost,
-                             timeline=wall_recorder)
+            with tracer.span("execute/cores", n=g.n, p=p):
+                run_cores(schedule, g, cost=cost, timeline=wall_recorder)
             wall_timeline = wall_recorder.finalize()
         registry.gauge("simulator.makespan_cycles").set(sim.makespan_cycles)
         registry.gauge("simulator.potential_gain").set(sim.potential_gain)

@@ -17,8 +17,7 @@ this occurrence fires and with which action:
 ``raise``
     raise a :class:`FaultError` naming the site (hung-free failure path);
 ``stall``
-    sleep ``duration`` seconds (a slow inspector or inspector stage,
-    executor core stalls feeding the p2p deadlock detector);
+    sleep ``duration`` seconds (a slow inspector or inspector stage);
 ``corrupt``
     return a deterministically corrupted variant of ``payload`` (malformed
     CSR inputs for :func:`repro.sparse.sanitize.sanitize_csr`, broken
@@ -71,9 +70,8 @@ FAULT_SITES: Dict[str, Tuple[str, ...]] = {
     # inside one named HDagg inspector stage (label: the stage name); the
     # stall lands within that stage's StageTimer window
     "inspector.stage": ("stall",),
-    # threaded executor: worker body before processing a vertex
+    # core stepper (run_cores): before each vertex (label: the core)
     "executor.worker": ("raise",),
-    "executor.stall": ("stall",),
     # harness matrix preparation (payload: the built CSRMatrix)
     "harness.prepare": ("corrupt",),
     # schedule-cache hit (payload: the cached Schedule)
@@ -215,8 +213,8 @@ class FaultPlan:
         """A deterministic random plan for chaos runs (``--faults SEED``).
 
         Draws ``n_faults`` (site, action, occurrence) triples from the
-        in-process sites — the defaults exclude ``exit``/executor sites,
-        which only make sense under a pool or the threaded executor.
+        in-process sites — the defaults exclude the ``exit`` and executor
+        sites, which only make sense under a pool or the core stepper.
         """
         rng = random.Random(int(seed))
         specs = []

@@ -2,11 +2,10 @@
 
 from .cache import LRUCache
 from .exact import ExactCacheStats, simulate_cache_exact
-from .executor import execute_schedule, interleaved_order
+from .executor import ExecutionError, execute_schedule, interleaved_order, run_cores
 from .machine import AMD64, INTEL20, LAPTOP4, MACHINES, MachineConfig
 from .perf import StageTimer
 from .simulator import SimulationResult, bind_dynamic_partitions, simulate
-from .threaded import ThreadedExecutionError, run_threaded
 
 __all__ = [
     "MachineConfig",
@@ -22,7 +21,7 @@ __all__ = [
     "SimulationResult",
     "bind_dynamic_partitions",
     "execute_schedule",
-    "run_threaded",
-    "ThreadedExecutionError",
+    "run_cores",
+    "ExecutionError",
     "interleaved_order",
 ]

@@ -75,3 +75,24 @@ def test_harness_records_carry_verify_timing():
     for r in records:
         if not r.schedule_cached:
             assert r.stage_seconds.get("verify", 0.0) > 0.0
+
+
+def test_trace_and_mutate_verdicts_are_deterministic():
+    """Two runs of the stepped trace check give the same rows, bar timing."""
+
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k != "seconds"}
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        return x
+
+    specs = [s for s in SUITE if s.name in ("mesh2d-s", "mesh3d-s")]
+    runs = [
+        analyze_grid(specs, kernels=("sptrsv", "spilu0"),
+                     schedulers=["hdagg", "spmp", "wavefront"], trace=True, mutate=True)
+        for _ in range(2)
+    ]
+    assert len(runs[0]) == 12 and all(r["ok"] for r in runs[0])
+    assert all(r["trace"]["n_events"] > 0 for r in runs[0])
+    assert strip(runs[0]) == strip(runs[1])

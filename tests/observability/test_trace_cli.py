@@ -59,7 +59,7 @@ def test_trace_main_model_only(tmp_path):
                      "--algorithm", "spmp", "--no-threaded",
                      "--out", str(out)])
     assert rc == 0
-    # no threaded run: no executor spans, but the model timeline exists
+    # no stepped run: no executor spans, but the model timeline exists
     spans = [json.loads(line)
              for line in (out / "spans.jsonl").read_text().splitlines()]
     assert not any(s["name"].startswith("execute/") for s in spans)

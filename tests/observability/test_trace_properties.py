@@ -7,7 +7,7 @@ unit tests pin down:
   parent's, depths count enclosing spans, parents close after children;
 * finalized timelines never overlap and are gapless — per core,
   ``busy + barrier_wait + p2p_wait + idle == wall`` exactly;
-* the threaded executor's recorded busy segments match the schedule —
+* the core stepper's recorded busy segments match the schedule —
   one per vertex, levels agree with ``Schedule.level_of``, and per-core
   level order is non-decreasing (the wavefront order);
 * the simulator's model timeline reproduces its own scalar outputs.
@@ -157,13 +157,13 @@ def approx_wall(wall):
        st.sampled_from(["hdagg", "wavefront", "spmp"]))
 @settings(max_examples=20, deadline=None)
 def test_executor_timeline_matches_schedule(g, p, algo):
-    from repro.runtime.threaded import run_threaded
+    from repro.runtime.executor import run_cores
 
     cost = np.ones(g.n)
     schedule = SCHEDULERS[algo](g, cost, p)
     rec = TimelineRecorder()
     seen = []
-    run_threaded(schedule, g, seen.append, cost=cost, timeline=rec)
+    run_cores(schedule, g, seen.append, cost=cost, timeline=rec)
     tl = rec.finalize()
     tl.check_invariants(tol=1e-6)
     assert sorted(seen) == list(range(g.n))
@@ -185,14 +185,18 @@ def test_executor_timeline_matches_schedule(g, p, algo):
 def test_executor_wavefront_spans_are_ordered(g, p):
     """Observed `execute/wavefront[k]` spans appear in schedule order."""
     from repro.observability.state import observed
-    from repro.runtime.threaded import run_threaded
+    from repro.runtime.executor import run_cores
 
     cost = np.ones(g.n)
     schedule = SCHEDULERS["hdagg"](g, cost, p)
     with observed() as (tracer, _):
-        run_threaded(schedule, g, lambda v: None, cost=cost)
-    ks = [s.attrs["level"] for s in tracer.spans_named("execute/wavefront[")]
-    assert ks == list(range(schedule.n_levels))
+        run_cores(schedule, g, cost=cost)
+    waves = tracer.spans_named("execute/wavefront[")
+    assert [s.attrs["level"] for s in waves] == list(range(schedule.n_levels))
+    # every partition span nests inside its own level's wavefront span
+    for part in tracer.spans_named("execute/partition["):
+        wave = waves[part.attrs["level"]]
+        assert wave.t0 <= part.t0 and part.t1 <= wave.t1
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,9 @@ Three deterministic seeds drive :meth:`FaultPlan.chaos` over a small grid;
 every outcome must be a normal record, a degraded record, or a structured
 :class:`FailureRecord` — no raw exceptions escape and re-running a seed
 reproduces the exact same injected faults.  Executor-level chaos checks
-that an injected core stall trips PR 2's p2p deadlock detector with the
-correct (core, vertex, dependence) triple, and that a hard-killed fork
-pool worker fails the grid run at once, which then resumes from its
-journal.
+that a fault injected into one core's vertex surfaces with that core and
+vertex, and that a hard-killed fork pool worker fails the grid run at
+once, which then resumes from its journal.
 """
 
 import os
@@ -25,7 +24,7 @@ from repro.core.schedule import Schedule
 from repro.graph import DAG
 from repro.resilience import FailureRecord
 from repro.resilience.faults import FaultPlan, FaultSpec, armed
-from repro.runtime.threaded import ThreadedExecutionError, run_threaded
+from repro.runtime.executor import ExecutionError, run_cores
 from repro.suite import Harness
 from repro.suite.harness import RunRecord
 from repro.suite.matrices import SUITE
@@ -187,32 +186,6 @@ def test_inspector_stage_chaos_sweep_fires_only_known_labels(seed):
         assert event.label in known_labels
 
 
-def test_executor_stall_trips_deadlock_detector():
-    """An injected core stall must surface as the detector's stuck triple."""
-    g = DAG.from_edges(2, [0], [1])
-    schedule = Schedule.from_partitions(
-        n=2,
-        levels=[
-            [(0, np.array([0]))],
-            [(1, np.array([1]))],
-        ],
-        sync="p2p",
-        algorithm="test",
-        n_cores=2,
-    )
-    plan = FaultPlan(
-        [FaultSpec("executor.stall", "stall", times=-1, match="0", duration=1.5)]
-    )
-    with armed(plan):
-        with pytest.raises(ThreadedExecutionError) as exc_info:
-            run_threaded(
-                schedule, g, lambda v: None, deadlock_timeout=0.2, spin_yield=False
-            )
-    err = exc_info.value
-    assert (err.core, err.vertex, err.dependence) == (1, 1, 0)
-    assert "deadlock" in str(err)
-
-
 def test_executor_worker_crash_names_core_and_vertex():
     g = DAG.from_edges(2, [], [])
     schedule = Schedule.from_partitions(
@@ -226,9 +199,10 @@ def test_executor_worker_crash_names_core_and_vertex():
     )
     plan = FaultPlan([FaultSpec("executor.worker", "raise", times=-1, match="1")])
     with armed(plan):
-        with pytest.raises(ThreadedExecutionError) as exc_info:
-            run_threaded(schedule, g, lambda v: None)
-    assert exc_info.value.core == 1
+        with pytest.raises(ExecutionError) as exc_info:
+            run_cores(schedule, g)
+    assert (exc_info.value.core, exc_info.value.vertex) == (1, 1)
+    assert exc_info.value.__cause__ is not None
 
 
 #: runs a --jobs 2 grid whose worker for the second matrix hard-exits;

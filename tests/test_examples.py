@@ -19,7 +19,7 @@ CASES = [
     ("iterative_solver.py", [], "PCG iterations"),
     ("scheduler_comparison.py", ["mesh2d-s", "sptrsv"], "algorithm"),
     ("direct_solver.py", [], "relative residual"),
-    ("gauss_seidel_smoother.py", [], "threaded == sequential: True"),
+    ("gauss_seidel_smoother.py", [], "stepped == sequential: True"),
     ("inspector_reuse.py", [], "scheduler choice"),
 ]
 
