@@ -55,7 +55,7 @@ def main() -> None:
 
     # 4. triangular solves (forward + transpose) on the factor
     waves = compute_wavefronts(SpTRSV().dag(factor))
-    y = sptrsv_levelwise(factor, b, waves)
+    y = sptrsv_levelwise(factor, b)
     x = sptrsv_transpose_levelwise(factor, y, waves)
 
     # 5. verify against the *original* system

@@ -39,10 +39,10 @@ def main() -> None:
 
     from repro.graph import compute_wavefronts
 
-    waves = compute_wavefronts(g)  # shared by both triangular sweeps
+    waves = compute_wavefronts(g)  # the backward sweep walks them in reverse
 
     def preconditioner(r):
-        y = sptrsv_levelwise(factor, r, waves)  # L y = r (forward sweep)
+        y = sptrsv_levelwise(factor, r)  # L y = r (forward sweep)
         return sptrsv_transpose_levelwise(factor, y, waves)  # L^T z = y
 
     # ---- CG vs PCG ---------------------------------------------------

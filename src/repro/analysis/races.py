@@ -200,16 +200,12 @@ def _find_conflicts(
     np.not_equal(key_s[1:], key_s[:-1], out=new_group[1:])
     starts = np.nonzero(new_group)[0]
     # per-group: any write, and >= 2 distinct partitions
-    gid = np.cumsum(new_group) - 1
-    n_groups = int(starts.shape[0])
-    has_write = np.zeros(n_groups, dtype=bool)
-    np.logical_or.at(has_write, gid, isw_s)
+    has_write = np.logical_or.reduceat(isw_s, starts)
     pd_change = np.empty(n_acc, dtype=bool)
     pd_change[0] = False
     np.not_equal(pd_s[1:], pd_s[:-1], out=pd_change[1:])
     pd_change &= ~new_group
-    multi_pid = np.zeros(n_groups, dtype=bool)
-    np.logical_or.at(multi_pid, gid, pd_change)
+    multi_pid = np.logical_or.reduceat(pd_change, starts)
     flagged = np.nonzero(has_write & multi_pid)[0]
 
     witnesses: List[RaceWitness] = []

@@ -127,9 +127,9 @@ class CSRMatrix:
         self.indptr = _frozen(self.indptr)
         self.indices = _frozen(self.indices)
         self.data = _frozen(self.data)
-        #: SpTRSV's per-row lists, filled by ``repro.kernels.sptrsv`` on the
-        #: first solve that finds the matrix solvable
-        self._row_program: tuple | None = None
+        #: SpTRSV's solve program: ``repro.kernels.sptrsv`` marks the first
+        #: solve here and puts the matrix's ``LevelProgram`` here on the second
+        self._row_program: object | None = None
         #: the strictly-lower entries ``(rows, cols)``, filled by
         #: ``repro.kernels.base.check_order`` on its first call
         self._lower_pattern: tuple | None = None

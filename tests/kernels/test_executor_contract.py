@@ -15,15 +15,19 @@ before computing it and ran the former NumPy row bodies:
 * every valid order gives a factor ``==`` to the natural-order reference;
 * on invalid orders every kernel raises exactly the message the per-row
   loop raised;
-* on deep chains the SpTRSV executor is not slower than the per-row loop;
-* the SpTRSV executor's memoised row program: repeated calls on one matrix
-  are ``==`` to the former scalar body that rebuilt everything per call
-  (suite lower triangles; natural, HDagg and random topological orders),
-  the order is still checked on every call, a matrix that is not solvable
-  raises on every call, and a ``with_data`` matrix gets its own program.
+* on deep chains the SpTRSV executor is not slower than the per-row loop,
+  and its reused solve takes at most 1.5x the former tuple loop;
+* the SpTRSV executor's memoised level program: repeated calls on one
+  matrix are ``==`` to the former scalar body that rebuilt everything per
+  call (suite lower triangles; natural, HDagg and random topological
+  orders), bit for bit under every width cut on long rows, diagonal-only
+  rows, ``-0.0`` and inf/NaN right-hand sides; the order is still checked
+  on every call, a matrix that is not solvable raises on every call, and a
+  ``with_data`` or unpickled matrix gets its own program.
 """
 
 import os
+import pickle
 import time
 
 import numpy as np
@@ -34,7 +38,8 @@ from hypothesis import strategies as st
 from repro.kernels import KERNELS, KernelError, sptrsv_reference
 from repro.kernels.base import check_order
 from repro.kernels.cholesky import embed_in_fill_pattern
-from repro.kernels.sptrsv import check_solvable
+from repro.kernels import sptrsv as sptrsv_module
+from repro.kernels.sptrsv import WIDE_LEVEL, LevelProgram, check_solvable, sptrsv_levelwise
 from repro.runtime.executor import interleaved_order
 from repro.schedulers import SCHEDULERS
 from repro.sparse import (
@@ -49,7 +54,7 @@ from repro.sparse import (
     spd_from_pattern,
     tridiagonal_spd,
 )
-from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, check_rhs
+from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE, check_rhs, csr_from_coo
 from repro.suite import SUITE
 
 
@@ -536,6 +541,34 @@ def _best_of(fn, rounds=5):
     return best
 
 
+def tuple_row_program(a):
+    """The former per-matrix SpTRSV row program: per-row ``(value, column)`` tuples."""
+    last = a.indptr[1:] - 1
+    off = np.ones(a.nnz, dtype=bool)
+    off[last] = False
+    pairs = tuple(zip(a.data[off].tolist(), a.indices[off].tolist()))
+    ptr = (a.indptr - np.arange(a.n_rows + 1)).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(ptr, ptr[1:])], a.data[last].tolist()
+
+
+def tuple_loop_sptrsv(a, program, order, b):
+    """The former reused SpTRSV solve: both checks, then the order on the row program."""
+    rows, diag = program
+    n = a.n_rows
+    b = check_rhs(b, n)
+    order = check_order(
+        a, order, "sptrsv", "iteration {i} scheduled before its dependences {missing}"
+    )
+    rhs = b.tolist()
+    x = [0.0] * n
+    for i in order.tolist():
+        s = 0.0
+        for v, j in rows[i]:
+            s += v * x[j]
+        x[i] = (rhs[i] - s) / diag[i]
+    return np.array(x, dtype=VALUE_DTYPE)
+
+
 @pytest.mark.parametrize(
     "make", [lambda: kite_chain_spd(60, 9, seed=3), lambda: tridiagonal_spd(2000, seed=3)],
     ids=["kite_chain_spd", "chain-2000"],
@@ -551,10 +584,21 @@ def test_deep_chain_not_slower_than_the_per_row_loop(make):
     new = _best_of(lambda: kernel.execute_in_order(low, order, b))
     old = _best_of(lambda: per_row_sptrsv(low, order, b))
     assert new <= old, f"checked-once executor {new * 1e3:.2f} ms vs per-row {old * 1e3:.2f} ms"
+    # the reused solve: a chain is all narrow levels, so one scalar block
+    fresh = low.copy()
+    program = tuple_row_program(fresh)
+    for _ in range(2):
+        got = kernel.execute_in_order(fresh, order, b)
+    assert np.array_equal(got, tuple_loop_sptrsv(fresh, program, order, b))
+    reused = _best_of(lambda: kernel.execute_in_order(fresh, order, b))
+    loop = _best_of(lambda: tuple_loop_sptrsv(fresh, program, order, b))
+    assert reused <= 1.5 * loop, (
+        f"reused solve {reused * 1e3:.2f} ms vs the tuple loop {loop * 1e3:.2f} ms"
+    )
 
 
 # ----------------------------------------------------------------------
-# the SpTRSV row program
+# the SpTRSV level program
 # ----------------------------------------------------------------------
 #: one or two small matrices per family in tier-1; every suite matrix with
 #: ``REPRO_DIFF_FULL=1``
@@ -635,6 +679,140 @@ def test_with_data_gets_its_own_program():
     data[low.indptr[8] - 1] = 0.0  # row 7's diagonal
     with pytest.raises(KernelError, match="zero on the diagonal"):
         kernel.execute_in_order(low.with_data(data), order, b)
+
+
+# ----------------------------------------------------------------------
+# the level program is bit-identical to the scalar body
+# ----------------------------------------------------------------------
+#: every level vectorized, a mix of both step kinds on small matrices, and
+#: the executor's own width cut
+CUTS = pytest.mark.parametrize("cut", [1, 3, WIDE_LEVEL], ids=["all-wide", "mixed", "cut"])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=VALUE_DTYPE).view(np.int64)
+
+
+def _solves(low, order, b, cut, times=3):
+    """``times`` solves of ``low`` in ``order`` with the width cut at ``cut``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sptrsv_module, "WIDE_LEVEL", cut)
+        return [KERNELS["sptrsv"].execute_in_order(low, order, b) for _ in range(times)]
+
+
+def _assert_reuse_exact(low, b, cut, order=None):
+    order = np.arange(low.n_rows, dtype=INDEX_DTYPE) if order is None else order
+    want = _bits(scalar_sptrsv(low, order, b))
+    for k, got in enumerate(_solves(low, order, b, cut)):
+        assert np.array_equal(_bits(got), want), f"solve {k + 1}"
+    assert isinstance(low._row_program, LevelProgram)
+
+
+def _lower(n, rows, cols, seed, off_sign=None):
+    """A solvable lower triangle on a strictly-lower pattern.
+
+    Off-diagonal magnitudes span twelve decades, so a sum taken in another
+    order changes the bits; ``off_sign`` fixes their sign.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.asarray(rows, dtype=INDEX_DTYPE), np.arange(n)])
+    cols = np.concatenate([np.asarray(cols, dtype=INDEX_DTYPE), np.arange(n)])
+    vals = rng.standard_normal(rows.shape[0]) * 10.0 ** rng.uniform(-6, 6, rows.shape[0])
+    if off_sign is not None:
+        vals = off_sign * np.abs(vals)
+    vals[-n:] = 1.0 + rng.random(n)
+    return csr_from_coo(n, n, rows, cols, vals)
+
+
+def _fan_in(width, seed, off_sign=None):
+    """Rows ``0..w-1`` hold only a diagonal; rows ``w..2w-1`` form one level and
+    row ``w`` reads all of ``0..w-1``; row ``2w`` reads every earlier row alone."""
+    rng = np.random.default_rng(seed)
+    rows, cols = [width] * width, list(range(width))
+    for i in range(width + 1, 2 * width):
+        rows += [i] * 3
+        cols += sorted(rng.choice(width, size=3, replace=False).tolist())
+    rows += [2 * width] * (2 * width)
+    cols += list(range(2 * width))
+    return _lower(2 * width + 1, rows, cols, seed, off_sign)
+
+
+@CUTS
+def test_a_long_row_sums_in_stored_order(cut):
+    # row 20 (20 entries) in a wide level and row 40 (40 entries) alone in
+    # its level: add.reduce sums a one-column block pairwise
+    low = _fan_in(20, seed=5)
+    assert WIDE_LEVEL <= 20
+    _assert_reuse_exact(low, np.random.default_rng(5).standard_normal(low.n_rows), cut)
+
+
+@CUTS
+def test_rows_holding_only_a_diagonal(cut):
+    b = np.random.default_rng(2).standard_normal(40)
+    _assert_reuse_exact(_lower(40, [], [], seed=1), b, cut)
+    _assert_reuse_exact(_lower(40, [5, 9, 9, 30], [0, 2, 5, 9], seed=2), b, cut)
+
+
+@CUTS
+def test_negative_zero_rhs_over_all_zero_products(cut):
+    # x[:20] is 0.0 and every later row reads it with a negative value, so
+    # each product is -0.0: s = 0.0 + -0.0 is 0.0, and b[i] - s keeps -0.0
+    low = _fan_in(20, seed=3, off_sign=-1.0)
+    b = np.zeros(low.n_rows)
+    b[20:] = -0.0
+    assert np.signbit(scalar_sptrsv(low, np.arange(low.n_rows), b)[20:]).all()
+    _assert_reuse_exact(low, b, cut)
+
+
+@CUTS
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_inf_and_nan_in_the_rhs(cut, a, seed):
+    low = lower_triangle(a)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(low.n_rows)
+    b[rng.integers(low.n_rows, size=3)] = [np.inf, -np.inf, np.nan]
+    _assert_reuse_exact(low, b, cut)
+
+
+@CUTS
+@given(a=lower_patterns(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_three_solves_under_natural_hdagg_and_random_orders(cut, a, seed):
+    kernel = KERNELS["sptrsv"]
+    low = lower_triangle(a)
+    rng = np.random.default_rng(seed)
+    g = kernel.dag(low)
+    orders = [
+        np.arange(low.n_rows, dtype=INDEX_DTYPE),
+        SCHEDULERS["hdagg"](g, np.asarray(kernel.cost(low), dtype=float)[: g.n], 3)
+        .execution_order(),
+        random_topological_order(g, rng),
+    ]
+    # each order once as the first solve, the build and a reuse
+    for shift in range(3):
+        m = low.copy()
+        for k in range(3):
+            order = orders[(shift + k) % 3]
+            b = rng.standard_normal(low.n_rows)
+            (got,) = _solves(m, order, b, cut, times=1)
+            assert np.array_equal(_bits(got), _bits(scalar_sptrsv(m, order, b))), (shift, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sptrsv_module, "WIDE_LEVEL", cut)
+        got = sptrsv_levelwise(low.copy(), b)
+    assert np.array_equal(_bits(got), _bits(scalar_sptrsv(low, orders[0], b)))
+
+
+def test_with_data_and_unpickled_copies_get_their_own_program():
+    low = lower_triangle(poisson2d(12, seed=1))
+    b = np.random.default_rng(1).standard_normal(low.n_rows)
+    _assert_reuse_exact(low, b, WIDE_LEVEL)
+    program = low._row_program
+    for copy in (low.with_data(low.data * 3.0), pickle.loads(pickle.dumps(low))):
+        assert copy._row_program is None
+        _assert_reuse_exact(copy, b, WIDE_LEVEL)
+        assert copy._row_program is not program
+    assert low._row_program is program
 
 
 def test_b_none_solves_with_ones():

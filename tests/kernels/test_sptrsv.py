@@ -78,16 +78,6 @@ class TestLevelwise:
                 sptrsv_levelwise(low, b), sptrsv_reference(low, b), rtol=1e-10, err_msg=name
             )
 
-    def test_accepts_precomputed_waves(self, mesh, rng):
-        from repro.graph import compute_wavefronts, dag_from_lower_triangular
-
-        low = lower_of(mesh)
-        waves = compute_wavefronts(dag_from_lower_triangular(low))
-        b = rng.normal(size=mesh.n_rows)
-        np.testing.assert_allclose(
-            sptrsv_levelwise(low, b, waves), sptrsv_reference(low, b), rtol=1e-10
-        )
-
 
 class TestExecuteInOrder:
     def test_identity_order(self, mesh, rng, kernel):
